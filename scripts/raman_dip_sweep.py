@@ -29,7 +29,9 @@ def main(argv=None) -> int:
     ap.add_argument("--delta-min-mhz", type=float, default=-150.0)
     ap.add_argument("--delta-max-mhz", type=float, default=50.0)
     ap.add_argument("--points", type=int, default=251)
-    ap.add_argument("--n-slabs", type=int, default=512)
+    ap.add_argument(
+        "--n-slabs", type=int, default=1024, help="slabs for the beam-splitter noise output"
+    )
     ap.add_argument("--out", help="output CSV path (default stdout)")
     args = ap.parse_args(argv)
 
@@ -47,7 +49,7 @@ def main(argv=None) -> int:
     ]
     try:
         point = find_beam_splitter_point(
-            params, window=window, n_scan=args.points, n_slabs=max(args.n_slabs, 1024)
+            params, window=window, n_scan=args.points, n_slabs=args.n_slabs
         )
         lines += [
             f"# beam splitter delta_MHz = {point.delta / mhz(1.0):.4f}",
@@ -59,7 +61,7 @@ def main(argv=None) -> int:
         lines.append(f"# beam splitter: {exc}")
 
     grid = np.linspace(window[0], window[1], args.points)
-    curve = gain_curves(params, grid, n_slabs=args.n_slabs)
+    curve = gain_curves(params, grid)
     lines.append("delta_MHz,G_a,G_b,sum")
     for d, ga, gb, s in zip(
         curve.delta, curve.probe_gain, curve.conj_gain, curve.sum_transmission

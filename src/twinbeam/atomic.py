@@ -13,8 +13,11 @@ The pump-dressed steady state of the Lindblad generator is computed
 exactly; weak sidebands are then treated in linear response, which
 yields a complex 2x2 generator per unit medium length for the
 co-propagating pair (probe annihilation, conjugate creation).  The
-slab machinery in `propagation` turns that generator into classical
-gain curves and quantum noise output.
+classical gains are the exact mean-field transfer expm(generator);
+the slab machinery in `propagation` turns the generator into the
+quantum noise output.  Detuning scans solve their grid in stacked
+numpy calls, a fixed block of detunings at a time, with the same
+arithmetic per point as a single-point call.
 
 The probe gain curve shows a deep Raman absorption dip at negative
 two-photon detuning; the pump light shift moves the dip by roughly
@@ -33,7 +36,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import Boltzmann, atmosphere
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
@@ -51,6 +53,7 @@ __all__ = [
     "steady_state",
     "liouvillian",
     "sideband_response",
+    "sideband_blocks",
     "gain_curves",
     "pair_output",
     "find_raman_dip",
@@ -61,6 +64,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+BOLTZMANN = 1.380649e-23  # J/K, exact in the SI
+ATMOSPHERE = 101325.0  # Pa, the standard atmosphere
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -196,18 +201,24 @@ class BeamSplitterPoint:
 # basis: 0 = upper ground (probe leg), 1 = lower ground (pump leg),
 #        2 = excited shared by pump and probe, 3 = excited shared by
 #        pump and conjugate.  All entries in decay-rate units.
-def _hamiltonian(p: AtomicParams) -> np.ndarray:
+#
+# Everything below works on stacks: one entry per two-photon detuning
+# of a grid, a single-point call being the stack of one.  The stacked
+# code performs the same floating-point operations per entry as a
+# per-point computation would, so a detuning's result does not depend
+# on the grid it is computed in.
+def _hamiltonians(p: AtomicParams, deltas: np.ndarray) -> np.ndarray:
     g = p.excited_decay_rate
-    delta = p.two_photon_detuning / g
+    delta = deltas / g
     big_delta = p.one_photon_detuning / g
     hf = p.hyperfine_splitting / g
     rabi = p.rabi_frequency / g
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = -delta
-    h[2, 2] = -big_delta
-    h[3, 3] = -(big_delta + hf + delta)
-    h[2, 1] = h[1, 2] = -rabi / 2.0
-    h[3, 0] = h[0, 3] = -rabi / 2.0
+    h = np.zeros((delta.size, 4, 4), dtype=complex)
+    h[:, 0, 0] = -delta
+    h[:, 2, 2] = -big_delta
+    h[:, 3, 3] = -(big_delta + hf + delta)
+    h[:, 2, 1] = h[:, 1, 2] = -rabi / 2.0
+    h[:, 3, 0] = h[:, 0, 3] = -rabi / 2.0
     return h
 
 
@@ -226,16 +237,77 @@ def _collapse_operators(p: AtomicParams) -> list[np.ndarray]:
     return ops
 
 
-def liouvillian(p: AtomicParams) -> np.ndarray:
-    """16x16 Lindblad generator, column-stacked, in decay-rate units."""
-    h = _hamiltonian(p)
-    eye = np.eye(4)
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+_EYE = np.eye(4)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the trailing 4x4 matrices, broadcast over leading axes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (16, 16))
+
+
+def _liouvillians(p: AtomicParams, deltas: np.ndarray) -> np.ndarray:
+    h = _hamiltonians(p, deltas)
+    gen = -1j * (_kron(_EYE, h) - _kron(h.swapaxes(-1, -2), _EYE))
     for op in _collapse_operators(p):
         opdop = op.conj().T @ op
-        gen += np.kron(op.conj(), op)
-        gen -= 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
+        gen += _kron(op.conj(), op)
+        gen -= 0.5 * (_kron(_EYE, opdop) + _kron(opdop.T, _EYE))
     return gen
+
+
+def _at(deltas: np.ndarray, i: int) -> str:
+    return f"at two-photon detuning {deltas[i]:.6e} rad/s"
+
+
+def _first(bad: np.ndarray) -> int:
+    """Index of the first True entry, or the length when there is none."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else bad.size
+
+
+def _steady_states(
+    gen: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, Exception | None]:
+    """Stationary states of a Liouvillian stack, checked point by point.
+
+    Returns the states of the longest leading run of detunings that
+    passes every check, and the error for the detuning right after it
+    (None when all pass).  Checks run in the order a single point
+    meets them, so the error is the one the first failing detuning
+    raises on its own.
+    """
+    _, sing, vh = np.linalg.svd(gen)
+    error = None
+    n = _first(sing[:, -2] <= 1e-10 * sing[:, 0])
+    if n < len(gen):
+        error = DegenerateSteadyStateError(
+            f"stationary space is degenerate {_at(deltas, n)} "
+            f"(second singular value {sing[n, -2]:.2e} of {sing[n, 0]:.2e})"
+        )
+    # column-stacked vectors: row-major reshape, then transpose
+    rho = vh[:n, -1].conj().reshape(n, 4, 4).swapaxes(-1, -2)
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    bad = _first(np.abs(trace) < 1e-8)
+    if bad < n:
+        n = bad
+        error = DegenerateSteadyStateError(f"stationary vector is traceless {_at(deltas, n)}")
+    rho = rho[:n] / trace[:n, None, None]
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    vec = rho.swapaxes(-1, -2).reshape(n, 16, 1)
+    residual = np.linalg.norm((gen[:n] @ vec)[..., 0], axis=-1)
+    bad = _first(residual > 1e-10 * np.maximum(1.0, sing[:n, 0]))
+    if bad < n:
+        n = bad
+        error = DegenerateSteadyStateError(
+            f"stationary residual {residual[n]:.2e} exceeds tolerance {_at(deltas, n)}"
+        )
+    return rho[:n], error
+
+
+def liouvillian(p: AtomicParams) -> np.ndarray:
+    """16x16 Lindblad generator, column-stacked, in decay-rate units."""
+    return _liouvillians(p, np.array([p.two_photon_detuning]))[0]
 
 
 def steady_state(p: AtomicParams) -> np.ndarray:
@@ -245,25 +317,11 @@ def steady_state(p: AtomicParams) -> np.ndarray:
     is not one-dimensional (for example with the pump off and no
     ground-state relaxation) instead of silently picking a vector.
     """
-    gen = liouvillian(p)
-    _, sing, vh = np.linalg.svd(gen)
-    if sing[-2] <= 1e-10 * sing[0]:
-        raise DegenerateSteadyStateError(
-            "stationary space is degenerate "
-            f"(second singular value {sing[-2]:.2e} of {sing[0]:.2e})"
-        )
-    rho = vh[-1].conj().reshape((4, 4), order="F")
-    trace = np.trace(rho)
-    if abs(trace) < 1e-8:
-        raise DegenerateSteadyStateError("stationary vector is traceless")
-    rho = rho / trace
-    rho = 0.5 * (rho + rho.conj().T)
-    residual = np.linalg.norm(gen @ rho.reshape(16, order="F"))
-    if residual > 1e-10 * max(1.0, sing[0]):
-        raise DegenerateSteadyStateError(
-            f"stationary residual {residual:.2e} exceeds tolerance"
-        )
-    return rho
+    deltas = np.array([p.two_photon_detuning])
+    rho, error = _steady_states(_liouvillians(p, deltas), deltas)
+    if error is not None:
+        raise error
+    return rho[0]
 
 
 # The sideband coherences driven by the probe and conjugate fields
@@ -272,7 +330,65 @@ def steady_state(p: AtomicParams) -> np.ndarray:
 # basis above.  Solving inside that subspace is exact and keeps the
 # per-detuning cost at a 4x4 solve.
 _SECTOR_SLOTS = ((1, 0), (2, 0), (1, 3), (2, 3))
-_SECTOR_INDICES = tuple(row + 4 * col for row, col in _SECTOR_SLOTS)
+_SECTOR_INDICES = [row + 4 * col for row, col in _SECTOR_SLOTS]
+_SECTOR = (slice(None), np.array(_SECTOR_INDICES)[:, None], np.array(_SECTOR_INDICES))
+
+# Grids are solved this many detunings at a time: long enough stacks
+# to leave the per-point Python overhead behind, short enough that a
+# scan's peak memory does not grow with the grid.
+_GRID_BLOCK = 32
+
+
+def _pair_block_stack(
+    p: AtomicParams, deltas: np.ndarray, analysis_offset: float
+) -> np.ndarray:
+    gamma = p.excited_decay_rate
+    gen = _liouvillians(p, deltas)
+    rho0, error = _steady_states(gen, deltas)
+    n = len(rho0)
+    system = gen[:n][_SECTOR] + 1j * (analysis_offset / gamma) * np.eye(4)
+    bad = _first(np.linalg.cond(system) > 1e12)
+    if bad < n:
+        raise ResponseSingularError(f"sideband response singular {_at(deltas, bad)}")
+    if error is not None:
+        raise error
+
+    probe_drive = np.zeros((4, 4))
+    probe_drive[2, 0] = -0.5  # lowers probe photon into the upper-ground coherence
+    conj_drive = np.zeros((4, 4))
+    conj_drive[1, 3] = -0.5
+
+    scale = p.depth / 2.0
+    block = np.zeros((n, 2, 2), dtype=complex)
+    for col, drive in enumerate((probe_drive, conj_drive)):
+        source = -1j * (drive @ rho0 - rho0 @ drive)
+        rhs = -source.swapaxes(-1, -2).reshape(n, 16)[:, _SECTOR_INDICES]
+        solution = np.linalg.solve(system, rhs[..., None])[..., 0]
+        block[:, 0, col] = 1j * scale * solution[:, _SECTOR_SLOTS.index((2, 0))]
+        block[:, 1, col] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
+    return block
+
+
+def sideband_blocks(
+    p: AtomicParams, delta_grid: np.ndarray, analysis_offset: float = 0.0
+) -> np.ndarray:
+    """Pair blocks of `sideband_response` for every detuning of a grid.
+
+    Returns an (N, 2, 2) stack; entry i equals
+    sideband_response(p with two_photon_detuning=delta_grid[i]).pair_block
+    bit for bit.  A failing check raises for the first failing detuning
+    and names it.
+    """
+    deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("detuning grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("detuning grid must be finite")
+    blocks = np.empty((deltas.size, 2, 2), dtype=complex)
+    for start in range(0, deltas.size, _GRID_BLOCK):
+        part = slice(start, start + _GRID_BLOCK)
+        blocks[part] = _pair_block_stack(p, deltas[part], analysis_offset)
+    return blocks
 
 
 def sideband_response(p: AtomicParams, analysis_offset: float = 0.0) -> CouplingMatrix:
@@ -283,62 +399,29 @@ def sideband_response(p: AtomicParams, analysis_offset: float = 0.0) -> Coupling
     that sets the gain curves.  The returned generator is scaled by
     the optical depth and applies per unit normalized medium length.
     """
-    gamma = p.excited_decay_rate
-    rho0 = steady_state(p)
-    gen = liouvillian(p)
-    sector = np.ix_(_SECTOR_INDICES, _SECTOR_INDICES)
-    system = gen[sector] + 1j * (analysis_offset / gamma) * np.eye(4)
-    if np.linalg.cond(system) > 1e12:
-        raise ResponseSingularError(
-            "sideband response singular at two-photon detuning "
-            f"{p.two_photon_detuning:.6e} rad/s"
-        )
-
-    probe_drive = np.zeros((4, 4))
-    probe_drive[2, 0] = -0.5  # lowers probe photon into the upper-ground coherence
-    conj_drive = np.zeros((4, 4))
-    conj_drive[1, 3] = -0.5
-
-    scale = p.depth / 2.0
-    block = np.zeros((2, 2), dtype=complex)
-    for col, drive in enumerate((probe_drive, conj_drive)):
-        source = -1j * (drive @ rho0 - rho0 @ drive)
-        rhs = -source.reshape(16, order="F")[list(_SECTOR_INDICES)]
-        solution = np.linalg.solve(system, rhs)
-        block[0, col] = 1j * scale * solution[_SECTOR_SLOTS.index((2, 0))]
-        block[1, col] = -1j * scale * solution[_SECTOR_SLOTS.index((1, 3))]
+    block = sideband_blocks(p, np.array([p.two_photon_detuning]), analysis_offset)[0]
     return CouplingMatrix.from_pair_block(block)
 
 
-def _classical_gains(p: AtomicParams) -> tuple[float, float]:
-    # transfer of the mean fields over the full medium length
-    e = expm(sideband_response(p).pair_block)
-    return float(abs(e[0, 0]) ** 2), float(abs(e[1, 0]) ** 2)
+def _classical_gains(p: AtomicParams, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # transfer of the mean fields over the full medium length; the
+    # moduli are taken per scalar, which pins the last bit independently
+    # of numpy's vectorized complex abs
+    e = expm(sideband_blocks(p, deltas))
+    probe = np.array([float(abs(z) ** 2) for z in e[:, 0, 0]])
+    conj = np.array([float(abs(z) ** 2) for z in e[:, 1, 0]])
+    return probe, conj
 
 
-def gain_curves(
-    p: AtomicParams, delta_grid: np.ndarray, n_slabs: int = 256
-) -> GainCurve:
+def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
     """Probe and conjugate gains per unit probe seed across a detuning grid.
 
-    Each point runs the local generator through the slab propagator,
-    so the same covariance that carries the quantum noise also
-    delivers the classical gains.
+    The gains are |expm(block)|^2 of each point's pair generator: the
+    exact transfer of the mean fields over the medium, with no slab
+    discretization.
     """
-    grid = np.asarray(delta_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("detuning grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("detuning grid must be finite")
-    probe = np.empty_like(grid)
-    conj = np.empty_like(grid)
-    for i, delta in enumerate(grid):
-        point = dataclasses.replace(p, two_photon_detuning=float(delta))
-        response = sideband_response(point)
-        result = propagation.propagate_coupling(response.pair_block, n_slabs=n_slabs)
-        probe[i] = result.g_a
-        conj[i] = result.g_b
-    return GainCurve(grid.copy(), probe, conj)
+    probe, conj = _classical_gains(p, delta_grid)
+    return GainCurve(delta_grid, probe, conj)
 
 
 def pair_output(
@@ -361,10 +444,7 @@ def find_raman_dip(
 ) -> tuple[float, float]:
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
     grid = np.linspace(window[0], window[1], n_scan)
-    gains = [
-        _classical_gains(dataclasses.replace(p, two_photon_detuning=float(d)))[0]
-        for d in grid
-    ]
+    gains, _ = _classical_gains(p, grid)
     i = int(np.argmin(gains))
     return float(grid[i]), float(gains[i])
 
@@ -386,12 +466,8 @@ def find_beam_splitter_point(
     if not window[0] < window[1]:
         raise ValueError(f"window must be increasing, got {window}")
     grid = np.linspace(window[0], window[1], n_scan)
-    probe = np.empty(n_scan)
-    balance = np.empty(n_scan)
-    for i, d in enumerate(grid):
-        ga, gb = _classical_gains(dataclasses.replace(p, two_photon_detuning=float(d)))
-        probe[i] = ga
-        balance[i] = ga + gb - 1.0
+    probe, conj = _classical_gains(p, grid)
+    balance = probe + conj - 1.0
     crossings = np.nonzero(balance[:-1] * balance[1:] < 0.0)[0]
     if crossings.size == 0:
         raise NoCrossingError(
@@ -403,8 +479,8 @@ def find_beam_splitter_point(
     bracket = int(below[-1]) if below.size else int(crossings[0])
 
     def flux_balance(delta: float) -> float:
-        ga, gb = _classical_gains(dataclasses.replace(p, two_photon_detuning=delta))
-        return ga + gb - 1.0
+        ga, gb = _classical_gains(p, np.array([delta]))
+        return float(ga[0] + gb[0] - 1.0)
 
     delta_star = float(
         brentq(flux_balance, grid[bracket], grid[bracket + 1], xtol=TWO_PI * 1e3)
@@ -432,8 +508,8 @@ def vapor_density(t_celsius: float) -> float:
             f"temperature {t_celsius} C outside the correlation range [20, 200] C"
         )
     t_kelvin = t_celsius + 273.15
-    pressure = atmosphere * 10.0 ** (4.312 - 4040.0 / t_kelvin)
-    return pressure / (Boltzmann * t_kelvin) * 1e-6
+    pressure = ATMOSPHERE * 10.0 ** (4.312 - 4040.0 / t_kelvin)
+    return pressure / (BOLTZMANN * t_kelvin) * 1e-6
 
 
 def optical_depth(density: float, cross_section: float, length: float) -> float:

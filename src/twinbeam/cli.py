@@ -15,7 +15,6 @@ degenerate steady state, non-convergence).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -129,21 +128,6 @@ def cmd_lumped_optimize(args) -> int:
     return 0
 
 
-def _sweep_point(payload) -> dict:
-    params, delta_mhz, n_slabs = payload
-    point = dataclasses.replace(
-        params, two_photon_detuning=angular_from_mhz(delta_mhz)
-    )
-    result = atomic.pair_output(point, n_slabs=n_slabs)
-    return {
-        "delta_MHz": delta_mhz,
-        "G_a": result.g_a,
-        "G_b": result.g_b,
-        "sum": result.sum_transmission,
-        "gemellity_dB": result.gemellity_db,
-    }
-
-
 def cmd_sweep_delta(args) -> int:
     sections, raw = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
@@ -159,19 +143,20 @@ def cmd_sweep_delta(args) -> int:
         raise ConfigError(f"sweep needs at least 2 points, got {points}")
     if n_slabs < 1:
         raise ConfigError(f"n_slabs must be >= 1, got {n_slabs}")
-    payloads = [(params, d, n_slabs) for d in np.linspace(lo, hi, points)]
-    workers = args.workers
-    if workers is None:
-        import os
-
-        workers = os.cpu_count() or 1
-    if workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=workers) as pool:
-            rows = list(pool.imap(_sweep_point, payloads, chunksize=8))
-    else:
-        rows = [_sweep_point(p) for p in payloads]
+    deltas_mhz = np.linspace(lo, hi, points)
+    blocks = atomic.sideband_blocks(params, [angular_from_mhz(d) for d in deltas_mhz])
+    rows = []
+    for delta_mhz, block in zip(deltas_mhz, blocks):
+        result = propagation.propagate_coupling(block, n_slabs=n_slabs)
+        rows.append(
+            {
+                "delta_MHz": delta_mhz,
+                "G_a": result.g_a,
+                "G_b": result.g_b,
+                "sum": result.sum_transmission,
+                "gemellity_dB": result.gemellity_db,
+            }
+        )
     _emit(args, "sweep-delta", rows, {}, raw)
     return 0
 
@@ -276,7 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="sectioned key-value config file")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--workers", type=int, help="worker processes for sweeps")
+    common.add_argument(
+        "--workers",
+        type=int,
+        help="accepted for compatibility and ignored: sweeps run batched in-process",
+    )
     common.add_argument("--seed", type=int, help="random seed for stochastic commands")
 
     parser = argparse.ArgumentParser(

@@ -2,9 +2,13 @@
 flux-neutral operating point."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from twinbeam import atomic, gaussian
 from twinbeam.atomic import (
@@ -12,6 +16,7 @@ from twinbeam.atomic import (
     CouplingMatrix,
     DegenerateSteadyStateError,
     NoCrossingError,
+    ResponseSingularError,
 )
 from twinbeam.configio import ConfigError
 
@@ -184,7 +189,7 @@ def test_response_vanishes_far_from_resonance():
 
 def test_gain_curves_for_zero_depth_are_trivial():
     p = dataclasses.replace(AtomicParams(), depth=0.0)
-    curve = atomic.gain_curves(p, np.linspace(mhz(-100.0), mhz(50.0), 7), n_slabs=16)
+    curve = atomic.gain_curves(p, np.linspace(mhz(-100.0), mhz(50.0), 7))
     np.testing.assert_array_equal(curve.probe_gain, np.ones(7))
     np.testing.assert_array_equal(curve.conj_gain, np.zeros(7))
     np.testing.assert_allclose(curve.sum_transmission, np.ones(7))
@@ -200,15 +205,147 @@ def test_gain_curves_validate_the_grid():
         atomic.gain_curves(p, np.array([np.inf]))
 
 
+def test_gain_curves_survive_the_sharp_resonance_next_to_the_dip():
+    # |block| reaches about 210 at -40.69 MHz here; a 256-slab propagator
+    # used to fail its own CP check on this grid
+    p = AtomicParams(
+        rabi_frequency=mhz(410.2971582625409),
+        one_photon_detuning=mhz(761.5550940104606),
+        depth=563.786954953772,
+    )
+    curve = atomic.gain_curves(p, np.linspace(mhz(-150.0), mhz(50.0), 248))
+    assert np.all(np.isfinite(curve.probe_gain))
+    assert np.all(np.isfinite(curve.conj_gain))
+    assert np.all(curve.probe_gain >= 0.0)
+    assert np.all(curve.conj_gain >= 0.0)
+
+
 def test_gain_curves_are_nonnegative_and_physical():
     grid = np.linspace(mhz(-120.0), mhz(20.0), 5)
-    curve = atomic.gain_curves(AtomicParams(), grid, n_slabs=64)
+    curve = atomic.gain_curves(AtomicParams(), grid)
     assert np.all(curve.probe_gain >= 0.0)
     assert np.all(curve.conj_gain >= 0.0)
     for delta in grid[::2]:
         p = dataclasses.replace(AtomicParams(), two_photon_detuning=float(delta))
         out = atomic.pair_output(p, n_slabs=64)
         assert gaussian.uncertainty_defect(out.state) > -1e-9
+
+
+def _reference_liouvillian(p: AtomicParams) -> np.ndarray:
+    """The generator written out per point with np.kron."""
+    g = p.excited_decay_rate
+    delta = p.two_photon_detuning / g
+    big_delta = p.one_photon_detuning / g
+    hf = p.hyperfine_splitting / g
+    rabi = p.rabi_frequency / g
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = -delta
+    h[2, 2] = -big_delta
+    h[3, 3] = -(big_delta + hf + delta)
+    h[2, 1] = h[1, 2] = -rabi / 2.0
+    h[3, 0] = h[0, 3] = -rabi / 2.0
+    eye = np.eye(4)
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    ops = []
+    for excited in (2, 3):
+        for ground in (0, 1):
+            op = np.zeros((4, 4))
+            op[ground, excited] = 1.0
+            ops.append(np.sqrt(0.5) * op)
+    exchange = np.sqrt(p.ground_decoherence / p.excited_decay_rate)
+    for i, j in ((0, 1), (1, 0)):
+        op = np.zeros((4, 4))
+        op[i, j] = 1.0
+        ops.append(exchange * op)
+    for op in ops:
+        opdop = op.conj().T @ op
+        gen += np.kron(op.conj(), op)
+        gen -= 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
+    return gen
+
+
+def _reference_pair_block(p: AtomicParams) -> np.ndarray:
+    """sideband_response(p).pair_block computed one point at a time."""
+    gen = _reference_liouvillian(p)
+    _, _, vh = np.linalg.svd(gen)
+    rho = vh[-1].conj().reshape((4, 4), order="F")
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    slots = ((1, 0), (2, 0), (1, 3), (2, 3))
+    indices = [row + 4 * col for row, col in slots]
+    # the zero analysis-offset term still rounds signed zeros
+    system = gen[np.ix_(indices, indices)] + 1j * 0.0 * np.eye(4)
+    scale = p.depth / 2.0
+    block = np.zeros((2, 2), dtype=complex)
+    for col, slot in enumerate(((2, 0), (1, 3))):
+        drive = np.zeros((4, 4))
+        drive[slot] = -0.5
+        source = -1j * (drive @ rho - rho @ drive)
+        x = np.linalg.solve(system, -source.reshape(16, order="F")[indices])
+        block[0, col] = 1j * scale * x[slots.index((2, 0))]
+        block[1, col] = -1j * scale * x[slots.index((1, 3))]
+    return block
+
+
+def _assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+
+
+# grid sizes around the stacking block, so that partial blocks, exact
+# multiples and the one-point grid all occur
+_GRID_SIZES = (1, 2, 31, 32, 33, 64, 65)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    omega=st.floats(380.0, 460.0),
+    big=st.floats(750.0, 850.0),
+    depth=st.floats(400.0, 600.0),
+    size=st.sampled_from(_GRID_SIZES),
+    lo=st.floats(-150.0, 40.0),
+    width=st.floats(0.5, 190.0),
+)
+def test_batched_grid_matches_the_per_point_path_bit_for_bit(omega, big, depth, size, lo, width):
+    p = AtomicParams(
+        rabi_frequency=mhz(omega), one_photon_detuning=mhz(big), depth=depth
+    )
+    grid = np.linspace(mhz(lo), mhz(min(lo + width, 50.0)), size)
+    blocks = atomic.sideband_blocks(p, grid)
+    curve = atomic.gain_curves(p, grid)
+    for i, delta in enumerate(grid):
+        point = dataclasses.replace(p, two_photon_detuning=float(delta))
+        single = atomic.sideband_response(point).pair_block
+        _assert_bitwise(blocks[i], single)
+        e = expm(single)
+        assert curve.probe_gain[i] == abs(e[0, 0]) ** 2
+        assert curve.conj_gain[i] == abs(e[1, 0]) ** 2
+    for delta in grid[:: max(1, size // 3)]:
+        point = dataclasses.replace(p, two_photon_detuning=float(delta))
+        _assert_bitwise(atomic.liouvillian(point), _reference_liouvillian(point))
+        _assert_bitwise(atomic.sideband_response(point).pair_block, _reference_pair_block(point))
+
+
+def test_degenerate_grid_names_its_first_detuning():
+    p = AtomicParams(rabi_frequency=0.0, ground_decoherence=0.0)
+    grid = np.linspace(mhz(-60.0), mhz(-20.0), 40)
+    with pytest.raises(DegenerateSteadyStateError, match=re.escape(f"{grid[0]:.6e} rad/s")):
+        atomic.gain_curves(p, grid)
+
+
+def test_singular_response_names_the_first_failing_detuning(monkeypatch):
+    # Zero offset cannot reach this check: the sector is an invariant
+    # block of the generator, so the steady-state degeneracy test fires
+    # first.  Fake the condition numbers to exercise the reporting.
+    monkeypatch.setattr(
+        np.linalg, "cond", lambda a: np.where(np.arange(len(a)) >= 3, np.inf, 1.0)
+    )
+    grid = np.linspace(mhz(-60.0), mhz(-20.0), 40)
+    with pytest.raises(ResponseSingularError, match=re.escape(f"{grid[3]:.6e} rad/s")):
+        atomic.gain_curves(AtomicParams(), grid)
+    with pytest.raises(ResponseSingularError, match=re.escape(f"{grid[35]:.6e} rad/s")):
+        atomic.gain_curves(AtomicParams(), grid[32:])
 
 
 def test_raman_dip_location_and_depth():
