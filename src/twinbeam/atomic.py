@@ -14,7 +14,7 @@ exactly; weak sidebands are then treated in linear response, which
 yields a complex 2x2 generator per unit medium length for the
 co-propagating pair (probe annihilation, conjugate creation).  The
 classical gains are the exact mean-field transfer expm(generator);
-the slab machinery in `propagation` turns the generator into the
+`propagation.exact_channel` turns the same generator into the exact
 quantum noise output.  Detuning scans solve their grid in stacked
 numpy calls, a fixed block of detunings at a time, with the same
 arithmetic per point as a single-point call.
@@ -123,43 +123,18 @@ class AtomicParams:
 class CouplingMatrix:
     """Local sideband generator per unit normalized medium length.
 
-    matrix acts on the fluctuation vector (da, da^dag, db, db^dag);
-    the daggered rows are complex conjugates of their partners, so the
-    physics lives in the closed (da, db^dag) pair returned by
-    pair_block.
+    pair_block is the complex 2x2 generator for the fluctuation pair
+    (da, db^dag); the daggered partners obey its complex conjugate.
     """
 
-    matrix: np.ndarray
+    pair_block: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"coupling matrix must be 4x4, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_pair_block(cls, block: np.ndarray) -> "CouplingMatrix":
-        b = np.asarray(block, dtype=complex)
+        b = np.array(self.pair_block, dtype=complex)
         if b.shape != (2, 2):
             raise ValueError(f"pair block must be 2x2, got {b.shape}")
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[0, 3] = b[0, 0], b[0, 1]
-        m[3, 0], m[3, 3] = b[1, 0], b[1, 1]
-        m[1, 1], m[1, 2] = np.conj(b[0, 0]), np.conj(b[0, 1])
-        m[2, 1], m[2, 2] = np.conj(b[1, 0]), np.conj(b[1, 1])
-        return cls(m)
-
-    @property
-    def pair_block(self) -> np.ndarray:
-        """2x2 generator for (da, db^dag)."""
-        m = self.matrix
-        return np.array([[m[0, 0], m[0, 3]], [m[3, 0], m[3, 3]]])
-
-    def conjugation_defect(self) -> float:
-        """Max deviation from the daggered-row conjugation symmetry."""
-        canonical = CouplingMatrix.from_pair_block(self.pair_block).matrix
-        return float(np.max(np.abs(self.matrix - canonical)))
+        b.setflags(write=False)
+        object.__setattr__(self, "pair_block", b)
 
 
 @dataclass(frozen=True)
@@ -400,7 +375,7 @@ def sideband_response(p: AtomicParams, analysis_offset: float = 0.0) -> Coupling
     the optical depth and applies per unit normalized medium length.
     """
     block = sideband_blocks(p, np.array([p.two_photon_detuning]), analysis_offset)[0]
-    return CouplingMatrix.from_pair_block(block)
+    return CouplingMatrix(block)
 
 
 def _classical_gains(p: AtomicParams, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,13 +400,10 @@ def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
 
 
 def pair_output(
-    p: AtomicParams,
-    n_slabs: int = 2048,
-    analysis_offset: float = 0.0,
+    p: AtomicParams, analysis_offset: float = 0.0
 ) -> propagation.PropagationResult:
     """Full quantum output of the medium at one operating point."""
-    response = sideband_response(p, analysis_offset)
-    return propagation.propagate_coupling(response.pair_block, n_slabs=n_slabs)
+    return propagation.propagate_coupling(sideband_response(p, analysis_offset).pair_block)
 
 
 _DEFAULT_WINDOW = (-TWO_PI * 150e6, TWO_PI * 50e6)
@@ -453,7 +425,6 @@ def find_beam_splitter_point(
     p: AtomicParams,
     window: tuple[float, float] = _DEFAULT_WINDOW,
     n_scan: int = 251,
-    n_slabs: int = 2048,
 ) -> BeamSplitterPoint:
     """Root-find the detuning where output flux equals the probe input.
 
@@ -486,7 +457,7 @@ def find_beam_splitter_point(
         brentq(flux_balance, grid[bracket], grid[bracket + 1], xtol=TWO_PI * 1e3)
     )
     point = dataclasses.replace(p, two_photon_detuning=delta_star)
-    result = pair_output(point, n_slabs=n_slabs)
+    result = pair_output(point)
     return BeamSplitterPoint(
         delta=delta_star,
         probe_gain=result.g_a,

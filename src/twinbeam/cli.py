@@ -132,22 +132,19 @@ def cmd_sweep_delta(args) -> int:
     sections, raw = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
     sweep = sections.get("sweep", {})
-    _check_keys(sweep, "sweep", {"delta_min_MHz", "delta_max_MHz", "points", "n_slabs"})
+    _check_keys(sweep, "sweep", {"delta_min_MHz", "delta_max_MHz", "points"})
     lo = section_float(sweep, "sweep", "delta_min_MHz", default=-150.0)
     hi = section_float(sweep, "sweep", "delta_max_MHz", default=50.0)
     points = section_int(sweep, "sweep", "points", default=251)
-    n_slabs = section_int(sweep, "sweep", "n_slabs", default=512)
     if not lo < hi:
         raise ConfigError(f"sweep window must be increasing, got [{lo}, {hi}] MHz")
     if points < 2:
         raise ConfigError(f"sweep needs at least 2 points, got {points}")
-    if n_slabs < 1:
-        raise ConfigError(f"n_slabs must be >= 1, got {n_slabs}")
     deltas_mhz = np.linspace(lo, hi, points)
     blocks = atomic.sideband_blocks(params, [angular_from_mhz(d) for d in deltas_mhz])
     rows = []
     for delta_mhz, block in zip(deltas_mhz, blocks):
-        result = propagation.propagate_coupling(block, n_slabs=n_slabs)
+        result = propagation.propagate_coupling(block)
         rows.append(
             {
                 "delta_MHz": delta_mhz,
@@ -165,18 +162,16 @@ def cmd_beam_splitter(args) -> int:
     sections, raw = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
     window = sections.get("window", {})
-    _check_keys(window, "window", {"min_MHz", "max_MHz", "points", "n_slabs"})
+    _check_keys(window, "window", {"min_MHz", "max_MHz", "points"})
     lo = section_float(window, "window", "min_MHz", default=-150.0)
     hi = section_float(window, "window", "max_MHz", default=50.0)
     points = section_int(window, "window", "points", default=251)
-    n_slabs = section_int(window, "window", "n_slabs", default=2048)
     if not lo < hi:
         raise ConfigError(f"window must be increasing, got [{lo}, {hi}] MHz")
     point = atomic.find_beam_splitter_point(
         params,
         window=(angular_from_mhz(lo), angular_from_mhz(hi)),
         n_scan=points,
-        n_slabs=n_slabs,
     )
     row = {
         "delta_MHz": mhz_from_angular(point.delta),
@@ -194,9 +189,7 @@ def cmd_beat_limit(args) -> int:
     sections, raw = _load_config(args.config)
     search = sections.get("search", {})
     _check_keys(
-        search,
-        "search",
-        {"segments", "restarts", "rate_bound", "feasibility_tol", "target_dB", "subdivisions"},
+        search, "search", {"segments", "restarts", "rate_bound", "feasibility_tol", "target_dB"}
     )
     if args.seed is None:
         print(
@@ -210,7 +203,6 @@ def cmd_beat_limit(args) -> int:
         feasibility_tol=section_float(search, "search", "feasibility_tol", default=0.01),
         target_db=section_float(search, "search", "target_dB", default=-2.8),
         restarts=section_int(search, "search", "restarts", default=16),
-        subdivisions=section_int(search, "search", "subdivisions", default=128),
     )
     rows = [
         {

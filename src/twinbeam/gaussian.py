@@ -111,8 +111,11 @@ class GaussianChannel:
         noise = _symmetrize(_as_square(self.added_noise, "added_noise"), "added_noise")
         object.__setattr__(self, "transfer", transfer)
         object.__setattr__(self, "added_noise", noise)
+        # forming T Omega T^t alone rounds at about eps |T|^2, so the
+        # tolerance scales with the matrices compared
+        scale = max(1.0, float(np.abs(transfer).max()) ** 2, float(np.abs(noise).max()))
         defect = cp_defect(self)
-        if defect < -_CP_TOL:
+        if defect < -_CP_TOL * scale:
             raise ValueError(
                 f"channel is not completely positive (CP defect {defect:.3e})"
             )
@@ -239,6 +242,15 @@ def transfer_from_mode_matrix(e: np.ndarray) -> np.ndarray:
     )
 
 
+def _abs_i(a: np.ndarray) -> np.ndarray:
+    """|i a| (matrix absolute value) of a real antisymmetric 4x4 matrix."""
+    # -a @ a is symmetric PSD and its principal square root equals |i a|
+    m = -a @ a
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    n = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return 0.5 * (n + n.T)
+
+
 def minimal_noise_channel(transfer: np.ndarray) -> GaussianChannel:
     """Complete a (possibly non-symplectic) transfer with the least noise.
 
@@ -247,10 +259,15 @@ def minimal_noise_channel(transfer: np.ndarray) -> GaussianChannel:
     insensitive gain and vanishes for symplectic transfers.
     """
     t = _as_square(transfer, "transfer")
-    a = SYMPLECTIC_FORM - t @ SYMPLECTIC_FORM @ t.T
-    # a is real antisymmetric, so -a @ a is symmetric PSD and its
-    # principal square root equals |i a|.
-    m = -a @ a
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    n = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return GaussianChannel(t, 0.5 * (n + n.T))
+    return GaussianChannel(t, _abs_i(SYMPLECTIC_FORM - t @ SYMPLECTIC_FORM @ t.T))
+
+
+def _minimal_diffusion(generator: np.ndarray) -> np.ndarray:
+    """Least noise rate keeping the flow of a quadrature generator CP.
+
+    For dcov/dz = A cov + cov A^t + D the infinitesimal channels are
+    CP iff D - i(A Omega + Omega A^t) >= 0; the least such D is
+    |i(A Omega + Omega A^t)|, the rate form of `minimal_noise_channel`.
+    """
+    a = _as_square(generator, "generator")
+    return _abs_i(a @ SYMPLECTIC_FORM + SYMPLECTIC_FORM @ a.T)

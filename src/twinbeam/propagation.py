@@ -1,17 +1,30 @@
-"""Distributed gain and loss along the medium, slab by slab.
+"""Distributed gain and loss along the medium, one exact map per segment.
 
 A profile is a sequence of segments with constant two-mode gain rate g
-and power loss rates alpha_a, alpha_b.  Each thin slab factorizes into
-exact half-loss channels around an exact two-mode squeezer (parameter
-r = g dz), so every step is a completely positive map and the vacuum
-noise injected by absorption is never approximated away.  The
-symmetric factorization error of co-located gain and loss is second
-order in the slab width and is controlled by subdividing segments.
+and power loss rates alpha_a, alpha_b.  A segment is a constant
+generator B on the pair (a, b^dag), the real block
+[[-alpha_a/2, g], [g, -alpha_b/2]]; the complex sideband generators of
+the atomic response model are the same kind of object.  The
+covariance then obeys dC/dz = A C + C A^t + D, where A is the
+quadrature form of B and D = |i(A Omega + Omega A^t)| the least noise
+that keeps the flow completely positive.  That D is exactly the vacuum
+noise injected by absorption and by phase-insensitive gain.
 
-The same machinery propagates the complex sideband generators produced
-by the atomic response model; those slabs are completed with the
-minimal noise compatible with complete positivity, which coincides
-with the vacuum noise of loss and of phase-insensitive gain.
+`exact_channel` solves this equation over a segment without
+discretization: the transfer e^{AL} and the noise
+integral_0^L e^{As} D e^{A^t s} ds come from one Van Loan block
+exponential of [[-A, D], [0, A^t]] (C. F. Van Loan, IEEE TAC 23, 395,
+1978).  Since that block carries e^{-AL}, the exponential is taken
+over L / 2^k and the channel squared k times, with k fixed by
+||B||_1 L; the squaring is the exact semigroup law.
+
+The slab discretizations stay as the independent oracles the exact
+maps are tested against: `propagate` factorizes each thin slab into
+exact half-loss channels around an exact two-mode squeezer (error
+second order in the slab width, `refine_until_converged` halves the
+width until the gemellity settles), and `coupling_slab_channel`
+completes the exact transfer of a thin slab of a complex generator
+with the minimal noise (error first order in the slab width).
 """
 
 from __future__ import annotations
@@ -39,7 +52,9 @@ __all__ = [
     "SearchResult",
     "slab_channel",
     "coupling_slab_channel",
+    "exact_channel",
     "propagate",
+    "propagate_exact",
     "propagate_coupling",
     "refine_until_converged",
     "search_beyond_lumped_limit",
@@ -113,7 +128,6 @@ class PropagationResult:
     gemellity: float
     gemellity_db: float
     diff_noise: float
-    subdivisions: int
 
 
 @dataclass(frozen=True)
@@ -151,12 +165,33 @@ def slab_channel(slab: Slab, dz: float | None = None) -> gaussian.GaussianChanne
 
 
 def coupling_slab_channel(block: np.ndarray, dz: float) -> gaussian.GaussianChannel:
-    """CP slab for a complex generator on (a, b^dag), see module docstring."""
+    """First-order CP slab for a complex generator, see module docstring."""
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"pair-basis generator must be 2x2, got {block.shape}")
     e = expm(block * dz)
     return gaussian.minimal_noise_channel(gaussian.transfer_from_mode_matrix(e))
+
+
+def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
+    """CP map of a constant pair-basis generator over a length, see module docstring."""
+    block = np.asarray(block, dtype=complex)
+    if block.shape != (2, 2):
+        raise ValueError(f"pair-basis generator must be 2x2, got {block.shape}")
+    if length <= 0.0:
+        raise ValueError(f"length must be positive, got {length}")
+    a = gaussian.transfer_from_mode_matrix(block)
+    norm = float(np.abs(block).sum(axis=0).max()) * length
+    k = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
+    van_loan = np.zeros((8, 8))
+    van_loan[:4, :4] = -a
+    van_loan[:4, 4:] = gaussian._minimal_diffusion(a)
+    van_loan[4:, 4:] = a.T
+    e = expm(van_loan * (length / 2**k))
+    transfer = e[4:, 4:].T
+    noise = transfer @ e[:4, 4:]
+    channel = gaussian.GaussianChannel(transfer, 0.5 * (noise + noise.T))
+    return gaussian.compose_power(channel, 2**k)
 
 
 def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
@@ -167,7 +202,6 @@ def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
 def _result_from_channel(
     channel: gaussian.GaussianChannel,
     input_state: gaussian.CovarianceState,
-    subdivisions: int,
 ) -> PropagationResult:
     state = gaussian.apply(channel, input_state)
     # fluxes per unit coherent probe seed, read off the transfer column
@@ -189,8 +223,20 @@ def _result_from_channel(
         gemellity=gem,
         gemellity_db=db_from_linear(gem) if gem > 0 else -np.inf,
         diff_noise=diff,
-        subdivisions=subdivisions,
     )
+
+
+def _push_through(channels, input_state) -> PropagationResult:
+    """Compose the segment channels in order and apply them to the input.
+
+    The default input is a unit coherent probe seed.
+    """
+    if input_state is None:
+        input_state = gaussian.coherent_input(1.0)
+    total = None
+    for seg in channels:
+        total = seg if total is None else gaussian.compose(seg, total)
+    return _result_from_channel(total, input_state)
 
 
 def propagate(
@@ -204,31 +250,35 @@ def propagate(
     """
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
-    if input_state is None:
-        input_state = gaussian.coherent_input(1.0)
-    total = None
-    for slab in profile.slabs:
-        seg = _segment_channel(slab, subdivisions)
-        total = seg if total is None else gaussian.compose(seg, total)
-    return _result_from_channel(total, input_state, subdivisions)
+    return _push_through(
+        (_segment_channel(slab, subdivisions) for slab in profile.slabs), input_state
+    )
+
+
+def propagate_exact(
+    profile: SlabProfile,
+    input_state: gaussian.CovarianceState | None = None,
+) -> PropagationResult:
+    """Push a state through the profile, one exact map per segment.
+
+    The default input is a unit coherent probe seed.
+    """
+    return _push_through(
+        (
+            exact_channel([[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]], s.dz)
+            for s in profile.slabs
+        ),
+        input_state,
+    )
 
 
 def propagate_coupling(
     block: np.ndarray,
     length: float = 1.0,
-    n_slabs: int = 2048,
     input_state: gaussian.CovarianceState | None = None,
 ) -> PropagationResult:
     """Propagate through a constant complex pair-basis generator."""
-    if n_slabs < 1:
-        raise ValueError(f"n_slabs must be >= 1, got {n_slabs}")
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
-    if input_state is None:
-        input_state = gaussian.coherent_input(1.0)
-    sub = coupling_slab_channel(block, length / n_slabs)
-    total = gaussian.compose_power(sub, n_slabs)
-    return _result_from_channel(total, input_state, n_slabs)
+    return _push_through((exact_channel(block, length),), input_state)
 
 
 def refine_until_converged(
@@ -275,7 +325,6 @@ def search_beyond_lumped_limit(
     feasibility_tol: float = 0.01,
     target_db: float = -2.8,
     restarts: int = 16,
-    subdivisions: int = 128,
 ) -> SearchResult:
     """Look for a flux-neutral profile with gemellity below the lumped limit.
 
@@ -302,7 +351,7 @@ def search_beyond_lumped_limit(
     def evaluate(x: np.ndarray) -> tuple[float, float]:
         nonlocal evaluations
         evaluations += 1
-        res = propagate(_uniform_profile(x, n_segments), subdivisions=subdivisions)
+        res = propagate_exact(_uniform_profile(x, n_segments))
         return res.gemellity, abs(res.sum_transmission - 1.0)
 
     def penalized(x: np.ndarray, mu: float) -> float:
@@ -352,11 +401,11 @@ def search_beyond_lumped_limit(
     if best_feasible is None:
         # nothing feasible at all; report the flux-neutral trivial profile
         trivial = _uniform_profile(np.zeros(dim), n_segments)
-        res = propagate(trivial, subdivisions=subdivisions)
+        res = propagate_exact(trivial)
         return SearchResult(trivial, res, False, evaluations)
 
     profile = _uniform_profile(best_feasible[1], n_segments)
-    result, _ = refine_until_converged(profile, tol=1e-9, initial_subdivisions=256)
+    result = propagate_exact(profile)
     found = (
         result.gemellity_db < target_db
         and abs(result.sum_transmission - 1.0) <= feasibility_tol

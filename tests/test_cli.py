@@ -105,7 +105,6 @@ depth = 500
 delta_min_MHz = -60
 delta_max_MHz = -30
 points = 7
-n_slabs = 64
 """
 
 
@@ -137,7 +136,6 @@ BEAM_CONFIG = """\
 min_MHz = -60
 max_MHz = -40
 points = 41
-n_slabs = 256
 """
 
 
@@ -158,7 +156,6 @@ SEARCH_CONFIG = """\
 [search]
 segments = 2
 restarts = 1
-subdivisions = 64
 """
 
 
@@ -196,10 +193,38 @@ def test_beat_limit_seeded_run_is_reproducible(tmp_path, capsys):
 
 def test_beat_limit_warns_without_a_seed(tmp_path, capsys):
     cfg = tmp_path / "search.cfg"
-    cfg.write_text("[search]\nsegments = 1\nrestarts = 1\nsubdivisions = 32\n")
+    cfg.write_text("[search]\nsegments = 1\nrestarts = 1\n")
     code, _, err = run(capsys, ["beat-limit", "--config", str(cfg)])
     assert code == 0
     assert "nondeterministic" in err
+
+
+def test_beat_limit_completes_where_the_slab_path_failed(tmp_path, capsys):
+    # this search used to raise a CP error and exit 2
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("[search]\nsegments = 1\n")
+    code, out, err = run(capsys, ["beat-limit", "--config", str(cfg), "--seed", "2"])
+    assert code == 0, err
+    summary, _, rows = parse_csv(out)
+    assert summary["found"] == "true"
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("sweep-delta", "sweep", "n_slabs"),
+        ("beam-splitter", "window", "n_slabs"),
+        ("beat-limit", "search", "subdivisions"),
+    ],
+)
+def test_discretization_keys_are_rejected(tmp_path, capsys, command, section, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"[{section}]\n{key} = 64\n")
+    code, out, err = run(capsys, [command, "--config", str(cfg), "--seed", "0"])
+    assert code == 2
+    assert out == ""
+    assert f"unknown keys in [{section}]: {key}" in err
 
 
 def _write_trace_file(path):
@@ -313,7 +338,7 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     cfg = tmp_path / "no_crossing.cfg"
     cfg.write_text(
         "[atomic]\ndepth = 0\n\n[window]\nmin_MHz = -10\nmax_MHz = -5\n"
-        "points = 11\nn_slabs = 32\n"
+        "points = 11\n"
     )
     code, _, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
     assert code == 3

@@ -194,3 +194,15 @@ def test_minimal_noise_completion_is_always_cp(seed):
     transfer = rng.normal(scale=1.2, size=(4, 4))
     ch = gaussian.minimal_noise_channel(transfer)  # would raise if not CP
     assert gaussian.cp_defect(ch) >= -1e-9
+
+
+@pytest.mark.parametrize("gain, transmission", [(2.0, 0.5), (4e4, 0.25), (4e8, 0.25)])
+def test_cp_check_scales_with_the_channel(gain, transmission):
+    # lossy gain completed with the least noise sits on the CP boundary;
+    # |T|^2 is about 1, 1e4 and 1e8 across the cases
+    transfer = np.sqrt(transmission) * gaussian.amplifier_channel(gain).transfer
+    ch = gaussian.minimal_noise_channel(transfer)  # as built, it passes
+    scale = max(1.0, np.abs(ch.transfer).max() ** 2, np.abs(ch.added_noise).max())
+    assert scale == pytest.approx(gain * transmission, rel=1e-3)
+    with pytest.raises(ValueError, match="not completely positive"):
+        gaussian.GaussianChannel(ch.transfer, ch.added_noise - 1e-6 * scale * np.eye(4))
