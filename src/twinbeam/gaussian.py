@@ -111,14 +111,16 @@ class GaussianChannel:
         noise = _symmetrize(_as_square(self.added_noise, "added_noise"), "added_noise")
         object.__setattr__(self, "transfer", transfer)
         object.__setattr__(self, "added_noise", noise)
-        # forming T Omega T^t alone rounds at about eps |T|^2, so the
-        # tolerance scales with the matrices compared
         scale = max(1.0, float(np.abs(transfer).max()) ** 2, float(np.abs(noise).max()))
-        defect = cp_defect(self)
-        if defect < -_CP_TOL * scale:
-            raise ValueError(
-                f"channel is not completely positive (CP defect {defect:.3e})"
-            )
+        _require_cp(cp_defect(self), scale)
+
+
+def _require_cp(defect: float, scale: float) -> None:
+    """Reject a CP defect below -tolerance * scale, where scale is
+    max(1, max|T|^2, max|N|): forming T Omega T^t alone rounds at about
+    eps |T|^2, so the tolerance scales with the matrices compared."""
+    if defect < -_CP_TOL * scale:
+        raise ValueError(f"channel is not completely positive (CP defect {defect:.3e})")
 
 
 def uncertainty_defect(state: CovarianceState) -> float:
@@ -151,8 +153,11 @@ def amplifier_channel(gain: float) -> GaussianChannel:
     """
     if gain < 1.0:
         raise ValueError(f"amplifier gain must be >= 1, got {gain}")
-    c = np.sqrt(gain)
-    s = np.sqrt(gain - 1.0)
+    return _two_mode_squeezer(np.sqrt(gain), np.sqrt(gain - 1.0))
+
+
+def _two_mode_squeezer(c: float, s: float) -> GaussianChannel:
+    """Two-mode squeezer a -> c a + s b^dag from c = cosh r, s = sinh r."""
     t = np.array(
         [
             [c, 0.0, s, 0.0],

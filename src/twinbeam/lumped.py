@@ -19,9 +19,9 @@ import numpy as np
 from . import gaussian
 from .metrics import (
     NoiseFigures,
+    _flux_weighted_difference_noise,
     db_from_linear,
     gemellity,
-    weighted_difference_noise,
 )
 
 __all__ = [
@@ -92,17 +92,13 @@ def cascade(config: LumpedConfig) -> CascadeResult:
     figures = NoiseFigures(f_a, f_b, cov / np.sqrt(f_a * f_b))
     probe_flux = ta * g
     conj_flux = tb * (g - 1.0)
-    if conj_flux > 0.0:
-        diff = weighted_difference_noise(figures, probe_flux, conj_flux)
-    else:
-        diff = f_a
     return CascadeResult(
         figures=figures,
         probe_flux=probe_flux,
         conj_flux=conj_flux,
         total_transmission=probe_flux + conj_flux,
         gemellity=float(gemellity(figures)),
-        diff_noise=float(diff),
+        diff_noise=_flux_weighted_difference_noise(figures, probe_flux, conj_flux),
     )
 
 

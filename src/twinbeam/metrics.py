@@ -128,6 +128,14 @@ def weighted_difference_noise(figures: NoiseFigures, p_a: float, p_b: float) -> 
     return num / (p_a + p_b)
 
 
+def _flux_weighted_difference_noise(figures: NoiseFigures, p_a: float, p_b: float) -> float:
+    """Difference noise weighted by the actual beam fluxes; without a
+    conjugate flux it is the probe's own noise figure."""
+    if p_b > 0.0:
+        return float(weighted_difference_noise(figures, p_a, p_b))
+    return float(figures.f_a)
+
+
 def optimal_weights(figures: NoiseFigures) -> tuple[float, float]:
     """Power fractions (summing to 1) at which the weighted difference
     noise attains its minimum, which is the gemellity.  For c_ab < 0

@@ -16,7 +16,16 @@ integral_0^L e^{As} D e^{A^t s} ds come from one Van Loan block
 exponential of [[-A, D], [0, A^t]] (C. F. Van Loan, IEEE TAC 23, 395,
 1978).  Since that block carries e^{-AL}, the exponential is taken
 over L / 2^k and the channel squared k times, with k fixed by
-||B||_1 L; the squaring is the exact semigroup law.
+||B||_1 L; the squaring is the exact semigroup law.  This map gives
+every reported result and serves the complex generators.
+
+The search's evaluations, which only rank candidate profiles, use a
+closed form instead.  A real-rate B is symmetric, so e^{BL} and the
+noise integral follow from its eigenvalues and one rotation angle; the
+map reduces to a 2x2 transfer and a symmetric 2x2 noise on the
+amplitude quadratures, and a coherent seed's output to three numbers,
+the two noise figures and their covariance.  Each map passes the same
+CP check as a channel.
 
 The slab discretizations stay as the independent oracles the exact
 maps are tested against: `propagate` factorizes each thin slab into
@@ -29,6 +38,7 @@ with the minimal noise (error first order in the slab width).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,10 +49,10 @@ from . import gaussian
 from .configio import ConfigError, parse_sections, section_float
 from .metrics import (
     NoiseFigures,
+    _flux_weighted_difference_noise,
     db_from_linear,
     gemellity,
     noise_figures,
-    weighted_difference_noise,
 )
 
 __all__ = [
@@ -155,7 +165,7 @@ def slab_channel(slab: Slab, dz: float | None = None) -> gaussian.GaussianChanne
         raise ValueError(
             f"slab squeeze parameter g*dz = {r:.3f} too large; subdivide the segment"
         )
-    channel = gaussian.amplifier_channel(float(np.cosh(r) ** 2))
+    channel = gaussian._two_mode_squeezer(float(np.cosh(r)), float(np.sinh(r)))
     if slab.alpha_a > 0.0 or slab.alpha_b > 0.0:
         half = gaussian.loss_channel(
             float(np.exp(-slab.alpha_a * h / 2.0)), float(np.exp(-slab.alpha_b * h / 2.0))
@@ -194,6 +204,108 @@ def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
     return gaussian.compose_power(channel, 2**k)
 
 
+# The search's objective runs on closed-form maps in the pair basis.  A
+# real-rate segment B = [[p, g], [g, q]] acts alike on the X quadratures
+# (X_a, X_b) and, through eta = diag(1, -1), on (Y_a, -Y_b); its minimal
+# diffusion is diag(alpha_a, alpha_b) whatever g is.  A map is then a
+# row-major 2x2 transfer (a, b, c, d) and a symmetric 2x2 noise (x, y, z)
+# of plain floats, the X block of the 4x4 channel `exact_channel` gives.
+
+
+def _pair_segment(slab: Slab) -> tuple[tuple, tuple]:
+    """Closed-form (M, Q) of one segment: M = e^{BL}, Q = int_0^L e^{Bs} D e^{Bs} ds.
+
+    B = m I + [[h, g], [g, -h]] with eigenvalues m +- r, r = hypot(h, g),
+    and eigenvectors rotated by 1/2 atan2(g, h); in that basis the noise
+    integral is D~_ij expm1((lam_i + lam_j) L) / (lam_i + lam_j).
+    """
+    length, g = slab.dz, slab.g
+    alpha_a, alpha_b = slab.alpha_a, slab.alpha_b
+    m = -(alpha_a + alpha_b) / 4.0
+    h = (alpha_b - alpha_a) / 4.0
+    r = math.hypot(h, g)
+
+    def phi(rate):
+        return math.expm1(rate * length) / rate if rate != 0.0 else length
+
+    if r == 0.0:
+        # B = m I: a common loss, alpha_a == alpha_b
+        em = math.exp(m * length)
+        return (em, 0.0, 0.0, em), (alpha_a * phi(2.0 * m), 0.0, alpha_b * phi(2.0 * m))
+    # squared cosine and sine of the rotation angle, each formed without
+    # cancellation; both are >= 0 since g >= 0
+    if h >= 0.0:
+        c2, s2 = (r + h) / (2.0 * r), g / r * g / (2.0 * (r + h))
+    else:
+        c2, s2 = g / r * g / (2.0 * (r - h)), (r - h) / (2.0 * r)
+    cs = g / (2.0 * r)
+    e1, e2 = math.exp((m + r) * length), math.exp((m - r) * length)
+    off = g * math.exp(m * length) * math.sinh(r * length) / r
+    f11 = (c2 * alpha_a + s2 * alpha_b) * phi(2.0 * (m + r))
+    f22 = (s2 * alpha_a + c2 * alpha_b) * phi(2.0 * (m - r))
+    f12 = cs * (alpha_b - alpha_a) * phi(2.0 * m)
+    transfer = (c2 * e1 + s2 * e2, off, off, s2 * e1 + c2 * e2)
+    noise = (
+        c2 * f11 + s2 * f22 - 2.0 * cs * f12,
+        cs * (f11 - f22) + (h / r) * f12,
+        s2 * f11 + c2 * f22 + 2.0 * cs * f12,
+    )
+    return transfer, noise
+
+
+def _pair_compose(second: tuple, first: tuple) -> tuple[tuple, tuple]:
+    """Pair map applying `first` then `second`: (M2 M1, M2 Q1 M2^t + Q2)."""
+    (a, b, c, d), (x2, y2, z2) = second
+    (a1, b1, c1, d1), (x, y, z) = first
+    u, v = a * x + b * y, a * y + b * z
+    w, t = c * x + d * y, c * y + d * z
+    transfer = (a * a1 + b * c1, a * b1 + b * d1, c * a1 + d * c1, c * b1 + d * d1)
+    noise = (u * a + v * b + x2, u * c + v * d + y2, w * c + t * d + z2)
+    return transfer, noise
+
+
+def _least_eigenvalue(x: float, y: float, z: float) -> float:
+    return 0.5 * (x + z) - math.hypot(0.5 * (x - z), y)
+
+
+def _pair_cp_defect(pair: tuple) -> float:
+    """`gaussian.cp_defect` of the lifted channel: the least eigenvalue of
+    Q +- (eta - M eta M^t), eta = diag(1, -1)."""
+    (a, b, c, d), (x, y, z) = pair
+    wx, wy, wz = 1.0 - a * a + b * b, b * d - a * c, d * d - c * c - 1.0
+    return min(
+        _least_eigenvalue(x + wx, y + wy, z + wz), _least_eigenvalue(x - wx, y - wy, z - wz)
+    )
+
+
+def _check_pair_cp(pair: tuple) -> None:
+    """The CP check of `gaussian.GaussianChannel`, on a pair map."""
+    transfer, noise = pair
+    scale = max(1.0, max(map(abs, transfer)) ** 2, max(map(abs, noise)))
+    gaussian._require_cp(_pair_cp_defect(pair), scale)
+
+
+def _pair_objective(profile: SlabProfile) -> tuple[float, float]:
+    """Gemellity and |G_a + G_b - 1| for a unit coherent probe seed.
+
+    The same numbers `propagate_exact` reports, from the closed-form pair
+    maps; every segment map and the composed map pass the CP check.
+    """
+    total = None
+    for slab in profile.slabs:
+        pair = _pair_segment(slab)
+        _check_pair_cp(pair)
+        total = pair if total is None else _pair_compose(pair, total)
+    if len(profile.slabs) > 1:
+        _check_pair_cp(total)
+    (a, b, c, d), (x, y, z) = total
+    # the seed's vacuum noise M M^t plus the added noise; both output
+    # means are real and nonnegative, so X is the amplitude quadrature
+    n_a, n_b, cov = a * a + b * b + x, c * c + d * d + z, a * c + b * d + y
+    corr = min(max(cov / math.sqrt(n_a * n_b), -1.0), 1.0)
+    return float(gemellity(NoiseFigures(n_a, n_b, corr))), abs(a * a + c * c - 1.0)
+
+
 def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
     sub = slab_channel(slab, slab.dz / subdivisions)
     return gaussian.compose_power(sub, subdivisions)
@@ -210,10 +322,6 @@ def _result_from_channel(
     g_b = float(seed[2] ** 2 + seed[3] ** 2)
     figures = noise_figures(state)
     gem = float(gemellity(figures))
-    if g_b > 0.0:
-        diff = float(weighted_difference_noise(figures, g_a, g_b))
-    else:
-        diff = figures.f_a
     return PropagationResult(
         state=state,
         g_a=g_a,
@@ -222,7 +330,7 @@ def _result_from_channel(
         figures=figures,
         gemellity=gem,
         gemellity_db=db_from_linear(gem) if gem > 0 else -np.inf,
-        diff_noise=diff,
+        diff_noise=_flux_weighted_difference_noise(figures, g_a, g_b),
     )
 
 
@@ -330,10 +438,12 @@ def search_beyond_lumped_limit(
 
     Pattern search over piecewise-constant profiles (n_segments equal
     segments, rates in [0, rate_bound]) with an escalating penalty on
-    |G_a + G_b - 1|.  Placing loss upstream of gain costs no quantum
-    correlation, so distributed profiles can beat the lumped
-    gain-then-loss bound; the search reports found=False rather than
-    raising when it fails to get below target_db.
+    |G_a + G_b - 1|, evaluated on the closed-form pair maps; the
+    reported result is `propagate_exact` of the best feasible profile.
+    Placing loss upstream of gain costs no quantum correlation, so
+    distributed profiles can beat the lumped gain-then-loss bound; the
+    search reports found=False rather than raising when it fails to get
+    below target_db.
 
     The run is deterministic for a fixed seed; seed=None draws fresh
     randomness.
@@ -351,8 +461,7 @@ def search_beyond_lumped_limit(
     def evaluate(x: np.ndarray) -> tuple[float, float]:
         nonlocal evaluations
         evaluations += 1
-        res = propagate_exact(_uniform_profile(x, n_segments))
-        return res.gemellity, abs(res.sum_transmission - 1.0)
+        return _pair_objective(_uniform_profile(x, n_segments))
 
     def penalized(x: np.ndarray, mu: float) -> float:
         gem, infeas = evaluate(x)

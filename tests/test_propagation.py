@@ -1,11 +1,15 @@
-"""Exact segment maps against closed forms and the slab oracle, slab
-propagation (exact on pure segments, second-order splitting),
-coupling-generator channels, the beyond-the-lumped-limit search, and
-profile files."""
+"""Exact segment maps against closed forms and the slab oracle, the
+closed-form pair maps of the search against the Van Loan maps and a
+60-digit reference, slab propagation (exact on pure segments,
+second-order splitting), coupling-generator channels, the
+beyond-the-lumped-limit search, and profile files."""
 
+import types
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbeam import gaussian, lumped, propagation
@@ -218,10 +222,14 @@ def _relative_gap(a, b):
     return np.abs(a.state.cov - b.state.cov).max() / np.abs(b.state.cov).max()
 
 
-# The oracle builds each squeezer from its gain cosh^2 r and loses half
-# the digits of sinh r when r is tiny, so gain rates below 0.1 are not
-# drawn; zero gain is.
-_GAIN = st.just(0.0) | st.floats(min_value=0.1, max_value=20.0)
+def test_slab_squeezer_keeps_the_digits_of_a_small_squeeze():
+    # from the gain cosh^2 r = 1 + 1e-18 alone, sinh r would round to 0
+    ch = propagation.slab_channel(Slab(1.0, 1e-9, 0.0, 0.0))
+    assert ch.transfer[0, 2] == pytest.approx(np.sinh(1e-9), rel=1e-15)
+    assert ch.transfer[0, 0] == np.cosh(1e-9)
+
+
+_GAIN = st.just(0.0) | st.floats(min_value=1e-8, max_value=20.0)
 _LOSS = st.floats(min_value=0.0, max_value=20.0)
 
 
@@ -279,6 +287,189 @@ def test_complex_slab_oracle_converges_to_the_exact_map(block):
         gaps.append(np.abs(slabs.added_noise - exact.added_noise).max())
     assert 0.4 < gaps[1] / gaps[0] < 0.6
     assert 0.4 < gaps[2] / gaps[1] < 0.6
+
+
+def _lift(pair):
+    """4x4 channel of a pair map: (M, Q) acts on (X_a, X_b) and
+    (eta M eta, eta Q eta), eta = diag(1, -1), on (Y_a, Y_b)."""
+    (a, b, c, d), (x, y, z) = pair
+    transfer = gaussian.transfer_from_mode_matrix(np.array([[a, b], [c, d]]))
+    noise = np.array([[x, 0, y, 0], [0, x, 0, -y], [y, 0, z, 0], [0, -y, 0, z]])
+    return transfer, noise
+
+
+def _cp_scale(transfer, noise):
+    return max(1.0, np.abs(transfer).max() ** 2, np.abs(noise).max())
+
+
+def _pair_chain(rates):
+    dz = 1.0 / len(rates)
+    pairs = [propagation._pair_segment(Slab(dz, *r)) for r in rates]
+    total = pairs[0]
+    for pair in pairs[1:]:
+        total = propagation._pair_compose(pair, total)
+    return pairs, total
+
+
+# the search box: n equal segments of a unit medium, rates in [0, 20]
+_RATE = st.floats(min_value=0.0, max_value=20.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=8), _RATE, _RATE, _RATE)
+@example(1, 0.0, 3.0, 7.0)  # g = 0
+@example(2, 0.0, 7.0, 3.0)  # g = 0, the other rotation branch
+@example(2, 5.0, 4.0, 4.0)  # alpha_a = alpha_b, h = 0
+@example(1, 0.0, 0.0, 0.0)  # all rates 0, r = 0
+@example(3, 0.0, 6.0, 6.0)  # r = 0 with loss
+@example(2, 15.704219186527428, 0.0, 0.0)  # g dz = 7.85
+@example(1, 20.0, 20.0, 0.0)  # g dz = 20
+@example(1, 1e-8, 0.0, 20.0)  # g << |h|
+def test_closed_form_segment_map_matches_the_van_loan_map(n, g, alpha_a, alpha_b):
+    slab = Slab(1.0 / n, g, alpha_a, alpha_b)
+    block = np.array([[-alpha_a / 2.0, g], [g, -alpha_b / 2.0]])
+    transfer, noise = _lift(propagation._pair_segment(slab))
+    exact = propagation.exact_channel(block, slab.dz)
+    scale = _cp_scale(exact.transfer, exact.added_noise)
+    np.testing.assert_allclose(
+        transfer, exact.transfer, rtol=0.0, atol=1e-13 * np.abs(exact.transfer).max()
+    )
+    np.testing.assert_allclose(noise, exact.added_noise, rtol=0.0, atol=1e-13 * scale)
+    # the pair maps rest on diag(alpha_a, alpha_b) being the minimal diffusion
+    a = gaussian.transfer_from_mode_matrix(block)
+    np.testing.assert_allclose(
+        gaussian._minimal_diffusion(a),
+        np.diag([alpha_a, alpha_a, alpha_b, alpha_b]),
+        atol=1e-13 * max(1.0, g, alpha_a, alpha_b),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=4))
+def test_pair_cp_defect_equals_that_of_the_lifted_channel(rates):
+    pairs, total = _pair_chain(rates)
+    lifted = [gaussian.GaussianChannel(*_lift(pair)) for pair in pairs]
+    composed = lifted[0]
+    for channel in lifted[1:]:
+        composed = gaussian.compose(channel, composed)
+    transfer, noise = _lift(total)
+    scale = _cp_scale(transfer, noise)
+    np.testing.assert_allclose(transfer, composed.transfer, rtol=0.0, atol=1e-13 * scale**0.5)
+    np.testing.assert_allclose(noise, composed.added_noise, rtol=0.0, atol=1e-13 * scale)
+    for pair, channel in zip(pairs + [total], lifted + [composed]):
+        got = propagation._pair_cp_defect(pair)
+        assert abs(got - gaussian.cp_defect(channel)) <= 1e-13 * _cp_scale(*_lift(pair))
+
+
+@pytest.mark.parametrize(
+    "slab",
+    [Slab(0.5, 3.0, 0.0, 0.0), Slab(1.0, 2.0, 5.0, 1.0), Slab(0.5, 15.7, 0.0, 8.0)],
+)
+def test_pair_cp_check_rejects_a_noise_pushed_below_cp(slab):
+    pair = propagation._pair_segment(slab)
+    propagation._check_pair_cp(pair)
+    transfer, (x, y, z) = pair
+    # lowering both diagonal entries lowers every eigenvalue by as much
+    below = 1e-6 * _cp_scale(*_lift(pair))
+    push = propagation._pair_cp_defect(pair) + below
+    pushed = (transfer, (x - push, y, z - push))
+    t, n = _lift(pushed)
+    # the lifted channel cannot be built, so its defect is read off directly
+    want = gaussian.cp_defect(types.SimpleNamespace(transfer=t, added_noise=n))
+    assert want == pytest.approx(-below, rel=1e-3)
+    assert abs(propagation._pair_cp_defect(pushed) - want) <= 1e-13 * _cp_scale(t, n)
+    with pytest.raises(ValueError, match="not completely positive"):
+        propagation._check_pair_cp(pushed)
+    with pytest.raises(ValueError, match="not completely positive"):
+        gaussian.GaussianChannel(t, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=3))
+def test_search_objective_matches_propagate_exact(rates):
+    profile = SlabProfile(tuple(Slab(1.0 / len(rates), *r) for r in rates))
+    gem, infeasibility = propagation._pair_objective(profile)
+    exact = propagation.propagate_exact(profile)
+    # both cancel fluxes of the size of the noise figures
+    size = max(1.0, exact.figures.f_a, exact.figures.f_b)
+    assert gem == pytest.approx(exact.gemellity, rel=0.0, abs=1e-13 * size)
+    assert infeasibility == pytest.approx(
+        abs(exact.sum_transmission - 1.0), rel=0.0, abs=1e-13 * size
+    )
+
+
+def _reference(profile, digits=60):
+    """Pair maps of a profile from mpmath's matrix exponential: M = e^{BL}
+    and Q from the Van Loan block [[-B, D], [0, B^t]], D = diag(alpha_a,
+    alpha_b)."""
+    with mpmath.workdps(digits):
+        transfer, noise = mpmath.eye(2), mpmath.zeros(2)
+        segments = []
+        for s in profile.slabs:
+            p, q = -mpmath.mpf(s.alpha_a) / 2, -mpmath.mpf(s.alpha_b) / 2
+            b = mpmath.matrix([[p, s.g], [s.g, q]])
+            block = mpmath.zeros(4)
+            block[0:2, 0:2] = -b
+            block[2:4, 2:4] = b.T
+            block[0, 2], block[1, 3] = s.alpha_a, s.alpha_b
+            e = mpmath.expm(block * s.dz)
+            m = e[2:4, 2:4].T
+            q = m * e[0:2, 2:4]
+            q = (q + q.T) / 2
+            segments.append((m, q))
+            transfer, noise = m * transfer, m * noise * m.T + q
+        cov = transfer * transfer.T + noise
+        f_a, f_b, c = cov[0, 0], cov[1, 1], cov[0, 1]
+        gem = (f_a + f_b) / 2 - mpmath.sqrt(c * c + ((f_a - f_b) / 2) ** 2)
+        flux = transfer[0, 0] ** 2 + transfer[1, 0] ** 2
+        return segments, float(gem), float(flux), float(max(f_a, f_b))
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        # the optima of the (2, 0), (2, 1) and (3, 0) searches
+        [(0.0, 1.7108803420275933, 0.0), (1.5, 0.0, 0.0)],
+        [
+            (1.5946343299818437, 19.580078125, 9.8138965858329),
+            (9.06995778961303, 2.680833944943295, 5.5622597289425855),
+        ],
+        [
+            (0.0, 16.826345592247666, 6.099425175342028),
+            (6.886199576082504, 8.605974638956667, 19.942626953125),
+            (11.24463684456914, 5.255416863418645, 4.833514281886899),
+        ],
+        # h = 0, g = 0 and r = 0 segments in one chain
+        [(5.0, 4.0, 4.0), (0.0, 3.0, 12.0), (0.0, 2.0, 2.0), (20.0, 0.0, 0.0)],
+    ],
+)
+def test_pair_maps_match_a_60_digit_reference(rates):
+    profile = SlabProfile(tuple(Slab(1.0 / len(rates), *r) for r in rates))
+    segments, gem, flux, size = _reference(profile)
+    for slab, (m, q) in zip(profile.slabs, segments):
+        transfer, noise = propagation._pair_segment(slab)
+        m = np.array(m.tolist(), dtype=float).ravel()
+        q = np.array(q.tolist(), dtype=float)
+        q = np.array([q[0, 0], q[0, 1], q[1, 1]])
+        np.testing.assert_allclose(transfer, m, rtol=0.0, atol=1e-14 * np.abs(m).max())
+        np.testing.assert_allclose(
+            noise, q, rtol=0.0, atol=1e-14 * max(1.0, np.abs(m).max() ** 2, np.abs(q).max())
+        )
+    got, infeasibility = propagation._pair_objective(profile)
+    exact = propagation.propagate_exact(profile)
+    for value in (got, exact.gemellity):
+        assert value == pytest.approx(gem, rel=0.0, abs=1e-14 * size)
+    assert infeasibility == pytest.approx(abs(flux - 1.0), rel=0.0, abs=1e-14 * max(1.0, flux))
+    assert exact.sum_transmission == pytest.approx(flux, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "seed, gemellity", [(0, 0.2231301601484299), (1, 0.18973527216087405)]
+)
+def test_two_segment_searches_keep_their_optima(seed, gemellity):
+    out = propagation.search_beyond_lumped_limit(n_segments=2, seed=seed)
+    assert out.found
+    assert out.result.gemellity == pytest.approx(gemellity, rel=1e-12)
 
 
 def test_search_beats_the_lumped_limit_from_the_seeded_start():
