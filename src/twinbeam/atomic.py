@@ -40,7 +40,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from . import propagation
-from .configio import ConfigError, angular_from_mhz, section_float
+from .configio import ConfigError, angular_from_khz, angular_from_mhz, section_float
 
 __all__ = [
     "AtomicParams",
@@ -409,12 +409,18 @@ def pair_output(
 _DEFAULT_WINDOW = (-TWO_PI * 150e6, TWO_PI * 50e6)
 
 
+def _check_scan_points(n_scan: int) -> None:
+    if n_scan < 2:
+        raise ValueError(f"a detuning scan needs at least 2 points, got {n_scan}")
+
+
 def find_raman_dip(
     p: AtomicParams,
     window: tuple[float, float] = _DEFAULT_WINDOW,
     n_scan: int = 251,
 ) -> tuple[float, float]:
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
+    _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
     gains, _ = _classical_gains(p, grid)
     i = int(np.argmin(gains))
@@ -436,6 +442,7 @@ def find_beam_splitter_point(
     """
     if not window[0] < window[1]:
         raise ValueError(f"window must be increasing, got {window}")
+    _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
     probe, conj = _classical_gains(p, grid)
     balance = probe + conj - 1.0
@@ -493,7 +500,7 @@ _PARAM_KEYS = {
     "Delta_MHz": ("one_photon_detuning", angular_from_mhz),
     "Omega_MHz": ("rabi_frequency", angular_from_mhz),
     "Gamma_MHz": ("excited_decay_rate", angular_from_mhz),
-    "gamma_g_kHz": ("ground_decoherence", lambda v: TWO_PI * v * 1e3),
+    "gamma_g_kHz": ("ground_decoherence", angular_from_khz),
     "depth": ("depth", float),
     "hyperfine_MHz": ("hyperfine_splitting", angular_from_mhz),
 }

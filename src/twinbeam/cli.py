@@ -37,7 +37,7 @@ __all__ = ["main"]
 
 # one config file may serve several commands; each command reads its
 # own sections and ignores the rest, but section names must be known
-_KNOWN_SECTIONS = {"atomic", "sweep", "window", "search", "lumped"}
+_KNOWN_SECTIONS = {"atomic", "sweep", "window", "search"}
 
 
 def _load_config(path: str | None) -> tuple[dict[str, dict[str, str]], bytes | None]:
@@ -105,14 +105,8 @@ def _emit(args, command: str, rows: list[dict], summary: dict, config_bytes) -> 
 
 
 def cmd_lumped_optimize(args) -> int:
-    sections, raw = _load_config(args.config)
-    mapping = sections.get("lumped", {})
-    _check_keys(mapping, "lumped", {"grid_step", "refine_tol"})
-    grid_step = args.grid_step
-    if grid_step is None:
-        grid_step = section_float(mapping, "lumped", "grid_step", default=0.01)
-    refine_tol = section_float(mapping, "lumped", "refine_tol", default=1e-4)
-    opt = lumped.optimize_unit_transmission(grid_step=grid_step, refine_tol=refine_tol)
+    _, raw = _load_config(args.config)
+    opt = lumped.optimize_unit_transmission()
     row = {
         "gain": opt.config.gain,
         "probe_transmission": opt.config.probe_transmission,
@@ -253,11 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="sectioned key-value config file")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument(
-        "--workers",
-        type=int,
-        help="accepted for compatibility and ignored: sweeps run batched in-process",
-    )
     common.add_argument("--seed", type=int, help="random seed for stochastic commands")
 
     parser = argparse.ArgumentParser(
@@ -271,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="optimum of the amplifier-plus-loss model at unit total transmission",
     )
-    p.add_argument("--grid-step", type=float, help="coarse grid step (default 0.01)")
     p.set_defaults(func=cmd_lumped_optimize)
 
     p = sub.add_parser(

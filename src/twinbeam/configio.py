@@ -6,9 +6,9 @@ Unlike configparser, repeated section names are preserved in order,
 which profile files use for their `[segment]` blocks.
 
 All frequencies in configuration files are plain frequencies in MHz
-(or kHz where the key says so).  `angular_from_mhz` is the single
-point where they are converted to angular frequencies for the model
-layer; nothing else in the package multiplies by 2 pi.
+(or kHz where the key says so).  `angular_from_mhz` and
+`angular_from_khz` are the only points where they are converted to
+angular frequencies for the model layer.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "section_float",
     "section_int",
     "angular_from_mhz",
+    "angular_from_khz",
     "mhz_from_angular",
 ]
 
@@ -116,8 +117,13 @@ def section_int(
 
 
 def angular_from_mhz(value_mhz: float) -> float:
-    """MHz -> rad/s; the only frequency-unit conversion in the package."""
+    """MHz -> rad/s."""
     return 2.0 * math.pi * value_mhz * 1e6
+
+
+def angular_from_khz(value_khz: float) -> float:
+    """kHz -> rad/s."""
+    return 2.0 * math.pi * value_khz * 1e3
 
 
 def mhz_from_angular(value: float) -> float:

@@ -7,11 +7,13 @@ T_a, T_b at the output scale the figures in closed form.  The
 unit-transmission constraint T_a G + T_b (G-1) = 1 singles out the
 configurations that neither amplify nor attenuate the total flux; the
 best gemellity on that surface is the benchmark any distributed scheme
-has to beat.
+has to beat.  It is known in closed form: G = sqrt(5) - 1,
+T_a = (sqrt(5) - 1)/2, T_b = 1 and gemellity 5 - 2 sqrt(5).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,63 +150,33 @@ def _constrained_gemellity(gain: float, conj_transmission: float) -> float:
     return cascade(LumpedConfig(gain, ta, conj_transmission)).gemellity
 
 
-def optimize_unit_transmission(
-    grid_step: float = 0.01,
-    refine_tol: float = 1e-4,
-) -> OptimumResult:
-    """Minimize the gemellity over (G, T_b) on the unit-transmission surface.
+def optimize_unit_transmission() -> OptimumResult:
+    """The minimum gemellity on the unit-transmission surface, in closed form.
 
-    Coarse grid scan with the given step, then coordinate-wise interval
-    shrinking until the parameters are located to refine_tol.  The
-    result carries a local certificate: interior minimum in the gain
-    direction, boundary optimum T_b = 1.
+    On T_a G + T_b (G-1) = 1 the optimum sits on the boundary T_b = 1
+    at gain G = sqrt(5) - 1, with T_a = (sqrt(5) - 1)/2 and gemellity
+    5 - 2 sqrt(5).  The gemellity is evaluated by `cascade` at that
+    point.  The certificate compares the constrained gemellity there
+    with its neighbours 1e-6 away: interior_in_gain holds when both
+    gain neighbours lie above it, conj_at_boundary when lowering T_b
+    raises it.
     """
-    if not 0.0 < grid_step <= 0.1:
-        raise ValueError(f"grid step must lie in (0, 0.1], got {grid_step}")
-    if refine_tol <= 0.0:
-        raise ValueError(f"refinement tolerance must be positive, got {refine_tol}")
-
-    def objective(g, tb):
-        try:
-            return _constrained_gemellity(g, tb)
-        except ValueError:
-            return np.inf
-
-    gains = np.arange(1.0 + grid_step, 2.0 + grid_step / 2, grid_step)
-    tbs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    best = (np.inf, gains[0], 1.0)
-    for g in gains:
-        for tb in tbs:
-            v = objective(g, tb)
-            if v < best[0]:
-                best = (v, g, tb)
-    _, g0, tb0 = best
-
-    # shrink a box around the coarse optimum; 5-point refinement per axis
-    half_g = grid_step
-    half_tb = grid_step
-    g, tb = g0, tb0
-    while half_g > refine_tol / 2 or half_tb > refine_tol / 2:
-        for gg in np.linspace(max(1.0, g - half_g), g + half_g, 5):
-            for tt in np.linspace(max(0.0, tb - half_tb), min(1.0, tb + half_tb), 5):
-                v = objective(gg, tt)
-                if v < best[0]:
-                    best = (v, gg, tt)
-        _, g, tb = best
-        half_g /= 2.0
-        half_tb /= 2.0
-
-    value, g, tb = best
-    ta = constrain_unit_transmission(g, tb)
-    step = max(refine_tol, 1e-6)
+    g = math.sqrt(5.0) - 1.0
+    config = LumpedConfig(g, constrain_unit_transmission(g, 1.0), 1.0)
+    value = cascade(config).gemellity
+    # the gemellity rises quadratically along the gain and linearly as
+    # T_b drops, so at this step the margins (about 2e-12 and 1e-7) stay
+    # far above the rounding of the cascade formulas
+    step = 1e-6
     interior = (
-        objective(g - step, tb) > value and objective(g + step, tb) > value
+        _constrained_gemellity(g - step, 1.0) > value
+        and _constrained_gemellity(g + step, 1.0) > value
     )
-    at_boundary = tb >= 1.0 - refine_tol and objective(g, tb - step) > value
+    at_boundary = _constrained_gemellity(g, 1.0 - step) > value
     return OptimumResult(
-        config=LumpedConfig(float(g), ta, float(tb)),
-        gemellity=float(value),
+        config=config,
+        gemellity=value,
         gemellity_db=db_from_linear(value),
-        interior_in_gain=bool(interior),
-        conj_at_boundary=bool(at_boundary),
+        interior_in_gain=interior,
+        conj_at_boundary=at_boundary,
     )

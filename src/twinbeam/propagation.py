@@ -454,6 +454,8 @@ def search_beyond_lumped_limit(
         raise ValueError(f"rate bound must be positive, got {rate_bound}")
     if feasibility_tol <= 0.0:
         raise ValueError(f"feasibility tolerance must be positive, got {feasibility_tol}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
     dim = 3 * n_segments
     evaluations = 0

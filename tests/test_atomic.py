@@ -57,7 +57,7 @@ def test_params_from_mapping_defaults_and_conversions():
     assert p.one_photon_detuning == pytest.approx(mhz(700.0))
     assert p.rabi_frequency == pytest.approx(mhz(300.0))
     assert p.excited_decay_rate == pytest.approx(mhz(6.0))
-    assert p.ground_decoherence == pytest.approx(TWO_PI * 1e4)
+    assert p.ground_decoherence == AtomicParams().ground_decoherence
     assert p.depth == 250.0
     assert p.hyperfine_splitting == pytest.approx(mhz(3035.7))
 
@@ -386,6 +386,13 @@ def test_beam_splitter_point_requires_a_crossing():
         )
     with pytest.raises(ValueError):
         atomic.find_beam_splitter_point(AtomicParams(), window=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("finder", [atomic.find_beam_splitter_point, atomic.find_raman_dip])
+@pytest.mark.parametrize("n_scan", [0, 1])
+def test_scans_need_two_points(finder, n_scan):
+    with pytest.raises(ValueError, match="at least 2 points"):
+        finder(AtomicParams(), n_scan=n_scan)
 
 
 def test_beam_splitter_point_tunes_over_a_wide_range():

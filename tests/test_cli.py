@@ -91,7 +91,7 @@ def test_lumped_optimize_json_schema_and_file_output(tmp_path, capsys):
 def test_repeated_runs_are_byte_identical(capsys):
     outputs = []
     for _ in range(2):
-        code, out, _ = run(capsys, ["lumped-optimize", "--grid-step", "0.05"])
+        code, out, _ = run(capsys, ["lumped-optimize"])
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
@@ -113,15 +113,16 @@ def test_sweep_delta_columns_and_worker_independence(tmp_path, capsys):
     cfg.write_text(SWEEP_CONFIG)
     before = cfg.read_bytes()
     results = []
-    for workers in ("1", "2"):
-        code, out, _ = run(
-            capsys,
-            ["sweep-delta", "--config", str(cfg), "--workers", workers],
-        )
+    for _ in range(2):
+        code, out, _ = run(capsys, ["sweep-delta", "--config", str(cfg)])
         assert code == 0
         results.append(out)
     assert results[0] == results[1]
     assert cfg.read_bytes() == before  # the config file is never touched
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep-delta", "--config", str(cfg), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     _, header, rows = parse_csv(results[0])
     assert header == ["delta_MHz", "G_a", "G_b", "sum", "gemellity_dB"]
     assert len(rows) == 7
@@ -227,6 +228,25 @@ def test_discretization_keys_are_rejected(tmp_path, capsys, command, section, ke
     assert f"unknown keys in [{section}]: {key}" in err
 
 
+@pytest.mark.parametrize("key", ["grid_step", "refine_tol"])
+def test_lumped_section_is_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"[lumped]\n{key} = 0.05\n")
+    code, out, err = run(capsys, ["lumped-optimize", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "unknown section [lumped]" in err
+
+
+def test_grid_step_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lumped-optimize", "--grid-step", "0.05"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --grid-step 0.05" in captured.err
+
+
 def _write_trace_file(path):
     freq = np.linspace(2e5, 6e6, 30)
     diff = np.full(30, -80.5)
@@ -314,6 +334,20 @@ def test_validation_failures_exit_with_2(tmp_path, capsys):
     cfg.write_text("[sweep]\npoints = 1\n")
     assert run(capsys, ["sweep-delta", "--config", str(cfg)])[0] == 2
 
+    cfg = tmp_path / "bad_window.cfg"
+    cfg.write_text("[window]\npoints = 1\n")
+    code, _, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
+    assert code == 2
+    assert "at least 2 points" in err
+
+    for segments in (1, 2):
+        cfg = tmp_path / f"no_restarts_{segments}.cfg"
+        cfg.write_text(f"[search]\nsegments = {segments}\nrestarts = 0\n")
+        code, out, err = run(capsys, ["beat-limit", "--config", str(cfg), "--seed", "0"])
+        assert code == 2
+        assert out == ""
+        assert "restarts" in err
+
     trace_path = tmp_path / "traces.csv"
     _write_trace_file(trace_path)
     code, _, _ = run(
@@ -347,7 +381,7 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
 
 def test_module_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "twinbeam.cli", "lumped-optimize", "--grid-step", "0.05"],
+        [sys.executable, "-m", "twinbeam.cli", "lumped-optimize"],
         capture_output=True,
         text=True,
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import lumped, metrics
+from twinbeam import cli, lumped, metrics
 
 ROOT5 = np.sqrt(5.0)
 
@@ -96,20 +96,41 @@ def test_unit_transmission_constraint_rejects_bad_inputs():
 def test_optimizer_finds_the_analytic_optimum():
     res = lumped.optimize_unit_transmission()
     # exact optimum: gain sqrt(5)-1, probe transmission (sqrt(5)-1)/2,
-    # gemellity 5 - 2 sqrt(5)
-    assert abs(res.config.gain - (ROOT5 - 1.0)) < 1e-3
-    assert abs(res.config.probe_transmission - (ROOT5 - 1.0) / 2.0) < 1e-3
-    assert res.config.conj_transmission > 1.0 - 1e-3
-    assert res.gemellity == pytest.approx(5.0 - 2.0 * ROOT5, abs=1e-8)
-    assert res.gemellity_db == pytest.approx(-2.77477918581927, abs=1e-6)
-    assert res.interior_in_gain
-    assert res.conj_at_boundary
+    # conjugate transmission 1, gemellity 5 - 2 sqrt(5)
+    assert abs(res.config.gain - (ROOT5 - 1.0)) <= 1e-15
+    assert abs(res.config.probe_transmission - (ROOT5 - 1.0) / 2.0) <= 1e-15
+    assert res.config.conj_transmission == 1.0
+    assert abs(res.gemellity - (5.0 - 2.0 * ROOT5)) <= 1e-15
+    assert res.gemellity_db == pytest.approx(-2.77477918581927, abs=1e-12)
+    assert res.interior_in_gain is True
+    assert res.conj_at_boundary is True
 
 
-def test_optimizer_validates_arguments():
-    with pytest.raises(ValueError):
-        lumped.optimize_unit_transmission(grid_step=0.0)
-    with pytest.raises(ValueError):
-        lumped.optimize_unit_transmission(grid_step=0.2)
-    with pytest.raises(ValueError):
-        lumped.optimize_unit_transmission(refine_tol=0.0)
+def test_no_point_of_a_dense_scan_beats_the_optimum():
+    # the cascade formulas written out again, over G in [1, 3] and
+    # T_b in [0, 1]; the gemellity is the smaller eigenvalue of the
+    # 2x2 amplitude covariance [[F_a, C], [C, F_b]]
+    g = np.linspace(1.0, 3.0, 2001)[:, None]
+    tb = np.linspace(0.0, 1.0, 1001)[None, :]
+    ta = (1.0 - tb * (g - 1.0)) / g
+    feasible = (ta >= 0.0) & (ta <= 1.0)
+    ta = np.clip(ta, 0.0, 1.0)
+    f_a = ta * (2.0 * g - 1.0) + 1.0 - ta
+    f_b = tb * (2.0 * g - 1.0) + 1.0 - tb
+    cov = 2.0 * np.sqrt(ta * tb * g * (g - 1.0))
+    gem = (f_a + f_b) / 2.0 - np.sqrt(cov**2 + ((f_a - f_b) / 2.0) ** 2)
+    gem = np.where(feasible, gem, np.inf)
+    best = lumped.optimize_unit_transmission()
+    assert gem.min() >= best.gemellity
+    # the scan is fine enough to come close, at the same corner
+    assert gem.min() - best.gemellity < 1e-7
+    i, j = np.unravel_index(np.argmin(gem), gem.shape)
+    assert abs(g[i, 0] - best.config.gain) < 1e-3
+    assert tb[0, j] == 1.0
+
+
+def test_lumped_optimize_prints_the_exact_digits(capsys):
+    assert cli.main(["lumped-optimize"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1.2360679775,0.61803398875,1,0.527864045,-2.77477918582"
+    )

@@ -513,6 +513,9 @@ def test_search_validates_arguments():
         propagation.search_beyond_lumped_limit(rate_bound=0.0)
     with pytest.raises(ValueError):
         propagation.search_beyond_lumped_limit(feasibility_tol=0.0)
+    for n_segments in (1, 2):
+        with pytest.raises(ValueError, match="restarts"):
+            propagation.search_beyond_lumped_limit(n_segments=n_segments, restarts=0)
 
 
 def test_profile_text_round_trip(tmp_path):
