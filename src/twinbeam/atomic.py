@@ -13,11 +13,14 @@ The pump-dressed steady state of the Lindblad generator is computed
 exactly; weak sidebands are then treated in linear response, which
 yields a complex 2x2 generator per unit medium length for the
 co-propagating pair (probe annihilation, conjugate creation).  The
-classical gains are the exact mean-field transfer expm(generator);
-`propagation.exact_channel` turns the same generator into the exact
-quantum noise output.  Detuning scans solve their grid in stacked
-numpy calls, a fixed block of detunings at a time, with the same
-arithmetic per point as a single-point call.
+classical gains are the exact mean-field transfer e^generator, from the
+closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
+`propagation._expm2x2`; `propagation.exact_channel` turns the same
+generator into the exact quantum noise output.  Detuning scans solve
+their grid in stacked numpy calls, a fixed block of detunings at a
+time, with the same arithmetic per point as a single-point call.  The
+flux-neutral point is polished by `_brentq`, a port of Brent's root
+finder as scipy implements it, so numpy is the only dependency.
 
 The probe gain curve shows a deep Raman absorption dip at negative
 two-photon detuning; the pump light shift moves the dip by roughly
@@ -33,11 +36,11 @@ normalized by the excited-state decay rate.
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from . import propagation
 from .configio import ConfigError, angular_from_khz, angular_from_mhz, section_float
@@ -382,7 +385,7 @@ def _classical_gains(p: AtomicParams, deltas: np.ndarray) -> tuple[np.ndarray, n
     # transfer of the mean fields over the full medium length; the
     # moduli are taken per scalar, which pins the last bit independently
     # of numpy's vectorized complex abs
-    e = expm(sideband_blocks(p, deltas))
+    e = propagation._expm2x2(sideband_blocks(p, deltas))
     probe = np.array([float(abs(z) ** 2) for z in e[:, 0, 0]])
     conj = np.array([float(abs(z) ** 2) for z in e[:, 1, 0]])
     return probe, conj
@@ -427,6 +430,61 @@ def find_raman_dip(
     return float(grid[i]), float(gains[i])
 
 
+# scipy.optimize.brentq's default relative tolerance and iteration cap
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f bracketed by [xa, xb], by Brent's method.
+
+    A port of scipy.optimize.brentq (R. P. Brent, Algorithms for
+    Minimization Without Derivatives, 1973, ch. 4) at its defaults: the
+    same steps and the same stop, half the bracket below
+    (xtol + 4 eps |x|) / 2, so the same float for the same f.  Raises
+    RuntimeError when _BRENT_MAXITER steps do not get there.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(
+        f"root search did not converge after {_BRENT_MAXITER} iterations, value is {xcur}"
+    )
+
+
 def find_beam_splitter_point(
     p: AtomicParams,
     window: tuple[float, float] = _DEFAULT_WINDOW,
@@ -460,9 +518,7 @@ def find_beam_splitter_point(
         ga, gb = _classical_gains(p, np.array([delta]))
         return float(ga[0] + gb[0] - 1.0)
 
-    delta_star = float(
-        brentq(flux_balance, grid[bracket], grid[bracket + 1], xtol=TWO_PI * 1e3)
-    )
+    delta_star = _brentq(flux_balance, grid[bracket], grid[bracket + 1], xtol=TWO_PI * 1e3)
     point = dataclasses.replace(p, two_photon_detuning=delta_star)
     result = pair_output(point)
     return BeamSplitterPoint(

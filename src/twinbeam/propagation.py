@@ -17,7 +17,11 @@ exponential of [[-A, D], [0, A^t]] (C. F. Van Loan, IEEE TAC 23, 395,
 1978).  Since that block carries e^{-AL}, the exponential is taken
 over L / 2^k and the channel squared k times, with k fixed by
 ||B||_1 L; the squaring is the exact semigroup law.  This map gives
-every reported result and serves the complex generators.
+every reported result and serves the complex generators.  The 8x8
+exponential is `_expm`, Pade-13 scaling and squaring in numpy
+(N. J. Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005); a 2x2
+generator's own exponential, e^{BL} for the slab oracle and the
+atomic gain curves, is the closed form `_expm2x2`.
 
 The search's evaluations, which only rank candidate profiles, use a
 closed form instead.  A real-rate B is symmetric, so e^{BL} and the
@@ -43,7 +47,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import gaussian
 from .configio import ConfigError, parse_sections, section_float
@@ -150,6 +153,76 @@ class SearchResult:
     evaluations: int
 
 
+def _expm2x2(blocks: np.ndarray) -> np.ndarray:
+    """e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in closed form.
+
+    By Cayley-Hamilton e^B = e^m (cosh s I + sinh(s)/s (B - m I)), with
+    m = tr(B)/2, h = (b00 - b11)/2 and s^2 = h^2 + b01 b10 (D. S. Bernstein
+    and W. So, IEEE TAC 38, 1228, 1993).  For |s| > 1/2 the same form is
+    evaluated at the eigenvalues b11 + t and b00 - t, t = b01 b10 / (s - h),
+    with the sign of s that keeps s - h free of cancellation, so a small
+    eigenvalue next to a large one keeps its digits; near s = 0, sinh(s)/s
+    is a series.  Each entry's arithmetic is independent of the stack.
+    """
+    b00, b01, b10, b11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    m, h, q = 0.5 * (b00 + b11), 0.5 * (b00 - b11), b01 * b10
+    s = np.sqrt(h * h + q)
+    s = np.where((s * h.conj()).real > 0.0, -s, s)  # so that |s - h| >= |s + h|
+    # d = (e^{m+s} - e^{m-s}) / (2 s), the off-diagonal factor
+    d, e00, e11 = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    far = np.abs(s) > 0.5
+    sf, hf = s[far], h[far]
+    t = q[far] / (sf - hf)
+    up, down = np.exp(b11[far] + t), np.exp(b00[far] - t)
+    d[far] = (up - down) / (2.0 * sf)
+    e00[far] = (t * up + (sf - hf) * down) / (2.0 * sf)
+    e11[far] = ((sf - hf) * up + t * down) / (2.0 * sf)
+    near = ~far
+    sn, em = s[near], np.exp(m[near])
+    tiny = np.abs(sn) < 1e-4
+    sinhc = np.where(tiny, 1.0 + sn * sn / 6.0, np.sinh(sn) / np.where(tiny, 1.0, sn))
+    d[near], c = em * sinhc, em * np.cosh(sn)
+    e00[near], e11[near] = c + h[near] * d[near], c - h[near] * d[near]
+    out = np.empty_like(blocks)
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
+    return out
+
+
+# Pade-13 numerator coefficients and the largest 1-norm it takes without
+# scaling (N. J. Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    ident = np.eye(len(a))
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: the identity is not rounded
+    r = ident + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
 def slab_channel(slab: Slab, dz: float | None = None) -> gaussian.GaussianChannel:
     """Symmetric loss-squeeze-loss factorization of one thin slab.
 
@@ -179,7 +252,7 @@ def coupling_slab_channel(block: np.ndarray, dz: float) -> gaussian.GaussianChan
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"pair-basis generator must be 2x2, got {block.shape}")
-    e = expm(block * dz)
+    e = _expm2x2((block * dz)[None])[0]
     return gaussian.minimal_noise_channel(gaussian.transfer_from_mode_matrix(e))
 
 
@@ -197,7 +270,7 @@ def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
     van_loan[:4, :4] = -a
     van_loan[:4, 4:] = gaussian._minimal_diffusion(a)
     van_loan[4:, 4:] = a.T
-    e = expm(van_loan * (length / 2**k))
+    e = _expm(van_loan * (length / 2**k))
     transfer = e[4:, 4:].T
     noise = transfer @ e[:4, 4:]
     channel = gaussian.GaussianChannel(transfer, 0.5 * (noise + noise.T))
@@ -438,7 +511,8 @@ def search_beyond_lumped_limit(
 
     Pattern search over piecewise-constant profiles (n_segments equal
     segments, rates in [0, rate_bound]) with an escalating penalty on
-    |G_a + G_b - 1|, evaluated on the closed-form pair maps; the
+    |G_a + G_b - 1|, evaluated on the closed-form pair maps (a candidate
+    whose map overflows the floating-point range scores as infeasible); the
     reported result is `propagate_exact` of the best feasible profile.
     Placing loss upstream of gain costs no quantum correlation, so
     distributed profiles can beat the lumped gain-then-loss bound; the
@@ -463,7 +537,11 @@ def search_beyond_lumped_limit(
     def evaluate(x: np.ndarray) -> tuple[float, float]:
         nonlocal evaluations
         evaluations += 1
-        return _pair_objective(_uniform_profile(x, n_segments))
+        try:
+            return _pair_objective(_uniform_profile(x, n_segments))
+        except OverflowError:
+            # a map beyond the floating-point range scores as infeasible
+            return math.inf, math.inf
 
     def penalized(x: np.ndarray, mu: float) -> float:
         gem, infeas = evaluate(x)

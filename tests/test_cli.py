@@ -200,6 +200,19 @@ def test_beat_limit_warns_without_a_seed(tmp_path, capsys):
     assert "nondeterministic" in err
 
 
+@pytest.mark.parametrize("rate_bound", ["800", "1000", "1e6"])
+def test_beat_limit_survives_a_rate_bound_beyond_the_float_range(tmp_path, capsys, rate_bound):
+    # e^{g dz} of the largest rates overflows; such candidates score as
+    # infeasible instead of ending the run with an OverflowError
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text(f"[search]\nsegments = 1\nrestarts = 1\nrate_bound = {rate_bound}\n")
+    code, out, err = run(capsys, ["beat-limit", "--config", str(cfg), "--seed", "0"])
+    assert code == 0, err
+    summary, _, rows = parse_csv(out)
+    assert summary["found"] in ("true", "false")
+    assert len(rows) == 1
+
+
 def test_beat_limit_completes_where_the_slab_path_failed(tmp_path, capsys):
     # this search used to raise a CP error and exit 2
     cfg = tmp_path / "search.cfg"
@@ -387,3 +400,54 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "gemellity_dB" in proc.stdout
+
+
+def _run_module(code: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    proc = _run_module("import sys, twinbeam.cli; assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+# a None entry in sys.modules makes every import of scipy fail
+_WITHOUT_SCIPY = (
+    "import sys; sys.modules['scipy'] = None; "
+    "from twinbeam.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["lumped-optimize"], None),
+        (["sweep-delta"], "[sweep]\npoints = 11\n"),
+        (["beam-splitter"], "[window]\npoints = 41\n"),
+        (["beat-limit", "--seed", "0"], "[search]\nsegments = 1\nrestarts = 1\n"),
+        (["analyze", "--probe-frac", "0.65", "--conj-frac", "0.35"], None),
+    ],
+    ids=["lumped-optimize", "sweep-delta", "beam-splitter", "beat-limit", "analyze"],
+)
+def test_every_command_runs_without_scipy(tmp_path, argv, config):
+    argv = list(argv)
+    if argv[0] == "analyze":
+        trace_path = tmp_path / "traces.csv"
+        _write_trace_file(trace_path)
+        argv.insert(1, str(trace_path))
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    proc = _run_module(_WITHOUT_SCIPY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_the_scipy_stub_blocks_scipy():
+    code = _WITHOUT_SCIPY.replace("from twinbeam", "import scipy.linalg; from twinbeam")
+    proc = _run_module(code)
+    assert proc.returncode == 1
+    assert "ModuleNotFoundError" in proc.stderr

@@ -289,6 +289,54 @@ def test_complex_slab_oracle_converges_to_the_exact_map(block):
     assert 0.4 < gaps[2] / gaps[1] < 0.6
 
 
+def _mpmath_expm(a: np.ndarray) -> np.ndarray:
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=a.dtype)
+
+
+def _assert_close_to_exp(got: np.ndarray, a: np.ndarray) -> None:
+    """Within 1e-15 max(1, ||a||_1) of the exponential, relative to its
+    largest entry: eps-level rounding, grown by the norm."""
+    exact = _mpmath_expm(a)
+    norm = np.abs(a).sum(axis=0).max()
+    assert np.abs(got - exact).max() <= 1e-15 * max(1.0, norm) * np.abs(exact).max()
+
+
+_PART = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PART, min_size=8, max_size=8), st.floats(min_value=-9.0, max_value=2.5))
+@example([0.0] * 8, 0.0)  # B = 0
+@example([1, 1, 0, 1, 0, 0, 0, 0], 0.0)  # a Jordan block: h = 0, s = 0
+@example([2, 1, -1, 0, 0, 0, 0, 0], 0.0)  # s = 0 with h = 1
+@example([0, 1, -1, 0, 0, 0, 0, 0], float(np.log10(np.pi)))  # s = i pi, sinh s = 0
+@example([0.5, 0, 0, -0.5, 0, 0, 0, 0], 0.0)  # |s| = 1/2, the branch edge
+# the atomic generator at -40.4 MHz on the default medium, rounded: one
+# eigenvalue near 0 next to one near -142 - 68i
+@example([-0.746, -0.1649, 0.1648, 0.03644, -0.3573, -0.0788, 0.07895, 0.01768], 2.301)
+def test_closed_form_2x2_exponential_matches_a_50_digit_reference(parts, log_scale):
+    # real parts of b00, b01, b10, b11, then their imaginary parts
+    re, im = np.array(parts[:4]), np.array(parts[4:])
+    block = (10.0**log_scale * (re + 1j * im)).reshape(2, 2)
+    _assert_close_to_exp(propagation._expm2x2(block[None])[0], block)
+
+
+def test_closed_form_2x2_exponential_is_exact_at_zero():
+    assert np.array_equal(propagation._expm2x2(np.zeros((1, 2, 2), complex))[0], np.eye(2))
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.5, 5.0, 20.0, 80.0])
+def test_pade_exponential_matches_a_50_digit_reference(norm):
+    # unscaled up to the Pade-13 bound 5.37, scaled and squared beyond it
+    rng = np.random.default_rng(int(norm * 1000))
+    for _ in range(5):
+        a = rng.normal(size=(8, 8))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        _assert_close_to_exp(propagation._expm(a), a)
+    assert np.array_equal(propagation._expm(np.zeros((8, 8))), np.eye(8))
+
+
 def _lift(pair):
     """4x4 channel of a pair map: (M, Q) acts on (X_a, X_b) and
     (eta M eta, eta Q eta), eta = diag(1, -1), on (Y_a, Y_b)."""
