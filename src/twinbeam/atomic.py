@@ -15,8 +15,9 @@ yields a complex 2x2 generator per unit medium length for the
 co-propagating pair (probe annihilation, conjugate creation).  The
 classical gains are the exact mean-field transfer e^generator, from the
 closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
-`propagation._expm2x2`; `propagation.exact_channel` turns the same
-generator into the exact quantum noise output.  Detuning scans solve
+`propagation._expm2x2`; `propagation.propagate_coupling` turns the same
+generator into the exact quantum noise output through the pair map
+(M, Q), one 4x4 complex Van Loan exponential.  Detuning scans solve
 their grid in stacked numpy calls, a fixed block of detunings at a
 time, with the same arithmetic per point as a single-point call.  The
 flux-neutral point is polished by `_brentq`, a port of Brent's root

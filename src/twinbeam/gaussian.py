@@ -10,6 +10,7 @@ amplitudes in square-root photon-flux units.  A channel is a pair
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,11 +249,17 @@ def transfer_from_mode_matrix(e: np.ndarray) -> np.ndarray:
 
 
 def _abs_i(a: np.ndarray) -> np.ndarray:
-    """|i a| (matrix absolute value) of a real antisymmetric 4x4 matrix."""
-    # -a @ a is symmetric PSD and its principal square root equals |i a|
-    m = -a @ a
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    n = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    """|i a| (matrix absolute value) of a real antisymmetric 4x4 matrix.
+
+    -a^2 has the eigenvalues s1^2, s2^2 (each twice), where s1 s2 = |Pf a|
+    and s1^2 + s2^2 = ||a||_F^2 / 2, so |i a| = (-a^2 + s1 s2 I) / (s1 + s2)
+    needs no eigendecomposition and no square root of a small eigenvalue.
+    """
+    pf = abs(a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2])
+    total = math.sqrt(float(np.sum(a * a)) / 2.0 + 2.0 * pf)
+    if total == 0.0:
+        return np.zeros((4, 4))
+    n = (pf * np.eye(4) - a @ a) / total
     return 0.5 * (n + n.T)
 
 
@@ -265,14 +272,3 @@ def minimal_noise_channel(transfer: np.ndarray) -> GaussianChannel:
     """
     t = _as_square(transfer, "transfer")
     return GaussianChannel(t, _abs_i(SYMPLECTIC_FORM - t @ SYMPLECTIC_FORM @ t.T))
-
-
-def _minimal_diffusion(generator: np.ndarray) -> np.ndarray:
-    """Least noise rate keeping the flow of a quadrature generator CP.
-
-    For dcov/dz = A cov + cov A^t + D the infinitesimal channels are
-    CP iff D - i(A Omega + Omega A^t) >= 0; the least such D is
-    |i(A Omega + Omega A^t)|, the rate form of `minimal_noise_channel`.
-    """
-    a = _as_square(generator, "generator")
-    return _abs_i(a @ SYMPLECTIC_FORM + SYMPLECTIC_FORM @ a.T)

@@ -4,40 +4,46 @@ A profile is a sequence of segments with constant two-mode gain rate g
 and power loss rates alpha_a, alpha_b.  A segment is a constant
 generator B on the pair (a, b^dag), the real block
 [[-alpha_a/2, g], [g, -alpha_b/2]]; the complex sideband generators of
-the atomic response model are the same kind of object.  The
-covariance then obeys dC/dz = A C + C A^t + D, where A is the
-quadrature form of B and D = |i(A Omega + Omega A^t)| the least noise
-that keeps the flow completely positive.  That D is exactly the vacuum
-noise injected by absorption and by phase-insensitive gain.
+the atomic response model are the same kind of object.  Such a
+phase-covariant generator maps the pair by a complex 2x2 transfer M and
+adds a Hermitian 2x2 noise Q, and the least noise rate that keeps the
+flow completely positive is D = |B eta + eta B^dag|, eta = diag(1, -1):
+exactly the vacuum noise injected by absorption and by phase-insensitive
+gain.
 
-`exact_channel` solves this equation over a segment without
-discretization: the transfer e^{AL} and the noise
-integral_0^L e^{As} D e^{A^t s} ds come from one Van Loan block
-exponential of [[-A, D], [0, A^t]] (C. F. Van Loan, IEEE TAC 23, 395,
-1978).  Since that block carries e^{-AL}, the exponential is taken
-over L / 2^k and the channel squared k times, with k fixed by
-||B||_1 L; the squaring is the exact semigroup law.  This map gives
-every reported result and serves the complex generators.  The 8x8
-exponential is `_expm`, Pade-13 scaling and squaring in numpy
-(N. J. Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005); a 2x2
-generator's own exponential, e^{BL} for the slab oracle and the
-atomic gain curves, is the closed form `_expm2x2`.
+`_pair_map` solves the flow over a segment without discretization:
+M = e^{BL} and Q = integral_0^L e^{Bs} D e^{B^dag s} ds come from one
+exponential of the 4x4 complex Van Loan block [[-B, D], [0, B^dag]]
+(C. F. Van Loan, IEEE TAC 23, 395, 1978), with D in closed form.  Since
+that block carries e^{-BL}, the exponential is taken over L / 2^k and
+the map squared k times, (M, Q) -> (M^2, M Q M^dag + Q), with k fixed by
+||B||_1 L; the squaring is the exact semigroup law.  Segments compose
+as (M2 M1, M2 Q1 M2^dag + Q2), and the product is lifted to a
+quadrature `GaussianChannel` once, with one CP check: the transfer is
+`transfer_from_mode_matrix(M)`, and a Hermitian Q lifts the same way.
+This engine gives every reported result (`exact_channel`,
+`propagate_exact`, `propagate_coupling`).  The exponential is `_expm`,
+Pade-13 scaling and squaring in numpy (N. J. Higham, SIAM J. Matrix
+Anal. Appl. 26, 1179, 2005); a 2x2 generator's own exponential, e^{BL}
+for the slab oracle and the atomic gain curves, is the closed form
+`_expm2x2`.
 
 The search's evaluations, which only rank candidate profiles, use a
 closed form instead.  A real-rate B is symmetric, so e^{BL} and the
 noise integral follow from its eigenvalues and one rotation angle; the
-map reduces to a 2x2 transfer and a symmetric 2x2 noise on the
-amplitude quadratures, and a coherent seed's output to three numbers,
-the two noise figures and their covariance.  Each map passes the same
-CP check as a channel.
+map is a real 2x2 transfer and a symmetric 2x2 noise of plain floats,
+and a coherent seed's output reduces to three numbers, the two noise
+figures and their covariance.  Each map passes the same CP check as a
+channel.
 
 The slab discretizations stay as the independent oracles the exact
 maps are tested against: `propagate` factorizes each thin slab into
-exact half-loss channels around an exact two-mode squeezer (error
-second order in the slab width, `refine_until_converged` halves the
-width until the gemellity settles), and `coupling_slab_channel`
-completes the exact transfer of a thin slab of a complex generator
-with the minimal noise (error first order in the slab width).
+exact half-loss channels around an exact two-mode squeezer and composes
+those channels (error second order in the slab width,
+`refine_until_converged` halves the width until the gemellity settles),
+and `coupling_slab_channel` completes the exact transfer of a thin slab
+of a complex generator with the minimal noise (error first order in the
+slab width).
 """
 
 from __future__ import annotations
@@ -256,33 +262,76 @@ def coupling_slab_channel(block: np.ndarray, dz: float) -> gaussian.GaussianChan
     return gaussian.minimal_noise_channel(gaussian.transfer_from_mode_matrix(e))
 
 
-def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
-    """CP map of a constant pair-basis generator over a length, see module docstring."""
+def _pair_diffusion(block: np.ndarray) -> np.ndarray:
+    """Least noise rate |H| of a pair generator, H = B eta + eta B^dag.
+
+    For a Hermitian 2x2 H with eigenvalues l1, l2, Cayley-Hamilton gives
+    |H| = (H^2 + |det H| I) / (|l1| + |l2|), with |l1| + |l2| the larger
+    of |tr H| and the eigenvalue gap; no square root of an eigenvalue is
+    taken, so a small eigenvalue next to a large one keeps its digits.
+    """
+    # H = [[x, y], [y*, z]], eta = diag(1, -1)
+    x, z = 2.0 * block[0, 0].real, -2.0 * block[1, 1].real
+    y = complex(block[1, 0].conjugate() - block[0, 1])
+    total = max(abs(x + z), math.hypot(x - z, 2.0 * abs(y)))
+    if total == 0.0:
+        return np.zeros((2, 2), dtype=complex)
+    # work on H / 2^e, an exact scaling, so that no square under- or overflows
+    scale = 2.0 ** math.frexp(total)[1]
+    x, z, y, total = x / scale, z / scale, y / scale, total / scale
+    yy = abs(y) ** 2
+    det = abs(x * z - yy)
+    off = y * (x + z) / total
+    return scale * np.array(
+        [[(x * x + yy + det) / total, off], [off.conjugate(), (z * z + yy + det) / total]]
+    )
+
+
+def _pair_map(block: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (M, Q) of a constant pair generator B over a length.
+
+    M = e^{BL} and Q = int_0^L e^{Bs} D e^{B^dag s} ds, D = `_pair_diffusion`,
+    from one exponential of the complex Van Loan block [[-B, D], [0, B^dag]]
+    over L / 2^k, then k squarings (M, Q) -> (M^2, M Q M^dag + Q).
+    """
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"pair-basis generator must be 2x2, got {block.shape}")
     if length <= 0.0:
         raise ValueError(f"length must be positive, got {length}")
-    a = gaussian.transfer_from_mode_matrix(block)
     norm = float(np.abs(block).sum(axis=0).max()) * length
-    k = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
-    van_loan = np.zeros((8, 8))
-    van_loan[:4, :4] = -a
-    van_loan[:4, 4:] = gaussian._minimal_diffusion(a)
-    van_loan[4:, 4:] = a.T
+    k = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    van_loan = np.zeros((4, 4), dtype=complex)
+    van_loan[:2, :2] = -block
+    van_loan[:2, 2:] = _pair_diffusion(block)
+    van_loan[2:, 2:] = block.conj().T
     e = _expm(van_loan * (length / 2**k))
-    transfer = e[4:, 4:].T
-    noise = transfer @ e[:4, 4:]
-    channel = gaussian.GaussianChannel(transfer, 0.5 * (noise + noise.T))
-    return gaussian.compose_power(channel, 2**k)
+    m = e[2:, 2:].conj().T
+    q = m @ e[:2, 2:]
+    for _ in range(k):
+        q = m @ q @ m.conj().T + q
+        m = m @ m
+    return m, 0.5 * (q + q.conj().T)
+
+
+def _lift(pair: tuple[np.ndarray, np.ndarray]) -> gaussian.GaussianChannel:
+    """The 4x4 channel of a pair map; a Hermitian Q lifts like a mode matrix."""
+    m, q = pair
+    return gaussian.GaussianChannel(
+        gaussian.transfer_from_mode_matrix(m), gaussian.transfer_from_mode_matrix(q)
+    )
+
+
+def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
+    """CP map of a constant pair-basis generator over a length, see module docstring."""
+    return _lift(_pair_map(block, length))
 
 
 # The search's objective runs on closed-form maps in the pair basis.  A
-# real-rate segment B = [[p, g], [g, q]] acts alike on the X quadratures
-# (X_a, X_b) and, through eta = diag(1, -1), on (Y_a, -Y_b); its minimal
-# diffusion is diag(alpha_a, alpha_b) whatever g is.  A map is then a
+# real-rate segment B = [[p, g], [g, q]] has the minimal diffusion
+# diag(alpha_a, alpha_b) whatever g is, so its map (M, Q) is real: a
 # row-major 2x2 transfer (a, b, c, d) and a symmetric 2x2 noise (x, y, z)
-# of plain floats, the X block of the 4x4 channel `exact_channel` gives.
+# of plain floats, the map `_pair_map` gives.
 
 
 def _pair_segment(slab: Slab) -> tuple[tuple, tuple]:
@@ -301,8 +350,10 @@ def _pair_segment(slab: Slab) -> tuple[tuple, tuple]:
     def phi(rate):
         return math.expm1(rate * length) / rate if rate != 0.0 else length
 
-    if r == 0.0:
-        # B = m I: a common loss, alpha_a == alpha_b
+    if r < 1e-300:
+        # B = m I: a common loss, alpha_a == alpha_b.  Below 1e-300, h and g
+        # may be subnormal, too coarse for the rotation, while r L is still
+        # negligible beside 1
         em = math.exp(m * length)
         return (em, 0.0, 0.0, em), (alpha_a * phi(2.0 * m), 0.0, alpha_b * phi(2.0 * m))
     # squared cosine and sine of the rotation angle, each formed without
@@ -386,8 +437,11 @@ def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
 
 def _result_from_channel(
     channel: gaussian.GaussianChannel,
-    input_state: gaussian.CovarianceState,
+    input_state: gaussian.CovarianceState | None,
 ) -> PropagationResult:
+    """Push the input, by default a unit coherent probe seed, through a channel."""
+    if input_state is None:
+        input_state = gaussian.coherent_input(1.0)
     state = gaussian.apply(channel, input_state)
     # fluxes per unit coherent probe seed, read off the transfer column
     seed = channel.transfer[:, 0]
@@ -407,19 +461,6 @@ def _result_from_channel(
     )
 
 
-def _push_through(channels, input_state) -> PropagationResult:
-    """Compose the segment channels in order and apply them to the input.
-
-    The default input is a unit coherent probe seed.
-    """
-    if input_state is None:
-        input_state = gaussian.coherent_input(1.0)
-    total = None
-    for seg in channels:
-        total = seg if total is None else gaussian.compose(seg, total)
-    return _result_from_channel(total, input_state)
-
-
 def propagate(
     profile: SlabProfile,
     input_state: gaussian.CovarianceState | None = None,
@@ -431,9 +472,11 @@ def propagate(
     """
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
-    return _push_through(
-        (_segment_channel(slab, subdivisions) for slab in profile.slabs), input_state
-    )
+    total = None
+    for slab in profile.slabs:
+        seg = _segment_channel(slab, subdivisions)
+        total = seg if total is None else gaussian.compose(seg, total)
+    return _result_from_channel(total, input_state)
 
 
 def propagate_exact(
@@ -442,15 +485,15 @@ def propagate_exact(
 ) -> PropagationResult:
     """Push a state through the profile, one exact map per segment.
 
-    The default input is a unit coherent probe seed.
+    The segment maps compose in the pair basis, (M2 M1, M2 Q1 M2^dag + Q2),
+    and the product is lifted to a channel once.  The default input is a
+    unit coherent probe seed.
     """
-    return _push_through(
-        (
-            exact_channel([[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]], s.dz)
-            for s in profile.slabs
-        ),
-        input_state,
-    )
+    m, q = np.eye(2), np.zeros((2, 2))
+    for s in profile.slabs:
+        m2, q2 = _pair_map([[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]], s.dz)
+        m, q = m2 @ m, m2 @ q @ m2.conj().T + q2
+    return _result_from_channel(_lift((m, q)), input_state)
 
 
 def propagate_coupling(
@@ -459,7 +502,7 @@ def propagate_coupling(
     input_state: gaussian.CovarianceState | None = None,
 ) -> PropagationResult:
     """Propagate through a constant complex pair-basis generator."""
-    return _push_through((exact_channel(block, length),), input_state)
+    return _result_from_channel(exact_channel(block, length), input_state)
 
 
 def refine_until_converged(

@@ -1,11 +1,13 @@
 """Covariance states, Gaussian channels, and their composition laws."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import gaussian
+from twinbeam import atomic, gaussian, propagation
+from twinbeam.configio import angular_from_mhz
 
 
 def test_vacuum_state_is_identity_covariance():
@@ -194,6 +196,53 @@ def test_minimal_noise_completion_is_always_cp(seed):
     transfer = rng.normal(scale=1.2, size=(4, 4))
     ch = gaussian.minimal_noise_channel(transfer)  # would raise if not CP
     assert gaussian.cp_defect(ch) >= -1e-9
+
+
+def _eigh_abs_i(a):
+    """|i a| from eigh of -a^2 and the square roots of its eigenvalues."""
+    m = -a @ a
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    n = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return 0.5 * (n + n.T)
+
+
+def _abs_i_errors(transfer):
+    """Errors of the minimal noise and of the eigh route, relative to max|D|,
+    against |i A| at 50 digits, A = Omega - T Omega T^t of the float T."""
+    with mpmath.workdps(50):
+        t = mpmath.matrix(transfer.tolist())
+        omega = mpmath.matrix(gaussian.SYMPLECTIC_FORM.tolist())
+        a = omega - t * omega * t.T
+        e, v = mpmath.eigsy(-a * a)
+        exact = v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in e]) * v.T
+        exact = np.array(exact.tolist(), dtype=float)
+    size = np.abs(exact).max()
+    a = gaussian.SYMPLECTIC_FORM - transfer @ gaussian.SYMPLECTIC_FORM @ transfer.T
+    closed = gaussian.minimal_noise_channel(transfer).added_noise
+    return np.abs(closed - exact).max() / size, np.abs(_eigh_abs_i(a) - exact).max() / size
+
+
+def test_minimal_noise_keeps_the_digits_of_a_thin_atomic_slab():
+    # a 1/64 slab of the default sweep's -40.4 MHz generator: the small
+    # eigenvalues of -A^2 sit far below the large ones, and the square roots
+    # of eigh's eigenvalues lose what the closed form keeps
+    delta = np.linspace(-150.0, 50.0, 251)[137]
+    block = atomic.sideband_blocks(atomic.params_from_mapping({}), [angular_from_mhz(delta)])[0]
+    transfer = gaussian.transfer_from_mode_matrix(propagation._expm2x2((block / 64)[None])[0])
+    closed, eigh = _abs_i_errors(transfer)
+    assert closed <= 1e-14
+    assert eigh > 1e-11
+
+
+def test_minimal_noise_is_as_close_as_eigh_on_random_transfers():
+    rng = np.random.default_rng(20261018)
+    errors = np.array([_abs_i_errors(rng.normal(scale=1.2, size=(4, 4))) for _ in range(60)])
+    closed, eigh = errors.T
+    # a few rounding units of max|D| on every draw; below that floor a
+    # single draw may favour either route, so eigh is compared in bulk
+    assert closed.max() <= 4.0 * np.finfo(float).eps
+    assert closed.max() <= eigh.max()
+    assert np.median(closed) <= np.median(eigh)
 
 
 @pytest.mark.parametrize("gain, transmission", [(2.0, 0.5), (4e4, 0.25), (4e8, 0.25)])

@@ -1,9 +1,12 @@
 """Exact segment maps against closed forms and the slab oracle, the
-closed-form pair maps of the search against the Van Loan maps and a
-60-digit reference, slab propagation (exact on pure segments,
+closed-form pair maps of the search against the pair engine and a
+60-digit reference, the pair engine on atomic generators against an
+80-digit reference, slab propagation (exact on pure segments,
 second-order splitting), coupling-generator channels, the
 beyond-the-lumped-limit search, and profile files."""
 
+import dataclasses
+import math
 import types
 
 import mpmath
@@ -12,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbeam import gaussian, lumped, propagation
-from twinbeam.configio import ConfigError
+from twinbeam import atomic, gaussian, lumped, propagation
+from twinbeam.configio import ConfigError, angular_from_mhz
 from twinbeam.propagation import Slab, SlabProfile
 
 
@@ -331,19 +334,19 @@ def test_pade_exponential_matches_a_50_digit_reference(norm):
     # unscaled up to the Pade-13 bound 5.37, scaled and squared beyond it
     rng = np.random.default_rng(int(norm * 1000))
     for _ in range(5):
-        a = rng.normal(size=(8, 8))
-        a *= norm / np.abs(a).sum(axis=0).max()
-        _assert_close_to_exp(propagation._expm(a), a)
+        # a real 8x8 matrix, and a complex 4x4 one like the pair Van Loan block
+        real, cplx = rng.normal(size=(8, 8)), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for a in (real, cplx):
+            a *= norm / np.abs(a).sum(axis=0).max()
+            _assert_close_to_exp(propagation._expm(a), a)
     assert np.array_equal(propagation._expm(np.zeros((8, 8))), np.eye(8))
+    assert np.array_equal(propagation._expm(np.zeros((4, 4), complex)), np.eye(4))
 
 
-def _lift(pair):
-    """4x4 channel of a pair map: (M, Q) acts on (X_a, X_b) and
-    (eta M eta, eta Q eta), eta = diag(1, -1), on (Y_a, Y_b)."""
+def _matrices(pair):
+    """(M, Q) arrays of a closed-form pair map of plain floats."""
     (a, b, c, d), (x, y, z) = pair
-    transfer = gaussian.transfer_from_mode_matrix(np.array([[a, b], [c, d]]))
-    noise = np.array([[x, 0, y, 0], [0, x, 0, -y], [y, 0, z, 0], [0, -y, 0, z]])
-    return transfer, noise
+    return np.array([[a, b], [c, d]]), np.array([[x, y], [y, z]])
 
 
 def _cp_scale(transfer, noise):
@@ -376,19 +379,19 @@ _RATE = st.floats(min_value=0.0, max_value=20.0)
 def test_closed_form_segment_map_matches_the_van_loan_map(n, g, alpha_a, alpha_b):
     slab = Slab(1.0 / n, g, alpha_a, alpha_b)
     block = np.array([[-alpha_a / 2.0, g], [g, -alpha_b / 2.0]])
-    transfer, noise = _lift(propagation._pair_segment(slab))
-    exact = propagation.exact_channel(block, slab.dz)
-    scale = _cp_scale(exact.transfer, exact.added_noise)
+    transfer, noise = _matrices(propagation._pair_segment(slab))
+    exact_m, exact_q = propagation._pair_map(block, slab.dz)
+    scale = _cp_scale(exact_m, exact_q)
     np.testing.assert_allclose(
-        transfer, exact.transfer, rtol=0.0, atol=1e-13 * np.abs(exact.transfer).max()
+        transfer, exact_m, rtol=0.0, atol=1e-13 * np.abs(exact_m).max()
     )
-    np.testing.assert_allclose(noise, exact.added_noise, rtol=0.0, atol=1e-13 * scale)
-    # the pair maps rest on diag(alpha_a, alpha_b) being the minimal diffusion
-    a = gaussian.transfer_from_mode_matrix(block)
+    np.testing.assert_allclose(noise, exact_q, rtol=0.0, atol=1e-13 * scale)
+    # the closed form rests on diag(alpha_a, alpha_b) being the minimal
+    # diffusion of a real block; the pair engine's |H| gives it to rounding
+    # (read off the block, where alpha / 2 may underflow)
+    rates = -2.0 * np.diag(block)
     np.testing.assert_allclose(
-        gaussian._minimal_diffusion(a),
-        np.diag([alpha_a, alpha_a, alpha_b, alpha_b]),
-        atol=1e-13 * max(1.0, g, alpha_a, alpha_b),
+        propagation._pair_diffusion(block), np.diag(rates), rtol=1e-15, atol=1e-15 * rates.max()
     )
 
 
@@ -396,17 +399,19 @@ def test_closed_form_segment_map_matches_the_van_loan_map(n, g, alpha_a, alpha_b
 @given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=4))
 def test_pair_cp_defect_equals_that_of_the_lifted_channel(rates):
     pairs, total = _pair_chain(rates)
-    lifted = [gaussian.GaussianChannel(*_lift(pair)) for pair in pairs]
+    lifted = [propagation._lift(_matrices(pair)) for pair in pairs]
     composed = lifted[0]
     for channel in lifted[1:]:
         composed = gaussian.compose(channel, composed)
-    transfer, noise = _lift(total)
+    total_channel = propagation._lift(_matrices(total))
+    transfer, noise = total_channel.transfer, total_channel.added_noise
     scale = _cp_scale(transfer, noise)
     np.testing.assert_allclose(transfer, composed.transfer, rtol=0.0, atol=1e-13 * scale**0.5)
     np.testing.assert_allclose(noise, composed.added_noise, rtol=0.0, atol=1e-13 * scale)
     for pair, channel in zip(pairs + [total], lifted + [composed]):
         got = propagation._pair_cp_defect(pair)
-        assert abs(got - gaussian.cp_defect(channel)) <= 1e-13 * _cp_scale(*_lift(pair))
+        want = gaussian.cp_defect(channel)
+        assert abs(got - want) <= 1e-13 * _cp_scale(channel.transfer, channel.added_noise)
 
 
 @pytest.mark.parametrize(
@@ -418,22 +423,23 @@ def test_pair_cp_check_rejects_a_noise_pushed_below_cp(slab):
     propagation._check_pair_cp(pair)
     transfer, (x, y, z) = pair
     # lowering both diagonal entries lowers every eigenvalue by as much
-    below = 1e-6 * _cp_scale(*_lift(pair))
+    below = 1e-6 * _cp_scale(*_matrices(pair))
     push = propagation._pair_cp_defect(pair) + below
     pushed = (transfer, (x - push, y, z - push))
-    t, n = _lift(pushed)
     # the lifted channel cannot be built, so its defect is read off directly
+    t, n = (gaussian.transfer_from_mode_matrix(a) for a in _matrices(pushed))
     want = gaussian.cp_defect(types.SimpleNamespace(transfer=t, added_noise=n))
     assert want == pytest.approx(-below, rel=1e-3)
     assert abs(propagation._pair_cp_defect(pushed) - want) <= 1e-13 * _cp_scale(t, n)
     with pytest.raises(ValueError, match="not completely positive"):
         propagation._check_pair_cp(pushed)
     with pytest.raises(ValueError, match="not completely positive"):
-        gaussian.GaussianChannel(t, n)
+        propagation._lift(_matrices(pushed))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=3))
+@example([(2.2250738585e-313, 0.0, 2.2250738585e-313)])  # subnormal g and h
 def test_search_objective_matches_propagate_exact(rates):
     profile = SlabProfile(tuple(Slab(1.0 / len(rates), *r) for r in rates))
     gem, infeasibility = propagation._pair_objective(profile)
@@ -446,31 +452,45 @@ def test_search_objective_matches_propagate_exact(rates):
     )
 
 
-def _reference(profile, digits=60):
-    """Pair maps of a profile from mpmath's matrix exponential: M = e^{BL}
-    and Q from the Van Loan block [[-B, D], [0, B^t]], D = diag(alpha_a,
-    alpha_b)."""
+def _mpmath_abs(h):
+    """|H| of a Hermitian mpmath matrix from its eigendecomposition."""
+    e, v = mpmath.eighe(h)
+    return v * mpmath.diag([abs(x) for x in e]) * v.H
+
+
+def _mpmath_pair_maps(segments, digits):
+    """Pair maps of complex generators at `digits` digits, and their product.
+
+    For each (B, L): M = e^{BL} and Q from the Van Loan block
+    [[-B, D], [0, B^dag]] with D = |B eta + eta B^dag|, eta = diag(1, -1),
+    taken over L / 2^k with ||B||_1 L / 2^k <= 1 and squared k times, so
+    no entry grows like e^{-BL}.
+    """
     with mpmath.workdps(digits):
-        transfer, noise = mpmath.eye(2), mpmath.zeros(2)
-        segments = []
-        for s in profile.slabs:
-            p, q = -mpmath.mpf(s.alpha_a) / 2, -mpmath.mpf(s.alpha_b) / 2
-            b = mpmath.matrix([[p, s.g], [s.g, q]])
-            block = mpmath.zeros(4)
-            block[0:2, 0:2] = -b
-            block[2:4, 2:4] = b.T
-            block[0, 2], block[1, 3] = s.alpha_a, s.alpha_b
-            e = mpmath.expm(block * s.dz)
-            m = e[2:4, 2:4].T
+        eta = mpmath.diag([1, -1])
+        maps = []
+        for block, length in segments:
+            block = np.asarray(block, dtype=complex)
+            b = mpmath.matrix(block.tolist())
+            k = max(0, math.ceil(math.log2(np.abs(block).sum(axis=0).max() * length)))
+            van_loan = mpmath.zeros(4)
+            van_loan[0:2, 0:2] = -b
+            van_loan[0:2, 2:4] = _mpmath_abs(b * eta + eta * b.H)
+            van_loan[2:4, 2:4] = b.H
+            e = mpmath.expm(van_loan * (mpmath.mpf(length) / 2**k))
+            m = e[2:4, 2:4].H
             q = m * e[0:2, 2:4]
-            q = (q + q.T) / 2
-            segments.append((m, q))
-            transfer, noise = m * transfer, m * noise * m.T + q
-        cov = transfer * transfer.T + noise
-        f_a, f_b, c = cov[0, 0], cov[1, 1], cov[0, 1]
-        gem = (f_a + f_b) / 2 - mpmath.sqrt(c * c + ((f_a - f_b) / 2) ** 2)
-        flux = transfer[0, 0] ** 2 + transfer[1, 0] ** 2
-        return segments, float(gem), float(flux), float(max(f_a, f_b))
+            for _ in range(k):
+                m, q = m * m, m * q * m.H + q
+            maps.append((m, (q + q.H) / 2))
+        m, q = maps[0]
+        for m2, q2 in maps[1:]:
+            m, q = m2 * m, m2 * q * m2.H + q2
+        return maps, (m, q)
+
+
+def _as_array(x):
+    return np.array(x.tolist(), dtype=complex)
 
 
 @pytest.mark.parametrize(
@@ -493,22 +513,98 @@ def _reference(profile, digits=60):
 )
 def test_pair_maps_match_a_60_digit_reference(rates):
     profile = SlabProfile(tuple(Slab(1.0 / len(rates), *r) for r in rates))
-    segments, gem, flux, size = _reference(profile)
-    for slab, (m, q) in zip(profile.slabs, segments):
-        transfer, noise = propagation._pair_segment(slab)
-        m = np.array(m.tolist(), dtype=float).ravel()
-        q = np.array(q.tolist(), dtype=float)
-        q = np.array([q[0, 0], q[0, 1], q[1, 1]])
-        np.testing.assert_allclose(transfer, m, rtol=0.0, atol=1e-14 * np.abs(m).max())
-        np.testing.assert_allclose(
-            noise, q, rtol=0.0, atol=1e-14 * max(1.0, np.abs(m).max() ** 2, np.abs(q).max())
-        )
+    blocks = [[[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]] for s in profile.slabs]
+    lengths = [s.dz for s in profile.slabs]
+    segments, (transfer, noise) = _mpmath_pair_maps(zip(blocks, lengths), 60)
+    for slab, block, (m, q) in zip(profile.slabs, blocks, segments):
+        m, q = _as_array(m), _as_array(q)
+        scale = _cp_scale(m, q)
+        # the search's closed form and the pair engine
+        closed = _matrices(propagation._pair_segment(slab))
+        for got_m, got_q in (closed, propagation._pair_map(block, slab.dz)):
+            np.testing.assert_allclose(got_m, m, rtol=0.0, atol=1e-14 * np.abs(m).max())
+            np.testing.assert_allclose(got_q, q, rtol=0.0, atol=1e-14 * scale)
+    with mpmath.workdps(60):
+        cov = transfer * transfer.H + noise
+        f_a, f_b, c = mpmath.re(cov[0, 0]), mpmath.re(cov[1, 1]), mpmath.re(cov[0, 1])
+        gem = float((f_a + f_b) / 2 - mpmath.sqrt(c * c + ((f_a - f_b) / 2) ** 2))
+        flux = float(abs(transfer[0, 0]) ** 2 + abs(transfer[1, 0]) ** 2)
+        size = float(max(f_a, f_b))
     got, infeasibility = propagation._pair_objective(profile)
     exact = propagation.propagate_exact(profile)
     for value in (got, exact.gemellity):
         assert value == pytest.approx(gem, rel=0.0, abs=1e-14 * size)
     assert infeasibility == pytest.approx(abs(flux - 1.0), rel=0.0, abs=1e-14 * max(1.0, flux))
     assert exact.sum_transmission == pytest.approx(flux, rel=1e-14)
+
+
+def _default_sweep_blocks(rows):
+    """Pair generators of the default `sweep-delta` grid at the given rows."""
+    deltas = np.linspace(-150.0, 50.0, 251)[rows]
+    return atomic.sideband_blocks(
+        atomic.params_from_mapping({}), [angular_from_mhz(d) for d in deltas]
+    )
+
+
+def _default_beam_splitter_block():
+    p = atomic.params_from_mapping({})
+    point = atomic.find_beam_splitter_point(p)
+    return atomic.sideband_response(
+        dataclasses.replace(p, two_photon_detuning=point.delta), 0.0
+    ).pair_block, point
+
+
+def test_atomic_maps_match_an_80_digit_reference():
+    # the default sweep from -46.8 to -35.6 MHz, where the generator's norm
+    # reaches 200 and the two eigenvalues of H = B eta + eta B^dag differ in
+    # size by 1e4 to 2e7, and the default beam-splitter point
+    bs_block, point = _default_beam_splitter_block()
+    assert point.gemellity_db == propagation.propagate_coupling(bs_block).gemellity_db
+    for block in list(_default_sweep_blocks(slice(129, 144))) + [bs_block]:
+        _, pair = _mpmath_pair_maps([(block, 1.0)], 80)
+        transfer, noise = (gaussian.transfer_from_mode_matrix(_as_array(x)) for x in pair)
+        got = propagation.exact_channel(block, 1.0)
+        scale = _cp_scale(transfer, noise)
+        np.testing.assert_allclose(got.transfer, transfer, rtol=0.0, atol=1e-13 * scale**0.5)
+        np.testing.assert_allclose(got.added_noise, noise, rtol=0.0, atol=1e-13 * scale)
+        # the printed gemellity, against that of the correctly rounded map
+        want = propagation._result_from_channel(gaussian.GaussianChannel(transfer, noise), None)
+        res = propagation.propagate_coupling(block)
+        assert res.gemellity_db == pytest.approx(want.gemellity_db, rel=0.0, abs=1e-12)
+
+
+def _count_channel_calls(monkeypatch):
+    calls = {"cp_defect": 0, "compose": 0, "compose_power": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(gaussian, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(gaussian, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_propagate_exact_lifts_once_and_composes_no_channel(monkeypatch, n):
+    segments = (Slab(0.5, 3.0, 0.0, 0.0), Slab(0.25, 7.0, 2.0, 19.0), Slab(0.25, 0.0, 11.0, 4.0))
+    calls = _count_channel_calls(monkeypatch)
+    propagation.propagate_exact(SlabProfile(segments[:n]))
+    assert calls == {"cp_defect": 1, "compose": 0, "compose_power": 0}
+
+
+@pytest.mark.parametrize(
+    "block, length",
+    [
+        # the default sweep's -40.4 MHz generator: ||B||_1 = 202, 8 squarings
+        (_default_sweep_blocks([137])[0], 1.0),
+        (np.array([[0.4j, 0.3], [0.3, -0.2 - 0.1j]]), 7.0),
+    ],
+)
+def test_propagate_coupling_lifts_once_and_composes_no_channel(monkeypatch, block, length):
+    calls = _count_channel_calls(monkeypatch)
+    propagation.propagate_coupling(block, length)
+    assert calls == {"cp_defect": 1, "compose": 0, "compose_power": 0}
 
 
 @pytest.mark.parametrize(
