@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from twinbeam import atomic, gaussian, propagation
 from twinbeam.atomic import (
@@ -338,17 +337,34 @@ def test_degenerate_grid_names_its_first_detuning():
 
 
 def test_singular_response_names_the_first_failing_detuning(monkeypatch):
-    # Zero offset cannot reach this check: the sector is an invariant
-    # block of the generator, so the steady-state degeneracy test fires
-    # first.  Fake the condition numbers to exercise the reporting.
+    # Only an analysis offset can make the sector singular (see the next
+    # test).  Fake the condition numbers to exercise the reporting.
     monkeypatch.setattr(
         np.linalg, "cond", lambda a: np.where(np.arange(len(a)) >= 3, np.inf, 1.0)
     )
     grid = np.linspace(mhz(-60.0), mhz(-20.0), 40)
+    offset = mhz(1.0)
     with pytest.raises(ResponseSingularError, match=re.escape(f"{grid[3]:.6e} rad/s")):
-        atomic.gain_curves(AtomicParams(), grid)
+        atomic.sideband_blocks(AtomicParams(), grid, analysis_offset=offset)
     with pytest.raises(ResponseSingularError, match=re.escape(f"{grid[35]:.6e} rad/s")):
-        atomic.gain_curves(AtomicParams(), grid[32:])
+        atomic.sideband_blocks(AtomicParams(), grid[32:], analysis_offset=offset)
+
+
+@pytest.mark.parametrize("medium", [None, *range(8)], ids=["default", *map(str, range(8))])
+def test_zero_offset_sector_is_an_invariant_block(medium):
+    # why the zero-offset sector solve needs no condition check: the sector
+    # is a block of the generator without its stationary vector, so its
+    # condition number is bounded by the generator's sing[0]/sing[-2]
+    p = AtomicParams() if medium is None else _pool_medium(medium)
+    gen = atomic._liouvillians(p, np.linspace(*atomic._DEFAULT_WINDOW, 251))
+    sector = np.array(atomic._SECTOR_INDICES)
+    rest = np.setdiff1d(np.arange(16), sector)
+    assert not np.any(gen[:, sector[:, None], rest])
+    assert not np.any(gen[:, rest[:, None], sector])
+    sing = np.linalg.svd(gen, compute_uv=False)
+    bound = sing[:, 0] / sing[:, -2]
+    assert np.all(np.linalg.cond(gen[atomic._SECTOR]) <= (1.0 + 1e-9) * bound)
+    assert np.all(bound < 1e10)
 
 
 def test_raman_dip_location_and_depth():
@@ -371,13 +387,13 @@ def test_raman_dip_moves_with_pump_power():
 
 def test_beam_splitter_point_regression():
     point = atomic.find_beam_splitter_point(AtomicParams())
-    assert point.delta / mhz(1.0) == pytest.approx(-49.333450643767286, abs=1e-3)
-    assert point.probe_gain == pytest.approx(0.9076147912159213, abs=1e-5)
-    assert point.conj_gain == pytest.approx(0.09238520197867846, abs=1e-5)
-    assert abs(point.probe_gain + point.conj_gain - 1.0) < 1e-4
-    assert point.gemellity == pytest.approx(0.5547444380655261, abs=1e-5)
+    assert point.delta / mhz(1.0) == pytest.approx(-49.33345073519885, abs=1e-3)
+    assert point.probe_gain == pytest.approx(0.9076147960784431, abs=1e-5)
+    assert point.conj_gain == pytest.approx(0.0923852039215545, abs=1e-5)
+    assert abs(point.probe_gain + point.conj_gain - 1.0) < 1e-13
+    assert point.gemellity == pytest.approx(0.5547444308712289, abs=1e-5)
     assert point.gemellity < 1.0
-    assert point.gemellity_db == pytest.approx(-2.5590704336284875, abs=1e-4)
+    assert point.gemellity_db == pytest.approx(-2.559070489950703, abs=1e-4)
 
 
 def test_beam_splitter_point_requires_a_crossing():
@@ -506,44 +522,131 @@ def _pool_medium(member: int) -> AtomicParams:
     return AtomicParams(rabi_frequency=mhz(omega), one_photon_detuning=mhz(big), depth=depth)
 
 
+def _mpmath_flux_balance(p: AtomicParams, delta: float, digits: int = 40):
+    """G_a + G_b - 1 at delta, with every step at `digits` digits: the
+    trace-constrained steady state of the 16x16 generator, the 4x4 sector
+    solve and mpmath.expm of the pair generator."""
+    with mpmath.workdps(digits):
+        g = mpmath.mpf(p.excited_decay_rate)
+        h = mpmath.zeros(4)
+        h[0, 0] = -mpmath.mpf(delta) / g
+        h[2, 2] = -mpmath.mpf(p.one_photon_detuning) / g
+        h[3, 3] = h[2, 2] + h[0, 0] - mpmath.mpf(p.hyperfine_splitting) / g
+        h[2, 1] = h[1, 2] = h[3, 0] = h[0, 3] = -mpmath.mpf(p.rabi_frequency) / g / 2
+        jumps = [(ground, excited, mpmath.mpf(1) / 2) for excited in (2, 3) for ground in (0, 1)]
+        rate = mpmath.mpf(p.ground_decoherence) / g
+        jumps += [(0, 1, rate), (1, 0, rate)]
+
+        def generator(rho):
+            out = -1j * (h * rho - rho * h)
+            for i, j, r in jumps:  # r |i><j| rho |j><i| - r/2 {|j><j|, rho}
+                out[i, i] += r * rho[j, j]
+                for k in range(4):
+                    out[j, k] -= r / 2 * rho[j, k]
+                    out[k, j] -= r / 2 * rho[k, j]
+            return out
+
+        def unit(k):
+            e = mpmath.zeros(4)
+            e[k % 4, k // 4] = 1
+            return e
+
+        # column-stacked generator, one column per basis matrix
+        gen = mpmath.zeros(16)
+        for col in range(16):
+            image = generator(unit(col))
+            for row in range(16):
+                gen[row, col] = image[row % 4, row // 4]
+        trace_row = gen.copy()
+        for col in range(16):
+            trace_row[0, col] = 1 if col % 5 == 0 else 0
+        vec = mpmath.lu_solve(trace_row, mpmath.matrix([1] + [0] * 15))
+        rho = mpmath.matrix(4)
+        for k in range(16):
+            rho[k % 4, k // 4] = vec[k]
+        idx = atomic._SECTOR_INDICES
+        system = mpmath.matrix([[gen[r, c] for c in idx] for r in idx])
+        block = mpmath.zeros(2)
+        for col, (i, j) in enumerate(((2, 0), (1, 3))):
+            drive = mpmath.zeros(4)
+            drive[i, j] = -mpmath.mpf(1) / 2
+            source = -1j * (drive * rho - rho * drive)
+            x = mpmath.lu_solve(system, mpmath.matrix([-source[k % 4, k // 4] for k in idx]))
+            block[0, col] = 1j * p.depth / 2 * x[1]
+            block[1, col] = -1j * p.depth / 2 * x[2]
+        e = mpmath.expm(block)
+        return abs(e[0, 0]) ** 2 + abs(e[1, 0]) ** 2 - 1
+
+
+def test_beam_splitter_point_balances_the_40_digit_flux():
+    p = AtomicParams()
+    point = atomic.find_beam_splitter_point(p)
+    # a root search stopped at a 1 kHz tolerance leaves -6.8e-9 here
+    assert abs(_mpmath_flux_balance(p, point.delta)) <= 1e-12
+    # the reference agrees with the float balance to its rounding
+    delta = mhz(-45.0)
+    ga, gb = atomic._classical_gains(p, np.array([delta]))
+    assert float(_mpmath_flux_balance(p, delta)) == pytest.approx(ga[0] + gb[0] - 1.0, abs=1e-13)
+
+
 @pytest.mark.parametrize("medium", [None, *range(8)], ids=["default", *map(str, range(8))])
-def test_brent_port_returns_the_float_of_scipys_brentq(medium):
+def test_beam_splitter_point_has_unit_transmission(medium):
     p = AtomicParams() if medium is None else _pool_medium(medium)
+    point = atomic.find_beam_splitter_point(p)
+    assert abs(point.probe_gain + point.conj_gain - 1.0) <= 1e-13
     f, lo, hi = _flux_balance_and_bracket(p)
-    xtol = TWO_PI * 1e3
-    root = atomic._brentq(f, lo, hi, xtol=xtol)
-    assert root == brentq(f, lo, hi, xtol=xtol)
-    assert atomic.find_beam_splitter_point(p).delta == root
+    assert lo < point.delta < hi
+    _assert_root_to_the_last_float(f, point.delta)
+
+
+def _assert_root_to_the_last_float(f, x: float) -> None:
+    """f(x) is 0, or f changes sign between x and an adjacent float where
+    |f| is no smaller than at x."""
+    fx = f(x)
+    if fx != 0.0:
+        across = [
+            y for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+            if math.copysign(1.0, f(y)) != math.copysign(1.0, fx)
+        ]
+        assert across
+        assert all(abs(fx) <= abs(f(y)) for y in across)
+
+
+def _triple(x):
+    return (x - 1.0) ** 3
 
 
 @pytest.mark.parametrize(
-    "f, lo, hi, xtol",
+    "f, lo, hi",
     [
-        (lambda x: x**3 - 2.0, 0.0, 2.0, 2e-12),
-        (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15),
-        (lambda x: math.exp(x) - 1e-10, -40.0, 5.0, 1e-3),
-        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 4.0, 1e-300),
-        (lambda x: 1.0 if x > 0.7 else -1.0, 0.0, 1.0, 1e-9),  # a jump: bisection only
-        (lambda x: x - 1.0, 1.0, 3.0, 1e-6),  # the root is the left end
-        (lambda x: x - 3.0, 1.0, 3.0, 1e-6),  # the root is the right end
-        (lambda x: (x - 1.0) * (x + 3.0), 3.0, -2.0, 1e-12),  # a reversed bracket
-        (lambda x: x**7 - 0.5, 0.1, 3.0, 1e-12),  # a steep side: steps are rejected
-        # infinite slope at the root: interpolation overshoots, bisection takes over
-        (lambda x: math.copysign(math.sqrt(abs(x - 0.3)), x - 0.3), -1.0, 1.0, 1e-12),
+        (lambda x: x**3 - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 1e-10, -40.0, 5.0),  # 87 evaluations, 28 bisections
+        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 4.0),
+        (lambda x: 1.0 if x > 0.7 else -1.0, 0.0, 1.0),  # a jump
+        (lambda x: math.copysign(1e308, x - 0.3), -1.0, 1.0),  # the secant overflows to nan
+        (lambda x: x - 1.0, 1.0, 3.0),  # the root is the left end
+        (lambda x: x - 3.0, 1.0, 3.0),  # the root is the right end
+        (lambda x: (x - 1.0) * (x + 3.0), 3.0, -2.0),  # a reversed bracket
+        (lambda x: x**7 - 0.5, 0.1, 3.0),  # a steep side
+        # infinite slope at the root
+        (lambda x: math.copysign(math.sqrt(abs(x - 0.3)), x - 0.3), -1.0, 1.0),
+        (_triple, 3.0, -2.0),  # 159 evaluations, 53 bisections
+    ],
+    ids=[
+        "cube", "cos", "exp", "tanh", "jump", "overflow", "left_end", "right_end",
+        "reversed", "seventh_power", "sqrt_slope", "triple",
     ],
 )
-def test_brent_port_matches_scipy_on_analytic_functions(f, lo, hi, xtol):
-    assert atomic._brentq(f, lo, hi, xtol=xtol) == brentq(f, lo, hi, xtol=xtol)
+def test_illinois_root_is_a_sign_change_between_adjacent_floats(f, lo, hi):
+    root = atomic._illinois(f, lo, hi)
+    assert min(lo, hi) <= root <= max(lo, hi)
+    _assert_root_to_the_last_float(f, root)
 
 
-def test_brent_port_raises_like_scipy():
+def test_illinois_raises_without_a_sign_change_or_in_too_few_steps(monkeypatch):
     with pytest.raises(ValueError, match="different signs"):
-        atomic._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
-
-    def triple(x):  # a triple root that 100 steps do not reach
-        return (x - 1.0) ** 3
-
-    with pytest.raises(RuntimeError, match="did not converge after 100 iterations"):
-        atomic._brentq(triple, 3.0, -2.0, xtol=1e-12)
-    with pytest.raises(RuntimeError):
-        brentq(triple, 3.0, -2.0, xtol=1e-12)
+        atomic._illinois(lambda x: x * x + 1.0, -1.0, 1.0)
+    monkeypatch.setattr(atomic, "_ROOT_MAXITER", 100)
+    with pytest.raises(RuntimeError, match="did not converge in 100 steps"):
+        atomic._illinois(_triple, 3.0, -2.0)
