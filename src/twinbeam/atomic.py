@@ -10,9 +10,13 @@ excited -> upper ground -> other excited -> lower ground while
 emitting one probe and one conjugate photon.
 
 The pump-dressed steady state of the Lindblad generator is computed
-exactly; weak sidebands are then treated in linear response, which
-yields a complex 2x2 generator per unit medium length for the
-co-propagating pair (probe annihilation, conjugate creation).  The
+exactly.  The generator conserves manifold parity, so it splits into an
+8-dimensional even sector, where the state lives, and the sideband
+coherences; the state is one 8x8 solve of the even block bordered by
+the trace functional.  Weak sidebands are then treated in linear
+response, a 4x4 solve in the sideband sector, which yields a complex
+2x2 generator per unit medium length for the co-propagating pair
+(probe annihilation, conjugate creation).  The
 classical gains are the exact mean-field transfer e^generator, from the
 closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling` turns the same
@@ -244,6 +248,25 @@ def _first(bad: np.ndarray) -> int:
     return int(hits[0]) if hits.size else bad.size
 
 
+# The generator conserves manifold parity: the pump couples only levels
+# 1 <-> 2 and 0 <-> 3, and every jump maps populations to populations.
+# So in the column-stacked basis (slot row + 4 col) it is block diagonal.
+# The even sector holds the populations and the coherences inside
+# {1, 2} and inside {0, 3}; the stationary state lives there.  The odd
+# sector holds the sideband coherences driven by the probe and
+# conjugate fields, (row, column) slots (1,0), (2,0), (1,3), (2,3), and
+# their complex conjugates, each set mapped into itself.  Solving inside
+# a sector is exact and keeps the per-detuning cost at an 8x8 solve for
+# the state and a 4x4 solve for the response.
+_EVEN_INDICES = [k for k in range(16) if (k % 4 in (1, 2)) == (k // 4 in (1, 2))]
+_EVEN = (slice(None), np.array(_EVEN_INDICES)[:, None], np.array(_EVEN_INDICES))
+_TRACE = np.array([1.0 if k % 5 == 0 else 0.0 for k in _EVEN_INDICES])
+_BORDER = np.outer(_TRACE, _TRACE)
+_SECTOR_SLOTS = ((1, 0), (2, 0), (1, 3), (2, 3))
+_SECTOR_INDICES = [row + 4 * col for row, col in _SECTOR_SLOTS]
+_SECTOR = (slice(None), np.array(_SECTOR_INDICES)[:, None], np.array(_SECTOR_INDICES))
+
+
 def _steady_states(
     gen: np.ndarray, deltas: np.ndarray
 ) -> tuple[np.ndarray, Exception | None]:
@@ -255,16 +278,26 @@ def _steady_states(
     meets them, so the error is the one the first failing detuning
     raises on its own.
     """
-    _, sing, vh = np.linalg.svd(gen)
+    even = gen[_EVEN]
+    sing_even = np.linalg.svd(even, compute_uv=False)
+    sing_odd = np.linalg.svd(gen[_SECTOR], compute_uv=False)
+    # the generator's singular values are the even block's and twice the
+    # sector's, so these are its largest and second-smallest
+    top = np.maximum(sing_even[:, 0], sing_odd[:, 0])
+    second = np.minimum(sing_even[:, -2], sing_odd[:, -1])
     error = None
-    n = _first(sing[:, -2] <= 1e-10 * sing[:, 0])
+    n = _first(second <= 1e-10 * top)
     if n < len(gen):
         error = DegenerateSteadyStateError(
             f"stationary space is degenerate {_at(deltas, n)} "
-            f"(second singular value {sing[n, -2]:.2e} of {sing[n, 0]:.2e})"
+            f"(second singular value {second[n]:.2e} of {top[n]:.2e})"
         )
+    # Trace preservation makes w^T E = 0 for the trace functional w, so
+    # (E + w w^T) v = w holds exactly when E v = 0 and w^T v = 1.
+    vec = np.zeros((n, 16), dtype=complex)
+    vec[:, _EVEN_INDICES] = np.linalg.solve(even[:n] + _BORDER, _TRACE[:, None])[..., 0]
     # column-stacked vectors: row-major reshape, then transpose
-    rho = vh[:n, -1].conj().reshape(n, 4, 4).swapaxes(-1, -2)
+    rho = vec.reshape(n, 4, 4).swapaxes(-1, -2)
     trace = np.trace(rho, axis1=-2, axis2=-1)
     bad = _first(np.abs(trace) < 1e-8)
     if bad < n:
@@ -274,7 +307,7 @@ def _steady_states(
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     vec = rho.swapaxes(-1, -2).reshape(n, 16, 1)
     residual = np.linalg.norm((gen[:n] @ vec)[..., 0], axis=-1)
-    bad = _first(residual > 1e-10 * np.maximum(1.0, sing[:n, 0]))
+    bad = _first(residual > 1e-10 * np.maximum(1.0, top[:n]))
     if bad < n:
         n = bad
         error = DegenerateSteadyStateError(
@@ -302,15 +335,6 @@ def steady_state(p: AtomicParams) -> np.ndarray:
     return rho[0]
 
 
-# The sideband coherences driven by the probe and conjugate fields
-# span a four-dimensional subspace that the full generator maps into
-# itself: (row, column) slots (1,0), (2,0), (1,3), (2,3) in the level
-# basis above.  Solving inside that subspace is exact and keeps the
-# per-detuning cost at a 4x4 solve.
-_SECTOR_SLOTS = ((1, 0), (2, 0), (1, 3), (2, 3))
-_SECTOR_INDICES = [row + 4 * col for row, col in _SECTOR_SLOTS]
-_SECTOR = (slice(None), np.array(_SECTOR_INDICES)[:, None], np.array(_SECTOR_INDICES))
-
 # Grids are solved this many detunings at a time: long enough stacks
 # to leave the per-point Python overhead behind, short enough that a
 # scan's peak memory does not grow with the grid.
@@ -325,9 +349,9 @@ def _pair_block_stack(
     rho0, error = _steady_states(gen, deltas)
     n = len(rho0)
     system = gen[:n][_SECTOR] + 1j * (analysis_offset / gamma) * np.eye(4)
-    # At zero offset the sector is an invariant block of the generator
-    # without its stationary vector, so once the steady-state checks have
-    # passed its condition number is at most sing[0]/sing[-2] < 1e10.
+    # At zero offset the sector is a diagonal block of the generator, so
+    # once the degeneracy check has passed its condition number
+    # sing_odd[0]/sing_odd[-1] is at most top/second < 1e10.
     if analysis_offset != 0.0:
         bad = _first(np.linalg.cond(system) > 1e12)
         if bad < n:

@@ -138,7 +138,12 @@ def cmd_sweep_delta(args) -> int:
     blocks = atomic.sideband_blocks(params, [angular_from_mhz(d) for d in deltas_mhz])
     rows = []
     for delta_mhz, block in zip(deltas_mhz, blocks):
-        result = propagation.propagate_coupling(block)
+        try:
+            result = propagation.propagate_coupling(block)
+        except propagation.OutputOverflowError as exc:
+            raise propagation.OutputOverflowError(
+                f"{exc} at two-photon detuning {delta_mhz:.6g} MHz"
+            ) from exc
         rows.append(
             {
                 "delta_MHz": delta_mhz,

@@ -69,6 +69,7 @@ __all__ = [
     "SlabProfile",
     "PropagationResult",
     "SearchResult",
+    "OutputOverflowError",
     "slab_channel",
     "coupling_slab_channel",
     "exact_channel",
@@ -84,6 +85,10 @@ __all__ = [
 ]
 
 _MAX_SQUEEZE_PER_SLAB = 0.5
+
+
+class OutputOverflowError(RuntimeError):
+    """A propagated output leaves the float range."""
 
 
 @dataclass(frozen=True)
@@ -501,8 +506,16 @@ def propagate_coupling(
     length: float = 1.0,
     input_state: gaussian.CovarianceState | None = None,
 ) -> PropagationResult:
-    """Propagate through a constant complex pair-basis generator."""
-    return _result_from_channel(exact_channel(block, length), input_state)
+    """Propagate through a constant complex pair-basis generator.
+
+    Raises OutputOverflowError when the map or the output's noise figures
+    leave the float range, as they do for optical depths of about 1e6.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _result_from_channel(exact_channel(block, length), input_state)
+    except (OverflowError, FloatingPointError) as exc:
+        raise OutputOverflowError(f"output overflows the float range ({exc})") from exc
 
 
 def refine_until_converged(

@@ -390,6 +390,13 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     code, _, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
     assert code == 3
     assert "error:" in err
+    # a valid depth whose output noise leaves the float range at -10.8 MHz
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[atomic]\ndepth = 1e6\n")
+    code, out, err = run(capsys, ["sweep-delta", "--config", str(cfg)])
+    assert code == 3
+    assert out == ""
+    assert "overflow" in err and "two-photon detuning -10.8 MHz" in err
 
 
 def test_module_entry_point_runs():
