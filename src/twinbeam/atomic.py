@@ -412,10 +412,12 @@ def sideband_response(p: AtomicParams, analysis_offset: float = 0.0) -> Coupling
 def _classical_gains(p: AtomicParams, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # transfer of the mean fields over the full medium length; the
     # moduli are taken per scalar, which pins the last bit independently
-    # of numpy's vectorized complex abs
+    # of numpy's vectorized complex abs.  Python's float ** is the pow of
+    # numpy's scalar ** but raises on overflow; past 1e154, where it could,
+    # a product squares instead and overflows quietly to inf.
     e = propagation._expm2x2(sideband_blocks(p, deltas))
-    probe = np.array([float(abs(z) ** 2) for z in e[:, 0, 0]])
-    conj = np.array([float(abs(z) ** 2) for z in e[:, 1, 0]])
+    probe = np.array([m**2 if m < 1e154 else m * m for m in map(float, map(abs, e[:, 0, 0]))])
+    conj = np.array([m**2 if m < 1e154 else m * m for m in map(float, map(abs, e[:, 1, 0]))])
     return probe, conj
 
 
@@ -454,7 +456,7 @@ def find_raman_dip(
     _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
     gains, _ = _classical_gains(p, grid)
-    i = int(np.argmin(gains))
+    i = int(np.nanargmin(gains))
     return float(grid[i]), float(gains[i])
 
 
@@ -520,14 +522,15 @@ def find_beam_splitter_point(
     _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
     probe, conj = _classical_gains(p, grid)
-    balance = probe + conj - 1.0
+    # signs of the flux balance; a point whose gains overflowed has none
+    balance = np.where(np.isfinite(probe + conj), np.sign(probe + conj - 1.0), 0.0)
     crossings = np.nonzero(balance[:-1] * balance[1:] < 0.0)[0]
     if crossings.size == 0:
         raise NoCrossingError(
             "no flux-neutral crossing in the window "
             f"[{grid[0]:.6e}, {grid[-1]:.6e}] rad/s"
         )
-    dip = int(np.argmin(probe))
+    dip = int(np.nanargmin(probe))
     below = crossings[crossings < dip]
     bracket = int(below[-1]) if below.size else int(crossings[0])
 

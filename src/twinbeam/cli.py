@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = ["main"]
 _KNOWN_SECTIONS = {"atomic", "sweep", "window", "search"}
 
 
-def _load_config(path: str | None) -> tuple[dict[str, dict[str, str]], bytes | None]:
+def _load_config(path: str | None) -> tuple[dict[str, dict[str, str]], str | None]:
     if path is None:
         return {}, None
     sections: dict[str, dict[str, str]] = {}
@@ -53,7 +54,7 @@ def _load_config(path: str | None) -> tuple[dict[str, dict[str, str]], bytes | N
         if name in sections:
             raise ConfigError(f"duplicate section [{name}] in {path}")
         sections[name] = mapping
-    return sections, Path(path).read_bytes()
+    return sections, hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _check_keys(mapping: dict[str, str], section: str, allowed: set[str]) -> None:
@@ -70,34 +71,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_csv(rows: list[dict], summary: dict) -> str:
+def _render_csv(columns: dict[str, list], summary: dict) -> str:
+    # one % over a row template: %.12g for float columns, %s of _fmt for others
     lines = [f"# {key} = {_fmt(value)}" for key, value in summary.items()]
+    rows = len(next(iter(columns.values()), ()))
     if rows:
-        lines.append(",".join(rows[0].keys()))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row.values()))
+        floats = [all(map(isinstance, column, repeat(float))) for column in columns.values()]
+        cells = [c if f else map(_fmt, c) for c, f in zip(columns.values(), floats)]
+        template = ",".join("%.12g" if f else "%s" for f in floats)
+        lines.append(",".join(columns))
+        lines.append("\n".join([template] * rows) % tuple(chain.from_iterable(zip(*cells))))
     return "\n".join(lines) + "\n"
 
 
-def _render_json(rows: list[dict], summary: dict, metadata: dict) -> str:
-    return json.dumps(
-        {"metadata": metadata, "summary": summary, "rows": rows}, indent=2
-    ) + "\n"
-
-
-def _emit(args, command: str, rows: list[dict], summary: dict, config_bytes) -> None:
+def _emit(args, command: str, columns: dict[str, list], summary: dict, config_sha256) -> None:
     metadata = {
         "version": __version__,
         "command": command,
-        "config_sha256": hashlib.sha256(config_bytes).hexdigest()
-        if config_bytes is not None
-        else None,
+        "config_sha256": config_sha256,
         "seed": getattr(args, "seed", None),
     }
     if args.format == "json":
-        text = _render_json(rows, summary, metadata)
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        document = {"metadata": metadata, "summary": summary, "rows": rows}
+        text = json.dumps(document, indent=2) + "\n"
     else:
-        text = _render_csv(rows, summary)
+        text = _render_csv(columns, summary)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -105,25 +104,25 @@ def _emit(args, command: str, rows: list[dict], summary: dict, config_bytes) -> 
 
 
 def cmd_lumped_optimize(args) -> int:
-    _, raw = _load_config(args.config)
+    _, digest = _load_config(args.config)
     opt = lumped.optimize_unit_transmission()
-    row = {
-        "gain": opt.config.gain,
-        "probe_transmission": opt.config.probe_transmission,
-        "conj_transmission": opt.config.conj_transmission,
-        "gemellity": opt.gemellity,
-        "gemellity_dB": opt.gemellity_db,
+    columns = {
+        "gain": [opt.config.gain],
+        "probe_transmission": [opt.config.probe_transmission],
+        "conj_transmission": [opt.config.conj_transmission],
+        "gemellity": [opt.gemellity],
+        "gemellity_dB": [opt.gemellity_db],
     }
     summary = {
         "interior_in_gain": opt.interior_in_gain,
         "conj_at_boundary": opt.conj_at_boundary,
     }
-    _emit(args, "lumped-optimize", [row], summary, raw)
+    _emit(args, "lumped-optimize", columns, summary, digest)
     return 0
 
 
 def cmd_sweep_delta(args) -> int:
-    sections, raw = _load_config(args.config)
+    sections, digest = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
     sweep = sections.get("sweep", {})
     _check_keys(sweep, "sweep", {"delta_min_MHz", "delta_max_MHz", "points"})
@@ -136,29 +135,27 @@ def cmd_sweep_delta(args) -> int:
         raise ConfigError(f"sweep needs at least 2 points, got {points}")
     deltas_mhz = np.linspace(lo, hi, points)
     blocks = atomic.sideband_blocks(params, [angular_from_mhz(d) for d in deltas_mhz])
-    rows = []
+    results = []
     for delta_mhz, block in zip(deltas_mhz, blocks):
         try:
-            result = propagation.propagate_coupling(block)
+            results.append(propagation.propagate_coupling(block))
         except propagation.OutputOverflowError as exc:
             raise propagation.OutputOverflowError(
                 f"{exc} at two-photon detuning {delta_mhz:.6g} MHz"
             ) from exc
-        rows.append(
-            {
-                "delta_MHz": delta_mhz,
-                "G_a": result.g_a,
-                "G_b": result.g_b,
-                "sum": result.sum_transmission,
-                "gemellity_dB": result.gemellity_db,
-            }
-        )
-    _emit(args, "sweep-delta", rows, {}, raw)
+    columns = {
+        "delta_MHz": deltas_mhz.tolist(),
+        "G_a": [r.g_a for r in results],
+        "G_b": [r.g_b for r in results],
+        "sum": [r.sum_transmission for r in results],
+        "gemellity_dB": [r.gemellity_db for r in results],
+    }
+    _emit(args, "sweep-delta", columns, {}, digest)
     return 0
 
 
 def cmd_beam_splitter(args) -> int:
-    sections, raw = _load_config(args.config)
+    sections, digest = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
     window = sections.get("window", {})
     _check_keys(window, "window", {"min_MHz", "max_MHz", "points"})
@@ -172,20 +169,20 @@ def cmd_beam_splitter(args) -> int:
         window=(angular_from_mhz(lo), angular_from_mhz(hi)),
         n_scan=points,
     )
-    row = {
-        "delta_MHz": mhz_from_angular(point.delta),
-        "G_a": point.probe_gain,
-        "G_b": point.conj_gain,
-        "sum": point.probe_gain + point.conj_gain,
-        "gemellity": point.gemellity,
-        "gemellity_dB": point.gemellity_db,
+    columns = {
+        "delta_MHz": [mhz_from_angular(point.delta)],
+        "G_a": [point.probe_gain],
+        "G_b": [point.conj_gain],
+        "sum": [point.probe_gain + point.conj_gain],
+        "gemellity": [point.gemellity],
+        "gemellity_dB": [point.gemellity_db],
     }
-    _emit(args, "beam-splitter", [row], {}, raw)
+    _emit(args, "beam-splitter", columns, {}, digest)
     return 0
 
 
 def cmd_beat_limit(args) -> int:
-    sections, raw = _load_config(args.config)
+    sections, digest = _load_config(args.config)
     search = sections.get("search", {})
     _check_keys(
         search, "search", {"segments", "restarts", "rate_bound", "feasibility_tol", "target_dB"}
@@ -203,16 +200,14 @@ def cmd_beat_limit(args) -> int:
         target_db=section_float(search, "search", "target_dB", default=-2.8),
         restarts=section_int(search, "search", "restarts", default=16),
     )
-    rows = [
-        {
-            "segment": i,
-            "dz": slab.dz,
-            "g": slab.g,
-            "alpha_a": slab.alpha_a,
-            "alpha_b": slab.alpha_b,
-        }
-        for i, slab in enumerate(found.profile.slabs)
-    ]
+    slabs = found.profile.slabs
+    columns = {
+        "segment": list(range(len(slabs))),
+        "dz": [slab.dz for slab in slabs],
+        "g": [slab.g for slab in slabs],
+        "alpha_a": [slab.alpha_a for slab in slabs],
+        "alpha_b": [slab.alpha_b for slab in slabs],
+    }
     summary = {
         "found": found.found,
         "gemellity_dB": found.result.gemellity_db,
@@ -222,28 +217,25 @@ def cmd_beat_limit(args) -> int:
         "diff_noise_dB": 10.0 * np.log10(found.result.diff_noise),
         "evaluations": found.evaluations,
     }
-    _emit(args, "beat-limit", rows, summary, raw)
+    _emit(args, "beat-limit", columns, summary, digest)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    trace_set = traces.load_traces(args.traces)
+    raw = Path(args.traces).read_bytes()  # one read, hashed and parsed
+    digest = hashlib.sha256(raw).hexdigest()
+    text = raw.decode()
+    del raw  # each copy of the file goes as soon as it is used: peak memory
+    trace_set = traces.parse_traces(text)
+    del text
     powers = traces.PowerRecord(args.probe_frac, args.conj_frac)
     analysis = traces.analyze_traces(trace_set, powers, analysis_freq=args.freq)
-    rows = []
-    diff = analysis.normalized["difference"]
-    probe = analysis.normalized["probe"]
-    conj = analysis.normalized["conjugate"]
-    for i in range(diff.freq.size):
-        rows.append(
-            {
-                "freq_Hz": float(diff.freq[i]),
-                "difference_dB": float(diff.psd[i]),
-                "probe_dB": float(probe.psd[i]),
-                "conjugate_dB": float(conj.psd[i]),
-            }
-        )
-    _emit(args, "analyze", rows, analysis.summary(), Path(args.traces).read_bytes())
+    normalized = analysis.normalized
+    columns = {"freq_Hz": normalized["difference"].freq.tolist()} | {
+        f"{label}_dB": normalized[label].psd.tolist()
+        for label in ("difference", "probe", "conjugate")
+    }
+    _emit(args, "analyze", columns, analysis.summary(), digest)
     return 0
 
 
@@ -260,44 +252,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "lumped-optimize",
-        parents=[common],
-        help="optimum of the amplifier-plus-loss model at unit total transmission",
-    )
-    p.set_defaults(func=cmd_lumped_optimize)
-
-    p = sub.add_parser(
-        "sweep-delta",
-        parents=[common],
-        help="gain curves and gemellity over a two-photon detuning grid",
-    )
-    p.set_defaults(func=cmd_sweep_delta)
-
-    p = sub.add_parser(
-        "beam-splitter",
-        parents=[common],
-        help="locate the flux-neutral operating point of the atomic medium",
-    )
-    p.set_defaults(func=cmd_beam_splitter)
-
-    p = sub.add_parser(
-        "beat-limit",
-        parents=[common],
-        help="search distributed profiles for gemellity below the lumped limit",
-    )
-    p.set_defaults(func=cmd_beat_limit)
-
-    p = sub.add_parser(
-        "analyze",
-        parents=[common],
-        help="normalize measured traces to the SQL and infer the gemellity",
-    )
-    p.add_argument("traces", help="trace CSV (freq_hz,psd_db,label,rbw_hz)")
-    p.add_argument("--probe-frac", type=float, required=True)
-    p.add_argument("--conj-frac", type=float, required=True)
-    p.add_argument("--freq", type=float, help="analysis frequency in Hz")
-    p.set_defaults(func=cmd_analyze)
+    for name, func, summary in (
+        ("lumped-optimize", cmd_lumped_optimize,
+         "optimum of the amplifier-plus-loss model at unit total transmission"),
+        ("sweep-delta", cmd_sweep_delta,
+         "gain curves and gemellity over a two-photon detuning grid"),
+        ("beam-splitter", cmd_beam_splitter,
+         "locate the flux-neutral operating point of the atomic medium"),
+        ("beat-limit", cmd_beat_limit,
+         "search distributed profiles for gemellity below the lumped limit"),
+        ("analyze", cmd_analyze,
+         "normalize measured traces to the SQL and infer the gemellity"),
+    ):
+        sub.add_parser(name, parents=[common], help=summary).set_defaults(func=func)
+    analyze = sub.choices["analyze"]
+    analyze.add_argument("traces", help="trace CSV (freq_hz,psd_db,label,rbw_hz)")
+    analyze.add_argument("--probe-frac", type=float, required=True)
+    analyze.add_argument("--conj-frac", type=float, required=True)
+    analyze.add_argument("--freq", type=float, help="analysis frequency in Hz")
 
     return parser
 

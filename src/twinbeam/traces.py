@@ -7,6 +7,11 @@ grid, normalized to the standard quantum limit after subtracting the
 electronic floor in linear power units, and the scalar twin-beam
 numbers are inferred at a chosen analysis frequency.
 
+Parsing is columnar: numpy's C text reader reads every data row in one
+call, and labels are grouped and sorted with array operations.  Blank
+lines are skipped, fields may be space-padded or double-quoted, `#`
+starts no comment, and a label field of 16 bytes or more is rejected.
+
 Resolution-bandwidth differences between traces are rejected rather
 than corrected; silently rescaling RBW is a classic way to get wrong
 squeezing numbers.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +47,10 @@ __all__ = [
 TRACE_LABELS = ("difference", "probe", "conjugate", "sql", "electronic")
 
 _CSV_HEADER = ["freq_hz", "psd_db", "label", "rbw_hz"]
+
+_ROW = np.dtype([("freq", "f8"), ("psd", "f8"), ("label", "S16"), ("rbw", "f8")])
+_BLANK_LINE = re.compile(rb"\n[ \t\v\f]+(?=\n|\Z)")
+_CONTENT = re.compile(rb"[^\n]")
 
 
 class TraceFormatError(ValueError):
@@ -128,47 +138,49 @@ def parse_traces(text: str) -> dict[str, SpectrumTrace]:
     onto the first label's grid clipped to the common overlap, so
     non-overlapping endpoints are trimmed.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceFormatError("trace file is empty") from None
+    if not text:
+        raise TraceFormatError("trace file is empty")
+    data = text.encode().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # numpy's reader skips empty lines but rejects whitespace-only ones
+    data = _BLANK_LINE.sub(b"\n", data)
+    stream = io.BytesIO(data)
+    header = next(csv.reader([stream.readline().decode()]))
     if [h.strip() for h in header] != _CSV_HEADER:
         raise TraceFormatError(
             f"expected header {','.join(_CSV_HEADER)!r}, got {','.join(header)!r}"
         )
-    rows: dict[str, list[tuple[float, float, float]]] = {}
-    order: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise TraceFormatError(f"line {lineno}: expected 4 columns, got {len(row)}")
-        label = row[2].strip()
-        try:
-            freq, psd, rbw = float(row[0]), float(row[1]), float(row[3])
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: non-numeric value in {row!r}") from None
-        if label not in rows:
-            rows[label] = []
-            order.append(label)
-        rows[label].append((freq, psd, rbw))
-
-    if not rows:
+    if _CONTENT.search(data, stream.tell()) is None:
         raise TraceFormatError("trace file contains no data rows")
+    try:
+        rows = np.loadtxt(
+            stream, _ROW, comments=None, delimiter=",", quotechar='"', ndmin=1, encoding="latin1"
+        )
+    except ValueError as exc:
+        raise _row_error(data, exc) from None
+
+    fields, first, inverse = np.unique(rows["label"], return_index=True, return_inverse=True)
+    # a field that fills its 16 bytes may have been cut short: marked, it
+    # fails the label check rather than read as a shorter label
+    names = [f.decode().strip() + "..." * (len(f) == fields.itemsize) for f in fields.tolist()]
+    labels = list(dict.fromkeys(names[i] for i in np.argsort(first)))  # by first appearance
+    group = np.array([labels.index(name) for name in names])[inverse]
+    # rows of one label ordered by frequency; equal frequencies fail the
+    # duplicate check, so every accepted trace comes out in the order
+    # sorted() gives its (freq, psd, rbw) tuples
+    order = np.lexsort((rows["freq"], group))
+    ends = np.cumsum(np.bincount(group))[:-1]
+    columns = (np.split(rows[key][order], ends) for key in ("freq", "psd", "rbw"))
 
     traces: dict[str, SpectrumTrace] = {}
-    for label in order:
-        entries = sorted(rows[label])
-        freqs = np.array([e[0] for e in entries])
-        psds = np.array([e[1] for e in entries])
-        rbws = {e[2] for e in entries}
-        if len(rbws) != 1:
-            raise TraceFormatError(f"trace {label!r} mixes resolution bandwidths {sorted(rbws)}")
+    for label, freqs, psds, rbws in zip(labels, *columns):
+        if not np.all(rbws == rbws[0]):
+            raise TraceFormatError(
+                f"trace {label!r} mixes resolution bandwidths {sorted(set(rbws.tolist()))}"
+            )
         if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
             raise TraceFormatError(f"trace {label!r} has duplicate frequency points")
         try:
-            traces[label] = SpectrumTrace(freqs, psds, rbws.pop(), label)
+            traces[label] = SpectrumTrace(freqs, psds, float(rbws[0]), label)
         except ValueError as exc:
             raise TraceFormatError(str(exc)) from exc
 
@@ -178,13 +190,27 @@ def parse_traces(text: str) -> dict[str, SpectrumTrace]:
             f"traces use different resolution bandwidths {sorted(rbw_values)}; "
             "re-measure rather than rescale"
         )
-    return _common_grid(traces, order)
+    return _common_grid(traces)
 
 
-def _common_grid(
-    traces: dict[str, SpectrumTrace], order: list[str]
-) -> dict[str, SpectrumTrace]:
-    grids = [traces[label].freq for label in order]
+def _row_error(data: bytes, exc: ValueError) -> TraceFormatError:
+    """csv.reader's error, with its file line, for the row numpy's reader failed on."""
+    match = re.search(r"at row (\d+)", str(exc))
+    if match is None:
+        return TraceFormatError(f"unreadable trace data: {exc}")
+    # numpy counts the rows after the header, skipping empty lines: from 0
+    # when a value does not convert, from 1 when the column count is wrong
+    row = int(match[1]) - (not str(exc).startswith("could not convert"))
+    lines = data.split(b"\n")
+    lineno = [i for i, line in enumerate(lines, start=1) if line][row + 1]
+    fields = next(csv.reader([lines[lineno - 1].decode()]))
+    if len(fields) != len(_CSV_HEADER):
+        return TraceFormatError(f"line {lineno}: expected 4 columns, got {len(fields)}")
+    return TraceFormatError(f"line {lineno}: non-numeric value in {fields!r}")
+
+
+def _common_grid(traces: dict[str, SpectrumTrace]) -> dict[str, SpectrumTrace]:
+    grids = [t.freq for t in traces.values()]
     first = grids[0]
     if all(a.shape == first.shape and np.array_equal(a, first) for a in grids[1:]):
         return traces
@@ -195,11 +221,10 @@ def _common_grid(
         raise TraceFormatError(
             f"trace grids share less than two points (overlap [{lo:g}, {hi:g}] Hz)"
         )
-    out = {}
-    for label in order:
-        t = traces[label]
-        out[label] = SpectrumTrace(target, np.interp(target, t.freq, t.psd), t.rbw, label)
-    return out
+    return {
+        label: SpectrumTrace(target, np.interp(target, t.freq, t.psd), t.rbw, label)
+        for label, t in traces.items()
+    }
 
 
 def load_traces(path) -> dict[str, SpectrumTrace]:

@@ -1,8 +1,10 @@
 """End-to-end command-line checks: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +399,79 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "overflow" in err and "two-photon detuning -10.8 MHz" in err
+
+
+def test_deep_medium_beam_splitter_runs_without_warnings(tmp_path, capsys):
+    # scan points far from the crossing have gains beyond the float range;
+    # they take no part in the crossing or dip search
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[atomic]\ndepth = 1e6\n")
+    code, out, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == (
+        "-16.7484200006,0.223714179705,0.776285820295,1,0.440879338387,-3.55680253714"
+    )
+
+
+def _reference_csv(columns, summary):
+    # the renderer's contract: every cell as _fmt renders it
+    lines = [f"# {key} = {cli._fmt(value)}" for key, value in summary.items()]
+    rows = list(zip(*columns.values()))
+    if rows:
+        lines.append(",".join(columns))
+        lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_render_csv_matches_the_per_cell_format():
+    columns = {
+        "float": [0.1, -0.0, 1.0 / 3.0, 1e-300, float("inf"), float("nan")],
+        "np_float64": [np.float64(x) for x in (2.5, -1e17, 7.0, 1e22, 0.3, 5e-324)],
+        "int": [0, -3, 10**12, 10**12 + 7, 2**63, -(10**15)],
+        "bool": [True, False, True, True, False, np.bool_(True)],
+        "str": ["a", "", "b,c", "%s", "100%", "x y"],
+        "mixed": [1.5, 2, np.float32(0.1), None, True, "7"],
+    }
+    summary = {"flag": True, "count": 10**13, "value": 1.0 / 7.0, "name": "probe"}
+    assert cli._render_csv(columns, summary) == _reference_csv(columns, summary)
+    single = {key: values[:1] for key, values in columns.items()}
+    assert cli._render_csv(single, {}) == _reference_csv(single, {})
+    assert cli._render_csv({"a": [], "b": []}, summary) == _reference_csv({}, summary)
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_analyze_csv_matches_the_golden_file(capsys):
+    # 5 labels in shuffled rows, the conjugate on a shifted grid, an
+    # electronic floor; the expected output is committed byte for byte
+    code, out, err = run(
+        capsys,
+        [
+            "analyze",
+            str(_GOLDEN / "analyze_traces.csv"),
+            "--probe-frac",
+            "1.62",
+            "--conj-frac",
+            "0.68",
+        ],
+    )
+    assert (code, err) == (0, "")
+    assert out == (_GOLDEN / "analyze.csv").read_text()
+
+
+def test_analyze_hashes_the_bytes_it_parses(tmp_path, capsys):
+    trace_path = tmp_path / "traces.csv"
+    _write_trace_file(trace_path)
+    argv = ["analyze", str(trace_path), "--probe-frac", "0.65", "--conj-frac", "0.35"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    assert json.loads(out)["metadata"]["config_sha256"] == digest
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, ["analyze", missing] + argv[2:])
+    assert (code, out) == (2, "")
+    assert missing in err
 
 
 def test_module_entry_point_runs():

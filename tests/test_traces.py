@@ -1,5 +1,10 @@
 """Trace parsing, SQL normalization, and measured twin-beam inference."""
 
+import csv
+import io
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -310,3 +315,155 @@ def test_inference_recovers_a_simulated_cascade():
     )
     assert inferred.figures.c_ab == pytest.approx(res.figures.c_ab, abs=1e-9)
     assert inferred.gemellity == pytest.approx(res.gemellity, abs=1e-9)
+
+
+# Parity of the columnar reader with a row-by-row csv.reader and float()
+# parse: the oracle below is the reader the package used before.
+
+
+def _reference_parse(text):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    rows = {}
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        entry = (float(row[0]), float(row[1]), float(row[3]))
+        rows.setdefault(row[2].strip(), []).append(entry)
+    built = {}
+    for label, entries in rows.items():
+        entries.sort()
+        freq, psd, rbw = zip(*entries)
+        built[label] = SpectrumTrace(np.array(freq), np.array(psd), rbw[0], label)
+    return traces._common_grid(built)
+
+
+def _assert_parses_like_the_reference(text):
+    parsed = traces.parse_traces(text)
+    reference = _reference_parse(text)
+    assert list(parsed) == list(reference)
+    for label, want in reference.items():
+        got = parsed[label]
+        assert got.freq.tobytes() == want.freq.tobytes()
+        assert got.psd.tobytes() == want.psd.tobytes()
+        assert got.rbw == want.rbw
+    return parsed
+
+
+_THREE = [
+    "100000.0,-1.5,probe,30000.0",
+    "200000.0,-2.5,probe,30000.0",
+    "300000.0,-3.5,probe,30000.0",
+]
+
+
+def test_parse_skips_blank_and_whitespace_only_lines():
+    lines = [HEADER, "", _THREE[0], "   ", "\t", _THREE[1], " \t \f", "", _THREE[2], "  "]
+    parsed = _assert_parses_like_the_reference("\n".join(lines) + "\n")
+    assert parsed["probe"].psd.tolist() == [-1.5, -2.5, -3.5]
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_parse_accepts_crlf_and_cr_line_endings(ending):
+    text = ending.join([HEADER, *_THREE]) + ending
+    parsed = traces.parse_traces(text)
+    assert parsed["probe"].freq.tolist() == [1e5, 2e5, 3e5]
+    if ending == "\r\n":
+        _assert_parses_like_the_reference(text)
+
+
+def test_parse_accepts_a_missing_final_newline():
+    _assert_parses_like_the_reference("\n".join([HEADER, *_THREE]))
+
+
+def test_parse_accepts_padded_fields_and_a_quoted_label():
+    lines = [
+        " freq_hz , psd_db ,label, rbw_hz",
+        " 100000.0 , -1.5 ,  probe , 30000.0 ",
+        '200000.0,-2.5,"probe",30000.0',
+        '"300000.0","-3.5"," probe ","30000.0"',
+    ]
+    parsed = _assert_parses_like_the_reference("\n".join(lines) + "\n")
+    assert parsed["probe"].psd.tolist() == [-1.5, -2.5, -3.5]
+
+
+def test_parse_rejects_a_hash_inside_a_field():
+    text = make_text([_THREE[0], "200000.0,-2.5 # dip,probe,30000.0", _THREE[2]])
+    with pytest.raises(TraceFormatError, match="line 3: non-numeric value"):
+        traces.parse_traces(text)
+    with pytest.raises(TraceFormatError, match="unknown trace label 'probe#1'"):
+        traces.parse_traces(make_text(["100000.0,-1.5,probe#1,30000.0"]))
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"], ids=["bare", "newline", "blank"])
+def test_header_only_file_raises_without_a_warning(body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceFormatError, match="contains no data rows"):
+            traces.parse_traces(HEADER + "\n" + body)
+    with pytest.raises(TraceFormatError, match="trace file is empty"):
+        traces.parse_traces("")
+
+
+@pytest.mark.parametrize("blanks", [0, 3])
+def test_row_errors_name_the_file_line(blanks):
+    # csv.reader's messages, with the header as line 1 and blank lines counted
+    lines = [HEADER, _THREE[0]] + ["  "] * blanks + [_THREE[1]]
+    bad = len(lines) + 1
+    cases = {
+        "2e5,-2.5,probe": f"line {bad}: expected 4 columns, got 3",
+        "2e5,-2.5,probe,1,2": f"line {bad}: expected 4 columns, got 5",
+        "2e5,loud,probe,30000.0": (
+            f"line {bad}: non-numeric value in ['2e5', 'loud', 'probe', '30000.0']"
+        ),
+        "2e5, ,probe,30000.0": (
+            f"line {bad}: non-numeric value in ['2e5', ' ', 'probe', '30000.0']"
+        ),
+        "2_000,-2.5,probe,30000.0": (
+            f"line {bad}: non-numeric value in ['2_000', '-2.5', 'probe', '30000.0']"
+        ),
+    }
+    for row, message in cases.items():
+        text = "\n".join(lines + [row, _THREE[2]]) + "\n"
+        with pytest.raises(TraceFormatError) as info:
+            traces.parse_traces(text)
+        assert str(info.value) == message
+    with pytest.raises(TraceFormatError, match=r"^line 2: expected 4 columns, got 1$"):
+        traces.parse_traces(make_text(["# a comment line"]))
+    with pytest.raises(TraceFormatError, match=r"^line 2: non-numeric value"):
+        traces.parse_traces(make_text(["1e5,-1,probe,nope"]))
+
+
+@pytest.mark.parametrize(
+    "label, shown",
+    [
+        ("difference" * 4, "differencediffer"),
+        ("probe" + " " * 20 + "x", "probe"),
+        ("sql" + " " * 13, "sql"),
+    ],
+    ids=["long", "padded", "wide"],
+)
+def test_over_long_labels_are_rejected(label, shown):
+    # a label field of 16 bytes or more may have been cut; however it is
+    # padded, it never reads as a valid label
+    text = make_text(_THREE, [f"400000.0,-4.5,{label},30000.0"])
+    with pytest.raises(TraceFormatError, match=re.escape(f"unknown trace label '{shown}...'")):
+        traces.parse_traces(text)
+
+
+def test_parse_matches_the_reference_on_a_shuffled_two_grid_file():
+    rng = np.random.default_rng(11)
+    base = np.sort(rng.uniform(1e5, 1e7, 2500))
+    shifted = base + rng.uniform(0.0, 2e3)
+    formats = ("{!r}", "{:.3f}", "{:.10e}", "{:g}", "{:.7f}")
+    lines = []
+    grids = {"difference": base, "probe": base, "conjugate": shifted, "sql": base}
+    for label, grid in grids.items():
+        psd = rng.normal(-70.0, 8.0, grid.size)
+        for f, p in zip(grid.tolist(), psd.tolist()):
+            fmt = formats[int(rng.integers(len(formats)))]
+            lines.append(f"{f!r},{fmt.format(p)},{label},30000.0")
+    rng.shuffle(lines)
+    parsed = _assert_parses_like_the_reference("\n".join([HEADER, *lines]) + "\n")
+    assert len(parsed) == 4
+    assert parsed["conjugate"].freq.size < base.size  # resampled onto the overlap
