@@ -55,7 +55,6 @@ __all__ = [
     "GainCurve",
     "BeamSplitterPoint",
     "DegenerateSteadyStateError",
-    "ResponseSingularError",
     "NoCrossingError",
     "steady_state",
     "liouvillian",
@@ -65,22 +64,14 @@ __all__ = [
     "pair_output",
     "find_raman_dip",
     "find_beam_splitter_point",
-    "vapor_density",
-    "optical_depth",
     "params_from_mapping",
 ]
 
 TWO_PI = 2.0 * np.pi
-BOLTZMANN = 1.380649e-23  # J/K, exact in the SI
-ATMOSPHERE = 101325.0  # Pa, the standard atmosphere
 
 
 class DegenerateSteadyStateError(RuntimeError):
     """The Lindblad generator has no unique steady state."""
-
-
-class ResponseSingularError(RuntimeError):
-    """The sideband linear system is singular at this detuning."""
 
 
 class NoCrossingError(RuntimeError):
@@ -341,21 +332,14 @@ def steady_state(p: AtomicParams) -> np.ndarray:
 _GRID_BLOCK = 32
 
 
-def _pair_block_stack(
-    p: AtomicParams, deltas: np.ndarray, analysis_offset: float
-) -> np.ndarray:
-    gamma = p.excited_decay_rate
+def _pair_block_stack(p: AtomicParams, deltas: np.ndarray) -> np.ndarray:
     gen = _liouvillians(p, deltas)
     rho0, error = _steady_states(gen, deltas)
     n = len(rho0)
-    system = gen[:n][_SECTOR] + 1j * (analysis_offset / gamma) * np.eye(4)
-    # At zero offset the sector is a diagonal block of the generator, so
-    # once the degeneracy check has passed its condition number
-    # sing_odd[0]/sing_odd[-1] is at most top/second < 1e10.
-    if analysis_offset != 0.0:
-        bad = _first(np.linalg.cond(system) > 1e12)
-        if bad < n:
-            raise ResponseSingularError(f"sideband response singular {_at(deltas, bad)}")
+    # the sector is a diagonal block of the generator, so once the
+    # degeneracy check has passed its condition number
+    # sing_odd[0]/sing_odd[-1] is at most top/second < 1e10
+    system = gen[:n][_SECTOR]
     if error is not None:
         raise error
 
@@ -375,9 +359,7 @@ def _pair_block_stack(
     return block
 
 
-def sideband_blocks(
-    p: AtomicParams, delta_grid: np.ndarray, analysis_offset: float = 0.0
-) -> np.ndarray:
+def sideband_blocks(p: AtomicParams, delta_grid: np.ndarray) -> np.ndarray:
     """Pair blocks of `sideband_response` for every detuning of a grid.
 
     Returns an (N, 2, 2) stack; entry i equals
@@ -393,20 +375,18 @@ def sideband_blocks(
     blocks = np.empty((deltas.size, 2, 2), dtype=complex)
     for start in range(0, deltas.size, _GRID_BLOCK):
         part = slice(start, start + _GRID_BLOCK)
-        blocks[part] = _pair_block_stack(p, deltas[part], analysis_offset)
+        blocks[part] = _pair_block_stack(p, deltas[part])
     return blocks
 
 
-def sideband_response(p: AtomicParams, analysis_offset: float = 0.0) -> CouplingMatrix:
-    """Linear response of the dressed atom to weak probe/conjugate fields.
+def sideband_response(p: AtomicParams) -> CouplingMatrix:
+    """Quasi-static linear response of the dressed atom to weak
+    probe/conjugate fields, the response that sets the gain curves.
 
-    analysis_offset is the angular sideband frequency relative to the
-    nominal probe/conjugate pair; zero gives the quasi-static response
-    that sets the gain curves.  The returned generator is scaled by
-    the optical depth and applies per unit normalized medium length.
+    The returned generator is scaled by the optical depth and applies
+    per unit normalized medium length.
     """
-    block = sideband_blocks(p, np.array([p.two_photon_detuning]), analysis_offset)[0]
-    return CouplingMatrix(block)
+    return CouplingMatrix(sideband_blocks(p, np.array([p.two_photon_detuning]))[0])
 
 
 def _classical_gains(p: AtomicParams, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,11 +412,9 @@ def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
     return GainCurve(delta_grid, probe, conj)
 
 
-def pair_output(
-    p: AtomicParams, analysis_offset: float = 0.0
-) -> propagation.PropagationResult:
+def pair_output(p: AtomicParams) -> propagation.PropagationResult:
     """Full quantum output of the medium at one operating point."""
-    return propagation.propagate_coupling(sideband_response(p, analysis_offset).pair_block)
+    return propagation.propagate_coupling(sideband_response(p).pair_block)
 
 
 _DEFAULT_WINDOW = (-TWO_PI * 150e6, TWO_PI * 50e6)
@@ -522,8 +500,10 @@ def find_beam_splitter_point(
     _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
     probe, conj = _classical_gains(p, grid)
-    # signs of the flux balance; a point whose gains overflowed has none
-    balance = np.where(np.isfinite(probe + conj), np.sign(probe + conj - 1.0), 0.0)
+    # signs of the flux balance; a point whose gains overflowed has none, and
+    # each gain is capped at 2, which keeps the sign, so that no sum overflows
+    total = np.minimum(probe, 2.0) + np.minimum(conj, 2.0)
+    balance = np.where(np.isfinite(probe) & np.isfinite(conj), np.sign(total - 1.0), 0.0)
     crossings = np.nonzero(balance[:-1] * balance[1:] < 0.0)[0]
     if crossings.size == 0:
         raise NoCrossingError(
@@ -548,27 +528,6 @@ def find_beam_splitter_point(
         gemellity=result.gemellity,
         gemellity_db=result.gemellity_db,
     )
-
-
-def vapor_density(t_celsius: float) -> float:
-    """Saturated rubidium number density in atoms per cubic centimeter.
-
-    Standard liquid-phase vapor-pressure correlation,
-    log10(p/atm) = 4.312 - 4040/T.  Valid for cell temperatures
-    between 20 and 200 Celsius.
-    """
-    if not 20.0 <= t_celsius <= 200.0:
-        raise ValueError(
-            f"temperature {t_celsius} C outside the correlation range [20, 200] C"
-        )
-    t_kelvin = t_celsius + 273.15
-    pressure = ATMOSPHERE * 10.0 ** (4.312 - 4040.0 / t_kelvin)
-    return pressure / (BOLTZMANN * t_kelvin) * 1e-6
-
-
-def optical_depth(density: float, cross_section: float, length: float) -> float:
-    """Dimensionless depth = density (cm^-3) x cross section (cm^2) x length (cm)."""
-    return density * cross_section * length
 
 
 _PARAM_KEYS = {

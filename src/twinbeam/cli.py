@@ -27,8 +27,8 @@ from . import __version__, atomic, lumped, propagation, traces
 from .configio import (
     ConfigError,
     angular_from_mhz,
-    load_sections,
     mhz_from_angular,
+    parse_sections,
     section_float,
     section_int,
 )
@@ -44,8 +44,12 @@ _KNOWN_SECTIONS = {"atomic", "sweep", "window", "search"}
 def _load_config(path: str | None) -> tuple[dict[str, dict[str, str]], str | None]:
     if path is None:
         return {}, None
+    config = Path(path)
+    if not config.is_file():
+        raise ConfigError(f"configuration file not found: {config}")
+    raw = config.read_bytes()  # one read, hashed and parsed
     sections: dict[str, dict[str, str]] = {}
-    for name, mapping in load_sections(path):
+    for name, mapping in parse_sections(raw.decode()):
         if name not in _KNOWN_SECTIONS:
             raise ConfigError(
                 f"unknown section [{name}] in {path}; "
@@ -54,7 +58,7 @@ def _load_config(path: str | None) -> tuple[dict[str, dict[str, str]], str | Non
         if name in sections:
             raise ConfigError(f"duplicate section [{name}] in {path}")
         sections[name] = mapping
-    return sections, hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return sections, hashlib.sha256(raw).hexdigest()
 
 
 def _check_keys(mapping: dict[str, str], section: str, allowed: set[str]) -> None:

@@ -3,7 +3,7 @@
 The on-disk format is deliberately plain: `[section]` headers followed
 by `key = value` lines, `#` or `;` comments, blank lines ignored.
 Unlike configparser, repeated section names are preserved in order,
-which profile files use for their `[segment]` blocks.
+so that a caller can reject them by name.
 
 All frequencies in configuration files are plain frequencies in MHz
 (or kHz where the key says so).  `angular_from_mhz` and
@@ -14,12 +14,10 @@ angular frequencies for the model layer.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 __all__ = [
     "ConfigError",
     "parse_sections",
-    "load_sections",
     "section_float",
     "section_int",
     "angular_from_mhz",
@@ -65,13 +63,6 @@ def parse_sections(text: str) -> list[tuple[str, dict[str, str]]]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in section")
         current[key] = value
     return sections
-
-
-def load_sections(path) -> list[tuple[str, dict[str, str]]]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"configuration file not found: {p}")
-    return parse_sections(p.read_text())
 
 
 def section_float(

@@ -32,7 +32,6 @@ __all__ = [
     "OptimumResult",
     "cascade",
     "cascade_state",
-    "probe_loss_balancing_curve",
     "constrain_unit_transmission",
     "optimize_unit_transmission",
 ]
@@ -111,19 +110,6 @@ def cascade_state(config: LumpedConfig) -> gaussian.CovarianceState:
         gaussian.amplifier_channel(config.gain),
     )
     return gaussian.apply(channel, gaussian.coherent_input(1.0))
-
-
-def probe_loss_balancing_curve(gain: float, probe_transmissions) -> np.ndarray:
-    """Flux-weighted difference noise versus probe attenuation at T_b = 1.
-
-    Attenuating the brighter probe rebalances the beams: the curve has
-    an interior minimum below the untouched value for moderate gain.
-    """
-    out = []
-    for ta in np.atleast_1d(probe_transmissions):
-        res = cascade(LumpedConfig(gain, float(ta), 1.0))
-        out.append(res.diff_noise)
-    return np.array(out)
 
 
 def constrain_unit_transmission(gain: float, conj_transmission: float) -> float:

@@ -27,11 +27,9 @@ __all__ = [
     "noise_figures",
     "gemellity",
     "gemellity_db",
-    "balanced_difference_noise",
     "weighted_difference_noise",
     "optimal_weights",
     "infer_from_measurement",
-    "electronic_noise_correction",
 ]
 
 _VARIANCE_FLOOR = 1e-12
@@ -113,12 +111,6 @@ def gemellity_db(figures: NoiseFigures) -> float:
     return db_from_linear(gemellity(figures))
 
 
-def balanced_difference_noise(figures: NoiseFigures) -> float:
-    """Noise of (X_a - X_b)/sqrt(2), the equal-weight difference."""
-    fa, fb, c = figures.f_a, figures.f_b, figures.c_ab
-    return (fa + fb) / 2.0 - c * np.sqrt(fa * fb)
-
-
 def weighted_difference_noise(figures: NoiseFigures, p_a: float, p_b: float) -> float:
     """Intensity-difference noise for beam powers p_a, p_b, relative to
     the SQL of the total detected power."""
@@ -193,18 +185,3 @@ def infer_from_measurement(
     figures = NoiseFigures(fa, fb, float(np.clip(c, -1.0, 1.0)))
     g = gemellity(figures)
     return InferenceResult(figures, float(g), db_from_linear(g))
-
-
-def electronic_noise_correction(raw_db: float, floor_db: float | None = None) -> float:
-    """Subtract an electronic noise floor in linear power units.
-
-    A floor of None means no correction.  The floor must lie strictly
-    below the raw level.
-    """
-    if floor_db is None:
-        return raw_db
-    if floor_db >= raw_db:
-        raise ValueError(
-            f"noise floor {floor_db} dB is not below the raw level {raw_db} dB"
-        )
-    return db_from_linear(linear_from_db(raw_db) - linear_from_db(floor_db))

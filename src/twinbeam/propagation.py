@@ -49,13 +49,12 @@ slab width).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import gaussian
-from .configio import ConfigError, parse_sections, section_float
 from .metrics import (
     NoiseFigures,
     _flux_weighted_difference_noise,
@@ -78,10 +77,6 @@ __all__ = [
     "propagate_coupling",
     "refine_until_converged",
     "search_beyond_lumped_limit",
-    "profile_from_text",
-    "profile_to_text",
-    "load_profile",
-    "save_profile",
 ]
 
 _MAX_SQUEEZE_PER_SLAB = 0.5
@@ -164,6 +159,9 @@ class SearchResult:
     evaluations: int
 
 
+_LOG_MAX = math.log(sys.float_info.max)  # e^x leaves the float range beyond this x
+
+
 def _expm2x2(blocks: np.ndarray) -> np.ndarray:
     """e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in closed form.
 
@@ -174,6 +172,12 @@ def _expm2x2(blocks: np.ndarray) -> np.ndarray:
     with the sign of s that keeps s - h free of cancellation, so a small
     eigenvalue next to a large one keeps its digits; near s = 0, sinh(s)/s
     is a series.  Each entry's arithmetic is independent of the stack.
+
+    Every intermediate of a point is at most e^x 4 k, with x the largest
+    real part of its exponents and k the largest of 1, |b01|, |b10|, |h|
+    and, for |s| > 1/2, |t| and |s - h|.  A point where that bound leaves
+    the float range gets inf entries, computed from 0 in place of its
+    exponents, so that no operation overflows.
     """
     b00, b01, b10, b11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
     m, h, q = 0.5 * (b00 + b11), 0.5 * (b00 - b11), b01 * b10
@@ -184,18 +188,25 @@ def _expm2x2(blocks: np.ndarray) -> np.ndarray:
     far = np.abs(s) > 0.5
     sf, hf = s[far], h[far]
     t = q[far] / (sf - hf)
-    up, down = np.exp(b11[far] + t), np.exp(b00[far] - t)
+    x_up, x_down = b11[far] + t, b00[far] - t
+    k = np.maximum(np.maximum(np.abs(b01), np.abs(b10)), np.maximum(np.abs(h), 1.0))
+    kf = np.maximum(k[far], np.maximum(np.abs(t), np.abs(sf - hf)))
+    over = np.empty(s.shape, dtype=bool)
+    over[far] = np.maximum(x_up.real, x_down.real) + np.log(4.0 * kf) > _LOG_MAX
+    up, down = np.exp(np.where(over[far], 0.0, x_up)), np.exp(np.where(over[far], 0.0, x_down))
     d[far] = (up - down) / (2.0 * sf)
     e00[far] = (t * up + (sf - hf) * down) / (2.0 * sf)
     e11[far] = ((sf - hf) * up + t * down) / (2.0 * sf)
     near = ~far
-    sn, em = s[near], np.exp(m[near])
+    over[near] = m[near].real + np.log(4.0 * k[near]) > _LOG_MAX
+    sn, em = s[near], np.exp(np.where(over[near], 0.0, m[near]))
     tiny = np.abs(sn) < 1e-4
     sinhc = np.where(tiny, 1.0 + sn * sn / 6.0, np.sinh(sn) / np.where(tiny, 1.0, sn))
     d[near], c = em * sinhc, em * np.cosh(sn)
     e00[near], e11[near] = c + h[near] * d[near], c - h[near] * d[near]
     out = np.empty_like(blocks)
     out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
+    out[over] = np.inf
     return out
 
 
@@ -656,52 +667,3 @@ def search_beyond_lumped_limit(
         and abs(result.sum_transmission - 1.0) <= feasibility_tol
     )
     return SearchResult(profile, result, bool(found), evaluations)
-
-
-def profile_from_text(text: str) -> SlabProfile:
-    """Parse repeated [segment] blocks with keys dz, g, alpha_a, alpha_b."""
-    sections = parse_sections(text)
-    if not sections:
-        raise ConfigError("profile file contains no [segment] blocks")
-    slabs = []
-    for name, mapping in sections:
-        if name != "segment":
-            raise ConfigError(f"unexpected section [{name}] in profile file")
-        extra = set(mapping) - {"dz", "g", "alpha_a", "alpha_b"}
-        if extra:
-            raise ConfigError(f"unknown profile keys: {sorted(extra)}")
-        try:
-            slabs.append(
-                Slab(
-                    dz=section_float(mapping, name, "dz"),
-                    g=section_float(mapping, name, "g"),
-                    alpha_a=section_float(mapping, name, "alpha_a"),
-                    alpha_b=section_float(mapping, name, "alpha_b"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid [segment] block: {exc}") from exc
-    return SlabProfile(tuple(slabs))
-
-
-def profile_to_text(profile: SlabProfile) -> str:
-    lines = []
-    for slab in profile.slabs:
-        lines.append("[segment]")
-        lines.append(f"dz = {slab.dz!r}")
-        lines.append(f"g = {slab.g!r}")
-        lines.append(f"alpha_a = {slab.alpha_a!r}")
-        lines.append(f"alpha_b = {slab.alpha_b!r}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def load_profile(path) -> SlabProfile:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"profile file not found: {p}")
-    return profile_from_text(p.read_text())
-
-
-def save_profile(profile: SlabProfile, path) -> None:
-    Path(path).write_text(profile_to_text(profile))

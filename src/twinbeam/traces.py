@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -35,12 +35,9 @@ __all__ = [
     "SpectrumTrace",
     "PowerRecord",
     "TraceAnalysis",
-    "load_traces",
     "parse_traces",
     "normalize_to_sql",
-    "band_statistic",
     "band_minimum",
-    "measured_gemellity",
     "analyze_traces",
 ]
 
@@ -80,8 +77,10 @@ class SpectrumTrace:
             raise ValueError(f"{self.label}: frequencies must be strictly increasing")
         if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(psd))):
             raise ValueError(f"{self.label}: trace values must be finite")
-        if self.rbw <= 0.0:
-            raise ValueError(f"resolution bandwidth must be positive, got {self.rbw}")
+        if not (math.isfinite(self.rbw) and self.rbw > 0.0):
+            raise ValueError(
+                f"{self.label}: resolution bandwidth must be finite and positive, got {self.rbw}"
+            )
         if self.label not in TRACE_LABELS:
             raise ValueError(
                 f"unknown trace label {self.label!r}; expected one of {TRACE_LABELS}"
@@ -173,14 +172,17 @@ def parse_traces(text: str) -> dict[str, SpectrumTrace]:
 
     traces: dict[str, SpectrumTrace] = {}
     for label, freqs, psds, rbws in zip(labels, *columns):
-        if not np.all(rbws == rbws[0]):
+        finite = np.isfinite(rbws)
+        if finite.all() and not np.all(rbws == rbws[0]):
             raise TraceFormatError(
                 f"trace {label!r} mixes resolution bandwidths {sorted(set(rbws.tolist()))}"
             )
         if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
             raise TraceFormatError(f"trace {label!r} has duplicate frequency points")
+        # the first non-finite RBW, if any, for SpectrumTrace to reject by name
+        rbw = float(rbws[np.argmin(finite)])
         try:
-            traces[label] = SpectrumTrace(freqs, psds, float(rbws[0]), label)
+            traces[label] = SpectrumTrace(freqs, psds, rbw, label)
         except ValueError as exc:
             raise TraceFormatError(str(exc)) from exc
 
@@ -227,13 +229,6 @@ def _common_grid(traces: dict[str, SpectrumTrace]) -> dict[str, SpectrumTrace]:
     }
 
 
-def load_traces(path) -> dict[str, SpectrumTrace]:
-    p = Path(path)
-    if not p.is_file():
-        raise TraceFormatError(f"trace file not found: {p}")
-    return parse_traces(p.read_text())
-
-
 def _require_common_grid(*traces: SpectrumTrace) -> None:
     first = traces[0]
     for t in traces[1:]:
@@ -277,21 +272,6 @@ def normalize_to_sql(
     return SpectrumTrace(trace.freq, 10.0 * np.log10(signal / reference), trace.rbw, trace.label)
 
 
-def band_statistic(
-    trace: SpectrumTrace, f_lo: float, f_hi: float, statistic: str = "min"
-) -> float:
-    """Named statistic (min or mean) of the trace over [f_lo, f_hi]."""
-    if statistic not in ("min", "mean"):
-        raise ValueError(f"statistic must be 'min' or 'mean', got {statistic!r}")
-    mask = (trace.freq >= f_lo) & (trace.freq <= f_hi)
-    if not np.any(mask):
-        raise ValueError(
-            f"band [{f_lo:g}, {f_hi:g}] Hz contains no points of trace {trace.label!r}"
-        )
-    values = trace.psd[mask]
-    return float(values.min() if statistic == "min" else values.mean())
-
-
 def band_minimum(trace: SpectrumTrace, f_lo: float, f_hi: float) -> tuple[float, float]:
     """(frequency, value) of the trace minimum over [f_lo, f_hi]."""
     mask = (trace.freq >= f_lo) & (trace.freq <= f_hi)
@@ -302,15 +282,6 @@ def band_minimum(trace: SpectrumTrace, f_lo: float, f_hi: float) -> tuple[float,
     sub = np.nonzero(mask)[0]
     i = sub[np.argmin(trace.psd[sub])]
     return float(trace.freq[i]), float(trace.psd[i])
-
-
-def measured_gemellity(
-    diff_db: float, probe_db: float, conj_db: float, powers: PowerRecord
-) -> InferenceResult:
-    """Scalar twin-beam inference from SQL-normalized values at one frequency."""
-    return infer_from_measurement(
-        diff_db, probe_db, conj_db, powers.probe_frac, powers.conj_frac
-    )
 
 
 _DEFAULT_BAND = (0.5e6, 5e6)
@@ -357,5 +328,7 @@ def analyze_traces(
         diff_db=diff_db,
         probe_db=probe_db,
         conj_db=conj_db,
-        inference=measured_gemellity(diff_db, probe_db, conj_db, powers),
+        inference=infer_from_measurement(
+            diff_db, probe_db, conj_db, powers.probe_frac, powers.conj_frac
+        ),
     )

@@ -187,6 +187,7 @@ def test_beat_limit_seeded_run_is_reproducible(tmp_path, capsys):
     doc = json.loads(outputs[0])
     jsonschema.validate(doc, JSON_SCHEMA)
     assert doc["metadata"]["seed"] == 123
+    assert doc["metadata"]["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
     assert doc["summary"]["found"] is True
     assert doc["summary"]["gemellity_dB"] < -2.8
     assert abs(doc["summary"]["sum"] - 1.0) <= 0.01
@@ -339,7 +340,7 @@ def test_analyze_honors_an_explicit_frequency(tmp_path, capsys):
 def test_validation_failures_exit_with_2(tmp_path, capsys):
     code, _, err = run(capsys, ["lumped-optimize", "--config", "/nonexistent.cfg"])
     assert code == 2
-    assert "error:" in err
+    assert err == "error: configuration file not found: /nonexistent.cfg\n"
 
     cfg = tmp_path / "bad_section.cfg"
     cfg.write_text("[mystery]\nkey = 1\n")
@@ -399,18 +400,47 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "overflow" in err and "two-photon detuning -10.8 MHz" in err
+    # every scan point's gains leave the float range, so none has a sign
+    cfg.write_text("[atomic]\ndepth = 1e12\n")
+    code, out, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: no flux-neutral crossing in the window [-9.424778e+08, 3.141593e+08] rad/s\n"
+    )
 
 
-def test_deep_medium_beam_splitter_runs_without_warnings(tmp_path, capsys):
-    # scan points far from the crossing have gains beyond the float range;
-    # they take no part in the crossing or dip search
+_DEEP_1E6_ROW = "-16.7484200006,0.223714179705,0.776285820295,1,0.440879338387,-3.55680253714"
+
+
+@pytest.mark.parametrize(
+    "config, row",
+    [
+        ("[atomic]\ndepth = 1e6\n", _DEEP_1E6_ROW),
+        (
+            "[atomic]\ndepth = 1e7\n",
+            "-20.7633412384,0.150149227172,0.849850772833,1,0.655857827684,-1.83190293771",
+        ),
+        (
+            "[atomic]\ndepth = 1e9\n",
+            "28.6591669715,0.601515763195,0.398484236937,1.00000000013,0.2467693067,"
+            "-6.07708859062",
+        ),
+        # a scan whose flux balances would sum finite gains past the float range
+        (
+            "[atomic]\ndepth = 1e6\n[window]\nmin_MHz = -300\nmax_MHz = 100\npoints = 401\n",
+            _DEEP_1E6_ROW,
+        ),
+    ],
+    ids=["1e6", "1e7", "1e9", "1e6-wide"],
+)
+def test_deep_medium_beam_splitter_runs_without_warnings(tmp_path, capsys, config, row):
+    # scan points far from the crossing have gains, or exponentials, beyond
+    # the float range; they take no part in the crossing or dip search
     cfg = tmp_path / "deep.cfg"
-    cfg.write_text("[atomic]\ndepth = 1e6\n")
+    cfg.write_text(config)
     code, out, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
     assert (code, err) == (0, "")
-    assert out.splitlines()[1] == (
-        "-16.7484200006,0.223714179705,0.776285820295,1,0.440879338387,-3.55680253714"
-    )
+    assert out.splitlines()[1] == row
 
 
 def _reference_csv(columns, summary):

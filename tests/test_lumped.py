@@ -61,7 +61,9 @@ def test_probe_attenuation_has_an_interior_optimum():
     # trimming the brighter probe balances the pair and lowers the
     # flux-weighted difference noise below the untouched value
     tas = np.linspace(0.3, 1.0, 141)
-    curve = lumped.probe_loss_balancing_curve(1.23, tas)
+    curve = np.array(
+        [lumped.cascade(lumped.LumpedConfig(1.23, float(ta), 1.0)).diff_noise for ta in tas]
+    )
     k = int(np.argmin(curve))
     assert 0 < k < len(tas) - 1
     assert curve[k] < curve[-1] - 1e-4

@@ -51,14 +51,6 @@ def test_gemellity_of_uncorrelated_vacuum_is_one():
     assert metrics.gemellity_db(fig) == 0.0
 
 
-def test_balanced_equals_weighted_at_equal_powers():
-    fig = metrics.NoiseFigures(1.4, 2.3, 0.6)
-    assert np.isclose(
-        metrics.balanced_difference_noise(fig),
-        metrics.weighted_difference_noise(fig, 0.5, 0.5),
-    )
-
-
 def test_weighted_difference_noise_power_validation():
     fig = metrics.NoiseFigures(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -150,19 +142,3 @@ def test_inference_round_trips_states(gain, ta, tb):
     )
     assert abs(res.figures.c_ab - fig.c_ab) < 1e-9
     assert abs(res.gemellity - metrics.gemellity(fig)) < 1e-9
-
-
-def test_electronic_noise_correction_frozen_value():
-    assert abs(
-        metrics.electronic_noise_correction(-9.0, -20.0) - (-9.359445142422688)
-    ) < 1e-12
-
-
-def test_electronic_noise_correction_without_floor():
-    assert metrics.electronic_noise_correction(-9.0, None) == -9.0
-    assert metrics.electronic_noise_correction(-9.0) == -9.0
-
-
-def test_electronic_noise_correction_floor_above_signal():
-    with pytest.raises(ValueError):
-        metrics.electronic_noise_correction(-9.0, -8.0)

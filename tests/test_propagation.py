@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbeam import atomic, gaussian, lumped, propagation
-from twinbeam.configio import ConfigError, angular_from_mhz
+from twinbeam.configio import angular_from_mhz
 from twinbeam.propagation import Slab, SlabProfile
 
 
@@ -329,6 +329,22 @@ def test_closed_form_2x2_exponential_is_exact_at_zero():
     assert np.array_equal(propagation._expm2x2(np.zeros((1, 2, 2), complex))[0], np.eye(2))
 
 
+def test_closed_form_2x2_exponential_marks_points_beyond_the_float_range():
+    # exponents from moderate to far past the float range: no operation
+    # overflows (pytest makes the warning an error), a point beyond the range
+    # is all inf, and every other point keeps its stack-of-one bits
+    rng = np.random.default_rng(12)
+    scale = np.logspace(0.0, 3.0, 400)[:, None, None]
+    blocks = (rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2))) * scale
+    e = propagation._expm2x2(blocks)
+    over = ~np.isfinite(e).all(axis=(1, 2))
+    assert 0 < over.sum() < 400
+    assert np.all(e[over] == np.inf)
+    for block, got in zip(blocks[~over][::10], e[~over][::10]):
+        assert np.array_equal(got, propagation._expm2x2(block[None])[0])
+        _assert_close_to_exp(got, block)
+
+
 @pytest.mark.parametrize("norm", [1e-3, 0.5, 5.0, 20.0, 80.0])
 def test_pade_exponential_matches_a_50_digit_reference(norm):
     # unscaled up to the Pade-13 bound 5.37, scaled and squared beyond it
@@ -550,7 +566,7 @@ def _default_beam_splitter_block():
     p = atomic.params_from_mapping({})
     point = atomic.find_beam_splitter_point(p)
     return atomic.sideband_response(
-        dataclasses.replace(p, two_photon_detuning=point.delta), 0.0
+        dataclasses.replace(p, two_photon_detuning=point.delta)
     ).pair_block, point
 
 
@@ -660,39 +676,3 @@ def test_search_validates_arguments():
     for n_segments in (1, 2):
         with pytest.raises(ValueError, match="restarts"):
             propagation.search_beyond_lumped_limit(n_segments=n_segments, restarts=0)
-
-
-def test_profile_text_round_trip(tmp_path):
-    profile = SlabProfile(
-        (Slab(0.5, 1.25, 0.0, 0.125), Slab(0.5, 0.0, 0.7311, 0.0))
-    )
-    text = propagation.profile_to_text(profile)
-    assert propagation.profile_from_text(text) == profile
-    path = tmp_path / "profile.cfg"
-    propagation.save_profile(profile, path)
-    assert propagation.load_profile(path) == profile
-
-
-def test_profile_parsing_errors():
-    with pytest.raises(ConfigError):
-        propagation.profile_from_text("")
-    with pytest.raises(ConfigError):
-        propagation.profile_from_text("[medium]\ndz = 1\n")
-    with pytest.raises(ConfigError):
-        propagation.profile_from_text(
-            "[segment]\ndz = 1\ng = 0\nalpha_a = 0\nalpha_b = 0\nwidth = 2\n"
-        )
-    with pytest.raises(ConfigError):
-        # alpha_b missing
-        propagation.profile_from_text("[segment]\ndz = 1\ng = 0\nalpha_a = 0\n")
-    with pytest.raises(ConfigError):
-        propagation.profile_from_text(
-            "[segment]\ndz = fast\ng = 0\nalpha_a = 0\nalpha_b = 0\n"
-        )
-    with pytest.raises(ConfigError):
-        # negative length is rejected at the dataclass level and rewrapped
-        propagation.profile_from_text(
-            "[segment]\ndz = -1\ng = 0\nalpha_a = 0\nalpha_b = 0\n"
-        )
-    with pytest.raises(ConfigError):
-        propagation.load_profile("/nonexistent/profile.cfg")
