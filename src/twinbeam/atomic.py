@@ -12,20 +12,26 @@ emitting one probe and one conjugate photon.
 The pump-dressed steady state of the Lindblad generator is computed
 exactly.  The generator conserves manifold parity, so it splits into an
 8-dimensional even sector, where the state lives, and the sideband
-coherences; the state is one 8x8 solve of the even block bordered by
-the trace functional.  Weak sidebands are then treated in linear
-response, a 4x4 solve in the sideband sector, which yields a complex
+coherences.  The two-photon detuning enters it only on the diagonal
+and linearly, and not at all in the even block: so the state does not
+depend on the detuning, and it is one 8x8 solve of the even block
+bordered by the trace functional.  Weak sidebands are then treated in
+linear response, a 4x4 solve in the sideband sector, whose diagonal is
+that at zero detuning shifted by -i delta/Gamma; this yields a complex
 2x2 generator per unit medium length for the co-propagating pair
-(probe annihilation, conjugate creation).  The
-classical gains are the exact mean-field transfer e^generator, from the
-closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
+(probe annihilation, conjugate creation).  Each public call builds the
+detuning-independent even block and sector once, from one 16x16
+generator, and every point of its scans and root search reuses them.
+The classical gains are the exact mean-field transfer e^generator, from
+the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling` turns the same
 generator into the exact quantum noise output through the pair map
-(M, Q), one 4x4 complex Van Loan exponential.  Detuning scans solve
-their grid in stacked numpy calls, a fixed block of detunings at a
-time, with the same arithmetic per point as a single-point call.  The
-flux-neutral point is polished by `_illinois`, a bracketed regula falsi
-run until its ends are adjacent floats, so numpy is the only dependency.
+(M, Q), whose M is that exponential and whose Q comes from one 4x4
+complex Van Loan exponential.  Detuning scans solve their grid in
+stacked numpy calls, a fixed block of detunings at a time, with the
+same arithmetic per point as a single-point call.  The flux-neutral
+point is polished by `_illinois`, a bracketed regula falsi run until
+its ends are adjacent floats, so numpy is the only dependency.
 
 The probe gain curve shows a deep Raman absorption dip at negative
 two-photon detuning; the pump light shift moves the dip by roughly
@@ -40,7 +46,6 @@ normalized by the excited-state decay rate.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -247,8 +252,8 @@ def _first(bad: np.ndarray) -> int:
 # sector holds the sideband coherences driven by the probe and
 # conjugate fields, (row, column) slots (1,0), (2,0), (1,3), (2,3), and
 # their complex conjugates, each set mapped into itself.  Solving inside
-# a sector is exact and keeps the per-detuning cost at an 8x8 solve for
-# the state and a 4x4 solve for the response.
+# a sector is exact and keeps the cost at an 8x8 solve for the state and
+# a 4x4 solve per detuning for the response.
 _EVEN_INDICES = [k for k in range(16) if (k % 4 in (1, 2)) == (k // 4 in (1, 2))]
 _EVEN = (slice(None), np.array(_EVEN_INDICES)[:, None], np.array(_EVEN_INDICES))
 _TRACE = np.array([1.0 if k % 5 == 0 else 0.0 for k in _EVEN_INDICES])
@@ -257,54 +262,76 @@ _SECTOR_SLOTS = ((1, 0), (2, 0), (1, 3), (2, 3))
 _SECTOR_INDICES = [row + 4 * col for row, col in _SECTOR_SLOTS]
 _SECTOR = (slice(None), np.array(_SECTOR_INDICES)[:, None], np.array(_SECTOR_INDICES))
 
+# H depends on the two-photon detuning only through H00 = H33 = -delta/Gamma,
+# and no jump operator depends on it, so the generator is exactly
+# L(delta) = L(0) + (delta/Gamma) diag(c), c_k = -i (dH_rr - dH_cc) for slot
+# k = r + 4 c, with dH = diag(-1, 0, 0, -1).  Both levels of an even slot lie
+# in {0, 3} or both in {1, 2}, so c vanishes there: the even block, and with
+# it the stationary state, does not depend on delta.  Each sector slot pairs
+# one level of each set, so c = -i on the whole sector diagonal.
+def _generator_parts(p: AtomicParams) -> tuple[np.ndarray, np.ndarray]:
+    """The delta-independent parts of the generator: the 8x8 even block
+    and the 4x4 sideband sector at zero two-photon detuning."""
+    gen = _liouvillians(p, np.zeros(1))
+    return gen[_EVEN][0], gen[_SECTOR][0]
 
-def _steady_states(
-    gen: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, Exception | None]:
-    """Stationary states of a Liouvillian stack, checked point by point.
 
-    Returns the states of the longest leading run of detunings that
-    passes every check, and the error for the detuning right after it
-    (None when all pass).  Checks run in the order a single point
-    meets them, so the error is the one the first failing detuning
-    raises on its own.
+def _sectors(p: AtomicParams, sector: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The sideband sector at every detuning: that at zero detuning with
+    its diagonal shifted by -i delta/Gamma."""
+    stack = np.repeat(sector[None], deltas.size, axis=0)
+    diagonal = np.arange(4)
+    stack[:, diagonal, diagonal] -= 1j * (deltas / p.excited_decay_rate)[:, None]
+    return stack
+
+
+def _steady_states(even: np.ndarray, sectors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The stationary state of the generators (even, sectors[i]), checked
+    at every detuning deltas[i].
+
+    The state is that of the even block alone, so one solve serves the
+    grid.  The degeneracy and residual checks take the sector's singular
+    values, so they run per detuning.  A failing detuning raises the
+    error it raises on its own, the first failing detuning of the grid
+    being the one named.
     """
-    even = gen[_EVEN]
     sing_even = np.linalg.svd(even, compute_uv=False)
-    sing_odd = np.linalg.svd(gen[_SECTOR], compute_uv=False)
+    sing_odd = np.linalg.svd(sectors, compute_uv=False)
     # the generator's singular values are the even block's and twice the
     # sector's, so these are its largest and second-smallest
-    top = np.maximum(sing_even[:, 0], sing_odd[:, 0])
-    second = np.minimum(sing_even[:, -2], sing_odd[:, -1])
-    error = None
-    n = _first(second <= 1e-10 * top)
-    if n < len(gen):
-        error = DegenerateSteadyStateError(
-            f"stationary space is degenerate {_at(deltas, n)} "
-            f"(second singular value {second[n]:.2e} of {top[n]:.2e})"
+    top = np.maximum(sing_even[0], sing_odd[:, 0])
+    second = np.minimum(sing_even[-2], sing_odd[:, -1])
+    degenerate = second <= 1e-10 * top
+
+    def degeneracy(i: int) -> DegenerateSteadyStateError:
+        return DegenerateSteadyStateError(
+            f"stationary space is degenerate {_at(deltas, i)} "
+            f"(second singular value {second[i]:.2e} of {top[i]:.2e})"
         )
+
+    if degenerate[0]:
+        raise degeneracy(0)
     # Trace preservation makes w^T E = 0 for the trace functional w, so
     # (E + w w^T) v = w holds exactly when E v = 0 and w^T v = 1.
-    vec = np.zeros((n, 16), dtype=complex)
-    vec[:, _EVEN_INDICES] = np.linalg.solve(even[:n] + _BORDER, _TRACE[:, None])[..., 0]
-    # column-stacked vectors: row-major reshape, then transpose
-    rho = vec.reshape(n, 4, 4).swapaxes(-1, -2)
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    bad = _first(np.abs(trace) < 1e-8)
-    if bad < n:
-        n = bad
-        error = DegenerateSteadyStateError(f"stationary vector is traceless {_at(deltas, n)}")
-    rho = rho[:n] / trace[:n, None, None]
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    vec = rho.swapaxes(-1, -2).reshape(n, 16, 1)
-    residual = np.linalg.norm((gen[:n] @ vec)[..., 0], axis=-1)
-    bad = _first(residual > 1e-10 * np.maximum(1.0, top[:n]))
-    if bad < n:
-        n = bad
-        error = DegenerateSteadyStateError(
-            f"stationary residual {residual[n]:.2e} exceeds tolerance {_at(deltas, n)}"
+    vec = np.zeros(16, dtype=complex)
+    vec[_EVEN_INDICES] = np.linalg.solve(even + _BORDER, _TRACE)
+    # column-stacked vector: row-major reshape, then transpose
+    rho = vec.reshape(4, 4).T
+    trace = np.trace(rho)
+    if abs(trace) < 1e-8:
+        raise DegenerateSteadyStateError(f"stationary vector is traceless {_at(deltas, 0)}")
+    rho = rho / trace
+    rho = 0.5 * (rho + rho.conj().T)
+    # the state has no odd slots, so the generator's residual is the even block's
+    residual = np.linalg.norm(even @ rho.T.reshape(16)[_EVEN_INDICES])
+    n = _first(degenerate | (residual > 1e-10 * np.maximum(1.0, top)))
+    if n < deltas.size:
+        if degenerate[n]:
+            raise degeneracy(n)
+        raise DegenerateSteadyStateError(
+            f"stationary residual {residual:.2e} exceeds tolerance {_at(deltas, n)}"
         )
-    return rho[:n], error
+    return rho
 
 
 def liouvillian(p: AtomicParams) -> np.ndarray:
@@ -319,44 +346,61 @@ def steady_state(p: AtomicParams) -> np.ndarray:
     is not one-dimensional (for example with the pump off and no
     ground-state relaxation) instead of silently picking a vector.
     """
+    even, sector = _generator_parts(p)
     deltas = np.array([p.two_photon_detuning])
-    rho, error = _steady_states(_liouvillians(p, deltas), deltas)
-    if error is not None:
-        raise error
-    return rho[0]
+    return _steady_states(even, _sectors(p, sector, deltas), deltas)
 
 
-# Grids are solved this many detunings at a time: long enough stacks
-# to leave the per-point Python overhead behind, short enough that a
-# scan's peak memory does not grow with the grid.
-_GRID_BLOCK = 32
+# Grids are solved this many detunings at a time: one block holds every
+# scan of the default 251 points and of the benchmark's 226-276, so the
+# state is solved once per scan, while a chunk's largest arrays, its
+# sector stack and the solver's copies, stay at 512 x 4 x 4 complex
+# entries (128 KiB) however long the grid is.
+_GRID_BLOCK = 512
 
 
-def _pair_block_stack(p: AtomicParams, deltas: np.ndarray) -> np.ndarray:
-    gen = _liouvillians(p, deltas)
-    rho0, error = _steady_states(gen, deltas)
-    n = len(rho0)
-    # the sector is a diagonal block of the generator, so once the
-    # degeneracy check has passed its condition number
+def _pair_block_stack(
+    p: AtomicParams, parts: tuple[np.ndarray, np.ndarray], deltas: np.ndarray
+) -> np.ndarray:
+    even, sector = parts
+    # once the degeneracy check has passed, the sector's condition number
     # sing_odd[0]/sing_odd[-1] is at most top/second < 1e10
-    system = gen[:n][_SECTOR]
-    if error is not None:
-        raise error
+    system = _sectors(p, sector, deltas)
+    rho0 = _steady_states(even, system, deltas)
 
     probe_drive = np.zeros((4, 4))
     probe_drive[2, 0] = -0.5  # lowers probe photon into the upper-ground coherence
     conj_drive = np.zeros((4, 4))
     conj_drive[1, 3] = -0.5
 
-    scale = p.depth / 2.0
-    block = np.zeros((n, 2, 2), dtype=complex)
+    # the sources are those of the detuning-independent state, one
+    # column per field, and the sector systems share them
+    rhs = np.empty((4, 2), dtype=complex)
     for col, drive in enumerate((probe_drive, conj_drive)):
         source = -1j * (drive @ rho0 - rho0 @ drive)
-        rhs = -source.swapaxes(-1, -2).reshape(n, 16)[:, _SECTOR_INDICES]
-        solution = np.linalg.solve(system, rhs[..., None])[..., 0]
-        block[:, 0, col] = 1j * scale * solution[:, _SECTOR_SLOTS.index((2, 0))]
-        block[:, 1, col] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
+        rhs[:, col] = -source.T.reshape(16)[_SECTOR_INDICES]
+    solution = np.linalg.solve(system, np.broadcast_to(rhs, (deltas.size, 4, 2)))
+    scale = p.depth / 2.0
+    block = np.empty((deltas.size, 2, 2), dtype=complex)
+    block[:, 0] = 1j * scale * solution[:, _SECTOR_SLOTS.index((2, 0))]
+    block[:, 1] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
     return block
+
+
+def _sideband_blocks(
+    p: AtomicParams, parts: tuple[np.ndarray, np.ndarray], delta_grid
+) -> np.ndarray:
+    """`sideband_blocks` on the generator parts of p, built by the caller."""
+    deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("detuning grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("detuning grid must be finite")
+    blocks = np.empty((deltas.size, 2, 2), dtype=complex)
+    for start in range(0, deltas.size, _GRID_BLOCK):
+        part = slice(start, start + _GRID_BLOCK)
+        blocks[part] = _pair_block_stack(p, parts, deltas[part])
+    return blocks
 
 
 def sideband_blocks(p: AtomicParams, delta_grid: np.ndarray) -> np.ndarray:
@@ -367,16 +411,7 @@ def sideband_blocks(p: AtomicParams, delta_grid: np.ndarray) -> np.ndarray:
     bit for bit.  A failing check raises for the first failing detuning
     and names it.
     """
-    deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0:
-        raise ValueError("detuning grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("detuning grid must be finite")
-    blocks = np.empty((deltas.size, 2, 2), dtype=complex)
-    for start in range(0, deltas.size, _GRID_BLOCK):
-        part = slice(start, start + _GRID_BLOCK)
-        blocks[part] = _pair_block_stack(p, deltas[part])
-    return blocks
+    return _sideband_blocks(p, _generator_parts(p), delta_grid)
 
 
 def sideband_response(p: AtomicParams) -> CouplingMatrix:
@@ -389,16 +424,13 @@ def sideband_response(p: AtomicParams) -> CouplingMatrix:
     return CouplingMatrix(sideband_blocks(p, np.array([p.two_photon_detuning]))[0])
 
 
-def _classical_gains(p: AtomicParams, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # transfer of the mean fields over the full medium length; the
-    # moduli are taken per scalar, which pins the last bit independently
-    # of numpy's vectorized complex abs.  Python's float ** is the pow of
-    # numpy's scalar ** but raises on overflow; past 1e154, where it could,
-    # a product squares instead and overflows quietly to inf.
-    e = propagation._expm2x2(sideband_blocks(p, deltas))
-    probe = np.array([m**2 if m < 1e154 else m * m for m in map(float, map(abs, e[:, 0, 0]))])
-    conj = np.array([m**2 if m < 1e154 else m * m for m in map(float, map(abs, e[:, 1, 0]))])
-    return probe, conj
+def _classical_gains(
+    p: AtomicParams, parts: tuple[np.ndarray, np.ndarray], deltas
+) -> tuple[np.ndarray, np.ndarray]:
+    # transfer of the mean fields over the full medium length, as the
+    # flux |z|^2 that `propagate_coupling` reports
+    e = propagation._expm2x2(_sideband_blocks(p, parts, deltas))
+    return propagation._fluxes(e[:, 0, 0]), propagation._fluxes(e[:, 1, 0])
 
 
 def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
@@ -408,7 +440,7 @@ def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
     exact transfer of the mean fields over the medium, with no slab
     discretization.
     """
-    probe, conj = _classical_gains(p, delta_grid)
+    probe, conj = _classical_gains(p, _generator_parts(p), delta_grid)
     return GainCurve(delta_grid, probe, conj)
 
 
@@ -433,7 +465,7 @@ def find_raman_dip(
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
     _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
-    gains, _ = _classical_gains(p, grid)
+    gains, _ = _classical_gains(p, _generator_parts(p), grid)
     i = int(np.nanargmin(gains))
     return float(grid[i]), float(gains[i])
 
@@ -499,7 +531,9 @@ def find_beam_splitter_point(
         raise ValueError(f"window must be increasing, got {window}")
     _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
-    probe, conj = _classical_gains(p, grid)
+    # the scan, every flux balance and the output share one generator build
+    parts = _generator_parts(p)
+    probe, conj = _classical_gains(p, parts, grid)
     # signs of the flux balance; a point whose gains overflowed has none, and
     # each gain is capped at 2, which keeps the sign, so that no sum overflows
     total = np.minimum(probe, 2.0) + np.minimum(conj, 2.0)
@@ -515,12 +549,12 @@ def find_beam_splitter_point(
     bracket = int(below[-1]) if below.size else int(crossings[0])
 
     def flux_balance(delta: float) -> float:
-        ga, gb = _classical_gains(p, np.array([delta]))
+        ga, gb = _classical_gains(p, parts, [delta])
         return float(ga[0] + gb[0] - 1.0)
 
     delta_star = _illinois(flux_balance, grid[bracket], grid[bracket + 1])
-    point = dataclasses.replace(p, two_photon_detuning=delta_star)
-    result = pair_output(point)
+    # pair_output at delta_star, on the parts already built
+    result = propagation.propagate_coupling(_sideband_blocks(p, parts, [delta_star])[0])
     return BeamSplitterPoint(
         delta=delta_star,
         probe_gain=result.g_a,

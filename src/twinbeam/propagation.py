@@ -12,12 +12,14 @@ exactly the vacuum noise injected by absorption and by phase-insensitive
 gain.
 
 `_pair_map` solves the flow over a segment without discretization:
-M = e^{BL} and Q = integral_0^L e^{Bs} D e^{B^dag s} ds come from one
-exponential of the 4x4 complex Van Loan block [[-B, D], [0, B^dag]]
-(C. F. Van Loan, IEEE TAC 23, 395, 1978), with D in closed form.  Since
-that block carries e^{-BL}, the exponential is taken over L / 2^k and
-the map squared k times, (M, Q) -> (M^2, M Q M^dag + Q), with k fixed by
-||B||_1 L; the squaring is the exact semigroup law.  Segments compose
+Q = integral_0^L e^{Bs} D e^{B^dag s} ds comes from one exponential of
+the 4x4 complex Van Loan block [[-B, D], [0, B^dag]] (C. F. Van Loan,
+IEEE TAC 23, 395, 1978), with D in closed form.  Since that block
+carries e^{-BL}, the exponential is taken over L / 2^k and the map
+squared k times, (M, Q) -> (M^2, M Q M^dag + Q), with k fixed by
+||B||_1 L; the squaring is the exact semigroup law.  M = e^{BL} itself
+is the closed-form 2x2 exponential, which keeps digits the squarings
+lose, and which the atomic gain curves share.  Segments compose
 as (M2 M1, M2 Q1 M2^dag + Q2), and the product is lifted to a
 quadrature `GaussianChannel` once, with one CP check: the transfer is
 `transfer_from_mode_matrix(M)`, and a Hermitian Q lifts the same way.
@@ -25,8 +27,8 @@ This engine gives every reported result (`exact_channel`,
 `propagate_exact`, `propagate_coupling`).  The exponential is `_expm`,
 Pade-13 scaling and squaring in numpy (N. J. Higham, SIAM J. Matrix
 Anal. Appl. 26, 1179, 2005); a 2x2 generator's own exponential, e^{BL}
-for the slab oracle and the atomic gain curves, is the closed form
-`_expm2x2`.
+for the pair maps, the slab oracle and the atomic gain curves, is the
+closed form `_expm2x2`.
 
 The search's evaluations, which only rank candidate profiles, use a
 closed form instead.  A real-rate B is symmetric, so e^{BL} and the
@@ -177,37 +179,64 @@ def _expm2x2(blocks: np.ndarray) -> np.ndarray:
     real part of its exponents and k the largest of 1, |b01|, |b10|, |h|
     and, for |s| > 1/2, |t| and |s - h|.  A point where that bound leaves
     the float range gets inf entries, computed from 0 in place of its
-    exponents, so that no operation overflows.
+    exponents, so that no operation overflows.  The squares h^2 and
+    b01 b10 overflow once |s| passes about 1e154, so a point whose h or
+    sqrt(|b01 b10|) passes 2^500 forms s and t of its h and q over an
+    exact power of two r between half and all of the larger of the two,
+    and scales them back.
     """
     b00, b01, b10, b11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
-    m, h, q = 0.5 * (b00 + b11), 0.5 * (b00 - b11), b01 * b10
-    s = np.sqrt(h * h + q)
-    s = np.where((s * h.conj()).real > 0.0, -s, s)  # so that |s - h| >= |s + h|
+    m, h = 0.5 * (b00 + b11), 0.5 * (b00 - b11)
+    k = np.maximum(np.maximum(np.abs(b01), np.abs(b10)), np.maximum(np.abs(h), 1.0))
+    hr, b01r, b10r, r = h, b01, b10, np.ones(k.shape)
+    big = np.zeros(k.shape, dtype=bool)
+    if np.any(k > 2.0**500):  # k bounds |h| and sqrt(|b01 b10|)
+        size = np.maximum(np.abs(h), np.sqrt(np.abs(b01)) * np.sqrt(np.abs(b10)))
+        big = size > 2.0**500
+        r = np.where(big, np.ldexp(1.0, np.frexp(size)[1] - 1), 1.0)
+        hr, b01r, b10r = (np.where(big, x / r, x) for x in (h, b01, b10))
+    qr = b01r * b10r
+    sr = np.sqrt(hr * hr + qr)
+    sr = np.where((sr * hr.conj()).real > 0.0, -sr, sr)  # so that |s - h| >= |s + h|
+    s = np.where(big, sr * r, sr)
     # d = (e^{m+s} - e^{m-s}) / (2 s), the off-diagonal factor
     d, e00, e11 = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-    far = np.abs(s) > 0.5
-    sf, hf = s[far], h[far]
-    t = q[far] / (sf - hf)
-    x_up, x_down = b11[far] + t, b00[far] - t
-    k = np.maximum(np.maximum(np.abs(b01), np.abs(b10)), np.maximum(np.abs(h), 1.0))
-    kf = np.maximum(k[far], np.maximum(np.abs(t), np.abs(sf - hf)))
     over = np.empty(s.shape, dtype=bool)
-    over[far] = np.maximum(x_up.real, x_down.real) + np.log(4.0 * kf) > _LOG_MAX
-    up, down = np.exp(np.where(over[far], 0.0, x_up)), np.exp(np.where(over[far], 0.0, x_down))
-    d[far] = (up - down) / (2.0 * sf)
-    e00[far] = (t * up + (sf - hf) * down) / (2.0 * sf)
-    e11[far] = ((sf - hf) * up + t * down) / (2.0 * sf)
+    far = np.abs(s) > 0.5
     near = ~far
-    over[near] = m[near].real + np.log(4.0 * k[near]) > _LOG_MAX
-    sn, em = s[near], np.exp(np.where(over[near], 0.0, m[near]))
-    tiny = np.abs(sn) < 1e-4
-    sinhc = np.where(tiny, 1.0 + sn * sn / 6.0, np.sinh(sn) / np.where(tiny, 1.0, sn))
-    d[near], c = em * sinhc, em * np.cosh(sn)
-    e00[near], e11[near] = c + h[near] * d[near], c - h[near] * d[near]
+    if np.any(far):
+        sf, hf = s[far], h[far]
+        t = qr[far] / (sr[far] - hr[far])  # t = b01 b10 / (s - h), over r
+        t = np.where(big[far], t * r[far], t)
+        x_up, x_down = b11[far] + t, b00[far] - t
+        kf = np.maximum(k[far], np.maximum(np.abs(t), np.abs(sf - hf)))
+        over[far] = np.maximum(x_up.real, x_down.real) + np.log(4.0 * kf) > _LOG_MAX
+        up = np.exp(np.where(over[far], 0.0, x_up))
+        down = np.exp(np.where(over[far], 0.0, x_down))
+        d[far] = (up - down) / (2.0 * sf)
+        e00[far] = (t * up + (sf - hf) * down) / (2.0 * sf)
+        e11[far] = ((sf - hf) * up + t * down) / (2.0 * sf)
+    if np.any(near):
+        over[near] = m[near].real + np.log(4.0 * k[near]) > _LOG_MAX
+        sn, em = s[near], np.exp(np.where(over[near], 0.0, m[near]))
+        tiny = np.abs(sn) < 1e-4
+        sinhc = np.where(tiny, 1.0 + sn * sn / 6.0, np.sinh(sn) / np.where(tiny, 1.0, sn))
+        d[near], c = em * sinhc, em * np.cosh(sn)
+        e00[near], e11[near] = c + h[near] * d[near], c - h[near] * d[near]
     out = np.empty_like(blocks)
     out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
     out[over] = np.inf
     return out
+
+
+def _fluxes(amplitudes: np.ndarray) -> np.ndarray:
+    """|z|^2 = Re(z)^2 + Im(z)^2 of every complex transfer amplitude z.
+
+    Python floats overflow to inf without a warning, so amplitudes past
+    the float range give infinite fluxes quietly.
+    """
+    pairs = zip(amplitudes.real.tolist(), amplitudes.imag.tolist())
+    return np.array([x * x + y * y for x, y in pairs])
 
 
 # Pade-13 numerator coefficients and the largest 1-norm it takes without
@@ -306,9 +335,11 @@ def _pair_diffusion(block: np.ndarray) -> np.ndarray:
 def _pair_map(block: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact (M, Q) of a constant pair generator B over a length.
 
-    M = e^{BL} and Q = int_0^L e^{Bs} D e^{B^dag s} ds, D = `_pair_diffusion`,
-    from one exponential of the complex Van Loan block [[-B, D], [0, B^dag]]
-    over L / 2^k, then k squarings (M, Q) -> (M^2, M Q M^dag + Q).
+    Q = int_0^L e^{Bs} D e^{B^dag s} ds, D = `_pair_diffusion`, from one
+    exponential of the complex Van Loan block [[-B, D], [0, B^dag]] over
+    L / 2^k, then k squarings (M, Q) -> (M^2, M Q M^dag + Q).  M = e^{BL}
+    is the closed form `_expm2x2`: the squarings lose digits of it, some
+    1e-14 at ||B||_1 L of about 200.
     """
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
@@ -324,10 +355,11 @@ def _pair_map(block: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]
     e = _expm(van_loan * (length / 2**k))
     m = e[2:, 2:].conj().T
     q = m @ e[:2, 2:]
-    for _ in range(k):
+    for i in range(k):
         q = m @ q @ m.conj().T + q
-        m = m @ m
-    return m, 0.5 * (q + q.conj().T)
+        if i + 1 < k:
+            m = m @ m
+    return _expm2x2((block * length)[None])[0], 0.5 * (q + q.conj().T)
 
 
 def _lift(pair: tuple[np.ndarray, np.ndarray]) -> gaussian.GaussianChannel:
@@ -460,9 +492,10 @@ def _result_from_channel(
         input_state = gaussian.coherent_input(1.0)
     state = gaussian.apply(channel, input_state)
     # fluxes per unit coherent probe seed, read off the transfer column
+    # with the arithmetic of `_fluxes`
     seed = channel.transfer[:, 0]
-    g_a = float(seed[0] ** 2 + seed[1] ** 2)
-    g_b = float(seed[2] ** 2 + seed[3] ** 2)
+    g_a = float(seed[0] * seed[0] + seed[1] * seed[1])
+    g_b = float(seed[2] * seed[2] + seed[3] * seed[3])
     figures = noise_figures(state)
     gem = float(gemellity(figures))
     return PropagationResult(

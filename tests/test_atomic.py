@@ -19,7 +19,7 @@ from twinbeam.atomic import (
     DegenerateSteadyStateError,
     NoCrossingError,
 )
-from twinbeam.configio import ConfigError
+from twinbeam.configio import ConfigError, angular_from_mhz
 
 TWO_PI = 2.0 * np.pi
 
@@ -263,21 +263,23 @@ def _reference_liouvillian(p: AtomicParams) -> np.ndarray:
 
 
 def _reference_pair_block(p: AtomicParams) -> np.ndarray:
-    """sideband_response(p).pair_block computed one point at a time: the
-    state from the even parity block bordered by the trace functional,
-    the response from the 4x4 sideband sector."""
-    gen = _reference_liouvillian(p)
+    """sideband_response(p).pair_block computed one point at a time, as the
+    detuning-linear algorithm does: the even block and the sideband sector
+    of the np.kron generator at zero two-photon detuning, the state from
+    the even block bordered by the trace functional, and the response from
+    the sector with its diagonal shifted by -i delta/Gamma."""
+    gen = _reference_liouvillian(dataclasses.replace(p, two_photon_detuning=0.0))
     even = [0, 3, 5, 6, 9, 10, 12, 15]  # populations, (1,2), (2,1), (0,3), (3,0)
-    trace = np.array([[1.0], [0.0], [1.0], [0.0], [0.0], [1.0], [0.0], [1.0]])
+    trace = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
     vec = np.zeros(16, dtype=complex)
-    vec[even] = np.linalg.solve(gen[np.ix_(even, even)] + trace @ trace.T, trace)[:, 0]
+    vec[even] = np.linalg.solve(gen[np.ix_(even, even)] + np.outer(trace, trace), trace)
     rho = vec.reshape((4, 4), order="F")
     rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     slots = ((1, 0), (2, 0), (1, 3), (2, 3))
     indices = [row + 4 * col for row, col in slots]
-    # the zero analysis-offset term still rounds signed zeros
-    system = gen[np.ix_(indices, indices)] + 1j * 0.0 * np.eye(4)
+    system = gen[np.ix_(indices, indices)]
+    system[np.diag_indices(4)] += p.two_photon_detuning / p.excited_decay_rate * -1j
     scale = p.depth / 2.0
     block = np.zeros((2, 2), dtype=complex)
     for col, slot in enumerate(((2, 0), (1, 3))):
@@ -298,7 +300,7 @@ def _assert_bitwise(got, want):
 
 # grid sizes around the stacking block, so that partial blocks, exact
 # multiples and the one-point grid all occur
-_GRID_SIZES = (1, 2, 31, 32, 33, 64, 65)
+_GRID_SIZES = (1, 2, 31, 32, 33, 64, 65, *(atomic._GRID_BLOCK + i for i in (-1, 0, 1)))
 
 
 @settings(max_examples=12, deadline=None)
@@ -312,6 +314,8 @@ _GRID_SIZES = (1, 2, 31, 32, 33, 64, 65)
 )
 # a grid where the gains' squares by pow and by a product differ in the last bit
 @example(omega=380.0, big=750.0, depth=408.4969675887814, size=31, lo=0.0, width=0.5)
+# a grid of two stacks, the second of one point
+@example(omega=420.0, big=800.0, depth=500.0, size=atomic._GRID_BLOCK + 1, lo=-150.0, width=200.0)
 def test_batched_grid_matches_the_per_point_path_bit_for_bit(omega, big, depth, size, lo, width):
     p = AtomicParams(
         rabi_frequency=mhz(omega), one_photon_detuning=mhz(big), depth=depth
@@ -324,12 +328,100 @@ def test_batched_grid_matches_the_per_point_path_bit_for_bit(omega, big, depth, 
         single = atomic.sideband_response(point).pair_block
         _assert_bitwise(blocks[i], single)
         e = propagation._expm2x2(single[None])[0]
-        assert curve.probe_gain[i] == abs(e[0, 0]) ** 2
-        assert curve.conj_gain[i] == abs(e[1, 0]) ** 2
+        for gain, z in ((curve.probe_gain[i], e[0, 0]), (curve.conj_gain[i], e[1, 0])):
+            assert gain == z.real * z.real + z.imag * z.imag
     for delta in grid[:: max(1, size // 3)]:
         point = dataclasses.replace(p, two_photon_detuning=float(delta))
         _assert_bitwise(atomic.liouvillian(point), _reference_liouvillian(point))
         _assert_bitwise(atomic.sideband_response(point).pair_block, _reference_pair_block(point))
+
+
+@pytest.mark.parametrize("medium", [None, *range(8)], ids=["default", *map(str, range(8))])
+def test_generator_parts_plus_the_detuning_shift_match_the_generator(medium):
+    # L(delta) = L(0) + (delta/Gamma) diag(c): exact up to the rounding of
+    # the Hamiltonian's diagonal, so to a few ulp of the generator's norm,
+    # on the scan grid and far beyond it
+    p = AtomicParams() if medium is None else _pool_medium(medium)
+    rng = np.random.default_rng(0 if medium is None else medium + 1)
+    deltas = np.concatenate(
+        [np.linspace(*atomic._DEFAULT_WINDOW, 251), mhz(rng.uniform(-5e3, 5e3, 100))]
+    )
+    gen = atomic._liouvillians(p, deltas)
+    even, sector = atomic._generator_parts(p)
+    ulp = np.finfo(float).eps * np.abs(gen).max(axis=(1, 2))
+    # c_k = -i (dH_rr - dH_cc) for slot k = r + 4 c, dH = diag(-1, 0, 0, -1)
+    dh = np.array([-1.0, 0.0, 0.0, -1.0])
+    c = (-1j * (dh[:, None] - dh[None, :])).reshape(16, order="F")
+    assert not np.any(c[atomic._EVEN_INDICES])
+    assert np.all(c[atomic._SECTOR_INDICES] == -1j)
+    assert np.all(np.abs(gen[atomic._EVEN] - even).max(axis=(1, 2)) <= 4.0 * ulp)
+    sectors = atomic._sectors(p, sector, deltas)
+    assert np.all(np.abs(gen[atomic._SECTOR] - sectors).max(axis=(1, 2)) <= 4.0 * ulp)
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Count the generator builds and the gain evaluations of the atomic model."""
+    calls = {"_generator_parts": 0, "_classical_gains": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(atomic, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(atomic, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: atomic.gain_curves(p, np.linspace(*atomic._DEFAULT_WINDOW, 251)),
+        lambda p: atomic.find_raman_dip(p),
+        lambda p: atomic.find_beam_splitter_point(p),
+        lambda p: atomic.sideband_blocks(p, np.linspace(*atomic._DEFAULT_WINDOW, 700)),
+        lambda p: atomic.sideband_response(p),
+        lambda p: atomic.steady_state(p),
+        lambda p: atomic.pair_output(p),
+    ],
+    ids=[
+        "gain_curves", "find_raman_dip", "find_beam_splitter_point", "sideband_blocks",
+        "sideband_response", "steady_state", "pair_output",
+    ],
+)
+def test_each_call_builds_the_generator_once(monkeypatch, call):
+    calls = _count_builds(monkeypatch)
+    call(AtomicParams())
+    assert calls["_generator_parts"] == 1
+
+
+def test_the_flux_balances_reuse_the_scan_generator(monkeypatch):
+    # every root evaluation used to rebuild the 16x16 generator
+    calls = _count_builds(monkeypatch)
+    atomic.find_beam_splitter_point(AtomicParams())
+    assert calls["_classical_gains"] >= 10  # the scan and the flux balances
+    assert calls["_generator_parts"] == 1
+
+
+def test_pair_output_gains_equal_the_gain_curves_bit_for_bit():
+    # the transfer M of the quantum output is the gain curves' exponential
+    grid = np.array([angular_from_mhz(d) for d in np.linspace(-150.0, 50.0, 251)])
+    curve = atomic.gain_curves(AtomicParams(), grid)
+    for delta, g_a, g_b in zip(grid, curve.probe_gain, curve.conj_gain):
+        out = atomic.pair_output(AtomicParams(two_photon_detuning=float(delta)))
+        assert (out.g_a, out.g_b) == (g_a, g_b)
+
+
+@pytest.mark.parametrize("depth", [1e160, 1e300])
+def test_gain_curves_past_the_float_range_warn_nothing(depth):
+    # the blocks' squares would overflow before any exponent is formed;
+    # pytest makes any warning an error
+    grid = np.linspace(*atomic._DEFAULT_WINDOW, 251)
+    curve = atomic.gain_curves(dataclasses.replace(AtomicParams(), depth=depth), grid)
+    for gains in (curve.probe_gain, curve.conj_gain):
+        assert not np.any(np.isnan(gains))
+        assert np.all(gains >= 0.0)
+    assert np.all((curve.probe_gain == 0.0) | (curve.probe_gain == np.inf))
+    assert np.any(curve.probe_gain == np.inf)
 
 
 def test_degenerate_grid_names_its_first_detuning():
@@ -487,14 +579,15 @@ def test_closed_form_gains_stay_as_accurate_as_scipy_over_the_media_box(omega, b
 def _flux_balance_and_bracket(p: AtomicParams):
     """The function and bracket `find_beam_splitter_point` hands its root finder."""
     grid = np.linspace(*atomic._DEFAULT_WINDOW, 251)
-    probe, conj = atomic._classical_gains(p, grid)
+    parts = atomic._generator_parts(p)
+    probe, conj = atomic._classical_gains(p, parts, grid)
     balance = probe + conj - 1.0
     crossings = np.nonzero(balance[:-1] * balance[1:] < 0.0)[0]
     below = crossings[crossings < int(np.argmin(probe))]
     i = int(below[-1]) if below.size else int(crossings[0])
 
     def flux_balance(delta):
-        ga, gb = atomic._classical_gains(p, np.array([delta]))
+        ga, gb = atomic._classical_gains(p, parts, np.array([delta]))
         return float(ga[0] + gb[0] - 1.0)
 
     return flux_balance, grid[i], grid[i + 1]
@@ -603,7 +696,7 @@ def test_beam_splitter_point_balances_the_40_digit_flux():
     assert abs(_mpmath_flux_balance(p, point.delta)) <= 1e-12
     # the reference agrees with the float balance to its rounding
     delta = mhz(-45.0)
-    ga, gb = atomic._classical_gains(p, np.array([delta]))
+    ga, gb = atomic._classical_gains(p, atomic._generator_parts(p), np.array([delta]))
     assert float(_mpmath_flux_balance(p, delta)) == pytest.approx(ga[0] + gb[0] - 1.0, abs=1e-13)
 
 

@@ -400,13 +400,15 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "overflow" in err and "two-photon detuning -10.8 MHz" in err
-    # every scan point's gains leave the float range, so none has a sign
-    cfg.write_text("[atomic]\ndepth = 1e12\n")
-    code, out, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
-    assert (code, out) == (3, "")
-    assert err == (
-        "error: no flux-neutral crossing in the window [-9.424778e+08, 3.141593e+08] rad/s\n"
-    )
+    # every scan point's gains leave the float range, so none has a sign; from
+    # depth 1e160 on the blocks' squares would too, before any exponent
+    for depth in ("1e12", "1e160", "1e300"):
+        cfg.write_text(f"[atomic]\ndepth = {depth}\n")
+        code, out, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: no flux-neutral crossing in the window [-9.424778e+08, 3.141593e+08] rad/s\n"
+        )
 
 
 _DEEP_1E6_ROW = "-16.7484200006,0.223714179705,0.776285820295,1,0.440879338387,-3.55680253714"
@@ -418,12 +420,11 @@ _DEEP_1E6_ROW = "-16.7484200006,0.223714179705,0.776285820295,1,0.440879338387,-
         ("[atomic]\ndepth = 1e6\n", _DEEP_1E6_ROW),
         (
             "[atomic]\ndepth = 1e7\n",
-            "-20.7633412384,0.150149227172,0.849850772833,1,0.655857827684,-1.83190293771",
+            "-20.7633412384,0.150149227171,0.849850772829,1,0.655857827684,-1.83190293771",
         ),
         (
             "[atomic]\ndepth = 1e9\n",
-            "28.6591669715,0.601515763195,0.398484236937,1.00000000013,0.2467693067,"
-            "-6.07708859062",
+            "28.6591669715,0.601515763115,0.398484236884,1,0.2467693067,-6.07708859062",
         ),
         # a scan whose flux balances would sum finite gains past the float range
         (
@@ -488,6 +489,14 @@ def test_analyze_csv_matches_the_golden_file(capsys):
     )
     assert (code, err) == (0, "")
     assert out == (_GOLDEN / "analyze.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["sweep-delta", "beam-splitter"])
+def test_atomic_csv_matches_the_golden_file(capsys, command):
+    # the default config's output, committed byte for byte
+    code, out, err = run(capsys, [command])
+    assert (code, err) == (0, "")
+    assert out == (_GOLDEN / f"{command.replace('-', '_')}.csv").read_text()
 
 
 def test_analyze_hashes_the_bytes_it_parses(tmp_path, capsys):

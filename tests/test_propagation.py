@@ -345,6 +345,25 @@ def test_closed_form_2x2_exponential_marks_points_beyond_the_float_range():
         _assert_close_to_exp(got, block)
 
 
+def test_closed_form_2x2_exponential_takes_blocks_past_the_float_range():
+    # |s| past 1e154, where h^2 or b01 b10 overflows: s and t come from h
+    # and q over a power of two, and no operation warns (pytest makes that
+    # an error)
+    big = 10.0 ** np.array([160.0, 200.0, 300.0])[:, None, None]
+    damped = big * np.array([[-1.0, 1e-3j], [2e-3, -1.5 + 1j]])  # both exponents about -big
+    e = propagation._expm2x2(damped)
+    assert np.array_equal(e, np.zeros_like(e))
+    growing = big * np.array([[0.5, 1e-3j], [2e-3, -1.5 + 1j]])
+    assert np.all(propagation._expm2x2(growing) == np.inf)
+    # a stiff block: exponents near 0 and -2^600, so a finite e^B whose
+    # entries span 600 binary orders
+    stiff = np.array([[0.5j, 2.0**590 * (1 + 1j)], [3.0, -(2.0**600)]])
+    got = propagation._expm2x2(stiff[None])[0]
+    with mpmath.workdps(60):
+        exact = np.array(mpmath.expm(mpmath.matrix(stiff.tolist())).tolist(), dtype=complex)
+    assert np.all(np.abs(got - exact) <= 1e-15 * np.abs(exact))
+
+
 @pytest.mark.parametrize("norm", [1e-3, 0.5, 5.0, 20.0, 80.0])
 def test_pade_exponential_matches_a_50_digit_reference(norm):
     # unscaled up to the Pade-13 bound 5.37, scaled and squared beyond it
@@ -583,6 +602,10 @@ def test_atomic_maps_match_an_80_digit_reference():
         scale = _cp_scale(transfer, noise)
         np.testing.assert_allclose(got.transfer, transfer, rtol=0.0, atol=1e-13 * scale**0.5)
         np.testing.assert_allclose(got.added_noise, noise, rtol=0.0, atol=1e-13 * scale)
+        # M is the closed-form exponential; taken from the Van Loan squarings
+        # it was 2.8e-14 off here
+        m, exact_m = propagation._pair_map(block, 1.0)[0], _as_array(pair[0])
+        assert np.abs(m - exact_m).max() <= 4e-15 * np.abs(exact_m).max()
         # the printed gemellity, against that of the correctly rounded map
         want = propagation._result_from_channel(gaussian.GaussianChannel(transfer, noise), None)
         res = propagation.propagate_coupling(block)
