@@ -20,8 +20,10 @@ linear response, a 4x4 solve in the sideband sector, whose diagonal is
 that at zero detuning shifted by -i delta/Gamma; this yields a complex
 2x2 generator per unit medium length for the co-propagating pair
 (probe annihilation, conjugate creation).  Each public call builds the
-detuning-independent even block and sector once, from one 16x16
-generator, and every point of its scans and root search reuses them.
+16x16 generator at zero detuning once and solves the state and the
+sector's two source columns once; every point of its scans and root
+search then costs a diagonal shift of the sector, its 4x4 degeneracy
+check and a 4x4 solve.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling` turns the same
@@ -47,7 +49,7 @@ normalized by the excited-state decay rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,27 +181,6 @@ class BeamSplitterPoint:
 # basis: 0 = upper ground (probe leg), 1 = lower ground (pump leg),
 #        2 = excited shared by pump and probe, 3 = excited shared by
 #        pump and conjugate.  All entries in decay-rate units.
-#
-# Everything below works on stacks: one entry per two-photon detuning
-# of a grid, a single-point call being the stack of one.  The stacked
-# code performs the same floating-point operations per entry as a
-# per-point computation would, so a detuning's result does not depend
-# on the grid it is computed in.
-def _hamiltonians(p: AtomicParams, deltas: np.ndarray) -> np.ndarray:
-    g = p.excited_decay_rate
-    delta = deltas / g
-    big_delta = p.one_photon_detuning / g
-    hf = p.hyperfine_splitting / g
-    rabi = p.rabi_frequency / g
-    h = np.zeros((delta.size, 4, 4), dtype=complex)
-    h[:, 0, 0] = -delta
-    h[:, 2, 2] = -big_delta
-    h[:, 3, 3] = -(big_delta + hf + delta)
-    h[:, 2, 1] = h[:, 1, 2] = -rabi / 2.0
-    h[:, 3, 0] = h[:, 0, 3] = -rabi / 2.0
-    return h
-
-
 def _collapse_operators(p: AtomicParams) -> list[np.ndarray]:
     ops = []
     for excited in (2, 3):
@@ -218,19 +199,30 @@ def _collapse_operators(p: AtomicParams) -> list[np.ndarray]:
 _EYE = np.eye(4)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of the trailing 4x4 matrices, broadcast over leading axes."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (16, 16))
-
-
-def _liouvillians(p: AtomicParams, deltas: np.ndarray) -> np.ndarray:
-    h = _hamiltonians(p, deltas)
-    gen = -1j * (_kron(_EYE, h) - _kron(h.swapaxes(-1, -2), _EYE))
-    for op in _collapse_operators(p):
-        opdop = op.conj().T @ op
-        gen += _kron(op.conj(), op)
-        gen -= 0.5 * (_kron(_EYE, opdop) + _kron(opdop.T, _EYE))
+def liouvillian(p: AtomicParams) -> np.ndarray:
+    """16x16 Lindblad generator, column-stacked, in decay-rate units."""
+    g = p.excited_decay_rate
+    delta = p.two_photon_detuning / g
+    big_delta = p.one_photon_detuning / g
+    hf = p.hyperfine_splitting / g
+    rabi = p.rabi_frequency / g
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = -delta
+    h[2, 2] = -big_delta
+    h[3, 3] = -(big_delta + hf + delta)
+    h[2, 1] = h[1, 2] = -rabi / 2.0
+    h[3, 0] = h[0, 3] = -rabi / 2.0
+    ops = np.array(_collapse_operators(p))
+    opdops = ops.conj().transpose(0, 2, 1) @ ops
+    # np.kron of stacks: I (x) X and X^T (x) I for X = h and each op^dag op,
+    # then op^* (x) op, the diagonal of the ops' pairwise products
+    left = np.kron(_EYE[None], np.concatenate([h[None], opdops]))
+    right = np.kron(np.concatenate([h.T[None], opdops.transpose(0, 2, 1)]), _EYE[None])
+    jumps = np.kron(ops.conj(), ops)[:: len(ops) + 1]
+    gen = -1j * (left[0] - right[0])
+    for jump, opdop_left, opdop_right in zip(jumps, left[1:], right[1:]):
+        gen += jump
+        gen -= 0.5 * (opdop_left + opdop_right)
     return gen
 
 
@@ -255,12 +247,90 @@ def _first(bad: np.ndarray) -> int:
 # a sector is exact and keeps the cost at an 8x8 solve for the state and
 # a 4x4 solve per detuning for the response.
 _EVEN_INDICES = [k for k in range(16) if (k % 4 in (1, 2)) == (k // 4 in (1, 2))]
-_EVEN = (slice(None), np.array(_EVEN_INDICES)[:, None], np.array(_EVEN_INDICES))
+_EVEN = np.ix_(_EVEN_INDICES, _EVEN_INDICES)
 _TRACE = np.array([1.0 if k % 5 == 0 else 0.0 for k in _EVEN_INDICES])
 _BORDER = np.outer(_TRACE, _TRACE)
 _SECTOR_SLOTS = ((1, 0), (2, 0), (1, 3), (2, 3))
 _SECTOR_INDICES = [row + 4 * col for row, col in _SECTOR_SLOTS]
-_SECTOR = (slice(None), np.array(_SECTOR_INDICES)[:, None], np.array(_SECTOR_INDICES))
+_SECTOR = np.ix_(_SECTOR_INDICES, _SECTOR_INDICES)
+
+# Grids are solved this many detunings at a time: one block holds every
+# scan of the default 251 points and of the benchmark's 226-276, so a
+# scan is one stacked SVD and one stacked solve, while a chunk's largest
+# arrays, its sector stack and the solver's copies, stay at 512 x 4 x 4
+# complex entries (128 KiB) however long the grid is.
+_GRID_BLOCK = 512
+
+
+class _Response:
+    """The detuning-independent part of the sideband response of p.
+
+    sector is the sideband sector at zero two-photon detuning and
+    sing_even the even block's singular values.  rho is the stationary
+    state, residual the even block's residual on it, and sources the
+    sector's source columns of the probe and the conjugate field; rho is
+    None when the even block is degenerate or the state traceless.
+    """
+
+    def __init__(
+        self, p: AtomicParams, sector: np.ndarray, sing_even: np.ndarray,
+        rho: np.ndarray | None = None, residual: float = math.nan,
+        sources: np.ndarray | None = None,
+    ):
+        self.p, self.sector, self.sing_even = p, sector, sing_even
+        self.rho, self.residual, self.sources = rho, residual, sources
+
+    def pair_blocks(self, delta_grid) -> np.ndarray:
+        """The pair block at every detuning of a grid, an (N, 2, 2) stack.
+
+        Each chunk of _GRID_BLOCK detunings is one stacked SVD and one
+        stacked solve, with the same floating-point operations per entry
+        as a one-point grid, so a detuning's block does not depend on the
+        grid it is computed in.  A failing check raises the error the
+        detuning raises on its own, the first failing detuning of the
+        grid being the one named.
+        """
+        deltas = np.asarray(delta_grid, dtype=float)
+        if deltas.ndim != 1 or deltas.size == 0:
+            raise ValueError("detuning grid must be a nonempty 1-d array")
+        if not np.all(np.isfinite(deltas)):
+            raise ValueError("detuning grid must be finite")
+        blocks = np.empty((deltas.size, 2, 2), dtype=complex)
+        scale = self.p.depth / 2.0
+        for start in range(0, deltas.size, _GRID_BLOCK):
+            part = slice(start, start + _GRID_BLOCK)
+            chunk = deltas[part]
+            system = np.repeat(self.sector[None], chunk.size, axis=0)
+            diagonal = np.arange(4)
+            system[:, diagonal, diagonal] -= 1j * (chunk / self.p.excited_decay_rate)[:, None]
+            sing_odd = np.linalg.svd(system, compute_uv=False)
+            # the generator's singular values are the even block's and twice
+            # the sector's, so these are its largest and second-smallest
+            top = np.maximum(self.sing_even[0], sing_odd[:, 0])
+            second = np.minimum(self.sing_even[-2], sing_odd[:, -1])
+            degenerate = second <= 1e-10 * top
+            bad = degenerate | (self.residual > 1e-10 * np.maximum(1.0, top))
+            n = 0 if degenerate[0] or self.rho is None else _first(bad)
+            if n < chunk.size:
+                if degenerate[n]:
+                    raise DegenerateSteadyStateError(
+                        f"stationary space is degenerate {_at(chunk, n)} "
+                        f"(second singular value {second[n]:.2e} of {top[n]:.2e})"
+                    )
+                if self.rho is None:
+                    raise DegenerateSteadyStateError(
+                        f"stationary vector is traceless {_at(chunk, 0)}"
+                    )
+                raise DegenerateSteadyStateError(
+                    f"stationary residual {self.residual:.2e} exceeds tolerance {_at(chunk, n)}"
+                )
+            # once the check has passed, the sector's condition number
+            # sing_odd[0]/sing_odd[-1] is at most top/second < 1e10
+            solution = np.linalg.solve(system, np.broadcast_to(self.sources, (chunk.size, 4, 2)))
+            blocks[part, 0] = 1j * scale * solution[:, _SECTOR_SLOTS.index((2, 0))]
+            blocks[part, 1] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
+        return blocks
+
 
 # H depends on the two-photon detuning only through H00 = H33 = -delta/Gamma,
 # and no jump operator depends on it, so the generator is exactly
@@ -269,48 +339,14 @@ _SECTOR = (slice(None), np.array(_SECTOR_INDICES)[:, None], np.array(_SECTOR_IND
 # in {0, 3} or both in {1, 2}, so c vanishes there: the even block, and with
 # it the stationary state, does not depend on delta.  Each sector slot pairs
 # one level of each set, so c = -i on the whole sector diagonal.
-def _generator_parts(p: AtomicParams) -> tuple[np.ndarray, np.ndarray]:
-    """The delta-independent parts of the generator: the 8x8 even block
-    and the 4x4 sideband sector at zero two-photon detuning."""
-    gen = _liouvillians(p, np.zeros(1))
-    return gen[_EVEN][0], gen[_SECTOR][0]
-
-
-def _sectors(p: AtomicParams, sector: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The sideband sector at every detuning: that at zero detuning with
-    its diagonal shifted by -i delta/Gamma."""
-    stack = np.repeat(sector[None], deltas.size, axis=0)
-    diagonal = np.arange(4)
-    stack[:, diagonal, diagonal] -= 1j * (deltas / p.excited_decay_rate)[:, None]
-    return stack
-
-
-def _steady_states(even: np.ndarray, sectors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The stationary state of the generators (even, sectors[i]), checked
-    at every detuning deltas[i].
-
-    The state is that of the even block alone, so one solve serves the
-    grid.  The degeneracy and residual checks take the sector's singular
-    values, so they run per detuning.  A failing detuning raises the
-    error it raises on its own, the first failing detuning of the grid
-    being the one named.
-    """
+def _response(p: AtomicParams) -> _Response:
+    """The detuning-independent part of p's sideband response, from one
+    generator build at zero detuning and one solve for the state."""
+    gen = liouvillian(replace(p, two_photon_detuning=0.0))
+    even, sector = gen[_EVEN], gen[_SECTOR]
     sing_even = np.linalg.svd(even, compute_uv=False)
-    sing_odd = np.linalg.svd(sectors, compute_uv=False)
-    # the generator's singular values are the even block's and twice the
-    # sector's, so these are its largest and second-smallest
-    top = np.maximum(sing_even[0], sing_odd[:, 0])
-    second = np.minimum(sing_even[-2], sing_odd[:, -1])
-    degenerate = second <= 1e-10 * top
-
-    def degeneracy(i: int) -> DegenerateSteadyStateError:
-        return DegenerateSteadyStateError(
-            f"stationary space is degenerate {_at(deltas, i)} "
-            f"(second singular value {second[i]:.2e} of {top[i]:.2e})"
-        )
-
-    if degenerate[0]:
-        raise degeneracy(0)
+    if sing_even[-2] <= 1e-10 * sing_even[0]:  # degenerate at every detuning
+        return _Response(p, sector, sing_even)
     # Trace preservation makes w^T E = 0 for the trace functional w, so
     # (E + w w^T) v = w holds exactly when E v = 0 and w^T v = 1.
     vec = np.zeros(16, dtype=complex)
@@ -319,24 +355,22 @@ def _steady_states(even: np.ndarray, sectors: np.ndarray, deltas: np.ndarray) ->
     rho = vec.reshape(4, 4).T
     trace = np.trace(rho)
     if abs(trace) < 1e-8:
-        raise DegenerateSteadyStateError(f"stationary vector is traceless {_at(deltas, 0)}")
+        return _Response(p, sector, sing_even)
     rho = rho / trace
     rho = 0.5 * (rho + rho.conj().T)
     # the state has no odd slots, so the generator's residual is the even block's
     residual = np.linalg.norm(even @ rho.T.reshape(16)[_EVEN_INDICES])
-    n = _first(degenerate | (residual > 1e-10 * np.maximum(1.0, top)))
-    if n < deltas.size:
-        if degenerate[n]:
-            raise degeneracy(n)
-        raise DegenerateSteadyStateError(
-            f"stationary residual {residual:.2e} exceeds tolerance {_at(deltas, n)}"
-        )
-    return rho
 
-
-def liouvillian(p: AtomicParams) -> np.ndarray:
-    """16x16 Lindblad generator, column-stacked, in decay-rate units."""
-    return _liouvillians(p, np.array([p.two_photon_detuning]))[0]
+    probe_drive = np.zeros((4, 4))
+    probe_drive[2, 0] = -0.5  # lowers probe photon into the upper-ground coherence
+    conj_drive = np.zeros((4, 4))
+    conj_drive[1, 3] = -0.5
+    # one source column per field, shared by the sector at every detuning
+    sources = np.empty((4, 2), dtype=complex)
+    for col, drive in enumerate((probe_drive, conj_drive)):
+        source = -1j * (drive @ rho - rho @ drive)
+        sources[:, col] = -source.T.reshape(16)[_SECTOR_INDICES]
+    return _Response(p, sector, sing_even, rho, residual, sources)
 
 
 def steady_state(p: AtomicParams) -> np.ndarray:
@@ -346,61 +380,9 @@ def steady_state(p: AtomicParams) -> np.ndarray:
     is not one-dimensional (for example with the pump off and no
     ground-state relaxation) instead of silently picking a vector.
     """
-    even, sector = _generator_parts(p)
-    deltas = np.array([p.two_photon_detuning])
-    return _steady_states(even, _sectors(p, sector, deltas), deltas)
-
-
-# Grids are solved this many detunings at a time: one block holds every
-# scan of the default 251 points and of the benchmark's 226-276, so the
-# state is solved once per scan, while a chunk's largest arrays, its
-# sector stack and the solver's copies, stay at 512 x 4 x 4 complex
-# entries (128 KiB) however long the grid is.
-_GRID_BLOCK = 512
-
-
-def _pair_block_stack(
-    p: AtomicParams, parts: tuple[np.ndarray, np.ndarray], deltas: np.ndarray
-) -> np.ndarray:
-    even, sector = parts
-    # once the degeneracy check has passed, the sector's condition number
-    # sing_odd[0]/sing_odd[-1] is at most top/second < 1e10
-    system = _sectors(p, sector, deltas)
-    rho0 = _steady_states(even, system, deltas)
-
-    probe_drive = np.zeros((4, 4))
-    probe_drive[2, 0] = -0.5  # lowers probe photon into the upper-ground coherence
-    conj_drive = np.zeros((4, 4))
-    conj_drive[1, 3] = -0.5
-
-    # the sources are those of the detuning-independent state, one
-    # column per field, and the sector systems share them
-    rhs = np.empty((4, 2), dtype=complex)
-    for col, drive in enumerate((probe_drive, conj_drive)):
-        source = -1j * (drive @ rho0 - rho0 @ drive)
-        rhs[:, col] = -source.T.reshape(16)[_SECTOR_INDICES]
-    solution = np.linalg.solve(system, np.broadcast_to(rhs, (deltas.size, 4, 2)))
-    scale = p.depth / 2.0
-    block = np.empty((deltas.size, 2, 2), dtype=complex)
-    block[:, 0] = 1j * scale * solution[:, _SECTOR_SLOTS.index((2, 0))]
-    block[:, 1] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
-    return block
-
-
-def _sideband_blocks(
-    p: AtomicParams, parts: tuple[np.ndarray, np.ndarray], delta_grid
-) -> np.ndarray:
-    """`sideband_blocks` on the generator parts of p, built by the caller."""
-    deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0:
-        raise ValueError("detuning grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("detuning grid must be finite")
-    blocks = np.empty((deltas.size, 2, 2), dtype=complex)
-    for start in range(0, deltas.size, _GRID_BLOCK):
-        part = slice(start, start + _GRID_BLOCK)
-        blocks[part] = _pair_block_stack(p, parts, deltas[part])
-    return blocks
+    response = _response(p)
+    response.pair_blocks([p.two_photon_detuning])  # the checks at p's detuning
+    return response.rho
 
 
 def sideband_blocks(p: AtomicParams, delta_grid: np.ndarray) -> np.ndarray:
@@ -411,7 +393,7 @@ def sideband_blocks(p: AtomicParams, delta_grid: np.ndarray) -> np.ndarray:
     bit for bit.  A failing check raises for the first failing detuning
     and names it.
     """
-    return _sideband_blocks(p, _generator_parts(p), delta_grid)
+    return _response(p).pair_blocks(delta_grid)
 
 
 def sideband_response(p: AtomicParams) -> CouplingMatrix:
@@ -424,12 +406,10 @@ def sideband_response(p: AtomicParams) -> CouplingMatrix:
     return CouplingMatrix(sideband_blocks(p, np.array([p.two_photon_detuning]))[0])
 
 
-def _classical_gains(
-    p: AtomicParams, parts: tuple[np.ndarray, np.ndarray], deltas
-) -> tuple[np.ndarray, np.ndarray]:
+def _classical_gains(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # transfer of the mean fields over the full medium length, as the
     # flux |z|^2 that `propagate_coupling` reports
-    e = propagation._expm2x2(_sideband_blocks(p, parts, deltas))
+    e = propagation._expm2x2(blocks)
     return propagation._fluxes(e[:, 0, 0]), propagation._fluxes(e[:, 1, 0])
 
 
@@ -440,7 +420,7 @@ def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
     exact transfer of the mean fields over the medium, with no slab
     discretization.
     """
-    probe, conj = _classical_gains(p, _generator_parts(p), delta_grid)
+    probe, conj = _classical_gains(_response(p).pair_blocks(delta_grid))
     return GainCurve(delta_grid, probe, conj)
 
 
@@ -465,7 +445,7 @@ def find_raman_dip(
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
     _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
-    gains, _ = _classical_gains(p, _generator_parts(p), grid)
+    gains, _ = _classical_gains(_response(p).pair_blocks(grid))
     i = int(np.nanargmin(gains))
     return float(grid[i]), float(gains[i])
 
@@ -531,9 +511,9 @@ def find_beam_splitter_point(
         raise ValueError(f"window must be increasing, got {window}")
     _check_scan_points(n_scan)
     grid = np.linspace(window[0], window[1], n_scan)
-    # the scan, every flux balance and the output share one generator build
-    parts = _generator_parts(p)
-    probe, conj = _classical_gains(p, parts, grid)
+    # the scan, every flux balance and the output share one response
+    response = _response(p)
+    probe, conj = _classical_gains(response.pair_blocks(grid))
     # signs of the flux balance; a point whose gains overflowed has none, and
     # each gain is capped at 2, which keeps the sign, so that no sum overflows
     total = np.minimum(probe, 2.0) + np.minimum(conj, 2.0)
@@ -549,12 +529,12 @@ def find_beam_splitter_point(
     bracket = int(below[-1]) if below.size else int(crossings[0])
 
     def flux_balance(delta: float) -> float:
-        ga, gb = _classical_gains(p, parts, [delta])
+        ga, gb = _classical_gains(response.pair_blocks([delta]))
         return float(ga[0] + gb[0] - 1.0)
 
     delta_star = _illinois(flux_balance, grid[bracket], grid[bracket + 1])
-    # pair_output at delta_star, on the parts already built
-    result = propagation.propagate_coupling(_sideband_blocks(p, parts, [delta_star])[0])
+    # pair_output at delta_star, on the response already built
+    result = propagation.propagate_coupling(response.pair_blocks([delta_star])[0])
     return BeamSplitterPoint(
         delta=delta_star,
         probe_gain=result.g_a,

@@ -210,14 +210,14 @@ def _expm2x2(blocks: np.ndarray) -> np.ndarray:
         t = np.where(big[far], t * r[far], t)
         x_up, x_down = b11[far] + t, b00[far] - t
         kf = np.maximum(k[far], np.maximum(np.abs(t), np.abs(sf - hf)))
-        over[far] = np.maximum(x_up.real, x_down.real) + np.log(4.0 * kf) > _LOG_MAX
+        over[far] = np.maximum(x_up.real, x_down.real) + np.log(kf) + np.log(4.0) > _LOG_MAX
         up = np.exp(np.where(over[far], 0.0, x_up))
         down = np.exp(np.where(over[far], 0.0, x_down))
         d[far] = (up - down) / (2.0 * sf)
         e00[far] = (t * up + (sf - hf) * down) / (2.0 * sf)
         e11[far] = ((sf - hf) * up + t * down) / (2.0 * sf)
     if np.any(near):
-        over[near] = m[near].real + np.log(4.0 * k[near]) > _LOG_MAX
+        over[near] = m[near].real + np.log(k[near]) + np.log(4.0) > _LOG_MAX
         sn, em = s[near], np.exp(np.where(over[near], 0.0, m[near]))
         tiny = np.abs(sn) < 1e-4
         sinhc = np.where(tiny, 1.0 + sn * sn / 6.0, np.sinh(sn) / np.where(tiny, 1.0, sn))
@@ -483,19 +483,13 @@ def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
     return gaussian.compose_power(sub, subdivisions)
 
 
-def _result_from_channel(
-    channel: gaussian.GaussianChannel,
-    input_state: gaussian.CovarianceState | None,
-) -> PropagationResult:
-    """Push the input, by default a unit coherent probe seed, through a channel."""
-    if input_state is None:
-        input_state = gaussian.coherent_input(1.0)
-    state = gaussian.apply(channel, input_state)
-    # fluxes per unit coherent probe seed, read off the transfer column
-    # with the arithmetic of `_fluxes`
-    seed = channel.transfer[:, 0]
-    g_a = float(seed[0] * seed[0] + seed[1] * seed[1])
-    g_b = float(seed[2] * seed[2] + seed[3] * seed[3])
+def _result_from_channel(channel: gaussian.GaussianChannel) -> PropagationResult:
+    """Push a unit coherent probe seed through a channel."""
+    state = gaussian.apply(channel, gaussian.coherent_input(1.0))
+    # fluxes per unit seed: the seed's transfer column (x_a, p_a, x_b, p_b)
+    # read as the two complex amplitudes x + i p
+    seed = np.ascontiguousarray(channel.transfer[:, 0]).view(complex)
+    g_a, g_b = _fluxes(seed).tolist()
     figures = noise_figures(state)
     gem = float(gemellity(figures))
     return PropagationResult(
@@ -510,78 +504,66 @@ def _result_from_channel(
     )
 
 
-def propagate(
-    profile: SlabProfile,
-    input_state: gaussian.CovarianceState | None = None,
-    subdivisions: int = 1,
-) -> PropagationResult:
-    """Push a state through the profile, `subdivisions` slabs per segment.
-
-    The default input is a unit coherent probe seed.
-    """
+def propagate(profile: SlabProfile, subdivisions: int = 1) -> PropagationResult:
+    """Push a unit coherent probe seed through the profile, `subdivisions`
+    slabs per segment."""
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
     total = None
     for slab in profile.slabs:
         seg = _segment_channel(slab, subdivisions)
         total = seg if total is None else gaussian.compose(seg, total)
-    return _result_from_channel(total, input_state)
+    return _result_from_channel(total)
 
 
-def propagate_exact(
-    profile: SlabProfile,
-    input_state: gaussian.CovarianceState | None = None,
-) -> PropagationResult:
-    """Push a state through the profile, one exact map per segment.
+def propagate_exact(profile: SlabProfile) -> PropagationResult:
+    """Push a unit coherent probe seed through the profile, one exact map
+    per segment.
 
     The segment maps compose in the pair basis, (M2 M1, M2 Q1 M2^dag + Q2),
-    and the product is lifted to a channel once.  The default input is a
-    unit coherent probe seed.
+    and the product is lifted to a channel once.
     """
     m, q = np.eye(2), np.zeros((2, 2))
     for s in profile.slabs:
         m2, q2 = _pair_map([[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]], s.dz)
         m, q = m2 @ m, m2 @ q @ m2.conj().T + q2
-    return _result_from_channel(_lift((m, q)), input_state)
+    return _result_from_channel(_lift((m, q)))
 
 
-def propagate_coupling(
-    block: np.ndarray,
-    length: float = 1.0,
-    input_state: gaussian.CovarianceState | None = None,
-) -> PropagationResult:
-    """Propagate through a constant complex pair-basis generator.
+def propagate_coupling(block: np.ndarray, length: float = 1.0) -> PropagationResult:
+    """Push a unit coherent probe seed through a constant complex
+    pair-basis generator.
 
     Raises OutputOverflowError when the map or the output's noise figures
     leave the float range, as they do for optical depths of about 1e6.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _result_from_channel(exact_channel(block, length), input_state)
+            return _result_from_channel(exact_channel(block, length))
     except (OverflowError, FloatingPointError) as exc:
         raise OutputOverflowError(f"output overflows the float range ({exc})") from exc
 
 
 def refine_until_converged(
     profile: SlabProfile,
-    input_state: gaussian.CovarianceState | None = None,
     tol: float = 1e-8,
     initial_subdivisions: int = 8,
     max_doublings: int = 20,
 ) -> tuple[PropagationResult, int]:
     """Halve slab widths until the gemellity stops moving.
 
-    Returns the converged result and the number of doublings used.
+    Returns the converged result for a unit coherent probe seed and the
+    number of doublings used.
     The factorization error is second order in the slab width, so the
     change per doubling shrinks by about a quarter.
     """
     if tol <= 0.0:
         raise ValueError(f"convergence tolerance must be positive, got {tol}")
     n = initial_subdivisions
-    prev = propagate(profile, input_state, n)
+    prev = propagate(profile, n)
     for doubling in range(1, max_doublings + 1):
         n *= 2
-        cur = propagate(profile, input_state, n)
+        cur = propagate(profile, n)
         if abs(cur.gemellity - prev.gemellity) < tol:
             return cur, doubling
         prev = cur

@@ -292,6 +292,18 @@ def _reference_pair_block(p: AtomicParams) -> np.ndarray:
     return block
 
 
+def _generators(p: AtomicParams, deltas: np.ndarray) -> np.ndarray:
+    """The 16x16 generator at every detuning of a grid, one build each."""
+    return np.array(
+        [atomic.liouvillian(dataclasses.replace(p, two_photon_detuning=float(d))) for d in deltas]
+    )
+
+
+def _on_stack(index: tuple) -> tuple:
+    """A generator block's index, applied to every matrix of a stack."""
+    return (slice(None), *index)
+
+
 def _assert_bitwise(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -346,29 +358,37 @@ def test_generator_parts_plus_the_detuning_shift_match_the_generator(medium):
     deltas = np.concatenate(
         [np.linspace(*atomic._DEFAULT_WINDOW, 251), mhz(rng.uniform(-5e3, 5e3, 100))]
     )
-    gen = atomic._liouvillians(p, deltas)
-    even, sector = atomic._generator_parts(p)
+    gen = _generators(p, deltas)
+    even = atomic.liouvillian(dataclasses.replace(p, two_photon_detuning=0.0))[atomic._EVEN]
+    sector = atomic._response(p).sector
     ulp = np.finfo(float).eps * np.abs(gen).max(axis=(1, 2))
     # c_k = -i (dH_rr - dH_cc) for slot k = r + 4 c, dH = diag(-1, 0, 0, -1)
     dh = np.array([-1.0, 0.0, 0.0, -1.0])
     c = (-1j * (dh[:, None] - dh[None, :])).reshape(16, order="F")
     assert not np.any(c[atomic._EVEN_INDICES])
     assert np.all(c[atomic._SECTOR_INDICES] == -1j)
-    assert np.all(np.abs(gen[atomic._EVEN] - even).max(axis=(1, 2)) <= 4.0 * ulp)
-    sectors = atomic._sectors(p, sector, deltas)
-    assert np.all(np.abs(gen[atomic._SECTOR] - sectors).max(axis=(1, 2)) <= 4.0 * ulp)
+    assert np.all(np.abs(gen[_on_stack(atomic._EVEN)] - even).max(axis=(1, 2)) <= 4.0 * ulp)
+    sectors = sector - 1j * (deltas / p.excited_decay_rate)[:, None, None] * np.eye(4)
+    assert np.all(np.abs(gen[_on_stack(atomic._SECTOR)] - sectors).max(axis=(1, 2)) <= 4.0 * ulp)
 
 
 def _count_builds(monkeypatch) -> dict:
-    """Count the generator builds and the gain evaluations of the atomic model."""
-    calls = {"_generator_parts": 0, "_classical_gains": 0}
-    for name in calls:
+    """Count the response builds, the gain evaluations and the bordered
+    8x8 state solves of the atomic model."""
+    calls = {"_response": 0, "_classical_gains": 0, "state_solve": 0}
+    for name in ("_response", "_classical_gains"):
 
         def counted(*args, _name=name, _original=getattr(atomic, name)):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(atomic, name, counted)
+
+    def solve(a, b, _original=np.linalg.solve):
+        calls["state_solve"] += np.shape(a) == (8, 8)
+        return _original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
     return calls
 
 
@@ -391,15 +411,18 @@ def _count_builds(monkeypatch) -> dict:
 def test_each_call_builds_the_generator_once(monkeypatch, call):
     calls = _count_builds(monkeypatch)
     call(AtomicParams())
-    assert calls["_generator_parts"] == 1
+    assert calls["_response"] == 1
+    assert calls["state_solve"] == 1
 
 
 def test_the_flux_balances_reuse_the_scan_generator(monkeypatch):
-    # every root evaluation used to rebuild the 16x16 generator
+    # a root evaluation neither rebuilds the 16x16 generator nor solves
+    # the state again
     calls = _count_builds(monkeypatch)
     atomic.find_beam_splitter_point(AtomicParams())
     assert calls["_classical_gains"] >= 10  # the scan and the flux balances
-    assert calls["_generator_parts"] == 1
+    assert calls["_response"] == 1
+    assert calls["state_solve"] == 1
 
 
 def test_pair_output_gains_equal_the_gain_curves_bit_for_bit():
@@ -411,10 +434,11 @@ def test_pair_output_gains_equal_the_gain_curves_bit_for_bit():
         assert (out.g_a, out.g_b) == (g_a, g_b)
 
 
-@pytest.mark.parametrize("depth", [1e160, 1e300])
+@pytest.mark.parametrize("depth", [1e160, 1e300, 1.7e308])
 def test_gain_curves_past_the_float_range_warn_nothing(depth):
-    # the blocks' squares would overflow before any exponent is formed;
-    # pytest makes any warning an error
+    # the blocks' squares would overflow before any exponent is formed, and
+    # near the float maximum so would 4 k in the range test; pytest makes
+    # any warning an error
     grid = np.linspace(*atomic._DEFAULT_WINDOW, 251)
     curve = atomic.gain_curves(dataclasses.replace(AtomicParams(), depth=depth), grid)
     for gains in (curve.probe_gain, curve.conj_gain):
@@ -431,20 +455,30 @@ def test_degenerate_grid_names_its_first_detuning():
         atomic.gain_curves(p, grid)
 
 
+def test_a_degenerate_sector_names_its_detuning():
+    # the state, solved once, is fine; at 1e18 rad/s the shifted sector's
+    # singular values dwarf the even block's, so that detuning fails alone
+    with pytest.raises(
+        DegenerateSteadyStateError,
+        match=re.escape("degenerate at two-photon detuning 1.000000e+18 rad/s"),
+    ):
+        atomic.sideband_blocks(AtomicParams(), [0.0, 1e18])
+
+
 @pytest.mark.parametrize("medium", [None, *range(8)], ids=["default", *map(str, range(8))])
 def test_zero_offset_sector_is_an_invariant_block(medium):
     # why the zero-offset sector solve needs no condition check: the sector
     # is a block of the generator without its stationary vector, so its
     # condition number is bounded by the generator's sing[0]/sing[-2]
     p = AtomicParams() if medium is None else _pool_medium(medium)
-    gen = atomic._liouvillians(p, np.linspace(*atomic._DEFAULT_WINDOW, 251))
+    gen = _generators(p, np.linspace(*atomic._DEFAULT_WINDOW, 251))
     sector = np.array(atomic._SECTOR_INDICES)
     rest = np.setdiff1d(np.arange(16), sector)
     assert not np.any(gen[:, sector[:, None], rest])
     assert not np.any(gen[:, rest[:, None], sector])
     sing = np.linalg.svd(gen, compute_uv=False)
     bound = sing[:, 0] / sing[:, -2]
-    assert np.all(np.linalg.cond(gen[atomic._SECTOR]) <= (1.0 + 1e-9) * bound)
+    assert np.all(np.linalg.cond(gen[_on_stack(atomic._SECTOR)]) <= (1.0 + 1e-9) * bound)
     assert np.all(bound < 1e10)
 
 
@@ -453,14 +487,14 @@ def test_generator_is_block_diagonal_in_manifold_parity(medium):
     # why the steady state needs only the 8x8 even block, and the
     # degeneracy check only its singular values and the sector's
     p = AtomicParams() if medium is None else _pool_medium(medium)
-    gen = atomic._liouvillians(p, np.linspace(*atomic._DEFAULT_WINDOW, 251))
+    gen = _generators(p, np.linspace(*atomic._DEFAULT_WINDOW, 251))
     even = np.array(atomic._EVEN_INDICES)
     odd = np.setdiff1d(np.arange(16), even)
     assert not np.any(gen[:, even[:, None], odd])
     assert not np.any(gen[:, odd[:, None], even])
     sing = np.linalg.svd(gen, compute_uv=False)
-    sing_even = np.linalg.svd(gen[atomic._EVEN], compute_uv=False)
-    sing_odd = np.linalg.svd(gen[atomic._SECTOR], compute_uv=False)
+    sing_even = np.linalg.svd(gen[_on_stack(atomic._EVEN)], compute_uv=False)
+    sing_odd = np.linalg.svd(gen[_on_stack(atomic._SECTOR)], compute_uv=False)
     union = -np.sort(-np.concatenate([sing_even, sing_odd, sing_odd], axis=1), axis=1)
     assert np.all(np.abs(union - sing) <= 1e-13 * sing[:, :1])
 
@@ -579,15 +613,15 @@ def test_closed_form_gains_stay_as_accurate_as_scipy_over_the_media_box(omega, b
 def _flux_balance_and_bracket(p: AtomicParams):
     """The function and bracket `find_beam_splitter_point` hands its root finder."""
     grid = np.linspace(*atomic._DEFAULT_WINDOW, 251)
-    parts = atomic._generator_parts(p)
-    probe, conj = atomic._classical_gains(p, parts, grid)
+    response = atomic._response(p)
+    probe, conj = atomic._classical_gains(response.pair_blocks(grid))
     balance = probe + conj - 1.0
     crossings = np.nonzero(balance[:-1] * balance[1:] < 0.0)[0]
     below = crossings[crossings < int(np.argmin(probe))]
     i = int(below[-1]) if below.size else int(crossings[0])
 
     def flux_balance(delta):
-        ga, gb = atomic._classical_gains(p, parts, np.array([delta]))
+        ga, gb = atomic._classical_gains(response.pair_blocks(np.array([delta])))
         return float(ga[0] + gb[0] - 1.0)
 
     return flux_balance, grid[i], grid[i + 1]
@@ -696,7 +730,7 @@ def test_beam_splitter_point_balances_the_40_digit_flux():
     assert abs(_mpmath_flux_balance(p, point.delta)) <= 1e-12
     # the reference agrees with the float balance to its rounding
     delta = mhz(-45.0)
-    ga, gb = atomic._classical_gains(p, atomic._generator_parts(p), np.array([delta]))
+    ga, gb = atomic._classical_gains(atomic.sideband_blocks(p, np.array([delta])))
     assert float(_mpmath_flux_balance(p, delta)) == pytest.approx(ga[0] + gb[0] - 1.0, abs=1e-13)
 
 

@@ -401,8 +401,9 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     assert out == ""
     assert "overflow" in err and "two-photon detuning -10.8 MHz" in err
     # every scan point's gains leave the float range, so none has a sign; from
-    # depth 1e160 on the blocks' squares would too, before any exponent
-    for depth in ("1e12", "1e160", "1e300"):
+    # depth 1e160 on the blocks' squares would too, before any exponent, and
+    # at 1.7e308 so would 4 k in the exponential's range test
+    for depth in ("1e12", "1e160", "1e300", "1.7e308"):
         cfg.write_text(f"[atomic]\ndepth = {depth}\n")
         code, out, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
         assert (code, out) == (3, "")

@@ -607,7 +607,7 @@ def test_atomic_maps_match_an_80_digit_reference():
         m, exact_m = propagation._pair_map(block, 1.0)[0], _as_array(pair[0])
         assert np.abs(m - exact_m).max() <= 4e-15 * np.abs(exact_m).max()
         # the printed gemellity, against that of the correctly rounded map
-        want = propagation._result_from_channel(gaussian.GaussianChannel(transfer, noise), None)
+        want = propagation._result_from_channel(gaussian.GaussianChannel(transfer, noise))
         res = propagation.propagate_coupling(block)
         assert res.gemellity_db == pytest.approx(want.gemellity_db, rel=0.0, abs=1e-12)
 
