@@ -21,9 +21,13 @@ that at zero detuning shifted by -i delta/Gamma; this yields a complex
 2x2 generator per unit medium length for the co-propagating pair
 (probe annihilation, conjugate creation).  Each public call builds the
 16x16 generator at zero detuning once and solves the state and the
-sector's two source columns once; every point of its scans and root
-search then costs a diagonal shift of the sector, its 4x4 degeneracy
-check and a 4x4 solve.
+sector's two source columns once.  It also bounds the shifted sector's
+singular values once: at every detuning the smallest is at least the
+slowest sideband decay rate, and the largest exceeds the zero-detuning
+sector's norm by at most |delta|/Gamma.  Every point of its scans and
+root search then costs a diagonal shift of the sector and a 4x4 solve;
+only points whose degeneracy check these bounds cannot pass (no ground
+decoherence, or detunings of order 1e18 rad/s) pay a 4x4 SVD.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling` turns the same
@@ -256,10 +260,19 @@ _SECTOR = np.ix_(_SECTOR_INDICES, _SECTOR_INDICES)
 
 # Grids are solved this many detunings at a time: one block holds every
 # scan of the default 251 points and of the benchmark's 226-276, so a
-# scan is one stacked SVD and one stacked solve, while a chunk's largest
-# arrays, its sector stack and the solver's copies, stay at 512 x 4 x 4
-# complex entries (128 KiB) however long the grid is.
+# scan is one stacked solve, while a chunk's largest arrays, its sector
+# stack and the solver's copies, stay at 512 x 4 x 4 complex entries
+# (128 KiB) however long the grid is.
 _GRID_BLOCK = 512
+
+
+def _detuning_grid(delta_grid) -> np.ndarray:
+    deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("detuning grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("detuning grid must be finite")
+    return deltas
 
 
 class _Response:
@@ -270,6 +283,14 @@ class _Response:
     state, residual the even block's residual on it, and sources the
     sector's source columns of the probe and the conjugate field; rho is
     None when the even block is degenerate or the state traceless.
+
+    The detuning shifts the sector by -i delta/Gamma, which leaves its
+    Hermitian part, in floating point too, at that of the zero-detuning
+    sector.  For a unit vector v, |S v| >= |Re v^dag S v|, so every
+    shifted sector's smallest singular value is at least
+    mu = -lambda_max(that Hermitian part), the slowest sideband decay
+    rate gamma_g/Gamma, and its largest at most norm + |delta|/Gamma,
+    norm being the zero-detuning sector's Frobenius norm.
     """
 
     def __init__(
@@ -279,54 +300,84 @@ class _Response:
     ):
         self.p, self.sector, self.sing_even = p, sector, sing_even
         self.rho, self.residual, self.sources = rho, residual, sources
+        self.mu = -np.linalg.eigvalsh(0.5 * (sector + sector.conj().T))[-1]
+        self.norm = np.linalg.norm(sector)
+
+    def _shifted(self, chunk: np.ndarray) -> np.ndarray:
+        """The sector at every detuning of chunk, an (n, 4, 4) stack."""
+        system = np.repeat(self.sector[None], chunk.size, axis=0)
+        diagonal = np.arange(4)
+        system[:, diagonal, diagonal] -= 1j * (chunk / self.p.excited_decay_rate)[:, None]
+        return system
+
+    def _cleared(self, chunk: np.ndarray) -> bool:
+        """Whether the bounds on the sector's singular values pass the
+        check at every detuning of chunk.
+
+        Twice the check's tolerance absorbs the SVD's rounding, about eps
+        times the largest singular value, so a chunk cleared here is one
+        the SVD check passes too.  The bound on the largest singular value
+        grows with |delta|, so the chunk's widest detuning decides.
+        """
+        if self.rho is None or not self.residual <= 1e-10 * max(1.0, self.sing_even[0]):
+            return False
+        reach = self.norm + float(np.max(np.abs(chunk))) / self.p.excited_decay_rate
+        return min(self.sing_even[-2], self.mu) > 2e-10 * max(self.sing_even[0], reach)
+
+    def check(self, chunk: np.ndarray) -> None:
+        """Raise the DegenerateSteadyStateError of the first detuning of
+        chunk at which the generator has no unique, well-conditioned
+        stationary state.
+
+        A chunk the singular-value bounds do not clear is checked by one
+        stacked SVD of its shifted sectors.
+        """
+        if self._cleared(chunk):
+            return
+        sing_odd = np.linalg.svd(self._shifted(chunk), compute_uv=False)
+        # the generator's singular values are the even block's and twice
+        # the sector's, so these are its largest and second-smallest
+        top = np.maximum(self.sing_even[0], sing_odd[:, 0])
+        second = np.minimum(self.sing_even[-2], sing_odd[:, -1])
+        degenerate = second <= 1e-10 * top
+        bad = degenerate | (self.residual > 1e-10 * np.maximum(1.0, top))
+        n = 0 if degenerate[0] or self.rho is None else _first(bad)
+        if n < chunk.size:
+            if degenerate[n]:
+                raise DegenerateSteadyStateError(
+                    f"stationary space is degenerate {_at(chunk, n)} "
+                    f"(second singular value {second[n]:.2e} of {top[n]:.2e})"
+                )
+            if self.rho is None:
+                raise DegenerateSteadyStateError(
+                    f"stationary vector is traceless {_at(chunk, 0)}"
+                )
+            raise DegenerateSteadyStateError(
+                f"stationary residual {self.residual:.2e} exceeds tolerance {_at(chunk, n)}"
+            )
 
     def pair_blocks(self, delta_grid) -> np.ndarray:
         """The pair block at every detuning of a grid, an (N, 2, 2) stack.
 
-        Each chunk of _GRID_BLOCK detunings is one stacked SVD and one
+        Each chunk of _GRID_BLOCK detunings is one `check` and one
         stacked solve, with the same floating-point operations per entry
         as a one-point grid, so a detuning's block does not depend on the
         grid it is computed in.  A failing check raises the error the
         detuning raises on its own, the first failing detuning of the
         grid being the one named.
         """
-        deltas = np.asarray(delta_grid, dtype=float)
-        if deltas.ndim != 1 or deltas.size == 0:
-            raise ValueError("detuning grid must be a nonempty 1-d array")
-        if not np.all(np.isfinite(deltas)):
-            raise ValueError("detuning grid must be finite")
+        deltas = _detuning_grid(delta_grid)
         blocks = np.empty((deltas.size, 2, 2), dtype=complex)
         scale = self.p.depth / 2.0
         for start in range(0, deltas.size, _GRID_BLOCK):
             part = slice(start, start + _GRID_BLOCK)
             chunk = deltas[part]
-            system = np.repeat(self.sector[None], chunk.size, axis=0)
-            diagonal = np.arange(4)
-            system[:, diagonal, diagonal] -= 1j * (chunk / self.p.excited_decay_rate)[:, None]
-            sing_odd = np.linalg.svd(system, compute_uv=False)
-            # the generator's singular values are the even block's and twice
-            # the sector's, so these are its largest and second-smallest
-            top = np.maximum(self.sing_even[0], sing_odd[:, 0])
-            second = np.minimum(self.sing_even[-2], sing_odd[:, -1])
-            degenerate = second <= 1e-10 * top
-            bad = degenerate | (self.residual > 1e-10 * np.maximum(1.0, top))
-            n = 0 if degenerate[0] or self.rho is None else _first(bad)
-            if n < chunk.size:
-                if degenerate[n]:
-                    raise DegenerateSteadyStateError(
-                        f"stationary space is degenerate {_at(chunk, n)} "
-                        f"(second singular value {second[n]:.2e} of {top[n]:.2e})"
-                    )
-                if self.rho is None:
-                    raise DegenerateSteadyStateError(
-                        f"stationary vector is traceless {_at(chunk, 0)}"
-                    )
-                raise DegenerateSteadyStateError(
-                    f"stationary residual {self.residual:.2e} exceeds tolerance {_at(chunk, n)}"
-                )
-            # once the check has passed, the sector's condition number
-            # sing_odd[0]/sing_odd[-1] is at most top/second < 1e10
-            solution = np.linalg.solve(system, np.broadcast_to(self.sources, (chunk.size, 4, 2)))
+            self.check(chunk)
+            # once the check has passed, the sector's condition number is
+            # below 1e10
+            solution = np.linalg.solve(
+                self._shifted(chunk), np.broadcast_to(self.sources, (chunk.size, 4, 2))
+            )
             blocks[part, 0] = 1j * scale * solution[:, _SECTOR_SLOTS.index((2, 0))]
             blocks[part, 1] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
         return blocks
@@ -381,7 +432,7 @@ def steady_state(p: AtomicParams) -> np.ndarray:
     ground-state relaxation) instead of silently picking a vector.
     """
     response = _response(p)
-    response.pair_blocks([p.two_photon_detuning])  # the checks at p's detuning
+    response.check(_detuning_grid([p.two_photon_detuning]))
     return response.rho
 
 

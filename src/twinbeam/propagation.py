@@ -322,7 +322,10 @@ def _pair_diffusion(block: np.ndarray) -> np.ndarray:
     if total == 0.0:
         return np.zeros((2, 2), dtype=complex)
     # work on H / 2^e, an exact scaling, so that no square under- or overflows
-    scale = 2.0 ** math.frexp(total)[1]
+    exponent = math.frexp(total)[1]
+    if exponent >= sys.float_info.max_exp:  # 2^e itself is past the float range
+        raise OverflowError(f"pair generator's noise rate, of trace {total:.6e}, is out of range")
+    scale = 2.0 ** exponent
     x, z, y, total = x / scale, z / scale, y / scale, total / scale
     yy = abs(y) ** 2
     det = abs(x * z - yy)

@@ -373,9 +373,13 @@ def test_generator_parts_plus_the_detuning_shift_match_the_generator(medium):
 
 
 def _count_builds(monkeypatch) -> dict:
-    """Count the response builds, the gain evaluations and the bordered
-    8x8 state solves of the atomic model."""
-    calls = {"_response": 0, "_classical_gains": 0, "state_solve": 0}
+    """Count the response builds, the gain evaluations, the bordered 8x8
+    state solves, and the stacked (n, 4, 4) sector SVDs and solves of the
+    atomic model."""
+    calls = {
+        "_response": 0, "_classical_gains": 0, "state_solve": 0, "sector_svd": 0,
+        "sector_solve": 0,
+    }
     for name in ("_response", "_classical_gains"):
 
         def counted(*args, _name=name, _original=getattr(atomic, name)):
@@ -386,9 +390,15 @@ def _count_builds(monkeypatch) -> dict:
 
     def solve(a, b, _original=np.linalg.solve):
         calls["state_solve"] += np.shape(a) == (8, 8)
+        calls["sector_solve"] += np.shape(a)[1:] == (4, 4)
         return _original(a, b)
 
+    def svd(a, *args, _original=np.linalg.svd, **kwargs):
+        calls["sector_svd"] += np.shape(a)[1:] == (4, 4)
+        return _original(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     return calls
 
 
@@ -463,6 +473,83 @@ def test_a_degenerate_sector_names_its_detuning():
         match=re.escape("degenerate at two-photon detuning 1.000000e+18 rad/s"),
     ):
         atomic.sideband_blocks(AtomicParams(), [0.0, 1e18])
+
+
+_DEFAULT_GRID = np.linspace(*atomic._DEFAULT_WINDOW, 251)
+
+
+def test_the_shifted_sector_is_bounded_by_the_per_call_bounds():
+    # sigma_min(S(delta)) >= mu and sigma_max(S(delta)) <= ||S(0)||_F + |delta|/Gamma,
+    # mu being the slowest sideband decay rate gamma_g/Gamma; the SVD itself
+    # is exact only to a few eps sigma_max
+    grid = np.concatenate([_DEFAULT_GRID, [-1e12, 3e14, 1e17]])
+    eps = np.finfo(float).eps
+    for p in [AtomicParams(), *map(_pool_medium, range(40))]:
+        response = atomic._response(p)
+        assert response.mu == pytest.approx(p.ground_decoherence / p.excited_decay_rate, rel=1e-12)
+        sing = np.linalg.svd(response._shifted(grid), compute_uv=False)
+        assert np.all(sing[:, -1] >= response.mu - 8.0 * eps * sing[:, 0])
+        reach = response.norm + np.abs(grid) / p.excited_decay_rate
+        assert np.all(sing[:, 0] <= reach * (1.0 + 8.0 * eps))
+        # the default window is cleared by the bounds alone; 1e17 rad/s is not
+        assert response._cleared(grid[:251])
+        assert not response._cleared(grid)
+
+
+def _blocks_and_errors(p: AtomicParams, grid) -> tuple:
+    """The grid's blocks and the stationary state at its first detuning, each
+    as bytes or as the text of its error."""
+    outcome = []
+    for call in (
+        lambda: atomic.sideband_blocks(p, grid).tobytes(),
+        lambda: atomic.steady_state(dataclasses.replace(p, two_photon_detuning=grid[0])).tobytes(),
+    ):
+        try:
+            outcome.append(call())
+        except DegenerateSteadyStateError as exc:
+            outcome.append(str(exc))
+    return tuple(outcome)
+
+
+@pytest.mark.parametrize(
+    "media, grid",
+    [
+        (lambda: [AtomicParams(), *map(_pool_medium, range(40))], _DEFAULT_GRID),
+        (lambda: [AtomicParams(ground_decoherence=0.0)], _DEFAULT_GRID),
+        (lambda: [AtomicParams(rabi_frequency=0.0)], _DEFAULT_GRID),
+        (lambda: [AtomicParams(rabi_frequency=0.0, ground_decoherence=0.0)], [mhz(-20.0), 0.0]),
+        (lambda: [AtomicParams(), _pool_medium(0)], [0.0, 1e18]),
+        (lambda: [AtomicParams()], [1e18, 0.0]),
+    ],
+    ids=["pool", "gamma_g_0", "rabi_0", "pump_off_gamma_g_0", "to_1e18", "from_1e18"],
+)
+def test_the_bound_and_the_svd_check_give_the_same_blocks_and_errors(monkeypatch, media, grid):
+    cleared = [_blocks_and_errors(p, grid) for p in media()]
+    monkeypatch.setattr(atomic._Response, "_cleared", lambda self, chunk: False)
+    assert [_blocks_and_errors(p, grid) for p in media()] == cleared
+
+
+def test_a_default_scan_and_root_search_make_no_sector_svd(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    atomic.gain_curves(AtomicParams(), _DEFAULT_GRID)
+    assert (calls["sector_svd"], calls["sector_solve"]) == (0, 1)
+    atomic.find_beam_splitter_point(AtomicParams())
+    assert calls["sector_svd"] == 0 and calls["sector_solve"] >= 10
+
+
+def test_a_scan_without_ground_decoherence_still_checks_by_svd(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    atomic.gain_curves(AtomicParams(ground_decoherence=0.0), _DEFAULT_GRID)
+    assert (calls["sector_svd"], calls["sector_solve"]) == (1, 1)
+
+
+def test_steady_state_solves_no_sector_system(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    atomic.steady_state(AtomicParams())
+    assert (calls["sector_svd"], calls["sector_solve"]) == (0, 0)
+    with pytest.raises(DegenerateSteadyStateError, match="degenerate"):
+        atomic.steady_state(AtomicParams(rabi_frequency=0.0, ground_decoherence=0.0))
+    assert (calls["sector_svd"], calls["sector_solve"]) == (1, 0)
 
 
 @pytest.mark.parametrize("medium", [None, *range(8)], ids=["default", *map(str, range(8))])

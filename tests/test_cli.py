@@ -400,6 +400,13 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "overflow" in err and "two-photon detuning -10.8 MHz" in err
+    # near the float maximum the noise rate's power-of-2 scale overflows first;
+    # the message names that quantity, not the C library's errno text
+    cfg.write_text("[atomic]\ndepth = 1.7e308\n")
+    code, out, err = run(capsys, ["sweep-delta", "--config", str(cfg)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: output overflows the float range (pair generator's noise rate")
+    assert err.endswith("is out of range) at two-photon detuning -40.4 MHz\n")
     # every scan point's gains leave the float range, so none has a sign; from
     # depth 1e160 on the blocks' squares would too, before any exponent, and
     # at 1.7e308 so would 4 k in the exponential's range test
@@ -492,12 +499,32 @@ def test_analyze_csv_matches_the_golden_file(capsys):
     assert out == (_GOLDEN / "analyze.csv").read_text()
 
 
-@pytest.mark.parametrize("command", ["sweep-delta", "beam-splitter"])
-def test_atomic_csv_matches_the_golden_file(capsys, command):
-    # the default config's output, committed byte for byte
-    code, out, err = run(capsys, [command])
+_NO_GROUND_DECOHERENCE = "[atomic]\ngamma_g_kHz = 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        pytest.param("sweep-delta", "", id="sweep-delta"),
+        pytest.param("beam-splitter", "", id="beam-splitter"),
+        pytest.param("sweep-delta", _NO_GROUND_DECOHERENCE, id="sweep-delta-gamma_g_0"),
+        pytest.param("beam-splitter", _NO_GROUND_DECOHERENCE, id="beam-splitter-gamma_g_0"),
+    ],
+)
+def test_atomic_csv_matches_the_golden_file(tmp_path, capsys, command, config):
+    # the output of the default config, and of a medium without ground
+    # decoherence, all of whose degeneracy checks take the SVD; committed
+    # byte for byte
+    name = command.replace("-", "_")
+    argv = [command]
+    if config:
+        cfg = tmp_path / "atomic.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+        name += "_gamma_g_0"
+    code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
-    assert out == (_GOLDEN / f"{command.replace('-', '_')}.csv").read_text()
+    assert out == (_GOLDEN / f"{name}.csv").read_text()
 
 
 def test_analyze_hashes_the_bytes_it_parses(tmp_path, capsys):
