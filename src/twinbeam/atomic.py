@@ -30,12 +30,13 @@ only points whose degeneracy check these bounds cannot pass (no ground
 decoherence, or detunings of order 1e18 rad/s) pay a 4x4 SVD.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
-`propagation._expm2x2`; `propagation.propagate_coupling` turns the same
-generator into the exact quantum noise output through the pair map
-(M, Q), whose M is that exponential and whose Q comes from one 4x4
-complex Van Loan exponential.  Detuning scans solve their grid in
-stacked numpy calls, a fixed block of detunings at a time, with the
-same arithmetic per point as a single-point call.  The flux-neutral
+`propagation._expm2x2`; `propagation.propagate_coupling`, and for a
+whole grid `propagation._pair_outputs`, turn the same generator into the
+exact quantum noise output through the pair map (M, Q), whose M is that
+exponential and whose Q is Van Loan's noise integral in closed form.
+Detuning scans solve their grid in stacked numpy calls, a fixed block of
+detunings at a time, with the same arithmetic per point as a
+single-point call.  The flux-neutral
 point is polished by `_illinois`, a bracketed regula falsi run until
 its ends are adjacent floats, so numpy is the only dependency.
 
@@ -585,13 +586,13 @@ def find_beam_splitter_point(
 
     delta_star = _illinois(flux_balance, grid[bracket], grid[bracket + 1])
     # pair_output at delta_star, on the response already built
-    result = propagation.propagate_coupling(response.pair_blocks([delta_star])[0])
+    out = propagation._pair_outputs(response.pair_blocks([delta_star]))
     return BeamSplitterPoint(
         delta=delta_star,
-        probe_gain=result.g_a,
-        conj_gain=result.g_b,
-        gemellity=result.gemellity,
-        gemellity_db=result.gemellity_db,
+        probe_gain=float(out.g_a[0]),
+        conj_gain=float(out.g_b[0]),
+        gemellity=float(out.gemellity[0]),
+        gemellity_db=float(out.gemellity_db[0]),
     )
 
 

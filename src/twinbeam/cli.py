@@ -139,20 +139,15 @@ def cmd_sweep_delta(args) -> int:
         raise ConfigError(f"sweep needs at least 2 points, got {points}")
     deltas_mhz = np.linspace(lo, hi, points)
     blocks = atomic.sideband_blocks(params, [angular_from_mhz(d) for d in deltas_mhz])
-    results = []
-    for delta_mhz, block in zip(deltas_mhz, blocks):
-        try:
-            results.append(propagation.propagate_coupling(block))
-        except propagation.OutputOverflowError as exc:
-            raise propagation.OutputOverflowError(
-                f"{exc} at two-photon detuning {delta_mhz:.6g} MHz"
-            ) from exc
+    out = propagation._pair_outputs(
+        blocks, place=lambda i: f" at two-photon detuning {deltas_mhz[i]:.6g} MHz"
+    )
     columns = {
         "delta_MHz": deltas_mhz.tolist(),
-        "G_a": [r.g_a for r in results],
-        "G_b": [r.g_b for r in results],
-        "sum": [r.sum_transmission for r in results],
-        "gemellity_dB": [r.gemellity_db for r in results],
+        "G_a": out.g_a.tolist(),
+        "G_b": out.g_b.tolist(),
+        "sum": (out.g_a + out.g_b).tolist(),
+        "gemellity_dB": out.gemellity_db.tolist(),
     }
     _emit(args, "sweep-delta", columns, {}, digest)
     return 0

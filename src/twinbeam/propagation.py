@@ -11,24 +11,21 @@ flow completely positive is D = |B eta + eta B^dag|, eta = diag(1, -1):
 exactly the vacuum noise injected by absorption and by phase-insensitive
 gain.
 
-`_pair_map` solves the flow over a segment without discretization:
-Q = integral_0^L e^{Bs} D e^{B^dag s} ds comes from one exponential of
-the 4x4 complex Van Loan block [[-B, D], [0, B^dag]] (C. F. Van Loan,
-IEEE TAC 23, 395, 1978), with D in closed form.  Since that block
-carries e^{-BL}, the exponential is taken over L / 2^k and the map
-squared k times, (M, Q) -> (M^2, M Q M^dag + Q), with k fixed by
-||B||_1 L; the squaring is the exact semigroup law.  M = e^{BL} itself
-is the closed-form 2x2 exponential, which keeps digits the squarings
-lose, and which the atomic gain curves share.  Segments compose
-as (M2 M1, M2 Q1 M2^dag + Q2), and the product is lifted to a
-quadrature `GaussianChannel` once, with one CP check: the transfer is
-`transfer_from_mode_matrix(M)`, and a Hermitian Q lifts the same way.
-This engine gives every reported result (`exact_channel`,
-`propagate_exact`, `propagate_coupling`).  The exponential is `_expm`,
-Pade-13 scaling and squaring in numpy (N. J. Higham, SIAM J. Matrix
-Anal. Appl. 26, 1179, 2005); a 2x2 generator's own exponential, e^{BL}
-for the pair maps, the slab oracle and the atomic gain curves, is the
-closed form `_expm2x2`.
+`_pair_maps` solves the flow of a whole stack of generators without
+discretization or a per-point loop: M = e^{BL} is the closed-form 2x2
+exponential `_expm2x2`, which the atomic gain curves share, and
+Q = int_0^L e^{Bs} D e^{B^dag s} ds is Van Loan's noise integral
+(C. F. Van Loan, IEEE TAC 23, 395, 1978) in closed form, on the spectral
+projectors of B or, for near eigenvalues, through the Cayley-Hamilton
+form.  `_pair_outputs` reads the fluxes, the noise figures and the
+gemellity of each map in the pair basis, after one CP check per map in
+its complex 2x2 form; it names the first point whose output leaves the
+float range.  Segments compose as (M2 M1, M2 Q1 M2^dag + Q2).  A
+quadrature `GaussianChannel` or state is built only where one is
+returned: the transfer is `transfer_from_mode_matrix(M)`, and a Hermitian
+Q or covariance lifts the same way.  This engine gives every reported
+result (`exact_channel`, `propagate_exact`, `propagate_coupling`, and the
+`sweep-delta` grid).
 
 The search's evaluations, which only rank candidate profiles, use a
 closed form instead.  A real-rate B is symmetric, so e^{BL} and the
@@ -53,17 +50,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gaussian
-from .metrics import (
-    NoiseFigures,
-    _flux_weighted_difference_noise,
-    db_from_linear,
-    gemellity,
-    noise_figures,
-)
+from .metrics import NoiseFigures, _flux_weighted_difference_noise, gemellity
 
 __all__ = [
     "Slab",
@@ -164,7 +156,13 @@ class SearchResult:
 _LOG_MAX = math.log(sys.float_info.max)  # e^x leaves the float range beyond this x
 
 
-def _expm2x2(blocks: np.ndarray) -> np.ndarray:
+def _part(mask: np.ndarray):
+    """An index of a mask's points; all points as a slice, which indexes
+    without copying."""
+    return slice(None) if mask.all() else mask
+
+
+def _expm2x2(blocks: np.ndarray, roots: bool = False):
     """e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in closed form.
 
     By Cayley-Hamilton e^B = e^m (cosh s I + sinh(s)/s (B - m I)), with
@@ -174,6 +172,7 @@ def _expm2x2(blocks: np.ndarray) -> np.ndarray:
     with the sign of s that keeps s - h free of cancellation, so a small
     eigenvalue next to a large one keeps its digits; near s = 0, sinh(s)/s
     is a series.  Each entry's arithmetic is independent of the stack.
+    With roots, also returns (m, h, s, t, k, far): t is 0 where |s| <= 1/2.
 
     Every intermediate of a point is at most e^x 4 k, with x the largest
     real part of its exponents and k the largest of 1, |b01|, |b10|, |h|
@@ -203,30 +202,36 @@ def _expm2x2(blocks: np.ndarray) -> np.ndarray:
     d, e00, e11 = np.empty_like(s), np.empty_like(s), np.empty_like(s)
     over = np.empty(s.shape, dtype=bool)
     far = np.abs(s) > 0.5
-    near = ~far
     if np.any(far):
-        sf, hf = s[far], h[far]
-        t = qr[far] / (sr[far] - hr[far])  # t = b01 b10 / (s - h), over r
-        t = np.where(big[far], t * r[far], t)
-        x_up, x_down = b11[far] + t, b00[far] - t
-        kf = np.maximum(k[far], np.maximum(np.abs(t), np.abs(sf - hf)))
-        over[far] = np.maximum(x_up.real, x_down.real) + np.log(kf) + np.log(4.0) > _LOG_MAX
-        up = np.exp(np.where(over[far], 0.0, x_up))
-        down = np.exp(np.where(over[far], 0.0, x_down))
-        d[far] = (up - down) / (2.0 * sf)
-        e00[far] = (t * up + (sf - hf) * down) / (2.0 * sf)
-        e11[far] = ((sf - hf) * up + t * down) / (2.0 * sf)
-    if np.any(near):
-        over[near] = m[near].real + np.log(k[near]) + np.log(4.0) > _LOG_MAX
-        sn, em = s[near], np.exp(np.where(over[near], 0.0, m[near]))
+        f = _part(far)
+        sf, hf = s[f], h[f]
+        t = qr[f] / (sr[f] - hr[f])  # t = b01 b10 / (s - h), over r
+        t = np.where(big[f], t * r[f], t)
+        x_up, x_down = b11[f] + t, b00[f] - t
+        kf = np.maximum(k[f], np.maximum(np.abs(t), np.abs(sf - hf)))
+        over[f] = np.maximum(x_up.real, x_down.real) + np.log(kf) + np.log(4.0) > _LOG_MAX
+        up = np.exp(np.where(over[f], 0.0, x_up))
+        down = np.exp(np.where(over[f], 0.0, x_down))
+        d[f] = (up - down) / (2.0 * sf)
+        e00[f] = (t * up + (sf - hf) * down) / (2.0 * sf)
+        e11[f] = ((sf - hf) * up + t * down) / (2.0 * sf)
+    if not np.all(far):
+        n = _part(~far)
+        over[n] = m[n].real + np.log(k[n]) + np.log(4.0) > _LOG_MAX
+        sn, em = s[n], np.exp(np.where(over[n], 0.0, m[n]))
         tiny = np.abs(sn) < 1e-4
         sinhc = np.where(tiny, 1.0 + sn * sn / 6.0, np.sinh(sn) / np.where(tiny, 1.0, sn))
-        d[near], c = em * sinhc, em * np.cosh(sn)
-        e00[near], e11[near] = c + h[near] * d[near], c - h[near] * d[near]
+        d[n], c = em * sinhc, em * np.cosh(sn)
+        e00[n], e11[n] = c + h[n] * d[n], c - h[n] * d[n]
     out = np.empty_like(blocks)
     out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
     out[over] = np.inf
-    return out
+    if not roots:
+        return out
+    t_all = np.zeros_like(s)
+    if np.any(far):
+        t_all[f], k[f] = t, kf
+    return out, (m, h, s, t_all, k, far)
 
 
 def _fluxes(amplitudes: np.ndarray) -> np.ndarray:
@@ -237,41 +242,6 @@ def _fluxes(amplitudes: np.ndarray) -> np.ndarray:
     """
     pairs = zip(amplitudes.real.tolist(), amplitudes.imag.tolist())
     return np.array([x * x + y * y for x, y in pairs])
-
-
-# Pade-13 numerator coefficients and the largest 1-norm it takes without
-# scaling (N. J. Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0**squarings
-    b = _PADE13
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    ident = np.eye(len(a))
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: the identity is not rounded
-    r = ident + 2.0 * np.linalg.solve(v - u, u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
 
 
 def slab_channel(slab: Slab, dz: float | None = None) -> gaussian.GaussianChannel:
@@ -307,62 +277,349 @@ def coupling_slab_channel(block: np.ndarray, dz: float) -> gaussian.GaussianChan
     return gaussian.minimal_noise_channel(gaussian.transfer_from_mode_matrix(e))
 
 
-def _pair_diffusion(block: np.ndarray) -> np.ndarray:
-    """Least noise rate |H| of a pair generator, H = B eta + eta B^dag.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of two stacks of 2x2 matrices, entry by entry."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _pair_diffusion(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least noise rate |H| of each pair generator, H = B eta + eta B^dag,
+    as (|H| / 2^e, e, tr / 2^e): an exact power-of-two scale and the trace
+    norm.
 
     For a Hermitian 2x2 H with eigenvalues l1, l2, Cayley-Hamilton gives
-    |H| = (H^2 + |det H| I) / (|l1| + |l2|), with |l1| + |l2| the larger
-    of |tr H| and the eigenvalue gap; no square root of an eigenvalue is
-    taken, so a small eigenvalue next to a large one keeps its digits.
+    |H| = (H^2 + |det H| I) / (|l1| + |l2|), with tr = |l1| + |l2| the
+    larger of |tr H| and the eigenvalue gap; no square root of an
+    eigenvalue is taken, so a small eigenvalue next to a large one keeps
+    its digits.  e, with 2^(e-1) <= tr < 2^e, is read off H / 4, whose
+    sums do not overflow; then |H| / 2^e is formed from H / 2^e, scaled
+    exactly from the entries, so that no square over- or underflows.  e
+    reaches the float range's exponent limit only where 2^e leaves it.
     """
-    # H = [[x, y], [y*, z]], eta = diag(1, -1)
-    x, z = 2.0 * block[0, 0].real, -2.0 * block[1, 1].real
-    y = complex(block[1, 0].conjugate() - block[0, 1])
-    total = max(abs(x + z), math.hypot(x - z, 2.0 * abs(y)))
-    if total == 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    # work on H / 2^e, an exact scaling, so that no square under- or overflows
-    exponent = math.frexp(total)[1]
-    if exponent >= sys.float_info.max_exp:  # 2^e itself is past the float range
-        raise OverflowError(f"pair generator's noise rate, of trace {total:.6e}, is out of range")
-    scale = 2.0 ** exponent
-    x, z, y, total = x / scale, z / scale, y / scale, total / scale
-    yy = abs(y) ** 2
-    det = abs(x * z - yy)
-    off = y * (x + z) / total
-    return scale * np.array(
-        [[(x * x + yy + det) / total, off], [off.conjugate(), (z * z + yy + det) / total]]
+    b00, b01, b10, b11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    # H = [[x, y], [y*, z]], eta = diag(1, -1); its scale is read off H / 4
+    x, z, y = 0.5 * b00.real, -0.5 * b11.real, 0.25 * b10.conj() - 0.25 * b01
+    e = np.frexp(np.maximum(np.abs(x + z), np.hypot(x - z, 2.0 * np.abs(y))))[1] + 2
+    # H / 2^e, scaled exactly from the entries
+    x, z = np.ldexp(b00.real, 1 - e), np.ldexp(-b11.real, 1 - e)
+    y = 0.5 * b10.conj() - 0.5 * b01  # |y| <= tr, though b01 and b10 need not be
+    y = np.ldexp(y.real, 1 - e) + 1j * np.ldexp(y.imag, 1 - e)
+    total = np.maximum(np.abs(x + z), np.hypot(x - z, 2.0 * np.abs(y)))
+    scaled = np.where(total == 0.0, 1.0, total)
+    yy = y.real * y.real + y.imag * y.imag
+    det = np.abs(x * z - yy)
+    off = y * (x + z) / scaled
+    d = np.empty(blocks.shape, dtype=complex)
+    d[:, 0, 0], d[:, 0, 1] = (x * x + yy + det) / scaled, off
+    d[:, 1, 0], d[:, 1, 1] = off.conj(), (z * z + yy + det) / scaled
+    return d, e, total
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """phi(x) = int_0^1 e^{x u} du = expm1(x) / x, without cancellation; 1
+    below |x| = 1e-300, so that no subnormal x divides."""
+    tiny = np.abs(x) < 1e-300
+    return np.where(tiny, 1.0, np.expm1(x) / np.where(tiny, 1.0, x))
+
+
+# Moments int_0^1 u^n e^{r u} du up to this n, and the largest |r| whose
+# moments come from series; beyond it the recurrence in n is stable
+_MOMENTS = 40
+# Near r = 0 the series sum_j r^j / (j! (n+j+1)) alternates for r < 0 but
+# loses under two bits for |r| <= 1/2; cut after 16 terms, below 1e-18 of
+# the sum, it is one product with a constant table.  The near points there
+# have |s| <= 1/2 and need half the moments.
+_SERIES_TABLE = 1.0 / np.array(
+    [[math.factorial(j) * (n + j + 1) for n in range(_MOMENTS // 2)] for j in range(16)], dtype=float
+)
+
+
+def _moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma, shift, R): sigma[:, n] = R^n e^-shift int_0^1 u^n e^{ru} du,
+    n < _MOMENTS, with R = max(1, -r) and shift = r for r > _MOMENTS, else 0.
+
+    For |r| <= 1/2, the series of _SERIES_TABLE, for n < _MOMENTS / 2 only
+    (the rest are 0).  For |r| <= _MOMENTS, series of positive terms:
+    sum_j r^j / (j! (n+j+1)) for r >= 0 and e^r sum_j n! |r|^j / (n+j+1)!
+    for r < 0, each cut at 20 + 2.5 |r| terms, where the next is below 1e-18
+    of the sum.  Beyond, the recurrences sigma_n = n sigma_{n-1} - R^(n-1) e^r
+    (r < 0) and sigma_n = (1 - n sigma_{n-1}) / r (r > 0), from
+    sigma_0 = -expm1(-|r|) / |r|: each step shrinks the error it inherits
+    and subtracts at most a tenth of its first term.  A point's terms and
+    their order do not depend on the rest of the stack.
+    """
+    sigma = np.zeros((r.size, _MOMENTS))
+    small, wide = np.abs(r) <= 0.5, np.abs(r) > _MOMENTS
+    shift = np.where(r > _MOMENTS, r, 0.0)
+    rate = np.maximum(-r, 1.0)
+    if np.any(small):
+        powers = r[small, None] ** np.arange(len(_SERIES_TABLE))
+        sigma[small, : _MOMENTS // 2] = (powers[:, :, None] * _SERIES_TABLE).sum(axis=1)
+    if np.any(wide):
+        rw, log_rate = r[wide], np.log(rate[wide])
+        moment = -np.expm1(-np.abs(rw)) / np.abs(rw)
+        sigma[wide, 0] = moment
+        for n in range(1, _MOMENTS):
+            moment = np.where(rw > 0.0, (1.0 - n * moment) / rw, n * moment - np.exp(rw + (n - 1) * log_rate))
+            sigma[wide, n] = moment
+    middle = ~small & ~wide
+    if np.any(middle):
+        rs = r[middle, None, None]
+        n, j = np.arange(_MOMENTS)[:, None], np.arange(20 + math.ceil(2.5 * np.abs(rs).max()))
+        ratio = np.where(rs >= 0.0, rs / np.maximum(j[1:], 1), -rs / (n + j[1:] + 1))
+        terms = np.concatenate([np.ones(ratio.shape[:2] + (1,)), ratio], axis=2).cumprod(axis=2)
+        terms /= np.where(rs >= 0.0, n + j + 1, n + 1)
+        terms = np.where(j < 20 + np.ceil(2.5 * np.abs(rs)), terms, 0.0)
+        sums = terms.cumsum(axis=2)[:, :, -1] * np.exp(np.minimum(rs[:, 0], 0.0))
+        sigma[middle] = sums * rate[middle, None] ** np.arange(_MOMENTS)
+    return sigma, shift, rate
+
+
+_FACTORIALS = np.array([math.factorial(n) for n in range(_MOMENTS)], dtype=float)
+_I_POWERS = np.resize([1.0, 1j, -1.0, -1j], _MOMENTS)
+
+
+def _near_noise(blocks, m, h, s, k, d, e):
+    """Q of each block whose eigenvalues are near, and whether it leaves the
+    float range; see `_pair_maps`.
+
+    I00, I10 and I11 integrate e^{ru} against (cosh au + cos bu) / 2,
+    (sinh au + i sin bu) / 2s and (cosh au - cos bu) / 2|s|^2, a + ib = 2s,
+    whose power series in u have the coefficients (a^n +- (ib)^n) / n!.
+    Their terms are below (2|s|/R)^n / n! and (2|s|/R)^n times the first,
+    R = max(1, -r), so the moments of `_moments` carry them to 1e-18
+    within |s| <= 1/2 and |s| <= -r/6.
+    """
+    sigma, shift, rate = _moments(2.0 * m.real)
+    z = 2.0 * s / rate
+    n = np.arange(_MOMENTS)
+    a, b = z.real[:, None] ** n / _FACTORIALS, z.imag[:, None] ** n * _I_POWERS / _FACTORIALS
+    plus, minus = (a + b) * sigma, (a - b) * sigma
+    # I00, R I10 and R^2 I11, to go with N / R, so that none underflows;
+    # below |z| = 1e-100, where |z|^2 may lose its digits, the last two are
+    # their limits at s = 0, the moments of u and u^2, to 1e-200
+    i00 = 0.5 * plus[:, ::2].sum(axis=1).real
+    tiny = np.abs(z) < 1e-100
+    z = np.where(tiny, 1.0, z)
+    i10 = np.where(tiny, sigma[:, 1], plus[:, 1::2].sum(axis=1) / z)
+    i11 = np.where(tiny, sigma[:, 2], minus[:, 2::2].sum(axis=1).real * 2.0 / (z * z.conj()).real)
+    # every term of Q is at most 3 max(|I00|, 2k |I10|, 4k^2 |I11|) |D|
+    log_i = [np.log(np.maximum(np.abs(x), 1e-300)) for x in (i00, 2.0 * i10, 4.0 * i11)]
+    log_k = np.log(k) - np.log(rate)
+    size = np.maximum.reduce([log_i[0], log_i[1] + log_k, log_i[2] + 2.0 * log_k])
+    over = (shift > _LOG_MAX) | (2.0 * log_k + np.log(4.0) > _LOG_MAX)
+    over |= shift + e * math.log(2.0) + size + np.log(3.0) > _LOG_MAX
+    # 2^e e^shift I, each partial product at most the whole
+    scale = np.ldexp(1.0, np.where(over, 0, e))
+    i00, i10, i11 = (x * scale * np.exp(np.where(over, 0.0, shift)) for x in (i00, i10, i11))
+    gen = np.stack([h, blocks[:, 0, 1], blocks[:, 1, 0], -h], axis=1).reshape(-1, 2, 2) / rate[:, None, None]
+    gen = np.where(over[:, None, None], 0.0, gen)
+    nd = _mul(gen, d)
+    cross = i10[:, None, None] * nd
+    noise = i00[:, None, None] * d + cross + _dagger(cross) + i11[:, None, None] * _mul(nd, _dagger(gen))
+    return noise, over
+
+
+def _far_noise(blocks, s, h, t, k, d, e):
+    """Q = sum_ij phi(l_i + l_j*) P_i D P_j^dag over the spectral projectors
+    P of each block whose eigenvalues are apart, and whether Q leaves the
+    float range; see `_pair_maps`.
+
+    The projectors on l = b11 + t and b00 - t are [[t, b01], [b10, s - h]] / 2s
+    and [[s - h, -b01], [-b10, t]] / 2s, so their entries are at most
+    k / 2|s|, and |phi(x)| is at most 2 e^max(Re x, 0) / max(|x|, 2).
+    """
+    b01, b10 = blocks[:, 0, 1], blocks[:, 1, 0]
+    proj = np.array([t, b01, b10, s - h, s - h, -b01, -b10, t]).T.reshape(-1, 2, 2, 2)
+    proj = proj / s[:, None, None, None] * 0.5
+    # the exponents l_i + l_j*, halved so that no sum overflows
+    half = 0.5 * np.array([blocks[:, 1, 1] + t, blocks[:, 0, 0] - t]).T
+    half = half[:, :, None] + half[:, None, :].conj()
+    size, rate = np.abs(half), half.real
+    log_phi = (np.maximum(2.0 * rate, 0.0) - np.log(np.maximum(size, 1.0))).max(axis=(1, 2))
+    log_p = 2.0 * (np.log(k) - np.log(np.abs(s))) + np.log(8.0)
+    over = (rate.max(axis=(1, 2)) > 0.5 * _LOG_MAX) | (size.max(axis=(1, 2)) > 2.0**1022)
+    over |= (log_p > _LOG_MAX) | (log_phi + e * math.log(2.0) + log_p > _LOG_MAX)
+    if np.any(over):
+        half, e = np.where(over[:, None, None], 0.0, half), np.where(over, 0, e)
+        proj = np.where(over[:, None, None, None], 0.0, proj)
+    psi = _phi(2.0 * half) * np.ldexp(1.0, e)[:, None, None]
+    # the products P_i D P_j^dag, a (2, 2) stack of them per point
+    terms = _mul(_mul(proj, d[:, None])[:, :, None], _dagger(proj)[:, None])
+    return (psi[..., None, None] * terms).sum(axis=(1, 2)), over
+
+
+# Faults of a point's pair map and output, in the order the point meets them
+_RATE, _TRANSFER, _NOISE, _CP, _FIGURES = range(1, 6)
+_OVERFLOWS = {_TRANSFER: "the transfer e^(BL)", _NOISE: "the added noise of the pair map"}
+
+
+def _fail(fault: np.ndarray, trace: np.ndarray, place, figures: str = "") -> None:
+    """Raise the OutputOverflowError of the first faulty point, if any."""
+    if not np.any(fault):
+        return
+    i = int(np.flatnonzero(fault)[0])
+    if fault[i] == _RATE:
+        what = f"pair generator's noise rate, of trace {trace[i]:.6e}, is out of range"
+    else:
+        what = _OVERFLOWS.get(int(fault[i]), figures)
+    raise OutputOverflowError(f"output overflows the float range ({what}){place(i)}")
+
+
+def _pair_maps(blocks: np.ndarray, length) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(M, Q, fault, trace) of every constant pair generator B of an (N, 2, 2)
+    stack over a length (a number, or one per generator, shape (N, 1, 1)).
+
+    M = e^A, A = BL, is `_expm2x2`; Q = int_0^1 e^{Au} D e^{A^dag u} du,
+    with D `_pair_diffusion`, is Van Loan's noise integral (C. F. Van Loan,
+    IEEE TAC 23, 395, 1978) in closed form.  Where the eigenvalues m +- s
+    are apart, Q = sum_ij phi(l_i + l_j*) P_i D P_j^dag on the spectral
+    projectors P (`_far_noise`).  Those lose (r/s)^2 of the digits of Q,
+    r = 2 Re m, so within |s| <= 1/2, and within |s| <= -r/6, the
+    Cayley-Hamilton form e^{Au} = e^{mu} (cosh(su) I + sinh(su)/s N),
+    N = A - m I, gives Q = I00 D + I10 N D + I10* D N^dag + I11 N D N^dag,
+    whose scalars are power series in s over the moments of e^{ru}
+    (`_near_noise`; N. J. Higham, Functions of Matrices, SIAM 2008, ch. 10).
+
+    fault is 0, or the first of _RATE, _TRANSFER and _NOISE a point meets;
+    such a point's M and Q are not to be read, and no operation overflows.
+    trace is the trace norm of D where some point's is out of range.
+    """
+    a = np.asarray(blocks * length, dtype=complex)
+    d, e, trace = _pair_diffusion(a)
+    rate = e >= sys.float_info.max_exp
+    if np.any(rate):
+        # tr itself, below 2^1024 as long as e <= 1024; elsewhere tr bounds
+        # the entries of H and so |Re tr(A)|, and no exponent overflows
+        trace = np.where(e <= 1024, np.ldexp(trace, np.minimum(e, 1024)), np.inf)
+        d[rate], e[rate] = 0.0, 0
+        a = np.where(rate[:, None, None], 0.0, a)
+    transfer, (m, h, s, t, k, far) = _expm2x2(a, roots=True)
+    noise = np.empty_like(a)
+    over = np.empty(far.shape, dtype=bool)
+    near = ~far | (np.abs(s) <= -m.real / 3.0)
+    for part, branch, args in ((near, _near_noise, (m, h, s, k)), (~near, _far_noise, (s, h, t, k))):
+        if np.any(part):
+            p = _part(part)
+            noise[p], over[p] = branch(a[p], *(x[p] for x in args), d[p], e[p])
+    fault = np.where(rate, _RATE, np.where(np.isinf(transfer[:, 0, 0]), _TRANSFER, np.where(over, _NOISE, 0)))
+    return transfer, 0.5 * noise + 0.5 * _dagger(noise), fault, trace
+
+
+def _pair_cp_defects(transfer: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """`gaussian.cp_defect` of each lifted pair map: the least eigenvalue of
+    Q +- (eta - M eta M^dag), eta = diag(1, -1)."""
+    w = _mul(transfer * [1.0, -1.0], _dagger(transfer))
+    signs = np.array([1.0, -1.0])[:, None]
+    x = noise[:, 0, 0].real + signs * (1.0 - w[:, 0, 0].real)
+    z = noise[:, 1, 1].real + signs * (-1.0 - w[:, 1, 1].real)
+    y = noise[:, 0, 1] - signs * w[:, 0, 1]
+    return (0.5 * (x + z) - np.hypot(0.5 * (x - z), np.abs(y))).min(axis=0)
+
+
+class _PairOutputs(NamedTuple):
+    """The outputs of every point of a stack, for a unit coherent probe seed."""
+
+    transfer: np.ndarray
+    noise: np.ndarray
+    covariance: np.ndarray  # K = M M^dag + Q, the output's (a, b^dag) covariance
+    g_a: np.ndarray
+    g_b: np.ndarray
+    f_a: np.ndarray
+    f_b: np.ndarray
+    c_ab: np.ndarray
+    gemellity: np.ndarray
+    gemellity_db: np.ndarray
+
+
+def _pair_outputs(blocks: np.ndarray, length=1.0, place=lambda i: "", maps=None) -> _PairOutputs:
+    """The quantum output of every constant pair generator of an (N, 2, 2)
+    stack over a length, or of the pair maps `maps` = (M, Q, fault, trace).
+
+    Everything is read in the pair basis.  The fluxes are those of M's
+    first column.  With K = M M^dag + Q, the noise figures are F_a = K00 and
+    F_b = K11 and the amplitude correlation is
+    Re(e^{-i(arg M00 - arg M10)} K01) / sqrt(F_a F_b), the amplitude
+    quadrature of each beam being that of its mean field.  Each map passes
+    the CP check of its lifted channel.
+
+    The first point that fails, in the order a single point meets the
+    checks, raises: OutputOverflowError naming the quantity that leaves the
+    float range, followed by place(i), or the CP check's ValueError.
+    """
+    transfer, noise, fault, trace = _pair_maps(blocks, length) if maps is None else maps
+    # the largest real or imaginary part of M and of Q.  Where M's passes
+    # 2^510 or Q's 2^1020, K = M M^dag + Q might not be a float, and its
+    # noise figures pass 2^511, whose squares the gemellity may not take
+    parts = [np.abs(v.view(float)).max(axis=(1, 2)) for v in (transfer, noise)]
+    huge = (parts[0] > 2.0**510) | (parts[1] > 2.0**1020)
+    fault = np.where((fault == 0) & huge, _FIGURES, fault)
+    if np.any(fault):
+        fine = fault == 0
+        transfer, noise = (np.where(fine[:, None, None], x, 0.0) for x in (transfer, noise))
+        parts = [np.where(fine, x, 0.0) for x in parts]
+    # the CP check's scale, max(1, max|T|^2, max|N|) of the lifted channel
+    scale = np.maximum(np.maximum(parts[0] ** 2, parts[1]), 1.0)
+    defect = _pair_cp_defects(transfer, noise)
+    fault = np.where((fault == 0) & (defect < -gaussian._CP_TOL * scale), _CP, fault)
+    cov = _mul(transfer, _dagger(transfer)) + noise
+    f_a, f_b = cov[:, 0, 0].real, cov[:, 1, 1].real
+    fault = np.where((fault == 0) & (np.maximum(f_a, f_b) > 2.0**511), _FIGURES, fault)
+    if np.any(fault):
+        i = int(np.flatnonzero(fault)[0])
+        if fault[i] == _CP:
+            gaussian._require_cp(float(defect[i]), float(scale[i]))
+        figures = (np.inf, np.inf) if huge[i] else (f_a[i], f_b[i])
+        _fail(fault, trace, place, "the squares of the noise figures %.6e and %.6e" % figures)
+    phase = np.exp(-1j * (np.angle(transfer[:, 0, 0]) - np.angle(transfer[:, 1, 0])))
+    c_ab = np.clip((phase * cov[:, 0, 1]).real / np.sqrt(f_a * f_b), -1.0, 1.0)
+    gem = (f_a + f_b) / 2.0 - np.sqrt(c_ab * c_ab * f_a * f_b + ((f_a - f_b) / 2.0) ** 2)
+    gem_db = 10.0 * np.log10(gem, out=np.full_like(gem, -np.inf), where=gem > 0.0)
+    g_a, g_b = _fluxes(transfer[:, 0, 0]), _fluxes(transfer[:, 1, 0])
+    return _PairOutputs(transfer, noise, cov, g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
+
+
+def _result(out: _PairOutputs) -> PropagationResult:
+    """The PropagationResult of a one-point `_pair_outputs`: the output state
+    has the mean (M00, M10*) and the covariance K lifted to quadratures."""
+    figures = NoiseFigures(float(out.f_a[0]), float(out.f_b[0]), float(out.c_ab[0]))
+    g_a, g_b = float(out.g_a[0]), float(out.g_b[0])
+    mean = np.array([out.transfer[0, 0, 0], out.transfer[0, 1, 0].conjugate()])
+    return PropagationResult(
+        state=gaussian.CovarianceState(gaussian.transfer_from_mode_matrix(out.covariance[0]), mean),
+        g_a=g_a,
+        g_b=g_b,
+        sum_transmission=g_a + g_b,
+        figures=figures,
+        gemellity=float(out.gemellity[0]),
+        gemellity_db=float(out.gemellity_db[0]),
+        diff_noise=_flux_weighted_difference_noise(figures, g_a, g_b),
     )
 
 
-def _pair_map(block: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (M, Q) of a constant pair generator B over a length.
+def _map_result(transfer: np.ndarray, noise: np.ndarray) -> PropagationResult:
+    """The PropagationResult of one pair map (M, Q)."""
+    return _result(_pair_outputs(None, maps=(transfer[None], noise[None], np.zeros(1, dtype=int), None)))
 
-    Q = int_0^L e^{Bs} D e^{B^dag s} ds, D = `_pair_diffusion`, from one
-    exponential of the complex Van Loan block [[-B, D], [0, B^dag]] over
-    L / 2^k, then k squarings (M, Q) -> (M^2, M Q M^dag + Q).  M = e^{BL}
-    is the closed form `_expm2x2`: the squarings lose digits of it, some
-    1e-14 at ||B||_1 L of about 200.
-    """
+
+def _checked_maps(blocks: np.ndarray, length) -> tuple[np.ndarray, np.ndarray]:
+    """(M, Q) of `_pair_maps`, raising for the first point that fails."""
+    transfer, noise, fault, trace = _pair_maps(blocks, length)
+    _fail(fault, trace, lambda i: "")
+    return transfer, noise
+
+
+def _pair_block(block: np.ndarray, length: float) -> np.ndarray:
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"pair-basis generator must be 2x2, got {block.shape}")
     if length <= 0.0:
         raise ValueError(f"length must be positive, got {length}")
-    norm = float(np.abs(block).sum(axis=0).max()) * length
-    k = math.ceil(math.log2(norm)) if norm > 1.0 else 0
-    van_loan = np.zeros((4, 4), dtype=complex)
-    van_loan[:2, :2] = -block
-    van_loan[:2, 2:] = _pair_diffusion(block)
-    van_loan[2:, 2:] = block.conj().T
-    e = _expm(van_loan * (length / 2**k))
-    m = e[2:, 2:].conj().T
-    q = m @ e[:2, 2:]
-    for i in range(k):
-        q = m @ q @ m.conj().T + q
-        if i + 1 < k:
-            m = m @ m
-    return _expm2x2((block * length)[None])[0], 0.5 * (q + q.conj().T)
+    return block[None]
 
 
 def _lift(pair: tuple[np.ndarray, np.ndarray]) -> gaussian.GaussianChannel:
@@ -375,14 +632,15 @@ def _lift(pair: tuple[np.ndarray, np.ndarray]) -> gaussian.GaussianChannel:
 
 def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
     """CP map of a constant pair-basis generator over a length, see module docstring."""
-    return _lift(_pair_map(block, length))
+    transfer, noise = _checked_maps(_pair_block(block, length), length)
+    return _lift((transfer[0], noise[0]))
 
 
 # The search's objective runs on closed-form maps in the pair basis.  A
 # real-rate segment B = [[p, g], [g, q]] has the minimal diffusion
 # diag(alpha_a, alpha_b) whatever g is, so its map (M, Q) is real: a
 # row-major 2x2 transfer (a, b, c, d) and a symmetric 2x2 noise (x, y, z)
-# of plain floats, the map `_pair_map` gives.
+# of plain floats, the map `_pair_maps` gives.
 
 
 def _pair_segment(slab: Slab) -> tuple[tuple, tuple]:
@@ -486,25 +744,9 @@ def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
     return gaussian.compose_power(sub, subdivisions)
 
 
-def _result_from_channel(channel: gaussian.GaussianChannel) -> PropagationResult:
-    """Push a unit coherent probe seed through a channel."""
-    state = gaussian.apply(channel, gaussian.coherent_input(1.0))
-    # fluxes per unit seed: the seed's transfer column (x_a, p_a, x_b, p_b)
-    # read as the two complex amplitudes x + i p
-    seed = np.ascontiguousarray(channel.transfer[:, 0]).view(complex)
-    g_a, g_b = _fluxes(seed).tolist()
-    figures = noise_figures(state)
-    gem = float(gemellity(figures))
-    return PropagationResult(
-        state=state,
-        g_a=g_a,
-        g_b=g_b,
-        sum_transmission=g_a + g_b,
-        figures=figures,
-        gemellity=gem,
-        gemellity_db=db_from_linear(gem) if gem > 0 else -np.inf,
-        diff_noise=_flux_weighted_difference_noise(figures, g_a, g_b),
-    )
+def _mode_matrix(t: np.ndarray) -> np.ndarray:
+    """The 2x2 mode matrix e of a quadrature block t = `transfer_from_mode_matrix(e)`."""
+    return np.array([[t[0, 0] + 1j * t[1, 0], t[0, 2] + 1j * t[0, 3]], [t[2, 0] - 1j * t[2, 1], t[2, 2] + 1j * t[2, 3]]])
 
 
 def propagate(profile: SlabProfile, subdivisions: int = 1) -> PropagationResult:
@@ -516,35 +758,37 @@ def propagate(profile: SlabProfile, subdivisions: int = 1) -> PropagationResult:
     for slab in profile.slabs:
         seg = _segment_channel(slab, subdivisions)
         total = seg if total is None else gaussian.compose(seg, total)
-    return _result_from_channel(total)
+    return _map_result(_mode_matrix(total.transfer), _mode_matrix(total.added_noise))
 
 
 def propagate_exact(profile: SlabProfile) -> PropagationResult:
     """Push a unit coherent probe seed through the profile, one exact map
     per segment.
 
-    The segment maps compose in the pair basis, (M2 M1, M2 Q1 M2^dag + Q2),
-    and the product is lifted to a channel once.
+    The segment maps come from one stacked `_pair_maps` call and compose in
+    the pair basis, (M2 M1, M2 Q1 M2^dag + Q2); the product's output is
+    read in the pair basis, with one CP check.
     """
-    m, q = np.eye(2), np.zeros((2, 2))
-    for s in profile.slabs:
-        m2, q2 = _pair_map([[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]], s.dz)
+    blocks = np.array(
+        [[[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]] for s in profile.slabs], dtype=complex
+    )
+    lengths = np.array([s.dz for s in profile.slabs])[:, None, None]
+    transfers, noises = _checked_maps(blocks, lengths)
+    m, q = transfers[0], noises[0]
+    for m2, q2 in zip(transfers[1:], noises[1:]):
         m, q = m2 @ m, m2 @ q @ m2.conj().T + q2
-    return _result_from_channel(_lift((m, q)))
+    return _map_result(m, q)
 
 
 def propagate_coupling(block: np.ndarray, length: float = 1.0) -> PropagationResult:
     """Push a unit coherent probe seed through a constant complex
     pair-basis generator.
 
-    Raises OutputOverflowError when the map or the output's noise figures
-    leave the float range, as they do for optical depths of about 1e6.
+    Raises OutputOverflowError, naming the quantity, when the map or the
+    output's noise figures leave the float range, as they do for optical
+    depths of about 1e6.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _result_from_channel(exact_channel(block, length))
-    except (OverflowError, FloatingPointError) as exc:
-        raise OutputOverflowError(f"output overflows the float range ({exc})") from exc
+    return _result(_pair_outputs(_pair_block(block, length), length))
 
 
 def refine_until_converged(
@@ -651,6 +895,12 @@ def search_beyond_lumped_limit(
         for _escalation in range(4):
             step = rate_bound / 4.0
             fx = penalized(x, mu)
+            while not math.isfinite(fx):
+                # a start whose map overflows sits on a plateau with no
+                # descent; halve it toward the all-zero profile, which never
+                # overflows.  A finite start draws and evaluates nothing more
+                x = x / 2.0
+                fx = penalized(x, mu)
             while step > 1e-3:
                 improved = False
                 for i in range(dim):

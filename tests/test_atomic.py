@@ -444,6 +444,16 @@ def test_pair_output_gains_equal_the_gain_curves_bit_for_bit():
         assert (out.g_a, out.g_b) == (g_a, g_b)
 
 
+def test_the_beam_splitter_point_does_not_depend_on_its_grid():
+    # the point's outputs, taken on a one-point stack of the scan's response,
+    # against a one-point propagate_coupling of its generator, bit for bit
+    for p in map(_pool_medium, range(40)):
+        point = atomic.find_beam_splitter_point(p)
+        out = propagation.propagate_coupling(atomic.sideband_blocks(p, [point.delta])[0])
+        assert (point.probe_gain, point.conj_gain) == (out.g_a, out.g_b)
+        assert (point.gemellity, point.gemellity_db) == (out.gemellity, out.gemellity_db)
+
+
 @pytest.mark.parametrize("depth", [1e160, 1e300, 1.7e308])
 def test_gain_curves_past_the_float_range_warn_nothing(depth):
     # the blocks' squares would overflow before any exponent is formed, and

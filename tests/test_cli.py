@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,20 @@ def test_beat_limit_survives_a_rate_bound_beyond_the_float_range(tmp_path, capsy
     assert len(rows) == 1
 
 
+def test_a_start_on_the_overflow_plateau_is_not_lost(tmp_path, capsys):
+    # seed 0 draws a start whose map overflows, and so does every neighbour
+    # the pattern search tries; halved toward zero it reaches a flux-neutral
+    # profile instead of reporting the trivial one
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("[search]\nsegments = 1\nrestarts = 1\nrate_bound = 1000\n")
+    code, out, err = run(capsys, ["beat-limit", "--config", str(cfg), "--seed", "0"])
+    assert code == 0, err
+    summary, _, rows = parse_csv(out)
+    assert abs(float(summary["sum"]) - 1.0) <= 0.01
+    assert float(summary["gemellity_dB"]) < 0.0
+    assert float(rows[0]["g"]) > 0.0
+
+
 def test_beat_limit_completes_where_the_slab_path_failed(tmp_path, capsys):
     # this search used to raise a CP error and exit 2
     cfg = tmp_path / "search.cfg"
@@ -399,7 +414,13 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     code, out, err = run(capsys, ["sweep-delta", "--config", str(cfg)])
     assert code == 3
     assert out == ""
-    assert "overflow" in err and "two-photon detuning -10.8 MHz" in err
+    # the message names the quantity, the noise figures whose squares the
+    # gemellity takes, not the C library's errno text
+    assert re.fullmatch(
+        r"error: output overflows the float range \(the squares of the noise figures "
+        r"3\.\d{6}e\+189 and 3\.\d{6}e\+189\) at two-photon detuning -10\.8 MHz\n",
+        err,
+    ), err
     # near the float maximum the noise rate's power-of-2 scale overflows first;
     # the message names that quantity, not the C library's errno text
     cfg.write_text("[atomic]\ndepth = 1.7e308\n")

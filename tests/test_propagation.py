@@ -12,11 +12,12 @@ import types
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twinbeam import atomic, gaussian, lumped, propagation
+from twinbeam import atomic, cli, gaussian, lumped, propagation
 from twinbeam.configio import angular_from_mhz
+from twinbeam.metrics import noise_figures
 from twinbeam.propagation import Slab, SlabProfile
 
 
@@ -364,18 +365,75 @@ def test_closed_form_2x2_exponential_takes_blocks_past_the_float_range():
     assert np.all(np.abs(got - exact) <= 1e-15 * np.abs(exact))
 
 
-@pytest.mark.parametrize("norm", [1e-3, 0.5, 5.0, 20.0, 80.0])
-def test_pade_exponential_matches_a_50_digit_reference(norm):
-    # unscaled up to the Pade-13 bound 5.37, scaled and squared beyond it
-    rng = np.random.default_rng(int(norm * 1000))
-    for _ in range(5):
-        # a real 8x8 matrix, and a complex 4x4 one like the pair Van Loan block
-        real, cplx = rng.normal(size=(8, 8)), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for a in (real, cplx):
-            a *= norm / np.abs(a).sum(axis=0).max()
-            _assert_close_to_exp(propagation._expm(a), a)
-    assert np.array_equal(propagation._expm(np.zeros((8, 8))), np.eye(8))
-    assert np.array_equal(propagation._expm(np.zeros((4, 4), complex)), np.eye(4))
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PART, min_size=8, max_size=8), st.floats(min_value=-9.0, max_value=2.5))
+@example([0.0] * 8, 0.0)  # B = 0, D = 0
+@example([1, 1, 0, 1, 0, 0, 0, 0], 0.0)  # a Jordan block: h = 0, s = 0
+@example([2, 1, -1, 0, 0, 0, 0, 0], 0.0)  # s = 0 with h = 1
+@example([-1, 1, 0, -1, 0, 0.5, 0, 0], 1.5)  # a decaying Jordan block, r = -63
+@example([0.5, 0, 0, -0.5, 0, 0, 0, 0], 0.0)  # |s| = 1/2, the branch edge
+@example([0.5, 0, 0, -0.5, 0, 0, 0, 0], float(np.log10(1.0 + 1e-15)))  # just past it
+@example([0.2, 1e-9, -3e-9, 0.3, 0, 2e-9, 0, 0.1], 0.0)  # tiny |s|
+@example([0, 1, 1e-320, 0, 0, 0, 0, 0], 0.0)  # |s|^2 subnormal
+@example([-1, 0.05, 0.04, -0.9, 0, 0.01, 0, 0], 2.0)  # |s| < |r| / 6, r = -380
+# the atomic generator at -40.4 MHz on the default medium, rounded: one
+# eigenvalue near 0 next to one near -142 - 68i
+@example([-0.746, -0.1649, 0.1648, 0.03644, -0.3573, -0.0788, 0.07895, 0.01768], 2.301)
+def test_closed_form_noise_integral_matches_a_50_digit_van_loan_block(parts, log_scale):
+    # real parts of b00, b01, b10, b11, then their imaginary parts
+    re, im = np.array(parts[:4]), np.array(parts[4:])
+    block = (10.0**log_scale * (re + 1j * im)).reshape(2, 2)
+    transfer, noise, fault, _ = propagation._pair_maps(block[None], 1.0)
+    assume(fault[0] == 0)  # a map past the float range is flagged, not read
+    _, (exact_m, exact_q) = _mpmath_pair_maps([(block, 1.0)], 50)
+    exact_q = _as_array(exact_q)
+    # 1e-14 up to ||B||_1 = 10; beyond, the rounding of an exponent x alone
+    # moves e^x by |x| eps, so the bound grows with the norm
+    norm = np.abs(block).sum(axis=0).max()
+    bound = 1e-14 * max(1.0, norm / 10.0) * max(1.0, np.abs(exact_q).max())
+    assert np.abs(noise[0] - exact_q).max() <= bound
+    assert np.array_equal(transfer[0], propagation._expm2x2(block[None])[0])
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e60, 1e147, 1e300])
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.array([[-1.17, -0.0203], [-0.0203, -0.603]]),  # near: |s| <= -Re(tr B) / 6
+        np.array([[0.0023, -0.0148], [0.121, -0.0787]]),  # near, with s imaginary
+        np.array([[-1.0, 0.3 + 0.2j], [0.1j, -2.5]]),  # far
+    ],
+)
+def test_damped_maps_keep_their_noise_at_any_scale(scale, block):
+    # e^{BL} vanishes, so Q is the solution of B Q + Q B^dag = -D, the same
+    # at every scale of B; at large scales the scalars of the near branch
+    # are far below the float range and N far above it
+    from scipy.linalg import solve_continuous_lyapunov
+
+    block = block.astype(complex)
+    transfer, noise, fault, _ = propagation._pair_maps(scale * block[None], 1.0)
+    assert fault[0] == 0 and np.abs(transfer).max() < 1e-100
+    d, e, _ = propagation._pair_diffusion(block[None])
+    want = solve_continuous_lyapunov(block, -np.ldexp(1.0, e[0]) * d[0])
+    np.testing.assert_allclose(noise[0], want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+    assert propagation._pair_cp_defects(transfer, noise)[0] > -1e-9
+
+
+def test_pair_maps_flag_what_leaves_the_float_range_and_warn_nothing():
+    # pytest makes any warning an error; each point keeps its stack-of-one bits
+    rng = np.random.default_rng(5)
+    scale = np.logspace(-3.0, 3.0, 300)[:, None, None]
+    blocks = (rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2))) * scale
+    transfer, noise, fault, _ = propagation._pair_maps(blocks, 1.0)
+    assert 0 < np.count_nonzero(fault) < 300
+    assert set(fault.tolist()) <= {0, propagation._TRANSFER, propagation._NOISE}
+    for i in range(0, 300, 7):
+        one = propagation._pair_maps(blocks[i : i + 1], 1.0)
+        assert one[2][0] == fault[i]
+        if not fault[i]:
+            assert np.array_equal(one[0][0], transfer[i]) and np.array_equal(one[1][0], noise[i])
+    with pytest.raises(propagation.OutputOverflowError, match=r"\(the (transfer|added noise)"):
+        propagation.propagate_coupling(blocks[int(np.flatnonzero(fault)[0])])
 
 
 def _matrices(pair):
@@ -415,7 +473,7 @@ def test_closed_form_segment_map_matches_the_van_loan_map(n, g, alpha_a, alpha_b
     slab = Slab(1.0 / n, g, alpha_a, alpha_b)
     block = np.array([[-alpha_a / 2.0, g], [g, -alpha_b / 2.0]])
     transfer, noise = _matrices(propagation._pair_segment(slab))
-    exact_m, exact_q = propagation._pair_map(block, slab.dz)
+    exact_m, exact_q = (x[0] for x in propagation._pair_maps(block[None], slab.dz)[:2])
     scale = _cp_scale(exact_m, exact_q)
     np.testing.assert_allclose(
         transfer, exact_m, rtol=0.0, atol=1e-13 * np.abs(exact_m).max()
@@ -425,8 +483,9 @@ def test_closed_form_segment_map_matches_the_van_loan_map(n, g, alpha_a, alpha_b
     # diffusion of a real block; the pair engine's |H| gives it to rounding
     # (read off the block, where alpha / 2 may underflow)
     rates = -2.0 * np.diag(block)
+    d, e, _ = propagation._pair_diffusion(block[None].astype(complex))
     np.testing.assert_allclose(
-        propagation._pair_diffusion(block), np.diag(rates), rtol=1e-15, atol=1e-15 * rates.max()
+        np.ldexp(1.0, e[0]) * d[0], np.diag(rates), rtol=1e-15, atol=1e-15 * rates.max()
     )
 
 
@@ -507,7 +566,7 @@ def _mpmath_pair_maps(segments, digits):
         for block, length in segments:
             block = np.asarray(block, dtype=complex)
             b = mpmath.matrix(block.tolist())
-            k = max(0, math.ceil(math.log2(np.abs(block).sum(axis=0).max() * length)))
+            k = max(0, math.ceil(math.log2(max(np.abs(block).sum(axis=0).max() * length, 1.0))))
             van_loan = mpmath.zeros(4)
             van_loan[0:2, 0:2] = -b
             van_loan[0:2, 2:4] = _mpmath_abs(b * eta + eta * b.H)
@@ -556,7 +615,8 @@ def test_pair_maps_match_a_60_digit_reference(rates):
         scale = _cp_scale(m, q)
         # the search's closed form and the pair engine
         closed = _matrices(propagation._pair_segment(slab))
-        for got_m, got_q in (closed, propagation._pair_map(block, slab.dz)):
+        engine = (x[0] for x in propagation._pair_maps(np.array(block, complex)[None], slab.dz)[:2])
+        for got_m, got_q in (closed, tuple(engine)):
             np.testing.assert_allclose(got_m, m, rtol=0.0, atol=1e-14 * np.abs(m).max())
             np.testing.assert_allclose(got_q, q, rtol=0.0, atol=1e-14 * scale)
     with mpmath.workdps(60):
@@ -604,46 +664,100 @@ def test_atomic_maps_match_an_80_digit_reference():
         np.testing.assert_allclose(got.added_noise, noise, rtol=0.0, atol=1e-13 * scale)
         # M is the closed-form exponential; taken from the Van Loan squarings
         # it was 2.8e-14 off here
-        m, exact_m = propagation._pair_map(block, 1.0)[0], _as_array(pair[0])
+        m, exact_m = propagation._pair_maps(block[None], 1.0)[0][0], _as_array(pair[0])
         assert np.abs(m - exact_m).max() <= 4e-15 * np.abs(exact_m).max()
         # the printed gemellity, against that of the correctly rounded map
-        want = propagation._result_from_channel(gaussian.GaussianChannel(transfer, noise))
+        want = propagation._map_result(*(_as_array(x) for x in pair))
         res = propagation.propagate_coupling(block)
         assert res.gemellity_db == pytest.approx(want.gemellity_db, rel=0.0, abs=1e-12)
 
 
 def _count_channel_calls(monkeypatch):
-    calls = {"cp_defect": 0, "compose": 0, "compose_power": 0}
-    for name in calls:
+    """Calls of the quadrature channel's CP check and composition, and the
+    number of pair maps `_pair_cp_defects` checks."""
+    calls = {"cp_defect": 0, "compose": 0, "compose_power": 0, "pair_cp": 0}
+    for name in ("cp_defect", "compose", "compose_power"):
 
         def counted(*args, _name=name, _original=getattr(gaussian, name)):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(gaussian, name, counted)
+
+    def pair_cp(transfer, noise, _original=propagation._pair_cp_defects):
+        calls["pair_cp"] += len(transfer)
+        return _original(transfer, noise)
+
+    monkeypatch.setattr(propagation, "_pair_cp_defects", pair_cp)
     return calls
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_propagate_exact_lifts_once_and_composes_no_channel(monkeypatch, n):
+    # the product of the segment maps is checked once, in the pair basis
     segments = (Slab(0.5, 3.0, 0.0, 0.0), Slab(0.25, 7.0, 2.0, 19.0), Slab(0.25, 0.0, 11.0, 4.0))
     calls = _count_channel_calls(monkeypatch)
     propagation.propagate_exact(SlabProfile(segments[:n]))
-    assert calls == {"cp_defect": 1, "compose": 0, "compose_power": 0}
+    assert calls == {"cp_defect": 0, "compose": 0, "compose_power": 0, "pair_cp": 1}
 
 
 @pytest.mark.parametrize(
     "block, length",
     [
-        # the default sweep's -40.4 MHz generator: ||B||_1 = 202, 8 squarings
+        # the default sweep's -40.4 MHz generator, ||B||_1 = 202
         (_default_sweep_blocks([137])[0], 1.0),
         (np.array([[0.4j, 0.3], [0.3, -0.2 - 0.1j]]), 7.0),
     ],
 )
 def test_propagate_coupling_lifts_once_and_composes_no_channel(monkeypatch, block, length):
+    # one pair CP check, and the state is lifted from the pair basis once
     calls = _count_channel_calls(monkeypatch)
     propagation.propagate_coupling(block, length)
-    assert calls == {"cp_defect": 1, "compose": 0, "compose_power": 0}
+    assert calls == {"cp_defect": 0, "compose": 0, "compose_power": 0, "pair_cp": 1}
+
+
+def test_sweep_delta_checks_one_pair_map_per_point_in_one_call(monkeypatch, capsys):
+    calls = _count_channel_calls(monkeypatch)
+    coupling = []
+    monkeypatch.setattr(propagation, "propagate_coupling", lambda *a: coupling.append(a))
+    assert cli.main(["sweep-delta"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 252
+    assert coupling == []
+    assert calls == {"cp_defect": 0, "compose": 0, "compose_power": 0, "pair_cp": 251}
+
+
+def test_a_sweep_point_does_not_depend_on_its_grid():
+    # each default sweep-delta row, against a one-point propagate_coupling
+    blocks = _default_sweep_blocks(slice(None))
+    out = propagation._pair_outputs(blocks)
+    for i, block in enumerate(blocks):
+        one = propagation.propagate_coupling(block)
+        assert (one.g_a, one.g_b, one.gemellity) == (out.g_a[i], out.g_b[i], out.gemellity[i])
+        assert one.gemellity_db == out.gemellity_db[i]
+
+
+def test_the_stacked_pair_cp_defect_is_that_of_the_lifted_channel():
+    blocks = _default_sweep_blocks(slice(None))
+    transfer, noise = propagation._pair_maps(blocks, 1.0)[:2]
+    defect = propagation._pair_cp_defects(transfer, noise)
+    for m, q, got in zip(transfer, noise, defect):
+        channel = propagation._lift((m, q))
+        want = gaussian.cp_defect(channel)
+        assert abs(got - want) <= 1e-13 * _cp_scale(channel.transfer, channel.added_noise)
+
+
+def test_pair_outputs_match_the_lifted_state():
+    # the noise figures and correlation read in the pair basis, against
+    # noise_figures of the output state the quadrature channel gives
+    blocks = _default_sweep_blocks(slice(None))
+    out = propagation._pair_outputs(blocks)
+    for i, (m, q) in enumerate(zip(out.transfer, out.noise)):
+        figures = noise_figures(gaussian.apply(propagation._lift((m, q)), gaussian.coherent_input(1.0)))
+        # a few roundings apart: the lifted path rotates the covariance by
+        # the mean phases, the pair basis multiplies by one phase factor
+        assert out.f_a[i] == pytest.approx(figures.f_a, rel=1e-15)
+        assert out.f_b[i] == pytest.approx(figures.f_b, rel=1e-15)
+        assert out.c_ab[i] == pytest.approx(figures.c_ab, rel=0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
