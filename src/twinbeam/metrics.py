@@ -13,6 +13,7 @@ photocurrents; values below 1 certify nonclassical twin correlations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +101,16 @@ def noise_figures(state: CovarianceState) -> NoiseFigures:
     return NoiseFigures(float(f_a), float(f_b), float(np.clip(c_ab, -1.0, 1.0)))
 
 
+def _gemellity(fa, fb, c):
+    """`gemellity` of floats or arrays; either square root is correctly rounded."""
+    sqrt = np.sqrt if isinstance(fa, np.ndarray) else math.sqrt
+    return (fa + fb) / 2.0 - sqrt(c * c * fa * fb + ((fa - fb) / 2.0) ** 2)
+
+
 def gemellity(figures: NoiseFigures) -> float:
     """Twin-beam criterion; equals the weighted difference noise at the
     optimal power splitting and is symmetric under beam exchange."""
-    fa, fb, c = figures.f_a, figures.f_b, figures.c_ab
-    return (fa + fb) / 2.0 - np.sqrt(c * c * fa * fb + ((fa - fb) / 2.0) ** 2)
+    return _gemellity(figures.f_a, figures.f_b, figures.c_ab)
 
 
 def gemellity_db(figures: NoiseFigures) -> float:

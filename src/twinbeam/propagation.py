@@ -33,7 +33,9 @@ noise integral follow from its eigenvalues and one rotation angle; the
 map is a real 2x2 transfer and a symmetric 2x2 noise of plain floats,
 and a coherent seed's output reduces to three numbers, the two noise
 figures and their covariance.  Each map passes the same CP check as a
-channel.
+channel.  They run on the rate vector, with no per-evaluation dataclass;
+a candidate remaps only the segment it moves and reuses the incumbent's
+other maps and running products, in the order of a full evaluation.
 
 The slab discretizations stay as the independent oracles the exact
 maps are tested against: `propagate` factorizes each thin slab into
@@ -55,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gaussian
-from .metrics import NoiseFigures, _flux_weighted_difference_noise, gemellity
+from .metrics import NoiseFigures, _flux_weighted_difference_noise, _gemellity
 
 __all__ = [
     "Slab",
@@ -577,7 +579,7 @@ def _pair_outputs(blocks: np.ndarray, length=1.0, place=lambda i: "", maps=None)
         _fail(fault, trace, place, "the squares of the noise figures %.6e and %.6e" % figures)
     phase = np.exp(-1j * (np.angle(transfer[:, 0, 0]) - np.angle(transfer[:, 1, 0])))
     c_ab = np.clip((phase * cov[:, 0, 1]).real / np.sqrt(f_a * f_b), -1.0, 1.0)
-    gem = (f_a + f_b) / 2.0 - np.sqrt(c_ab * c_ab * f_a * f_b + ((f_a - f_b) / 2.0) ** 2)
+    gem = _gemellity(f_a, f_b, c_ab)
     gem_db = 10.0 * np.log10(gem, out=np.full_like(gem, -np.inf), where=gem > 0.0)
     g_a, g_b = _fluxes(transfer[:, 0, 0]), _fluxes(transfer[:, 1, 0])
     return _PairOutputs(transfer, noise, cov, g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
@@ -636,22 +638,18 @@ def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
     return _lift((transfer[0], noise[0]))
 
 
-# The search's objective runs on closed-form maps in the pair basis.  A
-# real-rate segment B = [[p, g], [g, q]] has the minimal diffusion
-# diag(alpha_a, alpha_b) whatever g is, so its map (M, Q) is real: a
-# row-major 2x2 transfer (a, b, c, d) and a symmetric 2x2 noise (x, y, z)
-# of plain floats, the map `_pair_maps` gives.
+# The search's maps: a real-rate segment has the minimal diffusion
+# diag(alpha_a, alpha_b) whatever g is, so its (M, Q) is a row-major real
+# 2x2 transfer (a, b, c, d) and a symmetric noise (x, y, z) of plain floats.
 
 
-def _pair_segment(slab: Slab) -> tuple[tuple, tuple]:
+def _pair_segment(length: float, g: float, alpha_a: float, alpha_b: float) -> tuple[tuple, tuple]:
     """Closed-form (M, Q) of one segment: M = e^{BL}, Q = int_0^L e^{Bs} D e^{Bs} ds.
 
     B = m I + [[h, g], [g, -h]] with eigenvalues m +- r, r = hypot(h, g),
     and eigenvectors rotated by 1/2 atan2(g, h); in that basis the noise
     integral is D~_ij expm1((lam_i + lam_j) L) / (lam_i + lam_j).
     """
-    length, g = slab.dz, slab.g
-    alpha_a, alpha_b = slab.alpha_a, slab.alpha_b
     m = -(alpha_a + alpha_b) / 4.0
     h = (alpha_b - alpha_a) / 4.0
     r = math.hypot(h, g)
@@ -718,25 +716,28 @@ def _check_pair_cp(pair: tuple) -> None:
     gaussian._require_cp(_pair_cp_defect(pair), scale)
 
 
-def _pair_objective(profile: SlabProfile) -> tuple[float, float]:
-    """Gemellity and |G_a + G_b - 1| for a unit coherent probe seed.
-
-    The same numbers `propagate_exact` reports, from the closed-form pair
-    maps; every segment map and the composed map pass the CP check.
+def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
+    """(Gemellity, |G_a + G_b - 1|) for a unit coherent probe seed, and the
+    segment maps and their products folds[k] = S_k ... S_0, of segments with
+    rates (g, alpha_a, alpha_b) each.  The numbers `propagate_exact` reports;
+    every map passes the CP check.  Given an incumbent's (maps, folds) that
+    differ only in segment `moved`, that segment alone is mapped.
     """
-    total = None
-    for slab in profile.slabs:
-        pair = _pair_segment(slab)
-        _check_pair_cp(pair)
-        total = pair if total is None else _pair_compose(pair, total)
-    if len(profile.slabs) > 1:
-        _check_pair_cp(total)
-    (a, b, c, d), (x, y, z) = total
+    n = len(rates) // 3
+    maps, folds = (incumbent[0].copy(), incumbent[1][:moved]) if incumbent else ([None] * n, [])
+    for k in range(moved, n):
+        if incumbent is None or k == moved:
+            maps[k] = _pair_segment(length, *rates[3 * k : 3 * k + 3])
+            _check_pair_cp(maps[k])
+        folds.append(_pair_compose(maps[k], folds[-1]) if k else maps[0])
+    if n > 1:
+        _check_pair_cp(folds[-1])
+    (a, b, c, d), (x, y, z) = folds[-1]
     # the seed's vacuum noise M M^t plus the added noise; both output
     # means are real and nonnegative, so X is the amplitude quadrature
     n_a, n_b, cov = a * a + b * b + x, c * c + d * d + z, a * c + b * d + y
     corr = min(max(cov / math.sqrt(n_a * n_b), -1.0), 1.0)
-    return float(gemellity(NoiseFigures(n_a, n_b, corr))), abs(a * a + c * c - 1.0)
+    return (_gemellity(n_a, n_b, corr), abs(a * a + c * c - 1.0)), (maps, folds)
 
 
 def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
@@ -819,15 +820,6 @@ def refine_until_converged(
     )
 
 
-def _uniform_profile(rates: np.ndarray, n_segments: int) -> SlabProfile:
-    dz = 1.0 / n_segments
-    slabs = tuple(
-        Slab(dz, float(rates[3 * k]), float(rates[3 * k + 1]), float(rates[3 * k + 2]))
-        for k in range(n_segments)
-    )
-    return SlabProfile(slabs)
-
-
 def search_beyond_lumped_limit(
     n_segments: int = 2,
     seed: int | None = 0,
@@ -838,18 +830,22 @@ def search_beyond_lumped_limit(
 ) -> SearchResult:
     """Look for a flux-neutral profile with gemellity below the lumped limit.
 
-    Pattern search over piecewise-constant profiles (n_segments equal
-    segments, rates in [0, rate_bound]) with an escalating penalty on
-    |G_a + G_b - 1|, evaluated on the closed-form pair maps (a candidate
-    whose map overflows the floating-point range scores as infeasible); the
-    reported result is `propagate_exact` of the best feasible profile.
+    Hooke-Jeeves pattern search (R. Hooke and T. A. Jeeves, J. ACM 8, 212,
+    1961) over piecewise-constant profiles (n_segments equal segments,
+    rates in [0, rate_bound]) with an escalating penalty on
+    |G_a + G_b - 1|, evaluated on the closed-form pair maps of the rate
+    vector, with no per-evaluation dataclass (a candidate whose map
+    overflows the floating-point range scores as infeasible).  A candidate
+    remaps only the segment it moves, reusing the incumbent's other maps
+    and their running products.  The reported result is `propagate_exact`
+    of the best feasible profile.
     Placing loss upstream of gain costs no quantum correlation, so
     distributed profiles can beat the lumped gain-then-loss bound; the
     search reports found=False rather than raising when it fails to get
     below target_db.
 
     The run is deterministic for a fixed seed; seed=None draws fresh
-    randomness.
+    randomness.  Each restart draws its start when it begins.
     """
     if not 1 <= n_segments <= 8:
         raise ValueError(f"n_segments must lie in [1, 8], got {n_segments}")
@@ -860,78 +856,75 @@ def search_beyond_lumped_limit(
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(seed)
-    dim = 3 * n_segments
+    dim, dz = 3 * n_segments, 1.0 / n_segments
     evaluations = 0
 
-    def evaluate(x: np.ndarray) -> tuple[float, float]:
+    def evaluate(x: list, incumbent=None, moved: int = 0):
         nonlocal evaluations
         evaluations += 1
         try:
-            return _pair_objective(_uniform_profile(x, n_segments))
+            return _pair_objective(x, dz, incumbent, moved)
         except OverflowError:
             # a map beyond the floating-point range scores as infeasible
-            return math.inf, math.inf
+            return (math.inf, math.inf), None
 
-    def penalized(x: np.ndarray, mu: float) -> float:
-        gem, infeas = evaluate(x)
-        return gem + mu * infeas
+    best_feasible: tuple[float, list] | None = None
 
-    best_feasible: tuple[float, np.ndarray] | None = None
-
-    starts = [rng.uniform(0.0, rate_bound, size=dim) for _ in range(restarts)]
-    if n_segments >= 2:
-        # physically motivated start: attenuate the probe first, amplify
-        # after.  Pure upstream loss on a coherent seed leaves the noise
-        # at vacuum, so the downstream squeezer reaches its ideal
-        # correlation while the loss balances the total flux to one.
-        seeded = np.zeros(dim)
-        r = 0.75
-        seeded[3 * (n_segments - 1)] = r * n_segments
-        seeded[1] = np.log(np.cosh(2.0 * r)) * n_segments
-        starts[0] = np.clip(seeded, 0.0, rate_bound)
-
-    for x in starts:
+    for restart in range(restarts):
+        x = rng.uniform(0.0, rate_bound, size=dim)
+        if restart == 0 and n_segments >= 2:
+            # in place of the first draw, attenuate the probe first and
+            # amplify after.  Pure upstream loss on a coherent seed leaves
+            # the noise at vacuum, so the downstream squeezer reaches its
+            # ideal correlation while the loss balances the flux to one.
+            x = np.zeros(dim)
+            r = 0.75
+            x[3 * (n_segments - 1)] = r * n_segments
+            x[1] = np.log(np.cosh(2.0 * r)) * n_segments
+            x = np.clip(x, 0.0, rate_bound)
+        x = x.tolist()
         mu = 10.0
         for _escalation in range(4):
             step = rate_bound / 4.0
-            fx = penalized(x, mu)
+            (gem, infeas), maps = evaluate(x)
+            fx = gem + mu * infeas
             while not math.isfinite(fx):
                 # a start whose map overflows sits on a plateau with no
                 # descent; halve it toward the all-zero profile, which never
                 # overflows.  A finite start draws and evaluates nothing more
-                x = x / 2.0
-                fx = penalized(x, mu)
+                x = [v / 2.0 for v in x]
+                (gem, infeas), maps = evaluate(x)
+                fx = gem + mu * infeas
             while step > 1e-3:
                 improved = False
                 for i in range(dim):
                     for sign in (1.0, -1.0):
-                        cand = x.copy()
-                        cand[i] = float(np.clip(cand[i] + sign * step, 0.0, rate_bound))
-                        if cand[i] == x[i]:
+                        v = min(max(x[i] + sign * step, 0.0), rate_bound)
+                        if v == x[i]:
                             continue
-                        fc = penalized(cand, mu)
+                        cand = x.copy()
+                        cand[i] = v
+                        (gem, infeas), cand_maps = evaluate(cand, maps, i // 3)
+                        fc = gem + mu * infeas
                         if fc < fx:
-                            x, fx = cand, fc
+                            x, fx, maps = cand, fc, cand_maps
                             improved = True
                 if not improved:
                     step /= 2.0
-            gem, infeas = evaluate(x)
+            (gem, infeas), _ = evaluate(x)
             if infeas <= feasibility_tol:
                 if best_feasible is None or gem < best_feasible[0]:
-                    best_feasible = (gem, x.copy())
+                    best_feasible = (gem, x)
                 break
             mu *= 10.0
 
-    if best_feasible is None:
-        # nothing feasible at all; report the flux-neutral trivial profile
-        trivial = _uniform_profile(np.zeros(dim), n_segments)
-        res = propagate_exact(trivial)
-        return SearchResult(trivial, res, False, evaluations)
-
-    profile = _uniform_profile(best_feasible[1], n_segments)
+    # nothing feasible at all reports the flux-neutral trivial profile
+    rates = [0.0] * dim if best_feasible is None else best_feasible[1]
+    profile = SlabProfile(tuple(Slab(dz, *rates[3 * k : 3 * k + 3]) for k in range(n_segments)))
     result = propagate_exact(profile)
     found = (
-        result.gemellity_db < target_db
+        best_feasible is not None
+        and result.gemellity_db < target_db
         and abs(result.sum_transmission - 1.0) <= feasibility_tol
     )
-    return SearchResult(profile, result, bool(found), evaluations)
+    return SearchResult(profile, result, found, evaluations)

@@ -446,9 +446,14 @@ def _cp_scale(transfer, noise):
     return max(1.0, np.abs(transfer).max() ** 2, np.abs(noise).max())
 
 
+def _flat(rates):
+    """The search's rate vector of (g, alpha_a, alpha_b) tuples."""
+    return [float(v) for r in rates for v in r]
+
+
 def _pair_chain(rates):
     dz = 1.0 / len(rates)
-    pairs = [propagation._pair_segment(Slab(dz, *r)) for r in rates]
+    pairs = [propagation._pair_segment(dz, *r) for r in rates]
     total = pairs[0]
     for pair in pairs[1:]:
         total = propagation._pair_compose(pair, total)
@@ -472,7 +477,7 @@ _RATE = st.floats(min_value=0.0, max_value=20.0)
 def test_closed_form_segment_map_matches_the_van_loan_map(n, g, alpha_a, alpha_b):
     slab = Slab(1.0 / n, g, alpha_a, alpha_b)
     block = np.array([[-alpha_a / 2.0, g], [g, -alpha_b / 2.0]])
-    transfer, noise = _matrices(propagation._pair_segment(slab))
+    transfer, noise = _matrices(propagation._pair_segment(*dataclasses.astuple(slab)))
     exact_m, exact_q = (x[0] for x in propagation._pair_maps(block[None], slab.dz)[:2])
     scale = _cp_scale(exact_m, exact_q)
     np.testing.assert_allclose(
@@ -513,7 +518,7 @@ def test_pair_cp_defect_equals_that_of_the_lifted_channel(rates):
     [Slab(0.5, 3.0, 0.0, 0.0), Slab(1.0, 2.0, 5.0, 1.0), Slab(0.5, 15.7, 0.0, 8.0)],
 )
 def test_pair_cp_check_rejects_a_noise_pushed_below_cp(slab):
-    pair = propagation._pair_segment(slab)
+    pair = propagation._pair_segment(*dataclasses.astuple(slab))
     propagation._check_pair_cp(pair)
     transfer, (x, y, z) = pair
     # lowering both diagonal entries lowers every eigenvalue by as much
@@ -536,7 +541,7 @@ def test_pair_cp_check_rejects_a_noise_pushed_below_cp(slab):
 @example([(2.2250738585e-313, 0.0, 2.2250738585e-313)])  # subnormal g and h
 def test_search_objective_matches_propagate_exact(rates):
     profile = SlabProfile(tuple(Slab(1.0 / len(rates), *r) for r in rates))
-    gem, infeasibility = propagation._pair_objective(profile)
+    (gem, infeasibility), _ = propagation._pair_objective(_flat(rates), 1.0 / len(rates))
     exact = propagation.propagate_exact(profile)
     # both cancel fluxes of the size of the noise figures
     size = max(1.0, exact.figures.f_a, exact.figures.f_b)
@@ -614,7 +619,7 @@ def test_pair_maps_match_a_60_digit_reference(rates):
         m, q = _as_array(m), _as_array(q)
         scale = _cp_scale(m, q)
         # the search's closed form and the pair engine
-        closed = _matrices(propagation._pair_segment(slab))
+        closed = _matrices(propagation._pair_segment(*dataclasses.astuple(slab)))
         engine = (x[0] for x in propagation._pair_maps(np.array(block, complex)[None], slab.dz)[:2])
         for got_m, got_q in (closed, tuple(engine)):
             np.testing.assert_allclose(got_m, m, rtol=0.0, atol=1e-14 * np.abs(m).max())
@@ -625,7 +630,7 @@ def test_pair_maps_match_a_60_digit_reference(rates):
         gem = float((f_a + f_b) / 2 - mpmath.sqrt(c * c + ((f_a - f_b) / 2) ** 2))
         flux = float(abs(transfer[0, 0]) ** 2 + abs(transfer[1, 0]) ** 2)
         size = float(max(f_a, f_b))
-    got, infeasibility = propagation._pair_objective(profile)
+    (got, infeasibility), _ = propagation._pair_objective(_flat(rates), 1.0 / len(rates))
     exact = propagation.propagate_exact(profile)
     for value in (got, exact.gemellity):
         assert value == pytest.approx(gem, rel=0.0, abs=1e-14 * size)
@@ -767,6 +772,74 @@ def test_two_segment_searches_keep_their_optima(seed, gemellity):
     out = propagation.search_beyond_lumped_limit(n_segments=2, seed=seed)
     assert out.found
     assert out.result.gemellity == pytest.approx(gemellity, rel=1e-12)
+
+
+_OPTIMUM_2 = (0.0, 1.7108803420275933, 0.0, 1.5, 0.0, 0.0)
+
+
+# (segments, seed, keywords): evaluations, rates of the reported profile
+# and its gemellity, as the search gave them when it rebuilt every segment
+# map of every candidate
+@pytest.mark.parametrize(
+    "segments, seed, keywords, evaluations, rates, gemellity",
+    [
+        (1, 0, {}, 2156, (0.9942378107476957, 1.813119423953168, 0.21240234375), 0.3864471109324481),
+        (1, 1, {}, 3336, (4.06995778961303, 8.567064413693295, 6.1872597289425855), 0.48189034258206664),
+        (2, 0, {}, 3897, _OPTIMUM_2, 0.2231301601484299),
+        (
+            2, 1, {}, 15197,
+            (1.5946343299818437, 19.580078125, 9.8138965858329, 9.06995778961303, 2.680833944943295, 5.5622597289425855),
+            0.18973527216087405,
+        ),
+        (
+            3, 0, {}, 6198,
+            (
+                0.0, 16.826345592247666, 3.903380253467028, 6.886199576082504, 8.605974638956667,
+                19.942626953125, 11.24463684456914, 5.255416863418645, 4.833514281886899,
+            ),
+            0.18330864336667219,
+        ),
+        (2, 20260823, {}, 4253, _OPTIMUM_2, 0.2231301601484299),  # criterion 6
+        (2, 0, {"restarts": 1, "rate_bound": 1.7976931348623157e308}, 8258, _OPTIMUM_2, 0.2231301601484299),
+        (2, 0, {"restarts": 1, "rate_bound": 5e-324}, 2, (0.0, 5e-324, 0.0, 5e-324, 0.0, 0.0), 1.0),
+        # each restart draws its start when it begins, from the same stream
+        (2, 3, {"restarts": 3}, 674, _OPTIMUM_2, 0.2231301601484299),
+    ],
+)
+def test_search_is_pinned_bit_for_bit(segments, seed, keywords, evaluations, rates, gemellity):
+    out = propagation.search_beyond_lumped_limit(n_segments=segments, seed=seed, **keywords)
+    assert out.evaluations == evaluations
+    got = [v for s in out.profile.slabs for v in (s.g, s.alpha_a, s.alpha_b)]
+    assert list(map(repr, got)) == list(map(repr, rates))
+    assert out.result.gemellity == gemellity
+
+
+def test_a_search_candidate_maps_only_the_segment_it_moves(monkeypatch):
+    calls = 0
+
+    def counted(*args, _original=propagation._pair_segment):
+        nonlocal calls
+        calls += 1
+        return _original(*args)
+
+    monkeypatch.setattr(propagation, "_pair_segment", counted)
+    out = propagation.search_beyond_lumped_limit(n_segments=3, seed=0, restarts=4)
+    # a full evaluation maps all 3 segments; only starts and escalations pay it
+    assert out.evaluations < calls < 1.2 * out.evaluations
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=4),
+    st.integers(min_value=0),
+    st.tuples(_RATE, _RATE, _RATE),
+)
+def test_remapping_one_segment_equals_a_full_evaluation(rates, index, moved_rates):
+    dz, k = 1.0 / len(rates), index % len(rates)
+    incumbent = propagation._pair_objective(_flat(rates), dz)[1]
+    rates[k] = moved_rates
+    full = propagation._pair_objective(_flat(rates), dz)
+    assert propagation._pair_objective(_flat(rates), dz, incumbent, k) == full
 
 
 def test_search_beats_the_lumped_limit_from_the_seeded_start():
