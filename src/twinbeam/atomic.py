@@ -19,15 +19,20 @@ bordered by the trace functional.  Weak sidebands are then treated in
 linear response, a 4x4 solve in the sideband sector, whose diagonal is
 that at zero detuning shifted by -i delta/Gamma; this yields a complex
 2x2 generator per unit medium length for the co-propagating pair
-(probe annihilation, conjugate creation).  Each public call builds the
-16x16 generator at zero detuning once and solves the state and the
-sector's two source columns once.  It also bounds the shifted sector's
-singular values once: at every detuning the smallest is at least the
-slowest sideband decay rate, and the largest exceeds the zero-detuning
-sector's norm by at most |delta|/Gamma.  Every point of its scans and
-root search then costs a diagonal shift of the sector and a 4x4 solve;
-only points whose degeneracy check these bounds cannot pass (no ground
-decoherence, or detunings of order 1e18 rad/s) pay a 4x4 SVD.
+(probe annihilation, conjugate creation).  The 16x16 generator at zero
+detuning is built, and the state and the sector's two source columns
+solved, once per medium per process: the result is kept in a
+least-recently-used cache of the last 8 media (_RESPONSE_CACHE_SIZE),
+keyed on the exact bits of every field but the two-photon detuning.  The
+shifted sector's singular values are bounded once per medium too: at
+every detuning the smallest is at least the slowest sideband decay rate,
+and the largest exceeds the zero-detuning sector's norm by at most
+|delta|/Gamma.  Every point of a scan and of the root search then costs
+a diagonal shift of the sector and a 4x4 solve; only points whose
+degeneracy check these bounds cannot pass (no ground decoherence, or
+detunings of order 1e18 rad/s) pay a 4x4 SVD.  The medium's last window
+scan is kept with it, so `find_raman_dip` and `find_beam_splitter_point`
+on one window scan it once.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling`, and for a
@@ -53,8 +58,9 @@ normalized by the excited-state decay rate.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,6 +73,7 @@ __all__ = [
     "GainCurve",
     "BeamSplitterPoint",
     "DegenerateSteadyStateError",
+    "MediumOverflowError",
     "NoCrossingError",
     "steady_state",
     "liouvillian",
@@ -90,6 +97,11 @@ class NoCrossingError(RuntimeError):
     """No flux-neutral point in the scanned detuning window."""
 
 
+class MediumOverflowError(RuntimeError):
+    """A medium's rates, or the generator built from them, overflow the
+    float range."""
+
+
 @dataclass(frozen=True)
 class AtomicParams:
     """Pump-dressed four-level medium parameters.
@@ -111,6 +123,10 @@ class AtomicParams:
     hyperfine_splitting: float = TWO_PI * 3.036e9
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.excited_decay_rate <= 0.0:
             raise ValueError(
                 f"excited-state decay rate must be positive, got {self.excited_decay_rate}"
@@ -292,17 +308,24 @@ class _Response:
     mu = -lambda_max(that Hermitian part), the slowest sideband decay
     rate gamma_g/Gamma, and its largest at most norm + |delta|/Gamma,
     norm being the zero-detuning sector's Frobenius norm.
+
+    A response is built once per medium per process and shared through
+    the cache of `_response`, which keeps the last _RESPONSE_CACHE_SIZE
+    (8) media, so its arrays are read-only.  It keeps its last window
+    scan, the grid and both gains, for the next finder on that window.
     """
 
     def __init__(
-        self, p: AtomicParams, sector: np.ndarray, sing_even: np.ndarray,
-        rho: np.ndarray | None = None, residual: float = math.nan,
+        self, p: AtomicParams, sector: np.ndarray, sing_even: np.ndarray, mu: float,
+        norm: float, rho: np.ndarray | None = None, residual: float = math.nan,
         sources: np.ndarray | None = None,
     ):
-        self.p, self.sector, self.sing_even = p, sector, sing_even
+        self.p, self.sector, self.sing_even, self.mu, self.norm = p, sector, sing_even, mu, norm
         self.rho, self.residual, self.sources = rho, residual, sources
-        self.mu = -np.linalg.eigvalsh(0.5 * (sector + sector.conj().T))[-1]
-        self.norm = np.linalg.norm(sector)
+        for array in (sector, sing_even, rho, sources):
+            if array is not None:
+                array.setflags(write=False)
+        self._last_scan = (None, None)
 
     def _shifted(self, chunk: np.ndarray) -> np.ndarray:
         """The sector at every detuning of chunk, an (n, 4, 4) stack."""
@@ -383,6 +406,20 @@ class _Response:
             blocks[part, 1] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
         return blocks
 
+    def scan(self, window: tuple[float, float], n_scan: int) -> tuple[np.ndarray, ...]:
+        """(grid, probe gains, conjugate gains) of an n_scan-point scan of
+        the window.  The last scan is kept, keyed on the window's exact
+        bits and n_scan, and handed out read-only."""
+        lo, hi = float(window[0]), float(window[1])
+        key = (lo.hex(), hi.hex(), n_scan)
+        if self._last_scan[0] != key:
+            grid = np.linspace(lo, hi, n_scan)
+            scan = (grid, *_classical_gains(self.pair_blocks(grid)))
+            for array in scan:
+                array.setflags(write=False)
+            self._last_scan = (key, scan)
+        return self._last_scan[1]
+
 
 # H depends on the two-photon detuning only through H00 = H33 = -delta/Gamma,
 # and no jump operator depends on it, so the generator is exactly
@@ -392,13 +429,50 @@ class _Response:
 # it the stationary state, does not depend on delta.  Each sector slot pairs
 # one level of each set, so c = -i on the whole sector diagonal.
 def _response(p: AtomicParams) -> _Response:
-    """The detuning-independent part of p's sideband response, from one
-    generator build at zero detuning and one solve for the state."""
-    gen = liouvillian(replace(p, two_photon_detuning=0.0))
-    even, sector = gen[_EVEN], gen[_SECTOR]
+    """The detuning-independent part of p's sideband response, built once
+    per medium and then taken from the cache."""
+    return _medium_response(tuple(float(getattr(p, name)).hex() for name in _MEDIUM_FIELDS))
+
+
+# A few media analyzed in turn stay cached; one entry holds the 4x4 and 8x8
+# arrays of a response and its last scan, about 6 KiB at 251 points.
+_RESPONSE_CACHE_SIZE = 8
+_MEDIUM_FIELDS = tuple(f.name for f in fields(AtomicParams) if f.name != "two_photon_detuning")
+_RATE_FIELDS = ("one_photon_detuning", "rabi_frequency", "hyperfine_splitting", "ground_decoherence")
+
+
+def _require_finite(p: AtomicParams, quantity: str, finite: bool) -> None:
+    """Raise MediumOverflowError naming the quantity and the medium's
+    largest rate in decay-rate units, unless finite."""
+    if finite:
+        return
+    ratios = {name: abs(getattr(p, name)) / p.excited_decay_rate for name in _RATE_FIELDS}
+    name = max(ratios, key=ratios.get)
+    raise MediumOverflowError(
+        f"the dressed-atom {quantity} overflows the float range "
+        f"({name} / excited_decay_rate = {ratios[name]:.6e})"
+    )
+
+
+@functools.lru_cache(maxsize=_RESPONSE_CACHE_SIZE)
+def _medium_response(key: tuple[str, ...]) -> _Response:
+    """The _Response of the medium at zero two-photon detuning whose other
+    fields have the float.hex() forms key, from one generator build and
+    one solve for the state."""
+    p = AtomicParams(**dict(zip(_MEDIUM_FIELDS, map(float.fromhex, key))))
+    # rates of order 1e300 Gamma overflow the generator, and of order 1e150
+    # Gamma the sector's norm; the even block's entries are of the sector's
+    # order, so past this check its SVD and the state solve stay finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = liouvillian(p)
+        _require_finite(p, "generator", np.all(np.isfinite(gen)))
+        even, sector = gen[_EVEN], gen[_SECTOR]
+        norm = np.linalg.norm(sector)
+    _require_finite(p, "sideband sector's norm", math.isfinite(norm))
     sing_even = np.linalg.svd(even, compute_uv=False)
+    parts = (p, sector, sing_even, -np.linalg.eigvalsh(0.5 * (sector + sector.conj().T))[-1], norm)
     if sing_even[-2] <= 1e-10 * sing_even[0]:  # degenerate at every detuning
-        return _Response(p, sector, sing_even)
+        return _Response(*parts)
     # Trace preservation makes w^T E = 0 for the trace functional w, so
     # (E + w w^T) v = w holds exactly when E v = 0 and w^T v = 1.
     vec = np.zeros(16, dtype=complex)
@@ -407,7 +481,7 @@ def _response(p: AtomicParams) -> _Response:
     rho = vec.reshape(4, 4).T
     trace = np.trace(rho)
     if abs(trace) < 1e-8:
-        return _Response(p, sector, sing_even)
+        return _Response(*parts)
     rho = rho / trace
     rho = 0.5 * (rho + rho.conj().T)
     # the state has no odd slots, so the generator's residual is the even block's
@@ -422,7 +496,7 @@ def _response(p: AtomicParams) -> _Response:
     for col, drive in enumerate((probe_drive, conj_drive)):
         source = -1j * (drive @ rho - rho @ drive)
         sources[:, col] = -source.T.reshape(16)[_SECTOR_INDICES]
-    return _Response(p, sector, sing_even, rho, residual, sources)
+    return _Response(*parts, rho, residual, sources)
 
 
 def steady_state(p: AtomicParams) -> np.ndarray:
@@ -434,7 +508,7 @@ def steady_state(p: AtomicParams) -> np.ndarray:
     """
     response = _response(p)
     response.check(_detuning_grid([p.two_photon_detuning]))
-    return response.rho
+    return response.rho.copy()
 
 
 def sideband_blocks(p: AtomicParams, delta_grid: np.ndarray) -> np.ndarray:
@@ -496,8 +570,7 @@ def find_raman_dip(
 ) -> tuple[float, float]:
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
     _check_scan_points(n_scan)
-    grid = np.linspace(window[0], window[1], n_scan)
-    gains, _ = _classical_gains(_response(p).pair_blocks(grid))
+    grid, gains, _ = _response(p).scan(window, n_scan)
     i = int(np.nanargmin(gains))
     return float(grid[i]), float(gains[i])
 
@@ -507,8 +580,9 @@ def find_raman_dip(
 _ROOT_MAXITER = 400
 
 
-def _illinois(f, a: float, b: float) -> float:
-    """Root of f in the sign-change bracket [a, b], to the last float.
+def _illinois(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
+    """Root of f in the sign-change bracket [a, b], to the last float;
+    fa and fb, when given, are f(a) and f(b).
 
     Regula falsi with the Illinois modification (M. Dowell and
     P. Jarratt, BIT 11, 168, 1971): when the new point falls on the
@@ -519,7 +593,8 @@ def _illinois(f, a: float, b: float) -> float:
     RuntimeError when _ROOT_MAXITER steps do not get there.
     """
     x0, x1 = float(a), float(b)
-    f0, f1 = f(x0), f(x1)
+    f0 = f(x0) if fa is None else float(fa)
+    f1 = f(x1) if fb is None else float(fb)
     if f0 == 0.0:
         return x0
     if f1 == 0.0:
@@ -562,10 +637,9 @@ def find_beam_splitter_point(
     if not window[0] < window[1]:
         raise ValueError(f"window must be increasing, got {window}")
     _check_scan_points(n_scan)
-    grid = np.linspace(window[0], window[1], n_scan)
     # the scan, every flux balance and the output share one response
     response = _response(p)
-    probe, conj = _classical_gains(response.pair_blocks(grid))
+    grid, probe, conj = response.scan(window, n_scan)
     # signs of the flux balance; a point whose gains overflowed has none, and
     # each gain is capped at 2, which keeps the sign, so that no sum overflows
     total = np.minimum(probe, 2.0) + np.minimum(conj, 2.0)
@@ -584,7 +658,10 @@ def find_beam_splitter_point(
         ga, gb = _classical_gains(response.pair_blocks([delta]))
         return float(ga[0] + gb[0] - 1.0)
 
-    delta_star = _illinois(flux_balance, grid[bracket], grid[bracket + 1])
+    # a point's block and exponential do not depend on the stack, so the
+    # scan holds the flux balance at both ends bit for bit
+    ends = slice(bracket, bracket + 2)
+    delta_star = _illinois(flux_balance, *grid[ends], *(probe[ends] + conj[ends] - 1.0))
     # pair_output at delta_star, on the response already built
     out = propagation._pair_outputs(response.pair_blocks([delta_star]))
     return BeamSplitterPoint(
@@ -618,6 +695,11 @@ def params_from_mapping(mapping: dict, section: str = "atomic") -> AtomicParams:
     for key, (field, convert) in _PARAM_KEYS.items():
         if key in mapping:
             kwargs[field] = convert(section_float(mapping, section, key))
+            if not math.isfinite(kwargs[field]):
+                raise MediumOverflowError(
+                    f"[{section}] {key} = {mapping[key]} overflows the float range "
+                    f"as {field} in rad/s"
+                )
     try:
         return AtomicParams(**kwargs)
     except ValueError as exc:

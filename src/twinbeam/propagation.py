@@ -695,25 +695,26 @@ def _pair_compose(second: tuple, first: tuple) -> tuple[tuple, tuple]:
     return transfer, noise
 
 
-def _least_eigenvalue(x: float, y: float, z: float) -> float:
-    return 0.5 * (x + z) - math.hypot(0.5 * (x - z), y)
-
-
-def _pair_cp_defect(pair: tuple) -> float:
-    """`gaussian.cp_defect` of the lifted channel: the least eigenvalue of
-    Q +- (eta - M eta M^t), eta = diag(1, -1)."""
+def _pair_cp_defect_and_scale(pair: tuple) -> tuple[float, float]:
+    """`gaussian.cp_defect` of the lifted channel, the least eigenvalue of
+    Q +- (eta - M eta M^t), eta = diag(1, -1), and the CP check's scale
+    max(1, max|T|^2, max|N|), in one pass over the pair map's entries."""
     (a, b, c, d), (x, y, z) = pair
     wx, wy, wz = 1.0 - a * a + b * b, b * d - a * c, d * d - c * c - 1.0
-    return min(
-        _least_eigenvalue(x + wx, y + wy, z + wz), _least_eigenvalue(x - wx, y - wy, z - wz)
+    # the least eigenvalue of [[u, v], [v, w]] is (u + w)/2 - hypot((u - w)/2, v)
+    px, py, pz, mx, my, mz = x + wx, y + wy, z + wz, x - wx, y - wy, z - wz
+    defect = min(
+        0.5 * (px + pz) - math.hypot(0.5 * (px - pz), py),
+        0.5 * (mx + mz) - math.hypot(0.5 * (mx - mz), my),
     )
+    return defect, max(1.0, max(abs(a), abs(b), abs(c), abs(d)) ** 2, max(abs(x), abs(y), abs(z)))
 
 
 def _check_pair_cp(pair: tuple) -> None:
     """The CP check of `gaussian.GaussianChannel`, on a pair map."""
-    transfer, noise = pair
-    scale = max(1.0, max(map(abs, transfer)) ** 2, max(map(abs, noise)))
-    gaussian._require_cp(_pair_cp_defect(pair), scale)
+    defect, scale = _pair_cp_defect_and_scale(pair)
+    if defect < -gaussian._CP_TOL * scale:
+        gaussian._require_cp(defect, scale)
 
 
 def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):

@@ -41,6 +41,15 @@ def test_params_validation():
         AtomicParams(hyperfine_splitting=-1.0)
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(AtomicParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(field, value):
+    # a NaN passes every sign check, and used to end in a RuntimeWarning, a
+    # NoCrossingError or a LinAlgError far from its cause
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        AtomicParams(**{field: value})
+
+
 def test_params_from_mapping_defaults_and_conversions():
     assert atomic.params_from_mapping({}) == AtomicParams()
     p = atomic.params_from_mapping(
@@ -373,12 +382,12 @@ def test_generator_parts_plus_the_detuning_shift_match_the_generator(medium):
 
 
 def _count_builds(monkeypatch) -> dict:
-    """Count the response builds, the gain evaluations, the bordered 8x8
-    state solves, and the stacked (n, 4, 4) sector SVDs and solves of the
-    atomic model."""
+    """Count the response lookups, the gain evaluations, the bordered 8x8
+    state solves, the stacked (n, 4, 4) sector SVDs and solves, and the
+    sector solves of more than one detuning, of the atomic model."""
     calls = {
         "_response": 0, "_classical_gains": 0, "state_solve": 0, "sector_svd": 0,
-        "sector_solve": 0,
+        "sector_solve": 0, "scan_solve": 0,
     }
     for name in ("_response", "_classical_gains"):
 
@@ -391,6 +400,7 @@ def _count_builds(monkeypatch) -> dict:
     def solve(a, b, _original=np.linalg.solve):
         calls["state_solve"] += np.shape(a) == (8, 8)
         calls["sector_solve"] += np.shape(a)[1:] == (4, 4)
+        calls["scan_solve"] += np.shape(a)[1:] == (4, 4) and np.shape(a)[0] > 1
         return _original(a, b)
 
     def svd(a, *args, _original=np.linalg.svd, **kwargs):
@@ -430,9 +440,104 @@ def test_the_flux_balances_reuse_the_scan_generator(monkeypatch):
     # the state again
     calls = _count_builds(monkeypatch)
     atomic.find_beam_splitter_point(AtomicParams())
-    assert calls["_classical_gains"] >= 10  # the scan and the flux balances
+    # the scan and 8 flux balances; the bracket's ends come from the scan
+    assert calls["_classical_gains"] == 9
     assert calls["_response"] == 1
     assert calls["state_solve"] == 1
+
+
+def test_a_medium_is_solved_once_per_process(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    p = AtomicParams()
+    atomic.steady_state(p)
+    assert calls["state_solve"] == 1
+    # the two-photon detuning is no part of the key: the state does not
+    # depend on it
+    for delta in (0.0, -mhz(40.0), mhz(1e3), -0.0):
+        point = dataclasses.replace(p, two_photon_detuning=delta)
+        atomic.pair_output(point)
+        atomic.gain_curves(point, _DEFAULT_GRID)
+        atomic.find_raman_dip(point)
+        atomic.find_beam_splitter_point(point)
+        atomic.steady_state(point)
+    assert calls["state_solve"] == 1
+    # an int field is the float of the same value
+    atomic.steady_state(dataclasses.replace(p, depth=500))
+    assert calls["state_solve"] == 1
+    # the cache keeps the last few media, so one that fell out is solved again
+    for depth in range(1, atomic._RESPONSE_CACHE_SIZE + 1):
+        atomic.steady_state(dataclasses.replace(p, depth=float(depth)))
+    atomic.steady_state(p)
+    assert calls["state_solve"] == atomic._RESPONSE_CACHE_SIZE + 2
+
+
+@pytest.mark.parametrize(
+    "field", ["one_photon_detuning", "rabi_frequency", "ground_decoherence", "hyperfine_splitting"]
+)
+def test_signed_zero_fields_do_not_share_a_response(monkeypatch, field):
+    calls = _count_builds(monkeypatch)
+    media = [AtomicParams(**{field: zero}) for zero in (0.0, -0.0)]
+    responses = [atomic._response(p) for p in media]
+    assert calls["state_solve"] == 2
+    for p, response in zip(media, responses):
+        assert math.copysign(1.0, getattr(response.p, field)) == math.copysign(1.0, getattr(p, field))
+        atomic._medium_response.cache_clear()
+        cold = atomic._response(p)
+        for name in ("sector", "sing_even", "rho", "sources"):
+            _assert_bitwise(getattr(response, name), getattr(cold, name))
+
+
+def test_the_steady_state_handed_out_is_a_copy():
+    p = AtomicParams()
+    rho = atomic.steady_state(p)
+    want = rho.copy()
+    rho[:] = 0.0
+    _assert_bitwise(atomic.steady_state(p), want)
+    # the cached arrays themselves are read-only
+    response = atomic._response(p)
+    for array in (response.sector, response.sing_even, response.rho, response.sources):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    for array in response.scan(atomic._DEFAULT_WINDOW, 11):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_the_finders_share_one_window_scan(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    p = AtomicParams()
+    dip = atomic.find_raman_dip(p)
+    assert (calls["scan_solve"], calls["sector_solve"]) == (1, 1)
+    point = atomic.find_beam_splitter_point(p)
+    assert calls["scan_solve"] == 1
+    # every other solve is one flux balance or the output at the root
+    assert calls["sector_solve"] == calls["_classical_gains"] + 1
+    # another window or scan size is scanned anew; the last scan is kept
+    atomic.find_raman_dip(p, n_scan=250)
+    atomic.find_raman_dip(p, window=(atomic._DEFAULT_WINDOW[0], 0.0))
+    assert calls["scan_solve"] == 3
+    # ... and the default one again, with the results of a cold scan
+    assert atomic.find_raman_dip(p) == dip
+    assert calls["scan_solve"] == 4
+    atomic._medium_response.cache_clear()
+    assert atomic.find_beam_splitter_point(p) == point
+
+
+def test_the_root_search_takes_its_bracket_ends_from_the_scan(monkeypatch):
+    # a point's block and exponential do not depend on the stack, so the
+    # scan's flux balance at each end is a one-point evaluation's, bit for bit
+    ends = []
+
+    def recording(f, a, b, fa, fb, _original=atomic._illinois):
+        ends.append(((fa, fb), (f(a), f(b))))
+        return _original(f, a, b, fa, fb)
+
+    monkeypatch.setattr(atomic, "_illinois", recording)
+    for p in [AtomicParams(), *map(_pool_medium, range(40))]:
+        atomic.find_beam_splitter_point(p)
+    assert len(ends) == 41
+    for scanned, single in ends:
+        assert scanned == single
 
 
 def test_pair_output_gains_equal_the_gain_curves_bit_for_bit():

@@ -440,6 +440,41 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "line, err",
+    [
+        # past the float range already in rad/s
+        (
+            "Omega_MHz = 1e308",
+            "[atomic] Omega_MHz = 1e308 overflows the float range as rabi_frequency in rad/s",
+        ),
+        (
+            "hyperfine_MHz = 1e305",
+            "[atomic] hyperfine_MHz = 1e305 overflows the float range as hyperfine_splitting "
+            "in rad/s",
+        ),
+        # finite rates whose generator's norm is not
+        (
+            "Delta_MHz = 1e300",
+            "the dressed-atom sideband sector's norm overflows the float range "
+            "(one_photon_detuning / excited_decay_rate = 1.739130e+299)",
+        ),
+        (
+            "Gamma_MHz = 1e-300",
+            "the dressed-atom sideband sector's norm overflows the float range "
+            "(hyperfine_splitting / excited_decay_rate = 3.036000e+303)",
+        ),
+    ],
+    ids=["Omega", "hyperfine", "Delta", "Gamma"],
+)
+def test_an_overflowing_medium_exits_with_3_and_names_the_cause(tmp_path, capsys, line, err):
+    # these used to print a RuntimeWarning, and two of them to exit 2 with
+    # "SVD did not converge"; pytest makes any warning an error
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(f"[atomic]\n{line}\n")
+    assert run(capsys, ["beam-splitter", "--config", str(cfg)]) == (3, "", f"error: {err}\n")
+
+
 _DEEP_1E6_ROW = "-16.7484200006,0.223714179705,0.776285820295,1,0.440879338387,-3.55680253714"
 
 
@@ -546,6 +581,13 @@ def test_atomic_csv_matches_the_golden_file(tmp_path, capsys, command, config):
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert out == (_GOLDEN / f"{name}.csv").read_text()
+
+
+def test_repeated_in_process_beam_splitter_runs_print_the_golden_bytes(capsys):
+    # the second run takes the medium's response and its scan from the cache
+    want = (_GOLDEN / "beam_splitter.csv").read_text()
+    for _ in range(2):
+        assert run(capsys, ["beam-splitter"]) == (0, want, "")
 
 
 def test_analyze_hashes_the_bytes_it_parses(tmp_path, capsys):

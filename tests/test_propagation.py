@@ -508,7 +508,7 @@ def test_pair_cp_defect_equals_that_of_the_lifted_channel(rates):
     np.testing.assert_allclose(transfer, composed.transfer, rtol=0.0, atol=1e-13 * scale**0.5)
     np.testing.assert_allclose(noise, composed.added_noise, rtol=0.0, atol=1e-13 * scale)
     for pair, channel in zip(pairs + [total], lifted + [composed]):
-        got = propagation._pair_cp_defect(pair)
+        got = propagation._pair_cp_defect_and_scale(pair)[0]
         want = gaussian.cp_defect(channel)
         assert abs(got - want) <= 1e-13 * _cp_scale(channel.transfer, channel.added_noise)
 
@@ -523,13 +523,13 @@ def test_pair_cp_check_rejects_a_noise_pushed_below_cp(slab):
     transfer, (x, y, z) = pair
     # lowering both diagonal entries lowers every eigenvalue by as much
     below = 1e-6 * _cp_scale(*_matrices(pair))
-    push = propagation._pair_cp_defect(pair) + below
+    push = propagation._pair_cp_defect_and_scale(pair)[0] + below
     pushed = (transfer, (x - push, y, z - push))
     # the lifted channel cannot be built, so its defect is read off directly
     t, n = (gaussian.transfer_from_mode_matrix(a) for a in _matrices(pushed))
     want = gaussian.cp_defect(types.SimpleNamespace(transfer=t, added_noise=n))
     assert want == pytest.approx(-below, rel=1e-3)
-    assert abs(propagation._pair_cp_defect(pushed) - want) <= 1e-13 * _cp_scale(t, n)
+    assert abs(propagation._pair_cp_defect_and_scale(pushed)[0] - want) <= 1e-13 * _cp_scale(t, n)
     with pytest.raises(ValueError, match="not completely positive"):
         propagation._check_pair_cp(pushed)
     with pytest.raises(ValueError, match="not completely positive"):
