@@ -221,29 +221,35 @@ _EYE = np.eye(4)
 
 
 def liouvillian(p: AtomicParams) -> np.ndarray:
-    """16x16 Lindblad generator, column-stacked, in decay-rate units."""
-    g = p.excited_decay_rate
-    delta = p.two_photon_detuning / g
-    big_delta = p.one_photon_detuning / g
-    hf = p.hyperfine_splitting / g
-    rabi = p.rabi_frequency / g
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = -delta
-    h[2, 2] = -big_delta
-    h[3, 3] = -(big_delta + hf + delta)
-    h[2, 1] = h[1, 2] = -rabi / 2.0
-    h[3, 0] = h[0, 3] = -rabi / 2.0
-    ops = np.array(_collapse_operators(p))
-    opdops = ops.conj().transpose(0, 2, 1) @ ops
-    # np.kron of stacks: I (x) X and X^T (x) I for X = h and each op^dag op,
-    # then op^* (x) op, the diagonal of the ops' pairwise products
-    left = np.kron(_EYE[None], np.concatenate([h[None], opdops]))
-    right = np.kron(np.concatenate([h.T[None], opdops.transpose(0, 2, 1)]), _EYE[None])
-    jumps = np.kron(ops.conj(), ops)[:: len(ops) + 1]
-    gen = -1j * (left[0] - right[0])
-    for jump, opdop_left, opdop_right in zip(jumps, left[1:], right[1:]):
-        gen += jump
-        gen -= 0.5 * (opdop_left + opdop_right)
+    """16x16 Lindblad generator, column-stacked, in decay-rate units.
+
+    Raises MediumOverflowError when the generator leaves the float range,
+    as it does for rates of order 1e300 Gamma.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = p.excited_decay_rate
+        delta = p.two_photon_detuning / g
+        big_delta = p.one_photon_detuning / g
+        hf = p.hyperfine_splitting / g
+        rabi = p.rabi_frequency / g
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 0] = -delta
+        h[2, 2] = -big_delta
+        h[3, 3] = -(big_delta + hf + delta)
+        h[2, 1] = h[1, 2] = -rabi / 2.0
+        h[3, 0] = h[0, 3] = -rabi / 2.0
+        ops = np.array(_collapse_operators(p))
+        opdops = ops.conj().transpose(0, 2, 1) @ ops
+        # np.kron of stacks: I (x) X and X^T (x) I for X = h and each op^dag op,
+        # then op^* (x) op, the diagonal of the ops' pairwise products
+        left = np.kron(_EYE[None], np.concatenate([h[None], opdops]))
+        right = np.kron(np.concatenate([h.T[None], opdops.transpose(0, 2, 1)]), _EYE[None])
+        jumps = np.kron(ops.conj(), ops)[:: len(ops) + 1]
+        gen = -1j * (left[0] - right[0])
+        for jump, opdop_left, opdop_right in zip(jumps, left[1:], right[1:]):
+            gen += jump
+            gen -= 0.5 * (opdop_left + opdop_right)
+    _require_finite(p, "generator", np.all(np.isfinite(gen)))
     return gen
 
 
@@ -460,13 +466,12 @@ def _medium_response(key: tuple[str, ...]) -> _Response:
     fields have the float.hex() forms key, from one generator build and
     one solve for the state."""
     p = AtomicParams(**dict(zip(_MEDIUM_FIELDS, map(float.fromhex, key))))
-    # rates of order 1e300 Gamma overflow the generator, and of order 1e150
-    # Gamma the sector's norm; the even block's entries are of the sector's
-    # order, so past this check its SVD and the state solve stay finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        gen = liouvillian(p)
-        _require_finite(p, "generator", np.all(np.isfinite(gen)))
-        even, sector = gen[_EVEN], gen[_SECTOR]
+    gen = liouvillian(p)
+    even, sector = gen[_EVEN], gen[_SECTOR]
+    # rates of order 1e150 Gamma overflow the sector's norm; the even block's
+    # entries are of the sector's order, so past this check its SVD and the
+    # state solve stay finite
+    with np.errstate(over="ignore"):
         norm = np.linalg.norm(sector)
     _require_finite(p, "sideband sector's norm", math.isfinite(norm))
     sing_even = np.linalg.svd(even, compute_uv=False)
@@ -663,7 +668,7 @@ def find_beam_splitter_point(
     ends = slice(bracket, bracket + 2)
     delta_star = _illinois(flux_balance, *grid[ends], *(probe[ends] + conj[ends] - 1.0))
     # pair_output at delta_star, on the response already built
-    out = propagation._pair_outputs(response.pair_blocks([delta_star]))
+    out = propagation._pair_outputs(*propagation._pair_maps(response.pair_blocks([delta_star])))
     return BeamSplitterPoint(
         delta=delta_star,
         probe_gain=float(out.g_a[0]),
@@ -684,23 +689,22 @@ _PARAM_KEYS = {
 }
 
 
-def params_from_mapping(mapping: dict, section: str = "atomic") -> AtomicParams:
-    """Build AtomicParams from parsed config keys; absent keys keep defaults."""
+def params_from_mapping(mapping: dict) -> AtomicParams:
+    """Build AtomicParams from the keys of an [atomic] config section;
+    absent keys keep defaults."""
     unknown = set(mapping) - set(_PARAM_KEYS)
     if unknown:
-        raise ConfigError(
-            f"unknown keys in [{section}]: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError(f"unknown keys in [atomic]: {', '.join(sorted(unknown))}")
     kwargs = {}
     for key, (field, convert) in _PARAM_KEYS.items():
         if key in mapping:
-            kwargs[field] = convert(section_float(mapping, section, key))
+            kwargs[field] = convert(section_float(mapping, "atomic", key, None))
             if not math.isfinite(kwargs[field]):
                 raise MediumOverflowError(
-                    f"[{section}] {key} = {mapping[key]} overflows the float range "
+                    f"[atomic] {key} = {mapping[key]} overflows the float range "
                     f"as {field} in rad/s"
                 )
     try:
         return AtomicParams(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid [{section}] parameters: {exc}") from exc
+        raise ConfigError(f"invalid [atomic] parameters: {exc}") from exc

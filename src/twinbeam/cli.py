@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: lumped-optimize, sweep-delta, beam-splitter, beat-limit,
-analyze.  Every command reads an optional sectioned config file, emits
-CSV (default) or JSON to --out or stdout, and is deterministic for a
-fixed config and seed: identical invocations produce byte-identical
-output.  JSON output carries run metadata (package version, config
-hash, seed) but deliberately no timestamps.
+analyze.  Every command but analyze reads an optional sectioned config
+file.  Every command emits CSV (default) or JSON to --out or stdout, and
+is deterministic for a fixed config and seed: identical invocations
+produce byte-identical output.  JSON output carries run metadata
+(package version, config hash, seed) but deliberately no timestamps.
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed
 config or trace data), 3 computation error (no flux-neutral crossing,
@@ -140,7 +140,8 @@ def cmd_sweep_delta(args) -> int:
     deltas_mhz = np.linspace(lo, hi, points)
     blocks = atomic.sideband_blocks(params, [angular_from_mhz(d) for d in deltas_mhz])
     out = propagation._pair_outputs(
-        blocks, place=lambda i: f" at two-photon detuning {deltas_mhz[i]:.6g} MHz"
+        *propagation._pair_maps(blocks),
+        place=lambda i: f" at two-photon detuning {deltas_mhz[i]:.6g} MHz",
     )
     columns = {
         "delta_MHz": deltas_mhz.tolist(),
@@ -183,9 +184,7 @@ def cmd_beam_splitter(args) -> int:
 def cmd_beat_limit(args) -> int:
     sections, digest = _load_config(args.config)
     search = sections.get("search", {})
-    _check_keys(
-        search, "search", {"segments", "restarts", "rate_bound", "feasibility_tol", "target_dB"}
-    )
+    _check_keys(search, "search", {"segments", "restarts", "rate_bound", "feasibility_tol"})
     if args.seed is None:
         print(
             "warning: no --seed given; beat-limit run is nondeterministic",
@@ -196,7 +195,6 @@ def cmd_beat_limit(args) -> int:
         seed=args.seed,
         rate_bound=section_float(search, "search", "rate_bound", default=20.0),
         feasibility_tol=section_float(search, "search", "feasibility_tol", default=0.01),
-        target_db=section_float(search, "search", "target_dB", default=-2.8),
         restarts=section_int(search, "search", "restarts", default=16),
     )
     slabs = found.profile.slabs
@@ -240,7 +238,6 @@ def cmd_analyze(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="sectioned key-value config file")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--seed", type=int, help="random seed for stochastic commands")
@@ -263,7 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ("analyze", cmd_analyze,
          "normalize measured traces to the SQL and infer the gemellity"),
     ):
-        sub.add_parser(name, parents=[common], help=summary).set_defaults(func=func)
+        command = sub.add_parser(name, parents=[common], help=summary)
+        command.set_defaults(func=func)
+        if name != "analyze":  # analyze reads no config file
+            command.add_argument("--config", help="sectioned key-value config file")
     analyze = sub.choices["analyze"]
     analyze.add_argument("traces", help="trace CSV (freq_hz,psd_db,label,rbw_hz)")
     analyze.add_argument("--probe-frac", type=float, required=True)

@@ -65,17 +65,11 @@ def parse_sections(text: str) -> list[tuple[str, dict[str, str]]]:
     return sections
 
 
-def section_float(
-    mapping: dict[str, str],
-    section: str,
-    key: str,
-    default: float | None = None,
-) -> float:
-    """Fetch a float value, with errors that name the offending key."""
+def section_float(mapping: dict[str, str], section: str, key: str, default: float | None) -> float:
+    """A key's finite float value, or default where the key is absent, with
+    errors that name the offending key."""
     if key not in mapping:
-        if default is not None:
-            return default
-        raise ConfigError(f"section [{section}] is missing required key {key!r}")
+        return default
     raw = mapping[key]
     try:
         value = float(raw)
@@ -88,16 +82,10 @@ def section_float(
     return value
 
 
-def section_int(
-    mapping: dict[str, str],
-    section: str,
-    key: str,
-    default: int | None = None,
-) -> int:
+def section_int(mapping: dict[str, str], section: str, key: str, default: int) -> int:
+    """A key's integer value, or default where the key is absent."""
     if key not in mapping:
-        if default is not None:
-            return default
-        raise ConfigError(f"section [{section}] is missing required key {key!r}")
+        return default
     raw = mapping[key]
     try:
         return int(raw)

@@ -91,8 +91,8 @@ class CovarianceState:
         a, b = self.mean
         return np.array([2 * a.real, 2 * a.imag, 2 * b.real, 2 * b.imag])
 
-    def is_physical(self, tol: float = _CP_TOL) -> bool:
-        return uncertainty_defect(self) >= -tol
+    def is_physical(self) -> bool:
+        return uncertainty_defect(self) >= -_CP_TOL
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,9 @@ def optimal_weights(figures: NoiseFigures) -> tuple[float, float]:
 
 
 def _check_powers(p_a: float, p_b: float) -> None:
+    for name, p in (("p_a", p_a), ("p_b", p_b)):
+        if not math.isfinite(p):
+            raise ValueError(f"power {name} must be finite, got {p}")
     if p_a < 0.0 or p_b < 0.0:
         raise ValueError(f"powers must be nonnegative, got ({p_a}, {p_b})")
     if p_a + p_b <= 0.0:
@@ -177,6 +180,10 @@ def infer_from_measurement(
     _check_powers(p_a, p_b)
     if p_a == 0.0 or p_b == 0.0:
         raise ValueError("correlation is undefined when one beam power vanishes")
+    # the formula is homogeneous in the powers: scaled exactly by a power of
+    # two to below 1, they keep every bit and no product overflows
+    e = -math.frexp(max(p_a, p_b))[1]
+    p_a, p_b = math.ldexp(p_a, e), math.ldexp(p_b, e)
     s = linear_from_db(diff_db)
     fa = linear_from_db(f_a_db)
     fb = linear_from_db(f_b_db)

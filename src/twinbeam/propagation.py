@@ -51,12 +51,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import gaussian
+from . import gaussian, lumped
 from .metrics import NoiseFigures, _flux_weighted_difference_noise, _gemellity
 
 __all__ = [
@@ -246,17 +246,15 @@ def _fluxes(amplitudes: np.ndarray) -> np.ndarray:
     return np.array([x * x + y * y for x, y in pairs])
 
 
-def slab_channel(slab: Slab, dz: float | None = None) -> gaussian.GaussianChannel:
+def slab_channel(slab: Slab) -> gaussian.GaussianChannel:
     """Symmetric loss-squeeze-loss factorization of one thin slab.
 
-    An optional dz overrides the slab's own length (used when
-    subdividing).  Splitting the loss symmetrically around the
-    squeezer makes the factorization error second order in the slab
-    width.  The squeeze parameter g dz must stay below 0.5; subdivide
-    instead of building thicker slabs.
+    Splitting the loss symmetrically around the squeezer makes the
+    factorization error second order in the slab width.  The squeeze
+    parameter g dz must stay below 0.5; subdivide instead of building
+    thicker slabs.
     """
-    h = slab.dz if dz is None else dz
-    r = slab.g * h
+    r = slab.g * slab.dz
     if r >= _MAX_SQUEEZE_PER_SLAB:
         raise ValueError(
             f"slab squeeze parameter g*dz = {r:.3f} too large; subdivide the segment"
@@ -264,7 +262,8 @@ def slab_channel(slab: Slab, dz: float | None = None) -> gaussian.GaussianChanne
     channel = gaussian._two_mode_squeezer(float(np.cosh(r)), float(np.sinh(r)))
     if slab.alpha_a > 0.0 or slab.alpha_b > 0.0:
         half = gaussian.loss_channel(
-            float(np.exp(-slab.alpha_a * h / 2.0)), float(np.exp(-slab.alpha_b * h / 2.0))
+            float(np.exp(-slab.alpha_a * slab.dz / 2.0)),
+            float(np.exp(-slab.alpha_b * slab.dz / 2.0)),
         )
         channel = gaussian.compose(half, gaussian.compose(channel, half))
     return channel
@@ -272,11 +271,16 @@ def slab_channel(slab: Slab, dz: float | None = None) -> gaussian.GaussianChanne
 
 def coupling_slab_channel(block: np.ndarray, dz: float) -> gaussian.GaussianChannel:
     """First-order CP slab for a complex generator, see module docstring."""
+    e = _expm2x2(_generator(block) * dz)[0]
+    return gaussian.minimal_noise_channel(gaussian.transfer_from_mode_matrix(e))
+
+
+def _generator(block: np.ndarray) -> np.ndarray:
+    """A 2x2 pair-basis generator as a complex stack of one."""
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"pair-basis generator must be 2x2, got {block.shape}")
-    e = _expm2x2((block * dz)[None])[0]
-    return gaussian.minimal_noise_channel(gaussian.transfer_from_mode_matrix(e))
+    return block[None]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,7 +464,7 @@ _RATE, _TRANSFER, _NOISE, _CP, _FIGURES = range(1, 6)
 _OVERFLOWS = {_TRANSFER: "the transfer e^(BL)", _NOISE: "the added noise of the pair map"}
 
 
-def _fail(fault: np.ndarray, trace: np.ndarray, place, figures: str = "") -> None:
+def _fail(fault: np.ndarray, trace: np.ndarray, place=lambda i: "", figures: str = "") -> None:
     """Raise the OutputOverflowError of the first faulty point, if any."""
     if not np.any(fault):
         return
@@ -472,11 +476,11 @@ def _fail(fault: np.ndarray, trace: np.ndarray, place, figures: str = "") -> Non
     raise OutputOverflowError(f"output overflows the float range ({what}){place(i)}")
 
 
-def _pair_maps(blocks: np.ndarray, length) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(M, Q, fault, trace) of every constant pair generator B of an (N, 2, 2)
-    stack over a length (a number, or one per generator, shape (N, 1, 1)).
+def _pair_maps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(M, Q, fault, trace) of every pair generator over its length, A = BL,
+    of a complex (N, 2, 2) stack.
 
-    M = e^A, A = BL, is `_expm2x2`; Q = int_0^1 e^{Au} D e^{A^dag u} du,
+    M = e^A is `_expm2x2`; Q = int_0^1 e^{Au} D e^{A^dag u} du,
     with D `_pair_diffusion`, is Van Loan's noise integral (C. F. Van Loan,
     IEEE TAC 23, 395, 1978) in closed form.  Where the eigenvalues m +- s
     are apart, Q = sum_ij phi(l_i + l_j*) P_i D P_j^dag on the spectral
@@ -491,7 +495,6 @@ def _pair_maps(blocks: np.ndarray, length) -> tuple[np.ndarray, np.ndarray, np.n
     such a point's M and Q are not to be read, and no operation overflows.
     trace is the trace norm of D where some point's is out of range.
     """
-    a = np.asarray(blocks * length, dtype=complex)
     d, e, trace = _pair_diffusion(a)
     rate = e >= sys.float_info.max_exp
     if np.any(rate):
@@ -538,9 +541,9 @@ class _PairOutputs(NamedTuple):
     gemellity_db: np.ndarray
 
 
-def _pair_outputs(blocks: np.ndarray, length=1.0, place=lambda i: "", maps=None) -> _PairOutputs:
-    """The quantum output of every constant pair generator of an (N, 2, 2)
-    stack over a length, or of the pair maps `maps` = (M, Q, fault, trace).
+def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOutputs:
+    """The quantum output of every pair map (M, Q) of a stack, with the fault
+    and trace of `_pair_maps`.
 
     Everything is read in the pair basis.  The fluxes are those of M's
     first column.  With K = M M^dag + Q, the noise figures are F_a = K00 and
@@ -553,7 +556,6 @@ def _pair_outputs(blocks: np.ndarray, length=1.0, place=lambda i: "", maps=None)
     checks, raises: OutputOverflowError naming the quantity that leaves the
     float range, followed by place(i), or the CP check's ValueError.
     """
-    transfer, noise, fault, trace = _pair_maps(blocks, length) if maps is None else maps
     # the largest real or imaginary part of M and of Q.  Where M's passes
     # 2^510 or Q's 2^1020, K = M M^dag + Q might not be a float, and its
     # noise figures pass 2^511, whose squares the gemellity may not take
@@ -585,9 +587,11 @@ def _pair_outputs(blocks: np.ndarray, length=1.0, place=lambda i: "", maps=None)
     return _PairOutputs(transfer, noise, cov, g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
 
 
-def _result(out: _PairOutputs) -> PropagationResult:
-    """The PropagationResult of a one-point `_pair_outputs`: the output state
-    has the mean (M00, M10*) and the covariance K lifted to quadratures."""
+def _result(transfer, noise, fault=0, trace=None) -> PropagationResult:
+    """The PropagationResult of a stack of one pair map, read by `_pair_outputs`:
+    the output state has the mean (M00, M10*) and the covariance K lifted to
+    quadratures."""
+    out = _pair_outputs(transfer, noise, fault, trace)
     figures = NoiseFigures(float(out.f_a[0]), float(out.f_b[0]), float(out.c_ab[0]))
     g_a, g_b = float(out.g_a[0]), float(out.g_b[0])
     mean = np.array([out.transfer[0, 0, 0], out.transfer[0, 1, 0].conjugate()])
@@ -603,27 +607,6 @@ def _result(out: _PairOutputs) -> PropagationResult:
     )
 
 
-def _map_result(transfer: np.ndarray, noise: np.ndarray) -> PropagationResult:
-    """The PropagationResult of one pair map (M, Q)."""
-    return _result(_pair_outputs(None, maps=(transfer[None], noise[None], np.zeros(1, dtype=int), None)))
-
-
-def _checked_maps(blocks: np.ndarray, length) -> tuple[np.ndarray, np.ndarray]:
-    """(M, Q) of `_pair_maps`, raising for the first point that fails."""
-    transfer, noise, fault, trace = _pair_maps(blocks, length)
-    _fail(fault, trace, lambda i: "")
-    return transfer, noise
-
-
-def _pair_block(block: np.ndarray, length: float) -> np.ndarray:
-    block = np.asarray(block, dtype=complex)
-    if block.shape != (2, 2):
-        raise ValueError(f"pair-basis generator must be 2x2, got {block.shape}")
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
-    return block[None]
-
-
 def _lift(pair: tuple[np.ndarray, np.ndarray]) -> gaussian.GaussianChannel:
     """The 4x4 channel of a pair map; a Hermitian Q lifts like a mode matrix."""
     m, q = pair
@@ -634,7 +617,11 @@ def _lift(pair: tuple[np.ndarray, np.ndarray]) -> gaussian.GaussianChannel:
 
 def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
     """CP map of a constant pair-basis generator over a length, see module docstring."""
-    transfer, noise = _checked_maps(_pair_block(block, length), length)
+    block = _generator(block)
+    if length <= 0.0:
+        raise ValueError(f"length must be positive, got {length}")
+    transfer, noise, fault, trace = _pair_maps(block * length)
+    _fail(fault, trace)
     return _lift((transfer[0], noise[0]))
 
 
@@ -742,7 +729,7 @@ def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
 
 
 def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
-    sub = slab_channel(slab, slab.dz / subdivisions)
+    sub = slab_channel(replace(slab, dz=slab.dz / subdivisions))
     return gaussian.compose_power(sub, subdivisions)
 
 
@@ -760,7 +747,7 @@ def propagate(profile: SlabProfile, subdivisions: int = 1) -> PropagationResult:
     for slab in profile.slabs:
         seg = _segment_channel(slab, subdivisions)
         total = seg if total is None else gaussian.compose(seg, total)
-    return _map_result(_mode_matrix(total.transfer), _mode_matrix(total.added_noise))
+    return _result(_mode_matrix(total.transfer)[None], _mode_matrix(total.added_noise)[None])
 
 
 def propagate_exact(profile: SlabProfile) -> PropagationResult:
@@ -775,31 +762,32 @@ def propagate_exact(profile: SlabProfile) -> PropagationResult:
         [[[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]] for s in profile.slabs], dtype=complex
     )
     lengths = np.array([s.dz for s in profile.slabs])[:, None, None]
-    transfers, noises = _checked_maps(blocks, lengths)
+    transfers, noises, fault, trace = _pair_maps(blocks * lengths)
+    _fail(fault, trace)
     m, q = transfers[0], noises[0]
     for m2, q2 in zip(transfers[1:], noises[1:]):
         m, q = m2 @ m, m2 @ q @ m2.conj().T + q2
-    return _map_result(m, q)
+    return _result(m[None], q[None])
 
 
-def propagate_coupling(block: np.ndarray, length: float = 1.0) -> PropagationResult:
+def propagate_coupling(block: np.ndarray) -> PropagationResult:
     """Push a unit coherent probe seed through a constant complex
-    pair-basis generator.
+    pair-basis generator over the unit medium length.
 
     Raises OutputOverflowError, naming the quantity, when the map or the
     output's noise figures leave the float range, as they do for optical
     depths of about 1e6.
     """
-    return _result(_pair_outputs(_pair_block(block, length), length))
+    return _result(*_pair_maps(_generator(block)))
 
 
 def refine_until_converged(
     profile: SlabProfile,
     tol: float = 1e-8,
-    initial_subdivisions: int = 8,
     max_doublings: int = 20,
 ) -> tuple[PropagationResult, int]:
-    """Halve slab widths until the gemellity stops moving.
+    """Halve slab widths, from 8 slabs per segment, until the gemellity
+    stops moving.
 
     Returns the converged result for a unit coherent probe seed and the
     number of doublings used.
@@ -808,7 +796,7 @@ def refine_until_converged(
     """
     if tol <= 0.0:
         raise ValueError(f"convergence tolerance must be positive, got {tol}")
-    n = initial_subdivisions
+    n = 8
     prev = propagate(profile, n)
     for doubling in range(1, max_doublings + 1):
         n *= 2
@@ -826,7 +814,6 @@ def search_beyond_lumped_limit(
     seed: int | None = 0,
     rate_bound: float = 20.0,
     feasibility_tol: float = 0.01,
-    target_db: float = -2.8,
     restarts: int = 16,
 ) -> SearchResult:
     """Look for a flux-neutral profile with gemellity below the lumped limit.
@@ -841,9 +828,11 @@ def search_beyond_lumped_limit(
     and their running products.  The reported result is `propagate_exact`
     of the best feasible profile.
     Placing loss upstream of gain costs no quantum correlation, so
-    distributed profiles can beat the lumped gain-then-loss bound; the
-    search reports found=False rather than raising when it fails to get
-    below target_db.
+    distributed profiles can beat the lumped gain-then-loss bound,
+    `lumped.optimize_unit_transmission`, 5 - 2 sqrt(5) (-2.7748 dB);
+    found says whether the reported profile is strictly below it and
+    flux-neutral within feasibility_tol, and the search reports
+    found=False rather than raising when it is not.
 
     The run is deterministic for a fixed seed; seed=None draws fresh
     randomness.  Each restart draws its start when it begins.
@@ -925,7 +914,7 @@ def search_beyond_lumped_limit(
     result = propagate_exact(profile)
     found = (
         best_feasible is not None
-        and result.gemellity_db < target_db
+        and result.gemellity < lumped.optimize_unit_transmission().gemellity
         and abs(result.sum_transmission - 1.0) <= feasibility_tol
     )
     return SearchResult(profile, result, found, evaluations)

@@ -99,6 +99,9 @@ class PowerRecord:
     conj_frac: float
 
     def __post_init__(self):
+        for name, value in (("probe_frac", self.probe_frac), ("conj_frac", self.conj_frac)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.probe_frac < 0.0 or self.conj_frac < 0.0:
             raise ValueError(
                 f"power fractions must be nonnegative, got "
@@ -284,22 +287,16 @@ def band_minimum(trace: SpectrumTrace, f_lo: float, f_hi: float) -> tuple[float,
     return float(trace.freq[i]), float(trace.psd[i])
 
 
-_DEFAULT_BAND = (0.5e6, 5e6)
-
-
 def analyze_traces(
-    traces: dict[str, SpectrumTrace],
-    powers: PowerRecord,
-    analysis_freq: float | None = None,
-    band: tuple[float, float] = _DEFAULT_BAND,
+    traces: dict[str, SpectrumTrace], powers: PowerRecord, analysis_freq: float | None = None
 ) -> TraceAnalysis:
     """Normalize a trace set and infer the twin-beam numbers.
 
     Requires difference, probe, conjugate and sql traces; an
     electronic trace is used for floor correction when present.  The
     analysis frequency defaults to the minimum of the normalized
-    difference trace inside `band` and is snapped to the nearest grid
-    point when given explicitly.
+    difference trace between 0.5 and 5 MHz and is snapped to the nearest
+    grid point when given explicitly.
     """
     for label in ("difference", "probe", "conjugate", "sql"):
         if label not in traces:
@@ -312,7 +309,7 @@ def analyze_traces(
     }
     diff = normalized["difference"]
     if analysis_freq is None:
-        analysis_freq, _ = band_minimum(diff, band[0], band[1])
+        analysis_freq, _ = band_minimum(diff, 0.5e6, 5e6)
     if not diff.freq[0] <= analysis_freq <= diff.freq[-1]:
         raise ValueError(
             f"analysis frequency {analysis_freq:g} Hz outside trace support "

@@ -50,6 +50,13 @@ def test_params_reject_non_finite_fields(field, value):
         AtomicParams(**{field: value})
 
 
+def test_an_overflowing_generator_raises_from_liouvillian_itself():
+    # rates of 1e300 Gamma overflow the generator; a direct call used to warn
+    # three times and return NaN entries, pytest makes any warning an error
+    with pytest.raises(atomic.MediumOverflowError, match="dressed-atom generator overflows"):
+        atomic.liouvillian(AtomicParams(excited_decay_rate=5e-324))
+
+
 def test_params_from_mapping_defaults_and_conversions():
     assert atomic.params_from_mapping({}) == AtomicParams()
     p = atomic.params_from_mapping(

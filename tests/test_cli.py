@@ -248,6 +248,8 @@ def test_beat_limit_completes_where_the_slab_path_failed(tmp_path, capsys):
         ("sweep-delta", "sweep", "n_slabs"),
         ("beam-splitter", "window", "n_slabs"),
         ("beat-limit", "search", "subdivisions"),
+        # found compares against the lumped limit itself, 5 - 2 sqrt(5)
+        ("beat-limit", "search", "target_dB"),
     ],
 )
 def test_discretization_keys_are_rejected(tmp_path, capsys, command, section, key):
@@ -276,6 +278,17 @@ def test_grid_step_flag_is_rejected(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --grid-step 0.05" in captured.err
+
+
+def test_analyze_takes_no_config_flag(capsys):
+    # analyze reads no config file; it used to accept even a missing one
+    traces = str(_GOLDEN / "analyze_traces.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", traces, "--probe-frac", "0.5", "--conj-frac", "0.5", "--config", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --config x" in captured.err
 
 
 def _write_trace_file(path):
@@ -551,6 +564,28 @@ def test_analyze_csv_matches_the_golden_file(capsys):
             "0.68",
         ],
     )
+    assert (code, err) == (0, "")
+    assert out == (_GOLDEN / "analyze.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (["--probe-frac", "nan", "--conj-frac", "0.68"], "probe_frac must be finite, got nan"),
+        (["--probe-frac", "1.62", "--conj-frac", "inf"], "conj_frac must be finite, got inf"),
+        (["--probe-frac=-inf", "--conj-frac", "0.68"], "probe_frac must be finite, got -inf"),
+    ],
+)
+def test_analyze_rejects_non_finite_power_fractions(capsys, flags, err):
+    # these printed C_ab = nan and gemellity_dB = nan and exited 0
+    argv = ["analyze", str(_GOLDEN / "analyze_traces.csv"), *flags]
+    assert run(capsys, argv) == (2, "", f"error: {err}\n")
+
+
+def test_analyze_takes_fractions_up_to_the_float_maximum(capsys):
+    # 1e308 used to overflow the inference to nan, after a RuntimeWarning
+    argv = ["analyze", str(_GOLDEN / "analyze_traces.csv"), "--probe-frac", "1.62e308"]
+    code, out, err = run(capsys, argv + ["--conj-frac", "0.68e308"])
     assert (code, err) == (0, "")
     assert out == (_GOLDEN / "analyze.csv").read_text()
 

@@ -1,5 +1,7 @@
 """Noise figures, gemellity, and the measurement inversion."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,11 @@ def test_weighted_difference_noise_power_validation():
         metrics.weighted_difference_noise(fig, -0.1, 0.5)
     with pytest.raises(ValueError):
         metrics.weighted_difference_noise(fig, 0.0, 0.0)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"power p_b must be finite, got {value}"):
+            metrics.weighted_difference_noise(fig, 0.5, value)
+        with pytest.raises(ValueError, match=f"power p_a must be finite, got {value}"):
+            metrics.infer_from_measurement(-1.0, 3.0, 2.0, value, 0.35)
 
 
 def test_zero_conjugate_power_reads_probe_noise():
@@ -101,6 +108,17 @@ def test_inference_high_gain_case():
     res = metrics.infer_from_measurement(-9.2, 12.0, 12.0, 20 / 39, 19 / 39)
     assert abs(res.figures.c_ab - 0.9927406226220427) < 1e-12
     assert abs(res.gemellity_db - (-9.391006262576193)) < 1e-12
+
+
+def test_inference_is_exact_under_power_of_two_scalings_of_the_powers():
+    # the powers are scaled to below 1 by a power of two, so a common factor
+    # changes no bit, up to the float maximum, where products would overflow
+    want = metrics.infer_from_measurement(-1.0, 3.0, 2.0, 0.65, 0.35)
+    for k in (-1000, -3, 0, 7, 1020):
+        p_a, p_b = math.ldexp(0.65, k), math.ldexp(0.35, k)
+        assert metrics.infer_from_measurement(-1.0, 3.0, 2.0, p_a, p_b) == want
+    huge = metrics.infer_from_measurement(-1.0, 3.0, 2.0, 1.7e308, 1.7e308 * 0.35 / 0.65)
+    assert huge.figures.c_ab == pytest.approx(want.figures.c_ab, rel=1e-15)
 
 
 def test_inference_of_shot_noise_is_trivial():

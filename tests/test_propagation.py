@@ -152,11 +152,8 @@ def test_phase_only_generator_adds_no_noise():
 
 
 def test_coupling_propagation_validates_arguments():
-    block = np.zeros((2, 2), dtype=complex)
     with pytest.raises(ValueError):
-        propagation.propagate_coupling(block, length=0.0)
-    with pytest.raises(ValueError):
-        propagation.propagate_coupling(block, length=-1.0)
+        propagation.propagate_coupling(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         propagation.exact_channel(np.zeros((3, 3)), 0.1)
     with pytest.raises(ValueError):
@@ -383,7 +380,7 @@ def test_closed_form_noise_integral_matches_a_50_digit_van_loan_block(parts, log
     # real parts of b00, b01, b10, b11, then their imaginary parts
     re, im = np.array(parts[:4]), np.array(parts[4:])
     block = (10.0**log_scale * (re + 1j * im)).reshape(2, 2)
-    transfer, noise, fault, _ = propagation._pair_maps(block[None], 1.0)
+    transfer, noise, fault, _ = propagation._pair_maps(block[None])
     assume(fault[0] == 0)  # a map past the float range is flagged, not read
     _, (exact_m, exact_q) = _mpmath_pair_maps([(block, 1.0)], 50)
     exact_q = _as_array(exact_q)
@@ -411,7 +408,7 @@ def test_damped_maps_keep_their_noise_at_any_scale(scale, block):
     from scipy.linalg import solve_continuous_lyapunov
 
     block = block.astype(complex)
-    transfer, noise, fault, _ = propagation._pair_maps(scale * block[None], 1.0)
+    transfer, noise, fault, _ = propagation._pair_maps(scale * block[None])
     assert fault[0] == 0 and np.abs(transfer).max() < 1e-100
     d, e, _ = propagation._pair_diffusion(block[None])
     want = solve_continuous_lyapunov(block, -np.ldexp(1.0, e[0]) * d[0])
@@ -424,11 +421,11 @@ def test_pair_maps_flag_what_leaves_the_float_range_and_warn_nothing():
     rng = np.random.default_rng(5)
     scale = np.logspace(-3.0, 3.0, 300)[:, None, None]
     blocks = (rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2))) * scale
-    transfer, noise, fault, _ = propagation._pair_maps(blocks, 1.0)
+    transfer, noise, fault, _ = propagation._pair_maps(blocks)
     assert 0 < np.count_nonzero(fault) < 300
     assert set(fault.tolist()) <= {0, propagation._TRANSFER, propagation._NOISE}
     for i in range(0, 300, 7):
-        one = propagation._pair_maps(blocks[i : i + 1], 1.0)
+        one = propagation._pair_maps(blocks[i : i + 1])
         assert one[2][0] == fault[i]
         if not fault[i]:
             assert np.array_equal(one[0][0], transfer[i]) and np.array_equal(one[1][0], noise[i])
@@ -478,7 +475,8 @@ def test_closed_form_segment_map_matches_the_van_loan_map(n, g, alpha_a, alpha_b
     slab = Slab(1.0 / n, g, alpha_a, alpha_b)
     block = np.array([[-alpha_a / 2.0, g], [g, -alpha_b / 2.0]])
     transfer, noise = _matrices(propagation._pair_segment(*dataclasses.astuple(slab)))
-    exact_m, exact_q = (x[0] for x in propagation._pair_maps(block[None], slab.dz)[:2])
+    generator = (block[None] * slab.dz).astype(complex)
+    exact_m, exact_q = (x[0] for x in propagation._pair_maps(generator)[:2])
     scale = _cp_scale(exact_m, exact_q)
     np.testing.assert_allclose(
         transfer, exact_m, rtol=0.0, atol=1e-13 * np.abs(exact_m).max()
@@ -620,7 +618,7 @@ def test_pair_maps_match_a_60_digit_reference(rates):
         scale = _cp_scale(m, q)
         # the search's closed form and the pair engine
         closed = _matrices(propagation._pair_segment(*dataclasses.astuple(slab)))
-        engine = (x[0] for x in propagation._pair_maps(np.array(block, complex)[None], slab.dz)[:2])
+        engine = (x[0] for x in propagation._pair_maps(np.array(block, complex)[None] * slab.dz)[:2])
         for got_m, got_q in (closed, tuple(engine)):
             np.testing.assert_allclose(got_m, m, rtol=0.0, atol=1e-14 * np.abs(m).max())
             np.testing.assert_allclose(got_q, q, rtol=0.0, atol=1e-14 * scale)
@@ -669,10 +667,10 @@ def test_atomic_maps_match_an_80_digit_reference():
         np.testing.assert_allclose(got.added_noise, noise, rtol=0.0, atol=1e-13 * scale)
         # M is the closed-form exponential; taken from the Van Loan squarings
         # it was 2.8e-14 off here
-        m, exact_m = propagation._pair_maps(block[None], 1.0)[0][0], _as_array(pair[0])
+        m, exact_m = propagation._pair_maps(block[None])[0][0], _as_array(pair[0])
         assert np.abs(m - exact_m).max() <= 4e-15 * np.abs(exact_m).max()
         # the printed gemellity, against that of the correctly rounded map
-        want = propagation._map_result(*(_as_array(x) for x in pair))
+        want = propagation._result(*(_as_array(x)[None] for x in pair))
         res = propagation.propagate_coupling(block)
         assert res.gemellity_db == pytest.approx(want.gemellity_db, rel=0.0, abs=1e-12)
 
@@ -717,8 +715,15 @@ def test_propagate_exact_lifts_once_and_composes_no_channel(monkeypatch, n):
 def test_propagate_coupling_lifts_once_and_composes_no_channel(monkeypatch, block, length):
     # one pair CP check, and the state is lifted from the pair basis once
     calls = _count_channel_calls(monkeypatch)
-    propagation.propagate_coupling(block, length)
+    propagation.propagate_coupling(block * length)
     assert calls == {"cp_defect": 0, "compose": 0, "compose_power": 0, "pair_cp": 1}
+
+
+def test_a_pair_map_that_is_not_cp_fails_the_readout():
+    # M = 2 I with no added noise would amplify without noise
+    transfer, noise = 2.0 * np.eye(2, dtype=complex)[None], np.zeros((1, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match=r"not completely positive \(CP defect -3.000e\+00\)"):
+        propagation._result(transfer, noise)
 
 
 def test_sweep_delta_checks_one_pair_map_per_point_in_one_call(monkeypatch, capsys):
@@ -734,7 +739,7 @@ def test_sweep_delta_checks_one_pair_map_per_point_in_one_call(monkeypatch, caps
 def test_a_sweep_point_does_not_depend_on_its_grid():
     # each default sweep-delta row, against a one-point propagate_coupling
     blocks = _default_sweep_blocks(slice(None))
-    out = propagation._pair_outputs(blocks)
+    out = propagation._pair_outputs(*propagation._pair_maps(blocks))
     for i, block in enumerate(blocks):
         one = propagation.propagate_coupling(block)
         assert (one.g_a, one.g_b, one.gemellity) == (out.g_a[i], out.g_b[i], out.gemellity[i])
@@ -743,7 +748,7 @@ def test_a_sweep_point_does_not_depend_on_its_grid():
 
 def test_the_stacked_pair_cp_defect_is_that_of_the_lifted_channel():
     blocks = _default_sweep_blocks(slice(None))
-    transfer, noise = propagation._pair_maps(blocks, 1.0)[:2]
+    transfer, noise = propagation._pair_maps(blocks)[:2]
     defect = propagation._pair_cp_defects(transfer, noise)
     for m, q, got in zip(transfer, noise, defect):
         channel = propagation._lift((m, q))
@@ -755,7 +760,7 @@ def test_pair_outputs_match_the_lifted_state():
     # the noise figures and correlation read in the pair basis, against
     # noise_figures of the output state the quadrature channel gives
     blocks = _default_sweep_blocks(slice(None))
-    out = propagation._pair_outputs(blocks)
+    out = propagation._pair_outputs(*propagation._pair_maps(blocks))
     for i, (m, q) in enumerate(zip(out.transfer, out.noise)):
         figures = noise_figures(gaussian.apply(propagation._lift((m, q)), gaussian.coherent_input(1.0)))
         # a few roundings apart: the lifted path rotates the covariance by
@@ -804,6 +809,10 @@ _OPTIMUM_2 = (0.0, 1.7108803420275933, 0.0, 1.5, 0.0, 0.0)
         (2, 0, {"restarts": 1, "rate_bound": 5e-324}, 2, (0.0, 5e-324, 0.0, 5e-324, 0.0, 0.0), 1.0),
         # each restart draws its start when it begins, from the same stream
         (2, 3, {"restarts": 3}, 674, _OPTIMUM_2, 0.2231301601484299),
+        # tight tolerances escalate the penalty: 4 escalations here, and with
+        # none feasible the all-zero profile is reported, found=False
+        (2, 0, {"restarts": 2, "feasibility_tol": 1e-6}, 777, _OPTIMUM_2, 0.2231301601484299),
+        (1, 0, {"restarts": 2, "feasibility_tol": 1e-9}, 742, (0.0, 0.0, 0.0), 1.0),
     ],
 )
 def test_search_is_pinned_bit_for_bit(segments, seed, keywords, evaluations, rates, gemellity):
@@ -812,6 +821,8 @@ def test_search_is_pinned_bit_for_bit(segments, seed, keywords, evaluations, rat
     got = [v for s in out.profile.slabs for v in (s.g, s.alpha_a, s.alpha_b)]
     assert list(map(repr, got)) == list(map(repr, rates))
     assert out.result.gemellity == gemellity
+    # every pinned profile whose gemellity is below 1 beats the lumped limit
+    assert out.found == (gemellity < 1.0)
 
 
 def test_a_search_candidate_maps_only_the_segment_it_moves(monkeypatch):

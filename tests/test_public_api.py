@@ -1,6 +1,7 @@
 """The public API: every exported name resolves, every function the
 benchmark traces by name is still exported where its tracer looks, and
-the README's library quick start runs and prints what it promises."""
+the README's library quick start runs and prints what it promises, and its
+example config is read by every command."""
 
 import importlib
 import inspect
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import twinbeam
+from twinbeam import cli
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -65,3 +67,12 @@ def test_readme_quick_start_runs():
     assert abs(gem - (5.0 - 2.0 * math.sqrt(5.0))) <= 1e-12
     _, g_a, g_b = map(float, atomic.split())
     assert abs(g_a + g_b - 1.0) <= 1e-12
+
+
+def test_readme_example_config_is_read_by_every_command(tmp_path, capsys):
+    config = re.search(r"```ini\n(.*?)```", README.read_text(), re.S)
+    path = tmp_path / "medium.cfg"
+    path.write_text(config.group(1))
+    for command in ("lumped-optimize", "sweep-delta", "beam-splitter", "beat-limit"):
+        assert cli.main([command, "--config", str(path), "--seed", "0"]) == 0, command
+    assert capsys.readouterr().err == ""

@@ -50,6 +50,11 @@ def test_power_record_validation():
         PowerRecord(-0.1, 0.5)
     with pytest.raises(ValueError):
         PowerRecord(0.5, -0.1)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"probe_frac must be finite, got {value}"):
+            PowerRecord(value, 0.5)
+        with pytest.raises(ValueError, match=f"conj_frac must be finite, got {value}"):
+            PowerRecord(0.5, value)
 
 
 def test_parse_five_labels_on_one_grid():
