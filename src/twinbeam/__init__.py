@@ -8,133 +8,20 @@ loss, a dressed four-level atom supplies the microscopic gain curves,
 and the traces module turns measured spectra into the same metrics.
 """
 
-from .atomic import (
-    AtomicParams,
-    BeamSplitterPoint,
-    CouplingMatrix,
-    GainCurve,
-    find_beam_splitter_point,
-    find_raman_dip,
-    gain_curves,
-    pair_output,
-    sideband_response,
-    steady_state,
-)
-from .configio import ConfigError
-from .gaussian import (
-    CovarianceState,
-    GaussianChannel,
-    amplifier_channel,
-    apply,
-    coherent_input,
-    compose,
-    compose_power,
-    cp_defect,
-    loss_channel,
-    minimal_noise_channel,
-    rotation_channel,
-    transfer_from_mode_matrix,
-    uncertainty_defect,
-    vacuum_state,
-)
-from .lumped import (
-    CascadeResult,
-    LumpedConfig,
-    OptimumResult,
-    cascade,
-    cascade_state,
-    constrain_unit_transmission,
-    optimize_unit_transmission,
-)
-from .metrics import (
-    InferenceResult,
-    NoiseFigures,
-    db_from_linear,
-    gemellity,
-    gemellity_db,
-    infer_from_measurement,
-    linear_from_db,
-    noise_figures,
-    optimal_weights,
-    weighted_difference_noise,
-)
-from .propagation import (
-    PropagationResult,
-    SearchResult,
-    Slab,
-    SlabProfile,
-    propagate,
-    propagate_coupling,
-    propagate_exact,
-    search_beyond_lumped_limit,
-)
-from .traces import (
-    PowerRecord,
-    SpectrumTrace,
-    TraceAnalysis,
-    analyze_traces,
-    normalize_to_sql,
-    parse_traces,
-)
+from . import atomic, configio, gaussian, lumped, metrics, propagation, traces
+from .atomic import *  # noqa: F403
+from .configio import *  # noqa: F403
+from .gaussian import *  # noqa: F403
+from .lumped import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .propagation import *  # noqa: F403
+from .traces import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "AtomicParams",
-    "BeamSplitterPoint",
-    "CascadeResult",
-    "ConfigError",
-    "CouplingMatrix",
-    "CovarianceState",
-    "GainCurve",
-    "GaussianChannel",
-    "InferenceResult",
-    "LumpedConfig",
-    "NoiseFigures",
-    "OptimumResult",
-    "PowerRecord",
-    "PropagationResult",
-    "SearchResult",
-    "Slab",
-    "SlabProfile",
-    "SpectrumTrace",
-    "TraceAnalysis",
-    "amplifier_channel",
-    "analyze_traces",
-    "apply",
-    "cascade",
-    "cascade_state",
-    "coherent_input",
-    "compose",
-    "compose_power",
-    "constrain_unit_transmission",
-    "cp_defect",
-    "db_from_linear",
-    "find_beam_splitter_point",
-    "find_raman_dip",
-    "gain_curves",
-    "gemellity",
-    "gemellity_db",
-    "infer_from_measurement",
-    "linear_from_db",
-    "loss_channel",
-    "minimal_noise_channel",
-    "noise_figures",
-    "normalize_to_sql",
-    "optimal_weights",
-    "optimize_unit_transmission",
-    "pair_output",
-    "parse_traces",
-    "propagate",
-    "propagate_coupling",
-    "propagate_exact",
-    "rotation_channel",
-    "search_beyond_lumped_limit",
-    "sideband_response",
-    "steady_state",
-    "transfer_from_mode_matrix",
-    "uncertainty_defect",
-    "vacuum_state",
-    "weighted_difference_noise",
+# each public name is declared once, in its module's __all__
+__all__ = ["__version__"] + [
+    name
+    for module in (atomic, configio, gaussian, lumped, metrics, propagation, traces)
+    for name in module.__all__
 ]

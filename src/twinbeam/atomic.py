@@ -183,10 +183,6 @@ class GainCurve:
         object.__setattr__(self, "probe_gain", pa)
         object.__setattr__(self, "conj_gain", pb)
 
-    @property
-    def sum_transmission(self) -> np.ndarray:
-        return self.probe_gain + self.conj_gain
-
 
 @dataclass(frozen=True)
 class BeamSplitterPoint:
@@ -563,7 +559,9 @@ def pair_output(p: AtomicParams) -> propagation.PropagationResult:
 _DEFAULT_WINDOW = (-TWO_PI * 150e6, TWO_PI * 50e6)
 
 
-def _check_scan_points(n_scan: int) -> None:
+def _check_scan(window: tuple[float, float], n_scan: int) -> None:
+    if not window[0] < window[1]:
+        raise ValueError(f"window must be increasing, got {window}")
     if n_scan < 2:
         raise ValueError(f"a detuning scan needs at least 2 points, got {n_scan}")
 
@@ -574,7 +572,7 @@ def find_raman_dip(
     n_scan: int = 251,
 ) -> tuple[float, float]:
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
-    _check_scan_points(n_scan)
+    _check_scan(window, n_scan)
     grid, gains, _ = _response(p).scan(window, n_scan)
     i = int(np.nanargmin(gains))
     return float(grid[i]), float(gains[i])
@@ -639,9 +637,7 @@ def find_beam_splitter_point(
     quantum metrics at the polished point.  Raises NoCrossingError
     when the window contains no sign change of the flux balance.
     """
-    if not window[0] < window[1]:
-        raise ValueError(f"window must be increasing, got {window}")
-    _check_scan_points(n_scan)
+    _check_scan(window, n_scan)
     # the scan, every flux balance and the output share one response
     response = _response(p)
     grid, probe, conj = response.scan(window, n_scan)

@@ -86,14 +86,6 @@ class CovarianceState:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
 
-    def mean_quadratures(self) -> np.ndarray:
-        """Mean vector in quadrature order, <X> = 2 Re(alpha)."""
-        a, b = self.mean
-        return np.array([2 * a.real, 2 * a.imag, 2 * b.real, 2 * b.imag])
-
-    def is_physical(self) -> bool:
-        return uncertainty_defect(self) >= -_CP_TOL
-
 
 @dataclass(frozen=True)
 class GaussianChannel:

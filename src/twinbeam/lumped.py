@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
 from .metrics import (
     NoiseFigures,
     _flux_weighted_difference_noise,
@@ -31,10 +30,16 @@ __all__ = [
     "CascadeResult",
     "OptimumResult",
     "cascade",
-    "cascade_state",
     "constrain_unit_transmission",
     "optimize_unit_transmission",
 ]
+
+
+def _check_gain(gain: float) -> None:
+    if not math.isfinite(gain):
+        raise ValueError(f"gain must be finite, got {gain}")
+    if not gain >= 1.0:
+        raise ValueError(f"gain must be >= 1, got {gain}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,7 @@ class LumpedConfig:
     conj_transmission: float
 
     def __post_init__(self):
-        if self.gain < 1.0:
-            raise ValueError(f"gain must be >= 1, got {self.gain}")
+        _check_gain(self.gain)
         for name, t in (
             ("probe_transmission", self.probe_transmission),
             ("conj_transmission", self.conj_transmission),
@@ -103,23 +107,13 @@ def cascade(config: LumpedConfig) -> CascadeResult:
     )
 
 
-def cascade_state(config: LumpedConfig) -> gaussian.CovarianceState:
-    """Same cascade evaluated by explicit channel composition."""
-    channel = gaussian.compose(
-        gaussian.loss_channel(config.probe_transmission, config.conj_transmission),
-        gaussian.amplifier_channel(config.gain),
-    )
-    return gaussian.apply(channel, gaussian.coherent_input(1.0))
-
-
 def constrain_unit_transmission(gain: float, conj_transmission: float) -> float:
     """Probe transmission enforcing T_a G + T_b (G-1) = 1.
 
     Raises ValueError when no transmission in [0, 1] satisfies the
     constraint for the given gain.
     """
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
+    _check_gain(gain)
     if not 0.0 <= conj_transmission <= 1.0:
         raise ValueError(f"conjugate transmission must lie in [0, 1], got {conj_transmission}")
     ta = (1.0 - conj_transmission * (gain - 1.0)) / gain

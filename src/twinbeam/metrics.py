@@ -29,7 +29,6 @@ __all__ = [
     "gemellity",
     "gemellity_db",
     "weighted_difference_noise",
-    "optimal_weights",
     "infer_from_measurement",
 ]
 
@@ -134,20 +133,6 @@ def _flux_weighted_difference_noise(figures: NoiseFigures, p_a: float, p_b: floa
     return float(figures.f_a)
 
 
-def optimal_weights(figures: NoiseFigures) -> tuple[float, float]:
-    """Power fractions (summing to 1) at which the weighted difference
-    noise attains its minimum, which is the gemellity.  For c_ab < 0
-    the same fractions apply with the analyzer summing instead of
-    subtracting the photocurrents."""
-    fa, fb, c = figures.f_a, figures.f_b, figures.c_ab
-    root = np.sqrt(c * c * fa * fb + ((fa - fb) / 2.0) ** 2)
-    if root == 0.0:
-        # isotropic case, any split realizes the minimum
-        return 0.5, 0.5
-    p_a = (root + (fb - fa) / 2.0) / (2.0 * root)
-    return float(p_a), float(1.0 - p_a)
-
-
 def _check_powers(p_a: float, p_b: float) -> None:
     for name, p in (("p_a", p_a), ("p_b", p_b)):
         if not math.isfinite(p):
@@ -192,7 +177,7 @@ def infer_from_measurement(
     )
     if abs(c) > 1.0 + 1e-9:
         raise ValueError(
-            f"inferred correlation {c:.6f} lies outside [-1, 1]; "
+            f"inferred correlation {c:.6g} lies outside [-1, 1]; "
             "measurement inputs are inconsistent"
         )
     figures = NoiseFigures(fa, fb, float(np.clip(c, -1.0, 1.0)))

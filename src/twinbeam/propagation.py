@@ -21,11 +21,10 @@ form.  `_pair_outputs` reads the fluxes, the noise figures and the
 gemellity of each map in the pair basis, after one CP check per map in
 its complex 2x2 form; it names the first point whose output leaves the
 float range.  Segments compose as (M2 M1, M2 Q1 M2^dag + Q2).  A
-quadrature `GaussianChannel` or state is built only where one is
-returned: the transfer is `transfer_from_mode_matrix(M)`, and a Hermitian
-Q or covariance lifts the same way.  This engine gives every reported
-result (`exact_channel`, `propagate_exact`, `propagate_coupling`, and the
-`sweep-delta` grid).
+quadrature state is built only where one is returned: its covariance is
+the pair covariance lifted like a mode matrix, by
+`transfer_from_mode_matrix`.  This engine gives every reported result
+(`propagate_exact`, `propagate_coupling`, and the `sweep-delta` grid).
 
 The search's evaluations, which only rank candidate profiles, use a
 closed form instead.  A real-rate B is symmetric, so e^{BL} and the
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +66,6 @@ __all__ = [
     "OutputOverflowError",
     "slab_channel",
     "coupling_slab_channel",
-    "exact_channel",
     "propagate",
     "propagate_exact",
     "propagate_coupling",
@@ -80,6 +78,11 @@ _MAX_SQUEEZE_PER_SLAB = 0.5
 
 class OutputOverflowError(RuntimeError):
     """A propagated output leaves the float range."""
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,16 @@ class Slab:
     alpha_b: float
 
     def __post_init__(self):
-        if self.dz <= 0.0:
+        for field in fields(self):
+            _check_finite(field.name, getattr(self, field.name))
+        if not self.dz > 0.0:
             raise ValueError(f"slab length must be positive, got {self.dz}")
         for name, rate in (
             ("g", self.g),
             ("alpha_a", self.alpha_a),
             ("alpha_b", self.alpha_b),
         ):
-            if rate < 0.0:
+            if not rate >= 0.0:
                 raise ValueError(f"rate {name} must be nonnegative, got {rate}")
 
 
@@ -119,10 +124,6 @@ class SlabProfile:
         if not slabs:
             raise ValueError("profile must contain at least one slab")
         object.__setattr__(self, "slabs", slabs)
-
-    @property
-    def total_length(self) -> float:
-        return float(sum(s.dz for s in self.slabs))
 
 
 @dataclass(frozen=True)
@@ -607,24 +608,6 @@ def _result(transfer, noise, fault=0, trace=None) -> PropagationResult:
     )
 
 
-def _lift(pair: tuple[np.ndarray, np.ndarray]) -> gaussian.GaussianChannel:
-    """The 4x4 channel of a pair map; a Hermitian Q lifts like a mode matrix."""
-    m, q = pair
-    return gaussian.GaussianChannel(
-        gaussian.transfer_from_mode_matrix(m), gaussian.transfer_from_mode_matrix(q)
-    )
-
-
-def exact_channel(block: np.ndarray, length: float) -> gaussian.GaussianChannel:
-    """CP map of a constant pair-basis generator over a length, see module docstring."""
-    block = _generator(block)
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length}")
-    transfer, noise, fault, trace = _pair_maps(block * length)
-    _fail(fault, trace)
-    return _lift((transfer[0], noise[0]))
-
-
 # The search's maps: a real-rate segment has the minimal diffusion
 # diag(alpha_a, alpha_b) whatever g is, so its (M, Q) is a row-major real
 # 2x2 transfer (a, b, c, d) and a symmetric noise (x, y, z) of plain floats.
@@ -794,7 +777,8 @@ def refine_until_converged(
     The factorization error is second order in the slab width, so the
     change per doubling shrinks by about a quarter.
     """
-    if tol <= 0.0:
+    _check_finite("tol", tol)
+    if not tol > 0.0:
         raise ValueError(f"convergence tolerance must be positive, got {tol}")
     n = 8
     prev = propagate(profile, n)
@@ -839,9 +823,11 @@ def search_beyond_lumped_limit(
     """
     if not 1 <= n_segments <= 8:
         raise ValueError(f"n_segments must lie in [1, 8], got {n_segments}")
-    if rate_bound <= 0.0:
+    _check_finite("rate_bound", rate_bound)
+    if not rate_bound > 0.0:
         raise ValueError(f"rate bound must be positive, got {rate_bound}")
-    if feasibility_tol <= 0.0:
+    _check_finite("feasibility_tol", feasibility_tol)
+    if not feasibility_tol > 0.0:
         raise ValueError(f"feasibility tolerance must be positive, got {feasibility_tol}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")

@@ -204,7 +204,7 @@ def test_gain_curves_for_zero_depth_are_trivial():
     curve = atomic.gain_curves(p, np.linspace(mhz(-100.0), mhz(50.0), 7))
     np.testing.assert_array_equal(curve.probe_gain, np.ones(7))
     np.testing.assert_array_equal(curve.conj_gain, np.zeros(7))
-    np.testing.assert_allclose(curve.sum_transmission, np.ones(7))
+    np.testing.assert_allclose(curve.probe_gain + curve.conj_gain, np.ones(7))
 
 
 def test_gain_curves_validate_the_grid():
@@ -751,10 +751,20 @@ def test_beam_splitter_point_requires_a_crossing():
 
 
 @pytest.mark.parametrize("finder", [atomic.find_beam_splitter_point, atomic.find_raman_dip])
-@pytest.mark.parametrize("n_scan", [0, 1])
-def test_scans_need_two_points(finder, n_scan):
-    with pytest.raises(ValueError, match="at least 2 points"):
-        finder(AtomicParams(), n_scan=n_scan)
+@pytest.mark.parametrize(
+    "scan, match",
+    [
+        pytest.param({"n_scan": 0}, "at least 2 points", id="0"),
+        pytest.param({"n_scan": 1}, "at least 2 points", id="1"),
+        pytest.param({"window": (mhz(50.0), mhz(-150.0))}, "window must be increasing", id="decreasing"),
+        pytest.param({"window": (0.0, 0.0)}, "window must be increasing", id="empty"),
+    ],
+)
+def test_scans_need_two_points(finder, scan, match, monkeypatch):
+    # rejected before the medium's response is built
+    monkeypatch.setattr(atomic, "_response", None)
+    with pytest.raises(ValueError, match=match):
+        finder(AtomicParams(), **scan)
 
 
 def test_beam_splitter_point_tunes_over_a_wide_range():

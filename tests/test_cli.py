@@ -590,6 +590,16 @@ def test_analyze_takes_fractions_up_to_the_float_maximum(capsys):
     assert out == (_GOLDEN / "analyze.csv").read_text()
 
 
+def test_analyze_names_an_out_of_range_correlation_in_six_digits(capsys):
+    # the correlation was printed with %.6f, all 154 digits of it
+    argv = ["analyze", str(_GOLDEN / "analyze_traces.csv"), "--probe-frac", "0.65"]
+    err = (
+        "error: inferred correlation 4.82102e+153 lies outside [-1, 1]; "
+        "measurement inputs are inconsistent\n"
+    )
+    assert run(capsys, argv + ["--conj-frac", "1e308"]) == (2, "", err)
+
+
 _NO_GROUND_DECOHERENCE = "[atomic]\ngamma_g_kHz = 0\n"
 
 

@@ -14,14 +14,13 @@ def test_vacuum_state_is_identity_covariance():
     v = gaussian.vacuum_state()
     assert np.array_equal(v.cov, np.eye(4))
     assert np.all(v.mean == 0)
-    assert v.is_physical()
+    assert gaussian.uncertainty_defect(v) >= -gaussian._CP_TOL
 
 
 def test_coherent_input_mean_and_quadratures():
     s = gaussian.coherent_input(1.5 - 0.5j, 0.25j)
     assert np.array_equal(s.cov, np.eye(4))
     assert s.mean[0] == 1.5 - 0.5j and s.mean[1] == 0.25j
-    assert np.allclose(s.mean_quadratures(), [3.0, -1.0, 0.0, 0.5])
 
 
 def test_covariance_must_be_symmetric():
@@ -39,7 +38,6 @@ def test_mean_shape_validated():
 def test_unphysical_covariance_detected():
     squeezed_below_vacuum = np.diag([0.1, 0.1, 1.0, 1.0])
     s = gaussian.CovarianceState(squeezed_below_vacuum, np.zeros(2, dtype=complex))
-    assert not s.is_physical()
     assert gaussian.uncertainty_defect(s) < -0.5
 
 
@@ -59,7 +57,7 @@ def test_amplifier_channel_covariance_closed_form():
         ]
     )
     assert np.allclose(out.cov, expected, atol=1e-12)
-    assert out.is_physical()
+    assert gaussian.uncertainty_defect(out) >= -gaussian._CP_TOL
 
 
 def test_amplifier_mean_map():

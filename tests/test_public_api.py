@@ -44,6 +44,19 @@ def test_benchmark_layers_name_exported_functions():
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, f"{module_name}.{attr}"
 
 
+def test_the_package_declares_no_name_of_its_own():
+    # each public name is declared once, in its module's __all__; the package
+    # re-exports every model module's names and nothing of the CLI
+    models = [module for module in _modules() if module.__name__ != "twinbeam.cli"]
+    names = ["__version__", *(name for module in models for name in module.__all__)]
+    assert len(set(names)) == len(names)
+    assert sorted(twinbeam.__all__) == sorted(names)
+    code = "import sys, twinbeam; print(' '.join(sorted(m for m in sys.modules if 'twinbeam' in m)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(twinbeam.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == sorted(["twinbeam", *(module.__name__ for module in models)])
+
+
 def test_every_exported_name_resolves():
     for module in [twinbeam, *_modules()]:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
