@@ -35,10 +35,10 @@ scan is kept with it, so `find_raman_dip` and `find_beam_splitter_point`
 on one window scan it once.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
-`propagation._expm2x2`; `propagation.propagate_coupling`, and for a
-whole grid `propagation._pair_outputs`, turn the same generator into the
-exact quantum noise output through the pair map (M, Q), whose M is that
-exponential and whose Q is Van Loan's noise integral in closed form.
+`propagation._expm2x2`; `propagation.propagate_coupling` turns the same
+generator into the exact quantum noise output through the pair map
+(M, Q), whose M is that exponential and whose Q is Van Loan's noise
+integral in closed form.
 Detuning scans solve their grid in stacked numpy calls, a fixed block of
 detunings at a time, with the same arithmetic per point as a
 single-point call.  The flux-neutral
@@ -562,6 +562,8 @@ _DEFAULT_WINDOW = (-TWO_PI * 150e6, TWO_PI * 50e6)
 def _check_scan(window: tuple[float, float], n_scan: int) -> None:
     if not window[0] < window[1]:
         raise ValueError(f"window must be increasing, got {window}")
+    if not math.isfinite(float(window[1]) - float(window[0])):
+        raise ValueError(f"window span must be finite, got {window}")
     if n_scan < 2:
         raise ValueError(f"a detuning scan needs at least 2 points, got {n_scan}")
 
@@ -664,14 +666,8 @@ def find_beam_splitter_point(
     ends = slice(bracket, bracket + 2)
     delta_star = _illinois(flux_balance, *grid[ends], *(probe[ends] + conj[ends] - 1.0))
     # pair_output at delta_star, on the response already built
-    out = propagation._pair_outputs(*propagation._pair_maps(response.pair_blocks([delta_star])))
-    return BeamSplitterPoint(
-        delta=delta_star,
-        probe_gain=float(out.g_a[0]),
-        conj_gain=float(out.g_b[0]),
-        gemellity=float(out.gemellity[0]),
-        gemellity_db=float(out.gemellity_db[0]),
-    )
+    out = propagation.propagate_coupling(response.pair_blocks([delta_star])[0])
+    return BeamSplitterPoint(delta_star, out.g_a, out.g_b, out.gemellity, out.gemellity_db)
 
 
 _PARAM_KEYS = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from itertools import chain, repeat
 from pathlib import Path
@@ -65,6 +66,27 @@ def _check_keys(mapping: dict[str, str], section: str, allowed: set[str]) -> Non
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+
+
+def _window(sections: dict, section: str, low: str, high: str) -> tuple[float, float, int]:
+    """The (lo, hi) ends in MHz and the point count of a detuning window,
+    a section with keys low, high and points; both ends stay finite in
+    rad/s."""
+    mapping = sections.get(section, {})
+    _check_keys(mapping, section, {low, high, "points"})
+    lo = section_float(mapping, section, low, default=-150.0)
+    hi = section_float(mapping, section, high, default=50.0)
+    points = section_int(mapping, section, "points", default=251)
+    for key, value in ((low, lo), (high, hi)):
+        if not math.isfinite(angular_from_mhz(value)):
+            raise ConfigError(
+                f"section [{section}], key {key!r}: {value} MHz overflows the float range in rad/s"
+            )
+    if not lo < hi:
+        raise ConfigError(f"[{section}] detuning window must be increasing, got [{lo}, {hi}] MHz")
+    if points < 2:
+        raise ConfigError(f"[{section}] detuning window needs at least 2 points, got {points}")
+    return lo, hi, points
 
 
 def _fmt(value) -> str:
@@ -128,15 +150,7 @@ def cmd_lumped_optimize(args) -> int:
 def cmd_sweep_delta(args) -> int:
     sections, digest = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
-    sweep = sections.get("sweep", {})
-    _check_keys(sweep, "sweep", {"delta_min_MHz", "delta_max_MHz", "points"})
-    lo = section_float(sweep, "sweep", "delta_min_MHz", default=-150.0)
-    hi = section_float(sweep, "sweep", "delta_max_MHz", default=50.0)
-    points = section_int(sweep, "sweep", "points", default=251)
-    if not lo < hi:
-        raise ConfigError(f"sweep window must be increasing, got [{lo}, {hi}] MHz")
-    if points < 2:
-        raise ConfigError(f"sweep needs at least 2 points, got {points}")
+    lo, hi, points = _window(sections, "sweep", "delta_min_MHz", "delta_max_MHz")
     deltas_mhz = np.linspace(lo, hi, points)
     blocks = atomic.sideband_blocks(params, [angular_from_mhz(d) for d in deltas_mhz])
     out = propagation._pair_outputs(
@@ -157,13 +171,7 @@ def cmd_sweep_delta(args) -> int:
 def cmd_beam_splitter(args) -> int:
     sections, digest = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
-    window = sections.get("window", {})
-    _check_keys(window, "window", {"min_MHz", "max_MHz", "points"})
-    lo = section_float(window, "window", "min_MHz", default=-150.0)
-    hi = section_float(window, "window", "max_MHz", default=50.0)
-    points = section_int(window, "window", "points", default=251)
-    if not lo < hi:
-        raise ConfigError(f"window must be increasing, got [{lo}, {hi}] MHz")
+    lo, hi, points = _window(sections, "window", "min_MHz", "max_MHz")
     point = atomic.find_beam_splitter_point(
         params,
         window=(angular_from_mhz(lo), angular_from_mhz(hi)),

@@ -20,11 +20,10 @@ projectors of B or, for near eigenvalues, through the Cayley-Hamilton
 form.  `_pair_outputs` reads the fluxes, the noise figures and the
 gemellity of each map in the pair basis, after one CP check per map in
 its complex 2x2 form; it names the first point whose output leaves the
-float range.  Segments compose as (M2 M1, M2 Q1 M2^dag + Q2).  A
-quadrature state is built only where one is returned: its covariance is
-the pair covariance lifted like a mode matrix, by
-`transfer_from_mode_matrix`.  This engine gives every reported result
-(`propagate_exact`, `propagate_coupling`, and the `sweep-delta` grid).
+float range.  Segments compose as (M2 M1, M2 Q1 M2^dag + Q2).  This
+engine gives every reported result (`propagate_exact`,
+`propagate_coupling`, and the `sweep-delta` grid), and no quadrature
+state or channel is built on its way.
 
 The search's evaluations, which only rank candidate profiles, use a
 closed form instead.  A real-rate B is symmetric, so e^{BL} and the
@@ -128,7 +127,7 @@ class SlabProfile:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Output state and derived twin-beam observables.
+    """Twin-beam observables of the output, read in the pair basis.
 
     g_a and g_b are output fluxes per unit coherent probe seed, read
     off the composed transfer; sum_transmission = g_a + g_b is 1 for a
@@ -136,7 +135,6 @@ class PropagationResult:
     actual fluxes, gemellity optimizes the weights.
     """
 
-    state: gaussian.CovarianceState
     g_a: float
     g_b: float
     sum_transmission: float
@@ -530,9 +528,6 @@ def _pair_cp_defects(transfer: np.ndarray, noise: np.ndarray) -> np.ndarray:
 class _PairOutputs(NamedTuple):
     """The outputs of every point of a stack, for a unit coherent probe seed."""
 
-    transfer: np.ndarray
-    noise: np.ndarray
-    covariance: np.ndarray  # K = M M^dag + Q, the output's (a, b^dag) covariance
     g_a: np.ndarray
     g_b: np.ndarray
     f_a: np.ndarray
@@ -585,19 +580,15 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     gem = _gemellity(f_a, f_b, c_ab)
     gem_db = 10.0 * np.log10(gem, out=np.full_like(gem, -np.inf), where=gem > 0.0)
     g_a, g_b = _fluxes(transfer[:, 0, 0]), _fluxes(transfer[:, 1, 0])
-    return _PairOutputs(transfer, noise, cov, g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
+    return _PairOutputs(g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
 
 
 def _result(transfer, noise, fault=0, trace=None) -> PropagationResult:
-    """The PropagationResult of a stack of one pair map, read by `_pair_outputs`:
-    the output state has the mean (M00, M10*) and the covariance K lifted to
-    quadratures."""
+    """The PropagationResult of a stack of one pair map, read by `_pair_outputs`."""
     out = _pair_outputs(transfer, noise, fault, trace)
     figures = NoiseFigures(float(out.f_a[0]), float(out.f_b[0]), float(out.c_ab[0]))
     g_a, g_b = float(out.g_a[0]), float(out.g_b[0])
-    mean = np.array([out.transfer[0, 0, 0], out.transfer[0, 1, 0].conjugate()])
     return PropagationResult(
-        state=gaussian.CovarianceState(gaussian.transfer_from_mode_matrix(out.covariance[0]), mean),
         g_a=g_a,
         g_b=g_b,
         sum_transmission=g_a + g_b,
@@ -717,7 +708,7 @@ def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
 
 
 def _mode_matrix(t: np.ndarray) -> np.ndarray:
-    """The 2x2 mode matrix e of a quadrature block t = `transfer_from_mode_matrix(e)`."""
+    """The 2x2 mode matrix e whose lift to quadratures is the 4x4 block t."""
     return np.array([[t[0, 0] + 1j * t[1, 0], t[0, 2] + 1j * t[0, 3]], [t[2, 0] - 1j * t[2, 1], t[2, 2] + 1j * t[2, 3]]])
 
 

@@ -253,18 +253,26 @@ def normalize_to_sql(
     """Express a trace in dB relative to the standard quantum limit.
 
     Electronic noise, when provided, is subtracted from both the trace
-    and the SQL in linear power units before taking the ratio.  The
-    subtraction must leave positive power at every frequency;
-    violations are reported with the offending frequency.
+    and the SQL in linear power units before taking the ratio.  Every dB
+    value and every ratio must be a positive finite float in linear
+    units, and the subtraction must leave positive power at every
+    frequency; violations are reported with the offending frequency.
     """
     involved = (trace, sql) if electronic is None else (trace, sql, electronic)
     _require_common_grid(*involved)
-    signal = 10.0 ** (trace.psd / 10.0)
-    reference = 10.0 ** (sql.psd / 10.0)
+    with np.errstate(over="ignore"):
+        powers = [10.0 ** (t.psd / 10.0) for t in involved]
+    for t, power in zip(involved, powers):
+        i = _first_not_positive_finite(power)
+        if i is not None:
+            raise ValueError(
+                f"trace {t.label!r} at {t.freq[i]:g} Hz: {t.psd[i]:g} dB "
+                "has no positive finite linear power"
+            )
+    signal, reference = powers[:2]
     if electronic is not None:
-        floor = 10.0 ** (electronic.psd / 10.0)
-        signal = signal - floor
-        reference = reference - floor
+        signal = signal - powers[2]
+        reference = reference - powers[2]
     for name, values in ((trace.label, signal), ("sql", reference)):
         bad = np.nonzero(values <= 0.0)[0]
         if bad.size:
@@ -272,7 +280,21 @@ def normalize_to_sql(
                 f"electronic floor exceeds trace {name!r} at "
                 f"{trace.freq[bad[0]]:g} Hz"
             )
-    return SpectrumTrace(trace.freq, 10.0 * np.log10(signal / reference), trace.rbw, trace.label)
+    with np.errstate(over="ignore"):
+        ratio = signal / reference
+    i = _first_not_positive_finite(ratio)
+    if i is not None:
+        raise ValueError(
+            f"trace {trace.label!r} at {trace.freq[i]:g} Hz: its linear ratio to the SQL "
+            f"({trace.psd[i]:g} dB over {sql.psd[i]:g} dB) leaves the float range"
+        )
+    return SpectrumTrace(trace.freq, 10.0 * np.log10(ratio), trace.rbw, trace.label)
+
+
+def _first_not_positive_finite(values: np.ndarray) -> int | None:
+    """Index of the first entry that is not a positive finite float, if any."""
+    bad = np.flatnonzero(~((values > 0.0) & (values < np.inf)))
+    return int(bad[0]) if bad.size else None
 
 
 def band_minimum(trace: SpectrumTrace, f_lo: float, f_hi: float) -> tuple[float, float]:

@@ -1,7 +1,11 @@
 """Reference constructions the tests hold the package's fast paths against,
 built from its quadrature channels."""
 
-from twinbeam import gaussian
+import functools
+
+import numpy as np
+
+from twinbeam import gaussian, propagation
 
 
 def cascade_state(config):
@@ -18,4 +22,39 @@ def lift(pair):
     m, q = pair
     return gaussian.GaussianChannel(
         gaussian.transfer_from_mode_matrix(m), gaussian.transfer_from_mode_matrix(q)
+    )
+
+
+def exact_channel(block, length=1.0):
+    """The lifted exact map of a constant pair-basis generator over a length."""
+    transfer, noise, fault, _ = propagation._pair_maps(np.asarray(block, dtype=complex)[None] * length)
+    assert not fault.any()
+    return lift((transfer[0], noise[0]))
+
+
+def _chain(channels):
+    """The channels applied in turn, the first to the light entering."""
+    return functools.reduce(lambda total, channel: gaussian.compose(channel, total), channels)
+
+
+def output_state(channel):
+    """A channel's output for a unit coherent probe seed."""
+    return gaussian.apply(channel, gaussian.coherent_input(1.0))
+
+
+def exact_state(profile):
+    """The output of `propagation.propagate_exact`: each segment's lifted
+    exact map, composed as quadrature channels."""
+    return output_state(
+        _chain(
+            exact_channel([[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]], s.dz)
+            for s in profile.slabs
+        )
+    )
+
+
+def slab_state(profile, subdivisions):
+    """The output of `propagation.propagate`: its composed slab channel."""
+    return output_state(
+        _chain(propagation._segment_channel(s, subdivisions) for s in profile.slabs)
     )

@@ -21,6 +21,8 @@ from twinbeam.atomic import (
 )
 from twinbeam.configio import ConfigError, angular_from_mhz
 
+from oracles import exact_channel, output_state
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -241,8 +243,8 @@ def test_gain_curves_are_nonnegative_and_physical():
     assert np.all(curve.conj_gain >= 0.0)
     for delta in grid[::2]:
         p = dataclasses.replace(AtomicParams(), two_photon_detuning=float(delta))
-        out = atomic.pair_output(p)
-        assert gaussian.uncertainty_defect(out.state) > -1e-9
+        state = output_state(exact_channel(atomic.sideband_response(p).pair_block))
+        assert gaussian.uncertainty_defect(state) > -1e-9
 
 
 def _reference_liouvillian(p: AtomicParams) -> np.ndarray:
@@ -758,6 +760,8 @@ def test_beam_splitter_point_requires_a_crossing():
         pytest.param({"n_scan": 1}, "at least 2 points", id="1"),
         pytest.param({"window": (mhz(50.0), mhz(-150.0))}, "window must be increasing", id="decreasing"),
         pytest.param({"window": (0.0, 0.0)}, "window must be increasing", id="empty"),
+        # each end is finite, but linspace over the window would overflow
+        pytest.param({"window": (-9e307, 9e307)}, "window span must be finite", id="overflowing"),
     ],
 )
 def test_scans_need_two_points(finder, scan, match, monkeypatch):

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinbeam import cli, lumped
+from twinbeam import atomic, cli, gaussian, lumped, propagation
+from twinbeam.propagation import Slab, SlabProfile
 
 JSON_SCHEMA = {
     "type": "object",
@@ -590,6 +591,30 @@ def test_analyze_takes_fractions_up_to_the_float_maximum(capsys):
     assert out == (_GOLDEN / "analyze.csv").read_text()
 
 
+@pytest.mark.parametrize(
+    "row, value, err",
+    [
+        # 4000 dB overflowed 10 ** (psd / 10) with a RuntimeWarning, and the
+        # run then failed as "difference: trace values must be finite"
+        ("sql", "4000", "trace 'sql' at 1.85e+06 Hz: 4000 dB has no positive finite linear power"),
+        # -4000 dB underflows to 0 W, which was blamed on the electronic floor
+        ("difference", "-4000", "trace 'difference' at 6.05e+06 Hz: -4000 dB has no positive finite linear power"),
+    ],
+    ids=["sql_overflows", "difference_underflows"],
+)
+def test_analyze_names_a_db_value_outside_the_float_range(tmp_path, capsys, row, value, err):
+    lines = (_GOLDEN / "analyze_traces.csv").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.split(",")[2] == row)
+    freq, _, label, rbw = lines[first].split(",")
+    lines[first] = ",".join([freq, value, label, rbw])
+    if row == "difference":
+        lines = [line for line in lines if ",electronic," not in line]
+    trace_path = tmp_path / "traces.csv"
+    trace_path.write_text("\n".join(lines) + "\n")
+    argv = ["analyze", str(trace_path), "--probe-frac", "1.62", "--conj-frac", "0.68"]
+    assert run(capsys, argv) == (2, "", f"error: {err}\n")
+
+
 def test_analyze_names_an_out_of_range_correlation_in_six_digits(capsys):
     # the correlation was printed with %.6f, all 154 digits of it
     argv = ["analyze", str(_GOLDEN / "analyze_traces.csv"), "--probe-frac", "0.65"]
@@ -626,6 +651,50 @@ def test_atomic_csv_matches_the_golden_file(tmp_path, capsys, command, config):
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert out == (_GOLDEN / f"{name}.csv").read_text()
+
+
+def test_the_command_path_builds_no_quadrature_object(monkeypatch, capsys):
+    # every reported output is read in the pair basis: no command, nor the
+    # library's one-point outputs, makes a 4x4 state, channel or lifted block
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature object was built")
+
+    for name in ("CovarianceState", "GaussianChannel", "transfer_from_mode_matrix"):
+        monkeypatch.setattr(gaussian, name, refuse)
+    analyze = ["analyze", str(_GOLDEN / "analyze_traces.csv"), "--probe-frac", "1.62", "--conj-frac", "0.68"]
+    for argv in (["lumped-optimize"], ["sweep-delta"], ["beam-splitter"], ["beat-limit", "--seed", "0"], analyze):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+    atomic.pair_output(atomic.AtomicParams())
+    propagation.propagate_exact(SlabProfile((Slab(0.5, 0.0, 1.5, 0.0), Slab(0.5, 1.7, 0.0, 0.0))))
+
+
+def _overflowing(section, key, value):
+    return f"section [{section}], key {key!r}: {value} MHz overflows the float range in rad/s"
+
+
+@pytest.mark.parametrize(
+    "command, config, err",
+    [
+        ("beam-splitter", "[window]\nmin_MHz = -1e303\n", _overflowing("window", "min_MHz", "-1e+303")),
+        ("beam-splitter", "[window]\nmin_MHz = 0\nmax_MHz = 1e303\n", _overflowing("window", "max_MHz", "1e+303")),
+        ("sweep-delta", "[sweep]\ndelta_min_MHz = -1e303\n", _overflowing("sweep", "delta_min_MHz", "-1e+303")),
+        ("sweep-delta", "[sweep]\ndelta_max_MHz = 1.7e308\n", _overflowing("sweep", "delta_max_MHz", "1.7e+308")),
+        # each end is finite in rad/s, but the distance between them is not
+        (
+            "beam-splitter",
+            "[window]\nmin_MHz = -1.5e301\nmax_MHz = 1.5e301\n",
+            "window span must be finite, got (-9.424777960769378e+307, 9.424777960769378e+307)",
+        ),
+    ],
+    ids=["window-min", "window-max", "sweep-min", "sweep-max", "window-span"],
+)
+def test_a_window_that_overflows_in_rad_per_s_is_rejected(tmp_path, capsys, command, config, err):
+    # these leaked numpy RuntimeWarnings and then blamed the detuning grid
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(config)
+    assert run(capsys, [command, "--config", str(cfg)]) == (2, "", f"error: {err}\n")
 
 
 def test_repeated_in_process_beam_splitter_runs_print_the_golden_bytes(capsys):

@@ -20,7 +20,7 @@ from twinbeam.configio import angular_from_mhz
 from twinbeam.metrics import noise_figures
 from twinbeam.propagation import Slab, SlabProfile
 
-from oracles import lift
+from oracles import exact_channel, exact_state, lift, output_state, slab_state
 
 
 def test_slab_validation():
@@ -78,7 +78,7 @@ def test_pure_loss_segment_is_exact():
     assert res.g_a == pytest.approx(np.exp(-1.4 * 0.5), abs=1e-13)
     assert res.g_b == 0.0
     # loss on a coherent seed leaves vacuum noise
-    np.testing.assert_allclose(res.state.cov, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(slab_state(SlabProfile((slab,)), 7).cov, np.eye(4), atol=1e-12)
 
 
 def test_loss_then_gain_is_flux_neutral_with_ideal_correlations():
@@ -135,8 +135,7 @@ def test_propagate_validates_subdivisions():
 )
 def test_propagation_always_yields_a_physical_state(raw):
     profile = SlabProfile(tuple(Slab(*r) for r in raw))
-    res = propagation.propagate(profile, subdivisions=8)
-    assert gaussian.uncertainty_defect(res.state) > -1e-9
+    assert gaussian.uncertainty_defect(slab_state(profile, 8)) > -1e-9
 
 
 def test_coupling_generator_reproduces_two_mode_squeezer():
@@ -154,7 +153,7 @@ def test_coupling_generator_reproduces_probe_loss():
     res = propagation.propagate_coupling(block)
     assert res.g_a == pytest.approx(np.exp(-alpha), abs=1e-10)
     assert res.g_b == 0.0
-    np.testing.assert_allclose(res.state.cov, np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(output_state(exact_channel(block)).cov, np.eye(4), atol=1e-10)
 
 
 def test_phase_only_generator_adds_no_noise():
@@ -172,19 +171,12 @@ def test_coupling_propagation_validates_arguments():
         propagation.coupling_slab_channel(np.zeros((3, 3)), 0.1)
 
 
-def _exact_channel(block, length):
-    """The lifted exact map of a constant pair-basis generator over a length."""
-    transfer, noise, fault, _ = propagation._pair_maps(np.asarray(block, dtype=complex)[None] * length)
-    assert not fault.any()
-    return lift((transfer[0], noise[0]))
-
-
 def test_exact_pure_gain_segment_matches_the_amplifier():
     # the second segment has g dz = 7.85, far beyond what one slab may carry
     for slab in (Slab(0.25, 1.2, 0.0, 0.0), Slab(0.5, 15.704219186527428, 0.0, 0.0)):
         r = slab.g * slab.dz
         block = np.array([[0.0, slab.g], [slab.g, 0.0]])
-        ch = _exact_channel(block, slab.dz)
+        ch = exact_channel(block, slab.dz)
         ref = gaussian.amplifier_channel(float(np.cosh(r) ** 2))
         np.testing.assert_allclose(ch.transfer, ref.transfer, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(
@@ -202,14 +194,14 @@ def test_exact_pure_loss_segment_matches_the_beamsplitter():
     for slab in (Slab(0.5, 0.0, 1.4, 0.8), Slab(1.0, 0.0, 20.0, 3.0)):
         ta, tb = np.exp(-slab.alpha_a * slab.dz), np.exp(-slab.alpha_b * slab.dz)
         block = np.diag([-slab.alpha_a / 2.0, -slab.alpha_b / 2.0])
-        ch = _exact_channel(block, slab.dz)
+        ch = exact_channel(block, slab.dz)
         ref = gaussian.loss_channel(ta, tb)
         np.testing.assert_allclose(ch.transfer, ref.transfer, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(ch.added_noise, ref.added_noise, rtol=1e-13, atol=1e-15)
         res = propagation.propagate_exact(SlabProfile((slab,)))
         assert res.g_a == pytest.approx(ta, rel=1e-13)
         assert res.g_b == 0.0
-        np.testing.assert_allclose(res.state.cov, np.eye(4), atol=1e-13)
+        np.testing.assert_allclose(exact_state(SlabProfile((slab,))).cov, np.eye(4), atol=1e-13)
 
 
 def test_exact_maps_match_the_lumped_closed_forms():
@@ -239,7 +231,7 @@ def test_exact_maps_match_the_lumped_closed_forms():
 
 
 def _relative_gap(a, b):
-    return np.abs(a.state.cov - b.state.cov).max() / np.abs(b.state.cov).max()
+    return np.abs(a.cov - b.cov).max() / np.abs(b.cov).max()
 
 
 def test_slab_squeezer_keeps_the_digits_of_a_small_squeeze():
@@ -258,13 +250,10 @@ _LOSS = st.floats(min_value=0.0, max_value=20.0)
 def test_slab_oracle_converges_to_the_exact_map(rates):
     dz = 1.0 / len(rates)
     profile = SlabProfile(tuple(Slab(dz, *r) for r in rates))
-    exact = propagation.propagate_exact(profile)
+    exact = exact_state(profile)
     # start where every slab carries at most a quarter of e-folding
     n = int(4.0 * max(max(r) for r in rates) * dz) + 1
-    gaps = [
-        _relative_gap(propagation.propagate(profile, subdivisions=n * 2**j), exact)
-        for j in range(3)
-    ]
+    gaps = [_relative_gap(slab_state(profile, n * 2**j), exact) for j in range(3)]
     # second-order splitting: each doubling cuts the gap by about 4
     assert gaps[1] <= 0.3 * gaps[0] + 1e-10
     assert gaps[2] <= 0.3 * gaps[1] + 1e-10
@@ -306,7 +295,7 @@ def test_refinement_rejects_a_non_finite_tolerance(tol):
 def test_complex_slab_oracle_converges_to_the_exact_map(block):
     # minimal-noise slabs of a complex generator err to first order in
     # the slab width, so each doubling halves the gap
-    exact = _exact_channel(block, 1.0)
+    exact = exact_channel(block, 1.0)
     gaps = []
     for n in (64, 128, 256):
         slabs = gaussian.compose_power(propagation.coupling_slab_channel(block, 1.0 / n), n)
@@ -687,7 +676,7 @@ def test_atomic_maps_match_an_80_digit_reference():
     for block in list(_default_sweep_blocks(slice(129, 144))) + [bs_block]:
         _, pair = _mpmath_pair_maps([(block, 1.0)], 80)
         transfer, noise = (gaussian.transfer_from_mode_matrix(_as_array(x)) for x in pair)
-        got = _exact_channel(block, 1.0)
+        got = exact_channel(block, 1.0)
         scale = _cp_scale(transfer, noise)
         np.testing.assert_allclose(got.transfer, transfer, rtol=0.0, atol=1e-13 * scale**0.5)
         np.testing.assert_allclose(got.added_noise, noise, rtol=0.0, atol=1e-13 * scale)
@@ -722,7 +711,7 @@ def _count_channel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_propagate_exact_lifts_once_and_composes_no_channel(monkeypatch, n):
+def test_propagate_exact_checks_one_pair_map_and_composes_no_channel(monkeypatch, n):
     # the product of the segment maps is checked once, in the pair basis
     segments = (Slab(0.5, 3.0, 0.0, 0.0), Slab(0.25, 7.0, 2.0, 19.0), Slab(0.25, 0.0, 11.0, 4.0))
     calls = _count_channel_calls(monkeypatch)
@@ -738,8 +727,8 @@ def test_propagate_exact_lifts_once_and_composes_no_channel(monkeypatch, n):
         (np.array([[0.4j, 0.3], [0.3, -0.2 - 0.1j]]), 7.0),
     ],
 )
-def test_propagate_coupling_lifts_once_and_composes_no_channel(monkeypatch, block, length):
-    # one pair CP check, and the state is lifted from the pair basis once
+def test_propagate_coupling_checks_one_pair_map_and_composes_no_channel(monkeypatch, block, length):
+    # one pair CP check, and the output is read in the pair basis
     calls = _count_channel_calls(monkeypatch)
     propagation.propagate_coupling(block * length)
     assert calls == {"cp_defect": 0, "compose": 0, "compose_power": 0, "pair_cp": 1}
@@ -786,8 +775,9 @@ def test_pair_outputs_match_the_lifted_state():
     # the noise figures and correlation read in the pair basis, against
     # noise_figures of the output state the quadrature channel gives
     blocks = _default_sweep_blocks(slice(None))
-    out = propagation._pair_outputs(*propagation._pair_maps(blocks))
-    for i, (m, q) in enumerate(zip(out.transfer, out.noise)):
+    maps = propagation._pair_maps(blocks)
+    out = propagation._pair_outputs(*maps)
+    for i, (m, q) in enumerate(zip(*maps[:2])):
         figures = noise_figures(gaussian.apply(lift((m, q)), gaussian.coherent_input(1.0)))
         # a few roundings apart: the lifted path rotates the covariance by
         # the mean phases, the pair basis multiplies by one phase factor

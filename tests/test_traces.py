@@ -209,6 +209,41 @@ def test_normalization_reports_floor_violations_with_the_frequency():
         traces.normalize_to_sql(sig, sql, floor)
 
 
+@pytest.mark.parametrize(
+    "levels, electronic, err",
+    [
+        ((-75.0, 4000.0), None, "trace 'sql' at 200000 Hz: 4000 dB has no positive finite linear power"),
+        ((-4000.0, -80.0), None, "trace 'probe' at 200000 Hz: -4000 dB has no positive finite linear power"),
+        ((-75.0, -80.0), 3100.0, "trace 'electronic' at 200000 Hz: 3100 dB has no positive finite linear power"),
+        (
+            (3000.0, -100.0),
+            None,
+            r"trace 'probe' at 200000 Hz: its linear ratio to the SQL \(3000 dB over -100 dB\) "
+            "leaves the float range",
+        ),
+        (
+            (-3000.0, 300.0),
+            None,
+            r"trace 'probe' at 200000 Hz: its linear ratio to the SQL \(-3000 dB over 300 dB\) "
+            "leaves the float range",
+        ),
+    ],
+    ids=["sql_overflows", "trace_underflows", "floor_overflows", "ratio_overflows", "ratio_underflows"],
+)
+def test_normalization_names_a_db_value_outside_the_float_range(levels, electronic, err):
+    freq = np.linspace(1e5, 1e6, 10)
+    sig_db, sql_db = np.full(10, -75.0), np.full(10, -80.0)
+    sig_db[1], sql_db[1] = levels
+    floor = None
+    if electronic is not None:
+        floor_db = np.full(10, -95.0)
+        floor_db[1] = electronic
+        floor = SpectrumTrace(freq, floor_db, 100e3, "electronic")
+    sig, sql = SpectrumTrace(freq, sig_db, 100e3, "probe"), SpectrumTrace(freq, sql_db, 100e3, "sql")
+    with pytest.raises(ValueError, match=f"^{err}$"):
+        traces.normalize_to_sql(sig, sql, floor)
+
+
 def test_normalization_requires_common_grids_and_rbw():
     sql = _flat("sql", -80.0)
     other_grid = _flat("probe", -75.0, freq=np.linspace(2e5, 2e6, 10))
