@@ -65,7 +65,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import propagation
-from .configio import ConfigError, angular_from_khz, angular_from_mhz, section_float
+from .configio import ConfigError, angular_from_khz, angular_from_mhz, check_keys
+from .configio import section_float, section_frequency
 
 __all__ = [
     "AtomicParams",
@@ -98,7 +99,7 @@ class NoCrossingError(RuntimeError):
 
 
 class MediumOverflowError(RuntimeError):
-    """A medium's rates, or the generator built from them, overflow the
+    """The generator built from a medium's finite rates overflows the
     float range."""
 
 
@@ -671,7 +672,6 @@ def find_beam_splitter_point(
 
 
 _PARAM_KEYS = {
-    "delta_MHz": ("two_photon_detuning", angular_from_mhz),
     "Delta_MHz": ("one_photon_detuning", angular_from_mhz),
     "Omega_MHz": ("rabi_frequency", angular_from_mhz),
     "Gamma_MHz": ("excited_decay_rate", angular_from_mhz),
@@ -684,18 +684,12 @@ _PARAM_KEYS = {
 def params_from_mapping(mapping: dict) -> AtomicParams:
     """Build AtomicParams from the keys of an [atomic] config section;
     absent keys keep defaults."""
-    unknown = set(mapping) - set(_PARAM_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown keys in [atomic]: {', '.join(sorted(unknown))}")
+    check_keys(mapping, "atomic", _PARAM_KEYS)
     kwargs = {}
     for key, (field, convert) in _PARAM_KEYS.items():
         if key in mapping:
-            kwargs[field] = convert(section_float(mapping, "atomic", key, None))
-            if not math.isfinite(kwargs[field]):
-                raise MediumOverflowError(
-                    f"[atomic] {key} = {mapping[key]} overflows the float range "
-                    f"as {field} in rad/s"
-                )
+            read = section_float if key == "depth" else section_frequency
+            kwargs[field] = convert(read(mapping, "atomic", key, None))
     try:
         return AtomicParams(**kwargs)
     except ValueError as exc:

@@ -27,7 +27,6 @@ __all__ = [
     "linear_from_db",
     "noise_figures",
     "gemellity",
-    "gemellity_db",
     "weighted_difference_noise",
     "infer_from_measurement",
 ]
@@ -110,10 +109,6 @@ def gemellity(figures: NoiseFigures) -> float:
     """Twin-beam criterion; equals the weighted difference noise at the
     optimal power splitting and is symmetric under beam exchange."""
     return _gemellity(figures.f_a, figures.f_b, figures.c_ab)
-
-
-def gemellity_db(figures: NoiseFigures) -> float:
-    return db_from_linear(gemellity(figures))
 
 
 def weighted_difference_noise(figures: NoiseFigures, p_a: float, p_b: float) -> float:

@@ -63,7 +63,6 @@ def test_params_from_mapping_defaults_and_conversions():
     assert atomic.params_from_mapping({}) == AtomicParams()
     p = atomic.params_from_mapping(
         {
-            "delta_MHz": "-50",
             "Delta_MHz": "700",
             "Omega_MHz": "300",
             "Gamma_MHz": "6",
@@ -72,13 +71,17 @@ def test_params_from_mapping_defaults_and_conversions():
             "hyperfine_MHz": "3035.7",
         }
     )
-    assert p.two_photon_detuning == pytest.approx(mhz(-50.0))
+    assert p.two_photon_detuning == 0.0
     assert p.one_photon_detuning == pytest.approx(mhz(700.0))
     assert p.rabi_frequency == pytest.approx(mhz(300.0))
     assert p.excited_decay_rate == pytest.approx(mhz(6.0))
     assert p.ground_decoherence == AtomicParams().ground_decoherence
     assert p.depth == 250.0
     assert p.hyperfine_splitting == pytest.approx(mhz(3035.7))
+    # the two-photon detuning is what the scans and the root search vary;
+    # a medium does not set it
+    with pytest.raises(ConfigError, match=r"unknown keys in \[atomic\]: delta_MHz"):
+        atomic.params_from_mapping({"delta_MHz": "-50"})
 
 
 def test_params_from_mapping_errors():

@@ -256,7 +256,8 @@ def test_beat_limit_completes_where_the_slab_path_failed(tmp_path, capsys):
 def test_discretization_keys_are_rejected(tmp_path, capsys, command, section, key):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"[{section}]\n{key} = 64\n")
-    code, out, err = run(capsys, [command, "--config", str(cfg), "--seed", "0"])
+    seed = ["--seed", "0"] if command == "beat-limit" else []
+    code, out, err = run(capsys, [command, "--config", str(cfg), *seed])
     assert code == 2
     assert out == ""
     assert f"unknown keys in [{section}]: {key}" in err
@@ -264,9 +265,16 @@ def test_discretization_keys_are_rejected(tmp_path, capsys, command, section, ke
 
 @pytest.mark.parametrize("key", ["grid_step", "refine_tol"])
 def test_lumped_section_is_rejected(tmp_path, capsys, key):
+    # lumped-optimize takes no config at all; any other command names the section
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"[lumped]\n{key} = 0.05\n")
-    code, out, err = run(capsys, ["lumped-optimize", "--config", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lumped-optimize", "--config", str(cfg)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --config {cfg}" in captured.err
+    code, out, err = run(capsys, ["sweep-delta", "--config", str(cfg)])
     assert code == 2
     assert out == ""
     assert "unknown section [lumped]" in err
@@ -290,6 +298,101 @@ def test_analyze_takes_no_config_flag(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --config x" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lumped-optimize", "--seed", "0"],
+        ["sweep-delta", "--seed", "0"],
+        ["beam-splitter", "--seed", "0"],
+        ["analyze", "traces.csv", "--probe-frac", "0.5", "--conj-frac", "0.5", "--seed", "0"],
+        ["lumped-optimize", "--config", "x"],
+    ],
+    ids=["lumped-optimize-seed", "sweep-delta-seed", "beam-splitter-seed", "analyze-seed", "lumped-optimize-config"],
+)
+def test_flags_that_would_change_nothing_are_rejected(capsys, argv):
+    # only beat-limit draws random numbers, and lumped-optimize reads no setting
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep-delta", "beam-splitter"])
+def test_a_medium_sets_no_two_photon_detuning(tmp_path, capsys, command):
+    # the scan sets the two-photon detuning; a config value used to be
+    # accepted and ignored
+    cfg = tmp_path / "medium.cfg"
+    cfg.write_text("[atomic]\ndelta_MHz = -50\n")
+    assert run(capsys, [command, "--config", str(cfg)]) == (
+        2, "", "error: unknown keys in [atomic]: delta_MHz\n"
+    )
+
+
+# a valid non-default value of every config key a command reads, and the
+# small config each is set on: a coarse scan, or a one-start search
+_MEDIUM_VALUES = {
+    "Delta_MHz": "810",
+    "Omega_MHz": "430",
+    "Gamma_MHz": "6",
+    "gamma_g_kHz": "20",
+    "depth": "400",
+    "hyperfine_MHz": "3000",
+}
+_READ_KEYS = {
+    "sweep-delta": (
+        {"sweep": {"points": "5"}},
+        {"atomic": _MEDIUM_VALUES, "sweep": {"delta_min_MHz": "-100", "delta_max_MHz": "0", "points": "6"}},
+    ),
+    # the scan only brackets the root, so a window changes the output where it
+    # changes the crossing found: above the Raman dip, below it, or on a grid
+    # too coarse to see the one next to the dip
+    "beam-splitter": (
+        {"window": {"points": "21"}},
+        {"atomic": _MEDIUM_VALUES, "window": {"min_MHz": "-45", "max_MHz": "-100", "points": "3"}},
+    ),
+    # a tolerance of 1e-9 leaves the one-start profile infeasible: found flips
+    "beat-limit": (
+        {"search": {"segments": "1", "restarts": "1"}},
+        {"search": {"segments": "2", "restarts": "2", "rate_bound": "10", "feasibility_tol": "1e-9"}},
+    ),
+}
+
+
+def _config_text(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def test_the_medium_keys_are_the_atomic_keys():
+    assert set(_MEDIUM_VALUES) == set(atomic._PARAM_KEYS)
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        (command, section, key)
+        for command, (_, reads) in _READ_KEYS.items()
+        for section, values in reads.items()
+        for key in values
+    ],
+)
+def test_every_config_key_changes_the_output(tmp_path, capsys, command, section, key):
+    base, reads = _READ_KEYS[command]
+    seed = ["--seed", "0"] if command == "beat-limit" else []
+    outputs = []
+    for sections in (base, base | {section: base.get(section, {}) | {key: reads[section][key]}}):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_config_text(sections))
+        code, out, err = run(capsys, [command, "--config", str(cfg), *seed])
+        assert (code, err) == (0, ""), sections
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
 
 
 def _write_trace_file(path):
@@ -367,13 +470,13 @@ def test_analyze_honors_an_explicit_frequency(tmp_path, capsys):
 
 
 def test_validation_failures_exit_with_2(tmp_path, capsys):
-    code, _, err = run(capsys, ["lumped-optimize", "--config", "/nonexistent.cfg"])
+    code, _, err = run(capsys, ["sweep-delta", "--config", "/nonexistent.cfg"])
     assert code == 2
     assert err == "error: configuration file not found: /nonexistent.cfg\n"
 
     cfg = tmp_path / "bad_section.cfg"
     cfg.write_text("[mystery]\nkey = 1\n")
-    assert run(capsys, ["lumped-optimize", "--config", str(cfg)])[0] == 2
+    assert run(capsys, ["sweep-delta", "--config", str(cfg)])[0] == 2
 
     cfg = tmp_path / "bad_sweep.cfg"
     cfg.write_text("[sweep]\npoints = 1\n")
@@ -454,39 +557,41 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
         )
 
 
+def _overflowing(section, key, value):
+    return f"section [{section}], key {key!r}: {value} MHz overflows the float range in rad/s"
+
+
 @pytest.mark.parametrize(
-    "line, err",
+    "line, code, err",
     [
-        # past the float range already in rad/s
-        (
-            "Omega_MHz = 1e308",
-            "[atomic] Omega_MHz = 1e308 overflows the float range as rabi_frequency in rad/s",
-        ),
-        (
-            "hyperfine_MHz = 1e305",
-            "[atomic] hyperfine_MHz = 1e305 overflows the float range as hyperfine_splitting "
-            "in rad/s",
-        ),
+        # past the float range already in rad/s: a config error, in the form
+        # every section's frequencies share
+        ("Omega_MHz = 1e308", 2, _overflowing("atomic", "Omega_MHz", "1e+308")),
+        ("hyperfine_MHz = 1e305", 2, _overflowing("atomic", "hyperfine_MHz", "1e+305")),
         # finite rates whose generator's norm is not
         (
             "Delta_MHz = 1e300",
+            3,
             "the dressed-atom sideband sector's norm overflows the float range "
             "(one_photon_detuning / excited_decay_rate = 1.739130e+299)",
         ),
         (
             "Gamma_MHz = 1e-300",
+            3,
             "the dressed-atom sideband sector's norm overflows the float range "
             "(hyperfine_splitting / excited_decay_rate = 3.036000e+303)",
         ),
     ],
     ids=["Omega", "hyperfine", "Delta", "Gamma"],
 )
-def test_an_overflowing_medium_exits_with_3_and_names_the_cause(tmp_path, capsys, line, err):
+def test_an_overflowing_medium_exits_with_3_and_names_the_cause(tmp_path, capsys, line, code, err):
     # these used to print a RuntimeWarning, and two of them to exit 2 with
-    # "SVD did not converge"; pytest makes any warning an error
+    # "SVD did not converge"; pytest makes any warning an error.  Only the
+    # generator's overflow is a computation error (3); a rate with no float
+    # in rad/s is rejected as the config value it is (2)
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(f"[atomic]\n{line}\n")
-    assert run(capsys, ["beam-splitter", "--config", str(cfg)]) == (3, "", f"error: {err}\n")
+    assert run(capsys, ["beam-splitter", "--config", str(cfg)]) == (code, "", f"error: {err}\n")
 
 
 _DEEP_1E6_ROW = "-16.7484200006,0.223714179705,0.776285820295,1,0.440879338387,-3.55680253714"
@@ -668,10 +773,6 @@ def test_the_command_path_builds_no_quadrature_object(monkeypatch, capsys):
         assert out
     atomic.pair_output(atomic.AtomicParams())
     propagation.propagate_exact(SlabProfile((Slab(0.5, 0.0, 1.5, 0.0), Slab(0.5, 1.7, 0.0, 0.0))))
-
-
-def _overflowing(section, key, value):
-    return f"section [{section}], key {key!r}: {value} MHz overflows the float range in rad/s"
 
 
 @pytest.mark.parametrize(

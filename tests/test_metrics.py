@@ -50,7 +50,7 @@ def test_amplifier_difference_noise_and_gemellity(gain):
 def test_gemellity_of_uncorrelated_vacuum_is_one():
     fig = metrics.NoiseFigures(1.0, 1.0, 0.0)
     assert metrics.gemellity(fig) == 1.0
-    assert metrics.gemellity_db(fig) == 0.0
+    assert metrics.db_from_linear(metrics.gemellity(fig)) == 0.0
 
 
 def test_weighted_difference_noise_power_validation():

@@ -1,7 +1,7 @@
 """The public API: every exported name resolves, every function the
 benchmark traces by name is still exported where its tracer looks, and
 the README's library quick start runs and prints what it promises, and its
-example config is read by every command."""
+example config is read by every command that takes one."""
 
 import importlib
 import inspect
@@ -86,6 +86,6 @@ def test_readme_example_config_is_read_by_every_command(tmp_path, capsys):
     config = re.search(r"```ini\n(.*?)```", README.read_text(), re.S)
     path = tmp_path / "medium.cfg"
     path.write_text(config.group(1))
-    for command in ("lumped-optimize", "sweep-delta", "beam-splitter", "beat-limit"):
-        assert cli.main([command, "--config", str(path), "--seed", "0"]) == 0, command
+    for argv in (["sweep-delta"], ["beam-splitter"], ["beat-limit", "--seed", "0"]):
+        assert cli.main([*argv, "--config", str(path)]) == 0, argv
     assert capsys.readouterr().err == ""
