@@ -31,9 +31,10 @@ noise integral follow from its eigenvalues and one rotation angle; the
 map is a real 2x2 transfer and a symmetric 2x2 noise of plain floats,
 and a coherent seed's output reduces to three numbers, the two noise
 figures and their covariance.  Each map passes the same CP check as a
-channel.  They run on the rate vector, with no per-evaluation dataclass;
-a candidate remaps only the segment it moves and reuses the incumbent's
-other maps and running products, in the order of a full evaluation.
+channel, whose scale is formed only for a defect below -tol.  They run on
+the rate vector, with no per-evaluation dataclass; a candidate remaps only
+the segment it moves and reuses the incumbent's other maps and running
+products, in the order of a full evaluation.
 
 The slab discretizations stay as the independent oracles the exact
 maps are tested against: `propagate` factorizes each thin slab into
@@ -151,7 +152,7 @@ class SearchResult:
     profile: SlabProfile
     result: PropagationResult
     found: bool
-    evaluations: int
+    evaluations: int  # the candidates scored; none is scored twice at one penalty
 
 
 _LOG_MAX = math.log(sys.float_info.max)  # e^x leaves the float range beyond this x
@@ -656,26 +657,25 @@ def _pair_compose(second: tuple, first: tuple) -> tuple[tuple, tuple]:
     return transfer, noise
 
 
-def _pair_cp_defect_and_scale(pair: tuple) -> tuple[float, float]:
+def _pair_cp_defect(pair: tuple) -> float:
     """`gaussian.cp_defect` of the lifted channel, the least eigenvalue of
-    Q +- (eta - M eta M^t), eta = diag(1, -1), and the CP check's scale
-    max(1, max|T|^2, max|N|), in one pass over the pair map's entries."""
+    Q +- (eta - M eta M^t), eta = diag(1, -1)."""
     (a, b, c, d), (x, y, z) = pair
     wx, wy, wz = 1.0 - a * a + b * b, b * d - a * c, d * d - c * c - 1.0
     # the least eigenvalue of [[u, v], [v, w]] is (u + w)/2 - hypot((u - w)/2, v)
     px, py, pz, mx, my, mz = x + wx, y + wy, z + wz, x - wx, y - wy, z - wz
-    defect = min(
+    return min(
         0.5 * (px + pz) - math.hypot(0.5 * (px - pz), py),
         0.5 * (mx + mz) - math.hypot(0.5 * (mx - mz), my),
     )
-    return defect, max(1.0, max(abs(a), abs(b), abs(c), abs(d)) ** 2, max(abs(x), abs(y), abs(z)))
 
 
 def _check_pair_cp(pair: tuple) -> None:
-    """The CP check of `gaussian.GaussianChannel`, on a pair map."""
-    defect, scale = _pair_cp_defect_and_scale(pair)
-    if defect < -gaussian._CP_TOL * scale:
-        gaussian._require_cp(defect, scale)
+    """The CP check of `gaussian.GaussianChannel`, on a pair map; its scale
+    max(1, max|T|^2, max|N|) is at least 1, so only a defect below -tol needs it."""
+    defect = _pair_cp_defect(pair)
+    if defect < -gaussian._CP_TOL:
+        gaussian._require_cp(defect, max(1.0, max(map(abs, pair[0])) ** 2, max(map(abs, pair[1]))))
 
 
 def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
@@ -800,8 +800,10 @@ def search_beyond_lumped_limit(
     vector, with no per-evaluation dataclass (a candidate whose map
     overflows the floating-point range scores as infeasible).  A candidate
     remaps only the segment it moves, reusing the incumbent's other maps
-    and their running products.  The reported result is `propagate_exact`
-    of the best feasible profile.
+    and their running products.  evaluations counts the candidates scored:
+    a point whose score is held at the current penalty (the incumbent, the
+    point it replaced, a probe it rejected) is not scored again.  The
+    reported result is `propagate_exact` of the best feasible profile.
     Placing loss upstream of gain costs no quantum correlation, so
     distributed profiles can beat the lumped gain-then-loss bound,
     `lumped.optimize_unit_transmission`, 5 - 2 sqrt(5) (-2.7748 dB);
@@ -822,6 +824,8 @@ def search_beyond_lumped_limit(
         raise ValueError(f"feasibility tolerance must be positive, got {feasibility_tol}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     dim, dz = 3 * n_segments, 1.0 / n_segments
     evaluations = 0
@@ -850,35 +854,40 @@ def search_beyond_lumped_limit(
             x[1] = np.log(np.cosh(2.0 * r)) * n_segments
             x = np.clip(x, 0.0, rate_bound)
         x = x.tolist()
-        mu = 10.0
+        mu, held = 10.0, None
         for _escalation in range(4):
             step = rate_bound / 4.0
-            (gem, infeas), maps = evaluate(x)
-            fx = gem + mu * infeas
+            # past the first escalation, the incumbent keeps its score and maps
+            score, maps = held or evaluate(x)
+            fx = score[0] + mu * score[1]
             while not math.isfinite(fx):
                 # a start whose map overflows sits on a plateau with no
                 # descent; halve it toward the all-zero profile, which never
                 # overflows.  A finite start draws and evaluates nothing more
                 x = [v / 2.0 for v in x]
-                (gem, infeas), maps = evaluate(x)
-                fx = gem + mu * infeas
+                score, maps = evaluate(x)
+                fx = score[0] + mu * score[1]
+            tried = set()  # probes (i, v) known to score no better than x at this mu
             while step > 1e-3:
                 improved = False
                 for i in range(dim):
                     for sign in (1.0, -1.0):
                         v = min(max(x[i] + sign * step, 0.0), rate_bound)
-                        if v == x[i]:
+                        if v == x[i] or (i, v) in tried:
                             continue
+                        tried.add((i, v))
                         cand = x.copy()
                         cand[i] = v
-                        (gem, infeas), cand_maps = evaluate(cand, maps, i // 3)
-                        fc = gem + mu * infeas
+                        cand_score, cand_maps = evaluate(cand, maps, i // 3)
+                        fc = cand_score[0] + mu * cand_score[1]
                         if fc < fx:
-                            x, fx, maps = cand, fc, cand_maps
+                            tried = {(i, x[i])}  # the point x replaces scored worse
+                            x, fx, score, maps = cand, fc, cand_score, cand_maps
                             improved = True
                 if not improved:
                     step /= 2.0
-            (gem, infeas), _ = evaluate(x)
+            held = score, maps
+            gem, infeas = score
             if infeas <= feasibility_tol:
                 if best_feasible is None or gem < best_feasible[0]:
                     best_feasible = (gem, x)

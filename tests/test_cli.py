@@ -496,6 +496,12 @@ def test_validation_failures_exit_with_2(tmp_path, capsys):
         assert out == ""
         assert "restarts" in err
 
+    # numpy's own message for a negative seed names no setting
+    code, out, err = run(capsys, ["beat-limit", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
     trace_path = tmp_path / "traces.csv"
     _write_trace_file(trace_path)
     code, _, _ = run(

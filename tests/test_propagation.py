@@ -6,6 +6,7 @@ second-order splitting), coupling-generator channels, the
 beyond-the-lumped-limit search, and profile files."""
 
 import dataclasses
+import itertools
 import math
 import types
 
@@ -521,7 +522,7 @@ def test_pair_cp_defect_equals_that_of_the_lifted_channel(rates):
     np.testing.assert_allclose(transfer, composed.transfer, rtol=0.0, atol=1e-13 * scale**0.5)
     np.testing.assert_allclose(noise, composed.added_noise, rtol=0.0, atol=1e-13 * scale)
     for pair, channel in zip(pairs + [total], lifted + [composed]):
-        got = propagation._pair_cp_defect_and_scale(pair)[0]
+        got = propagation._pair_cp_defect(pair)
         want = gaussian.cp_defect(channel)
         assert abs(got - want) <= 1e-13 * _cp_scale(channel.transfer, channel.added_noise)
 
@@ -536,17 +537,38 @@ def test_pair_cp_check_rejects_a_noise_pushed_below_cp(slab):
     transfer, (x, y, z) = pair
     # lowering both diagonal entries lowers every eigenvalue by as much
     below = 1e-6 * _cp_scale(*_matrices(pair))
-    push = propagation._pair_cp_defect_and_scale(pair)[0] + below
+    push = propagation._pair_cp_defect(pair) + below
     pushed = (transfer, (x - push, y, z - push))
     # the lifted channel cannot be built, so its defect is read off directly
     t, n = (gaussian.transfer_from_mode_matrix(a) for a in _matrices(pushed))
     want = gaussian.cp_defect(types.SimpleNamespace(transfer=t, added_noise=n))
     assert want == pytest.approx(-below, rel=1e-3)
-    assert abs(propagation._pair_cp_defect_and_scale(pushed)[0] - want) <= 1e-13 * _cp_scale(t, n)
+    assert abs(propagation._pair_cp_defect(pushed) - want) <= 1e-13 * _cp_scale(t, n)
     with pytest.raises(ValueError, match="not completely positive"):
         propagation._check_pair_cp(pushed)
     with pytest.raises(ValueError, match="not completely positive"):
         lift(_matrices(pushed))
+
+
+def test_pair_cp_check_scales_its_tolerance_with_the_map():
+    # a pure-gain segment with g dz = 6: max|T|^2 = cosh(6)^2, about 4e4
+    pair = propagation._pair_segment(1.0, 6.0, 0.0, 0.0)
+    transfer, (x, y, z) = pair
+    tol, scale = gaussian._CP_TOL, _cp_scale(*_matrices(pair))
+    assert scale > 4e4
+
+    def pushed(defect):
+        # lowering both diagonal entries lowers every eigenvalue by as much
+        push = propagation._pair_cp_defect(pair) - defect
+        return transfer, (x - push, y, z - push)
+
+    within = pushed(-100.0 * tol)
+    assert -tol * scale < propagation._pair_cp_defect(within) < -tol
+    propagation._check_pair_cp(within)
+    below = pushed(-2.0 * tol * scale)
+    assert propagation._pair_cp_defect(below) < -tol * scale
+    with pytest.raises(ValueError, match="not completely positive"):
+        propagation._check_pair_cp(below)
 
 
 @settings(max_examples=100, deadline=None)
@@ -798,37 +820,38 @@ def test_two_segment_searches_keep_their_optima(seed, gemellity):
 _OPTIMUM_2 = (0.0, 1.7108803420275933, 0.0, 1.5, 0.0, 0.0)
 
 
-# (segments, seed, keywords): evaluations, rates of the reported profile
-# and its gemellity, as the search gave them when it rebuilt every segment
+# (segments, seed, keywords): evaluations, the points the search scored,
+# none twice at one penalty; rates of the reported profile and its
+# gemellity, which have not moved since the search rebuilt every segment
 # map of every candidate
 @pytest.mark.parametrize(
     "segments, seed, keywords, evaluations, rates, gemellity",
     [
-        (1, 0, {}, 2156, (0.9942378107476957, 1.813119423953168, 0.21240234375), 0.3864471109324481),
-        (1, 1, {}, 3336, (4.06995778961303, 8.567064413693295, 6.1872597289425855), 0.48189034258206664),
-        (2, 0, {}, 3897, _OPTIMUM_2, 0.2231301601484299),
+        (1, 0, {}, 1751, (0.9942378107476957, 1.813119423953168, 0.21240234375), 0.3864471109324481),
+        (1, 1, {}, 2743, (4.06995778961303, 8.567064413693295, 6.1872597289425855), 0.48189034258206664),
+        (2, 0, {}, 2984, _OPTIMUM_2, 0.2231301601484299),
         (
-            2, 1, {}, 15197,
+            2, 1, {}, 13581,
             (1.5946343299818437, 19.580078125, 9.8138965858329, 9.06995778961303, 2.680833944943295, 5.5622597289425855),
             0.18973527216087405,
         ),
         (
-            3, 0, {}, 6198,
+            3, 0, {}, 4671,
             (
                 0.0, 16.826345592247666, 3.903380253467028, 6.886199576082504, 8.605974638956667,
                 19.942626953125, 11.24463684456914, 5.255416863418645, 4.833514281886899,
             ),
             0.18330864336667219,
         ),
-        (2, 20260823, {}, 4253, _OPTIMUM_2, 0.2231301601484299),  # criterion 6
-        (2, 0, {"restarts": 1, "rate_bound": 1.7976931348623157e308}, 8258, _OPTIMUM_2, 0.2231301601484299),
-        (2, 0, {"restarts": 1, "rate_bound": 5e-324}, 2, (0.0, 5e-324, 0.0, 5e-324, 0.0, 0.0), 1.0),
+        (2, 20260823, {}, 3405, _OPTIMUM_2, 0.2231301601484299),  # criterion 6
+        (2, 0, {"restarts": 1, "rate_bound": 1.7976931348623157e308}, 6215, _OPTIMUM_2, 0.2231301601484299),
+        (2, 0, {"restarts": 1, "rate_bound": 5e-324}, 1, (0.0, 5e-324, 0.0, 5e-324, 0.0, 0.0), 1.0),
         # each restart draws its start when it begins, from the same stream
-        (2, 3, {"restarts": 3}, 674, _OPTIMUM_2, 0.2231301601484299),
+        (2, 3, {"restarts": 3}, 543, _OPTIMUM_2, 0.2231301601484299),
         # tight tolerances escalate the penalty: 4 escalations here, and with
         # none feasible the all-zero profile is reported, found=False
-        (2, 0, {"restarts": 2, "feasibility_tol": 1e-6}, 777, _OPTIMUM_2, 0.2231301601484299),
-        (1, 0, {"restarts": 2, "feasibility_tol": 1e-9}, 742, (0.0, 0.0, 0.0), 1.0),
+        (2, 0, {"restarts": 2, "feasibility_tol": 1e-6}, 668, _OPTIMUM_2, 0.2231301601484299),
+        (1, 0, {"restarts": 2, "feasibility_tol": 1e-9}, 679, (0.0, 0.0, 0.0), 1.0),
     ],
 )
 def test_search_is_pinned_bit_for_bit(segments, seed, keywords, evaluations, rates, gemellity):
@@ -853,6 +876,34 @@ def test_a_search_candidate_maps_only_the_segment_it_moves(monkeypatch):
     out = propagation.search_beyond_lumped_limit(n_segments=3, seed=0, restarts=4)
     # a full evaluation maps all 3 segments; only starts and escalations pay it
     assert out.evaluations < calls < 1.2 * out.evaluations
+
+
+@pytest.mark.parametrize("segments, keywords", [(2, {}), (3, {"restarts": 4})])
+def test_a_search_scores_no_point_twice_against_one_incumbent(monkeypatch, segments, keywords):
+    calls, origin = [], {}
+
+    def recorded(rates, length, incumbent=None, moved=0, _original=propagation._pair_objective):
+        out = _original(rates, length, incumbent, moved)
+        calls.append((tuple(rates), incumbent))
+        # each map set's own rate vector, and that of the incumbent it was probed from
+        origin[id(out[1])] = (out[1], tuple(rates), incumbent and origin[id(incumbent)][1])
+        return out
+
+    monkeypatch.setattr(propagation, "_pair_objective", recorded)
+    propagation.search_beyond_lumped_limit(n_segments=segments, seed=0, **keywords)
+    # runs of consecutive probes against one incumbent, which `origin`
+    # keeps alive, so that no id is reused; these searches do not escalate,
+    # so each run is scored at one penalty
+    runs = 0
+    for key, run in itertools.groupby(calls, key=lambda call: id(call[1])):
+        probes = [rates for rates, _ in run]
+        if key == id(None):
+            continue
+        _, own, replaced = origin[key]
+        assert len(set(probes)) == len(probes)
+        assert own not in probes and replaced not in probes
+        runs += 1
+    assert runs > 50
 
 
 @settings(max_examples=100, deadline=None)
