@@ -538,7 +538,8 @@ def _classical_gains(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # transfer of the mean fields over the full medium length, as the
     # flux |z|^2 that `propagate_coupling` reports
     e = propagation._expm2x2(blocks)
-    return propagation._fluxes(e[:, 0, 0]), propagation._fluxes(e[:, 1, 0])
+    probe, conj = propagation._fluxes(e[:, :, 0]).T
+    return probe, conj
 
 
 def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
@@ -581,8 +582,8 @@ def find_raman_dip(
     return float(grid[i]), float(gains[i])
 
 
-# Far above the evaluations a bracket of doubles has needed: 159 on the
-# analytic test functions (a triple root), 17 on a flux balance.
+# Far above the evaluations a bracket of doubles has needed: 108 on the
+# analytic test functions (a triple root), 12 on a flux balance.
 _ROOT_MAXITER = 400
 
 
@@ -594,8 +595,11 @@ def _illinois(f, a: float, b: float, fa: float | None = None, fb: float | None =
     P. Jarratt, BIT 11, 168, 1971): when the new point falls on the
     side of the previous one, the secant weight of the end kept on the
     other side is halved; a secant point outside the bracket is replaced
-    by the midpoint.  Stops at an exact zero or when the ends are
-    adjacent floats, returning the end with the smaller |f|.  Raises
+    by the midpoint, and one that rounds onto the newest end, while the
+    secant's denominator is finite, by the next float inside, Brent's
+    least step (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4).  Stops at an exact zero or when the ends
+    are adjacent floats, returning the end with the smaller |f|.  Raises
     RuntimeError when _ROOT_MAXITER steps do not get there.
     """
     x0, x1 = float(a), float(b)
@@ -612,6 +616,8 @@ def _illinois(f, a: float, b: float, fa: float | None = None, fb: float | None =
         if math.nextafter(x0, x1) == x1:
             return x0 if abs(f0) <= abs(f1) else x1
         x2 = x1 - f1 * (x1 - x0) / (f1 - w0)
+        if x2 == x1 and math.isfinite(f1 - w0):
+            x2 = math.nextafter(x1, x0)
         if not min(x0, x1) < x2 < max(x0, x1):
             x2 = x0 + (x1 - x0) / 2.0
         f2 = f(x2)
@@ -647,12 +653,15 @@ def find_beam_splitter_point(
     # signs of the flux balance; a point whose gains overflowed has none, and
     # each gain is capped at 2, which keeps the sign, so that no sum overflows
     total = np.minimum(probe, 2.0) + np.minimum(conj, 2.0)
-    balance = np.where(np.isfinite(probe) & np.isfinite(conj), np.sign(total - 1.0), 0.0)
+    finite = np.isfinite(probe) & np.isfinite(conj)
+    balance = np.where(finite, np.sign(total - 1.0), 0.0)
     crossings = np.nonzero(balance[:-1] * balance[1:] < 0.0)[0]
     if crossings.size == 0:
+        over = finite.size - np.count_nonzero(finite)
         raise NoCrossingError(
             "no flux-neutral crossing in the window "
             f"[{grid[0]:.6e}, {grid[-1]:.6e}] rad/s"
+            + (f" ({over} of {finite.size} scan points overflow the float range)" if over else "")
         )
     dip = int(np.nanargmin(probe))
     below = crossings[crossings < dip]

@@ -20,10 +20,12 @@ projectors of B or, for near eigenvalues, through the Cayley-Hamilton
 form.  `_pair_outputs` reads the fluxes, the noise figures and the
 gemellity of each map in the pair basis, after one CP check per map in
 its complex 2x2 form; it names the first point whose output leaves the
-float range.  Segments compose as (M2 M1, M2 Q1 M2^dag + Q2).  This
-engine gives every reported result (`propagate_exact`,
-`propagate_coupling`, and the `sweep-delta` grid), and no quadrature
-state or channel is built on its way.
+float range.  Both guard each point against that range only where a
+stack-wide bound, a few numpy calls, does not clear the whole stack.
+Segments compose as (M2 M1, M2 Q1 M2^dag + Q2).  This engine gives every
+reported result (`propagate_exact`, `propagate_coupling`, and the
+`sweep-delta` grid), and no quadrature state or channel is built on its
+way.
 
 The search's evaluations, which only rank candidate profiles, use a
 closed form instead.  A real-rate B is symmetric, so e^{BL} and the
@@ -164,6 +166,17 @@ def _part(mask: np.ndarray):
     return slice(None) if mask.all() else mask
 
 
+def _tame(blocks: np.ndarray) -> bool:
+    """Whether no point of an (N, 2, 2) stack of generators can trip a guard
+    of its pair map: with entries at most 2^20 in size and the eigenvalues'
+    real parts at most 128 by Gershgorin's bound on the columns, the guards of
+    `_expm2x2`, `_near_noise` and `_far_noise` bound every intermediate below
+    e^257 2^78, far inside the float range."""
+    size = np.abs(blocks)
+    reach = blocks.real.diagonal(0, 1, 2) + size[:, ::-1].diagonal(0, 1, 2)
+    return size.max(initial=0.0) <= 2.0**20 and reach.max(initial=0.0) <= 128.0
+
+
 def _expm2x2(blocks: np.ndarray, roots: bool = False):
     """e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in closed form.
 
@@ -174,7 +187,8 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
     with the sign of s that keeps s - h free of cancellation, so a small
     eigenvalue next to a large one keeps its digits; near s = 0, sinh(s)/s
     is a series.  Each entry's arithmetic is independent of the stack.
-    With roots, also returns (m, h, s, t, k, far): t is 0 where |s| <= 1/2.
+    With roots, also returns (m, h, s, t, k, far): t is 0 where |s| <= 1/2,
+    and k is None where `_tame` clears the stack and no point is guarded.
 
     Every intermediate of a point is at most e^x 4 k, with x the largest
     real part of its exponents and k the largest of 1, |b01|, |b10|, |h|
@@ -188,10 +202,10 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
     """
     b00, b01, b10, b11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
     m, h = 0.5 * (b00 + b11), 0.5 * (b00 - b11)
-    k = np.maximum(np.maximum(np.abs(b01), np.abs(b10)), np.maximum(np.abs(h), 1.0))
-    hr, b01r, b10r, r = h, b01, b10, np.ones(k.shape)
-    big = np.zeros(k.shape, dtype=bool)
-    if np.any(k > 2.0**500):  # k bounds |h| and sqrt(|b01 b10|)
+    tame = _tame(blocks)
+    k = None if tame else np.maximum(np.maximum(np.abs(b01), np.abs(b10)), np.maximum(np.abs(h), 1.0))
+    hr, b01r, b10r, big = h, b01, b10, None
+    if not tame and np.any(k > 2.0**500):  # k bounds |h| and sqrt(|b01 b10|)
         size = np.maximum(np.abs(h), np.sqrt(np.abs(b01)) * np.sqrt(np.abs(b10)))
         big = size > 2.0**500
         r = np.where(big, np.ldexp(1.0, np.frexp(size)[1] - 1), 1.0)
@@ -199,51 +213,55 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
     qr = b01r * b10r
     sr = np.sqrt(hr * hr + qr)
     sr = np.where((sr * hr.conj()).real > 0.0, -sr, sr)  # so that |s - h| >= |s + h|
-    s = np.where(big, sr * r, sr)
+    s = sr if big is None else np.where(big, sr * r, sr)
     # d = (e^{m+s} - e^{m-s}) / (2 s), the off-diagonal factor
     d, e00, e11 = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-    over = np.empty(s.shape, dtype=bool)
+    over = None if tame else np.empty(s.shape, dtype=bool)
     far = np.abs(s) > 0.5
     if np.any(far):
         f = _part(far)
         sf, hf = s[f], h[f]
         t = qr[f] / (sr[f] - hr[f])  # t = b01 b10 / (s - h), over r
-        t = np.where(big[f], t * r[f], t)
+        t = t if big is None else np.where(big[f], t * r[f], t)
         x_up, x_down = b11[f] + t, b00[f] - t
-        kf = np.maximum(k[f], np.maximum(np.abs(t), np.abs(sf - hf)))
-        over[f] = np.maximum(x_up.real, x_down.real) + np.log(kf) + np.log(4.0) > _LOG_MAX
-        up = np.exp(np.where(over[f], 0.0, x_up))
-        down = np.exp(np.where(over[f], 0.0, x_down))
+        if not tame:
+            k[f] = np.maximum(k[f], np.maximum(np.abs(t), np.abs(sf - hf)))
+            over[f] = np.maximum(x_up.real, x_down.real) + np.log(k[f]) + np.log(4.0) > _LOG_MAX
+            x_up, x_down = np.where(over[f], 0.0, x_up), np.where(over[f], 0.0, x_down)
+        up, down = np.exp(x_up), np.exp(x_down)
         d[f] = (up - down) / (2.0 * sf)
         e00[f] = (t * up + (sf - hf) * down) / (2.0 * sf)
         e11[f] = ((sf - hf) * up + t * down) / (2.0 * sf)
     if not np.all(far):
         n = _part(~far)
-        over[n] = m[n].real + np.log(k[n]) + np.log(4.0) > _LOG_MAX
-        sn, em = s[n], np.exp(np.where(over[n], 0.0, m[n]))
+        sn, em = s[n], m[n]
+        if not tame:
+            over[n] = m[n].real + np.log(k[n]) + np.log(4.0) > _LOG_MAX
+            em = np.where(over[n], 0.0, em)
+        em = np.exp(em)
         tiny = np.abs(sn) < 1e-4
         sinhc = np.where(tiny, 1.0 + sn * sn / 6.0, np.sinh(sn) / np.where(tiny, 1.0, sn))
         d[n], c = em * sinhc, em * np.cosh(sn)
         e00[n], e11[n] = c + h[n] * d[n], c - h[n] * d[n]
     out = np.empty_like(blocks)
     out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
-    out[over] = np.inf
+    if not tame:
+        out[over] = np.inf
     if not roots:
         return out
     t_all = np.zeros_like(s)
     if np.any(far):
-        t_all[f], k[f] = t, kf
+        t_all[f] = t
     return out, (m, h, s, t_all, k, far)
 
 
 def _fluxes(amplitudes: np.ndarray) -> np.ndarray:
-    """|z|^2 = Re(z)^2 + Im(z)^2 of every complex transfer amplitude z.
-
-    Python floats overflow to inf without a warning, so amplitudes past
-    the float range give infinite fluxes quietly.
+    """|z|^2 = Re(z)^2 + Im(z)^2 of every complex transfer amplitude z, the
+    IEEE operations of Python floats; amplitudes past the float range give
+    infinite fluxes quietly, so no stack needs a bound here.
     """
-    pairs = zip(amplitudes.real.tolist(), amplitudes.imag.tolist())
-    return np.array([x * x + y * y for x, y in pairs])
+    with np.errstate(over="ignore"):
+        return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
 
 
 def slab_channel(slab: Slab) -> gaussian.GaussianChannel:
@@ -391,7 +409,7 @@ _I_POWERS = np.resize([1.0, 1j, -1.0, -1j], _MOMENTS)
 
 def _near_noise(blocks, m, h, s, k, d, e):
     """Q of each block whose eigenvalues are near, and whether it leaves the
-    float range; see `_pair_maps`.
+    float range (False for all, unguarded, where k is None); see `_pair_maps`.
 
     I00, I10 and I11 integrate e^{ru} against (cosh au + cos bu) / 2,
     (sinh au + i sin bu) / 2s and (cosh au - cos bu) / 2|s|^2, a + ib = 2s,
@@ -413,17 +431,20 @@ def _near_noise(blocks, m, h, s, k, d, e):
     z = np.where(tiny, 1.0, z)
     i10 = np.where(tiny, sigma[:, 1], plus[:, 1::2].sum(axis=1) / z)
     i11 = np.where(tiny, sigma[:, 2], minus[:, 2::2].sum(axis=1).real * 2.0 / (z * z.conj()).real)
-    # every term of Q is at most 3 max(|I00|, 2k |I10|, 4k^2 |I11|) |D|
-    log_i = [np.log(np.maximum(np.abs(x), 1e-300)) for x in (i00, 2.0 * i10, 4.0 * i11)]
-    log_k = np.log(k) - np.log(rate)
-    size = np.maximum.reduce([log_i[0], log_i[1] + log_k, log_i[2] + 2.0 * log_k])
-    over = (shift > _LOG_MAX) | (2.0 * log_k + np.log(4.0) > _LOG_MAX)
-    over |= shift + e * math.log(2.0) + size + np.log(3.0) > _LOG_MAX
-    # 2^e e^shift I, each partial product at most the whole
-    scale = np.ldexp(1.0, np.where(over, 0, e))
-    i00, i10, i11 = (x * scale * np.exp(np.where(over, 0.0, shift)) for x in (i00, i10, i11))
     gen = np.stack([h, blocks[:, 0, 1], blocks[:, 1, 0], -h], axis=1).reshape(-1, 2, 2) / rate[:, None, None]
-    gen = np.where(over[:, None, None], 0.0, gen)
+    over = False
+    if k is not None:
+        # every term of Q is at most 3 max(|I00|, 2k |I10|, 4k^2 |I11|) |D|
+        log_i = [np.log(np.maximum(np.abs(x), 1e-300)) for x in (i00, 2.0 * i10, 4.0 * i11)]
+        log_k = np.log(k) - np.log(rate)
+        size = np.maximum.reduce([log_i[0], log_i[1] + log_k, log_i[2] + 2.0 * log_k])
+        over = (shift > _LOG_MAX) | (2.0 * log_k + np.log(4.0) > _LOG_MAX)
+        over |= shift + e * math.log(2.0) + size + np.log(3.0) > _LOG_MAX
+        e, shift = np.where(over, 0, e), np.where(over, 0.0, shift)
+        gen = np.where(over[:, None, None], 0.0, gen)
+    # 2^e e^shift I, each partial product at most the whole
+    scale = np.ldexp(1.0, e)
+    i00, i10, i11 = (x * scale * np.exp(shift) for x in (i00, i10, i11))
     nd = _mul(gen, d)
     cross = i10[:, None, None] * nd
     noise = i00[:, None, None] * d + cross + _dagger(cross) + i11[:, None, None] * _mul(nd, _dagger(gen))
@@ -433,7 +454,7 @@ def _near_noise(blocks, m, h, s, k, d, e):
 def _far_noise(blocks, s, h, t, k, d, e):
     """Q = sum_ij phi(l_i + l_j*) P_i D P_j^dag over the spectral projectors
     P of each block whose eigenvalues are apart, and whether Q leaves the
-    float range; see `_pair_maps`.
+    float range (False for all, unguarded, where k is None); see `_pair_maps`.
 
     The projectors on l = b11 + t and b00 - t are [[t, b01], [b10, s - h]] / 2s
     and [[s - h, -b01], [-b10, t]] / 2s, so their entries are at most
@@ -445,11 +466,13 @@ def _far_noise(blocks, s, h, t, k, d, e):
     # the exponents l_i + l_j*, halved so that no sum overflows
     half = 0.5 * np.array([blocks[:, 1, 1] + t, blocks[:, 0, 0] - t]).T
     half = half[:, :, None] + half[:, None, :].conj()
-    size, rate = np.abs(half), half.real
-    log_phi = (np.maximum(2.0 * rate, 0.0) - np.log(np.maximum(size, 1.0))).max(axis=(1, 2))
-    log_p = 2.0 * (np.log(k) - np.log(np.abs(s))) + np.log(8.0)
-    over = (rate.max(axis=(1, 2)) > 0.5 * _LOG_MAX) | (size.max(axis=(1, 2)) > 2.0**1022)
-    over |= (log_p > _LOG_MAX) | (log_phi + e * math.log(2.0) + log_p > _LOG_MAX)
+    over = False
+    if k is not None:
+        size, rate = np.abs(half), half.real
+        log_phi = (np.maximum(2.0 * rate, 0.0) - np.log(np.maximum(size, 1.0))).max(axis=(1, 2))
+        log_p = 2.0 * (np.log(k) - np.log(np.abs(s))) + np.log(8.0)
+        over = (rate.max(axis=(1, 2)) > 0.5 * _LOG_MAX) | (size.max(axis=(1, 2)) > 2.0**1022)
+        over |= (log_p > _LOG_MAX) | (log_phi + e * math.log(2.0) + log_p > _LOG_MAX)
     if np.any(over):
         half, e = np.where(over[:, None, None], 0.0, half), np.where(over, 0, e)
         proj = np.where(over[:, None, None, None], 0.0, proj)
@@ -493,7 +516,8 @@ def _pair_maps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
     fault is 0, or the first of _RATE, _TRANSFER and _NOISE a point meets;
     such a point's M and Q are not to be read, and no operation overflows.
-    trace is the trace norm of D where some point's is out of range.
+    trace is the trace norm of D where some point's is out of range.  A stack
+    that `_tame` clears runs none of the guards.
     """
     d, e, trace = _pair_diffusion(a)
     rate = e >= sys.float_info.max_exp
@@ -510,7 +534,7 @@ def _pair_maps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     for part, branch, args in ((near, _near_noise, (m, h, s, k)), (~near, _far_noise, (s, h, t, k))):
         if np.any(part):
             p = _part(part)
-            noise[p], over[p] = branch(a[p], *(x[p] for x in args), d[p], e[p])
+            noise[p], over[p] = branch(a[p], *(x if x is None else x[p] for x in args), d[p], e[p])
     fault = np.where(rate, _RATE, np.where(np.isinf(transfer[:, 0, 0]), _TRANSFER, np.where(over, _NOISE, 0)))
     return transfer, 0.5 * noise + 0.5 * _dagger(noise), fault, trace
 
@@ -555,21 +579,25 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     """
     # the largest real or imaginary part of M and of Q.  Where M's passes
     # 2^510 or Q's 2^1020, K = M M^dag + Q might not be a float, and its
-    # noise figures pass 2^511, whose squares the gemellity may not take
+    # noise figures pass 2^511, whose squares the gemellity may not take.  With
+    # no fault given, M's below 2^250 and Q's below 2^500, no figure passes 2^503
     parts = [np.abs(v.view(float)).max(axis=(1, 2)) for v in (transfer, noise)]
-    huge = (parts[0] > 2.0**510) | (parts[1] > 2.0**1020)
-    fault = np.where((fault == 0) & huge, _FIGURES, fault)
-    if np.any(fault):
-        fine = fault == 0
-        transfer, noise = (np.where(fine[:, None, None], x, 0.0) for x in (transfer, noise))
-        parts = [np.where(fine, x, 0.0) for x in parts]
+    tame = not np.any(fault) and parts[0].max() <= 2.0**250 and parts[1].max() <= 2.0**500
+    if not tame:
+        huge = (parts[0] > 2.0**510) | (parts[1] > 2.0**1020)
+        fault = np.where((fault == 0) & huge, _FIGURES, fault)
+        if np.any(fault):
+            fine = fault == 0
+            transfer, noise = (np.where(fine[:, None, None], x, 0.0) for x in (transfer, noise))
+            parts = [np.where(fine, x, 0.0) for x in parts]
     # the CP check's scale, max(1, max|T|^2, max|N|) of the lifted channel
     scale = np.maximum(np.maximum(parts[0] ** 2, parts[1]), 1.0)
     defect = _pair_cp_defects(transfer, noise)
     fault = np.where((fault == 0) & (defect < -gaussian._CP_TOL * scale), _CP, fault)
     cov = _mul(transfer, _dagger(transfer)) + noise
     f_a, f_b = cov[:, 0, 0].real, cov[:, 1, 1].real
-    fault = np.where((fault == 0) & (np.maximum(f_a, f_b) > 2.0**511), _FIGURES, fault)
+    if not tame:
+        fault = np.where((fault == 0) & (np.maximum(f_a, f_b) > 2.0**511), _FIGURES, fault)
     if np.any(fault):
         i = int(np.flatnonzero(fault)[0])
         if fault[i] == _CP:
@@ -580,7 +608,7 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     c_ab = np.clip((phase * cov[:, 0, 1]).real / np.sqrt(f_a * f_b), -1.0, 1.0)
     gem = _gemellity(f_a, f_b, c_ab)
     gem_db = 10.0 * np.log10(gem, out=np.full_like(gem, -np.inf), where=gem > 0.0)
-    g_a, g_b = _fluxes(transfer[:, 0, 0]), _fluxes(transfer[:, 1, 0])
+    g_a, g_b = _fluxes(transfer[:, :, 0]).T
     return _PairOutputs(g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
 
 

@@ -742,6 +742,84 @@ def test_beam_splitter_point_regression():
     assert point.gemellity_db == pytest.approx(-2.559070489950703, abs=1e-4)
 
 
+# float.hex() of (delta, probe_gain, conj_gain, gemellity) of the beam-splitter
+# point of the default medium (None) and of each pool medium.  The golden CSVs
+# print 12 digits, which cannot see a one-ulp move of the root or the outputs
+_POINT_BITS = {
+    None: ("-0x1.279c90ccfd6dap+28", "0x1.d0b2e2f50b97ep-1", "0x1.7a68e857a3412p-4", "0x1.1c07764875ccap-1"),
+    0: ("-0x1.54aac4ec6c635p+28", "0x1.d3f14a48ec87ap-1", "0x1.6075adb89bc1cp-4", "0x1.21b3a2e914ddfp-1"),
+    1: ("-0x1.5297cb684dc09p+28", "0x1.ce25b555472bap-1", "0x1.8ed25555c6a48p-4", "0x1.17cca083b1e66p-1"),
+    2: ("-0x1.657f292b82d8bp+28", "0x1.d62d68d57de3ap-1", "0x1.4e94b95410e12p-4", "0x1.25916e67ec52cp-1"),
+    3: ("-0x1.4008d1ff3370fp+28", "0x1.cabb3b0779a16p-1", "0x1.aa2627c432f5ep-4", "0x1.12d74b19c638dp-1"),
+    4: ("-0x1.0e6ee37cab2fdp+28", "0x1.d046979fec372p-1", "0x1.7dcb43009e47ep-4", "0x1.1b33a69990fabp-1"),
+    5: ("-0x1.2f7573a8812ebp+28", "0x1.d32ad6b665732p-1", "0x1.66a94a4cd4660p-4", "0x1.1ff6cb61b285ap-1"),
+    6: ("-0x1.11664afdc0287p+28", "0x1.d09073796a378p-1", "0x1.7b7c6434ae456p-4", "0x1.1b952301e00d6p-1"),
+    7: ("-0x1.2d411d86aeddfp+28", "0x1.d5a3423e06b34p-1", "0x1.52e5ee0fca672p-4", "0x1.249d094adeb8ep-1"),
+    8: ("-0x1.3eb5900a4acf0p+28", "0x1.cf71f975a568cp-1", "0x1.84703452d4ba0p-4", "0x1.1a084c0ed5bd4p-1"),
+    9: ("-0x1.31077a88858a6p+28", "0x1.d43ca353f7e11p-1", "0x1.5e1ae56040f58p-4", "0x1.22420e0f6d2ffp-1"),
+    10: ("-0x1.1a97609fcc65dp+28", "0x1.d2ff8979bf341p-1", "0x1.6803b4320660cp-4", "0x1.1fb6e94ed7738p-1"),
+    11: ("-0x1.3cef5a9bc1ba9p+28", "0x1.d027a2090f916p-1", "0x1.7ec2efb783738p-4", "0x1.1b78ff72d200dp-1"),
+    12: ("-0x1.02ad2d8c21a2ap+28", "0x1.cd0ddf6e1fa4ap-1", "0x1.9791048f02d9ep-4", "0x1.15e250f1de194p-1"),
+    13: ("-0x1.08c2fb6c224abp+28", "0x1.d49780a47e404p-1", "0x1.5b43fadc0dfe6p-4", "0x1.22737b0f01cb0p-1"),
+    14: ("-0x1.337f7d595dd5ap+28", "0x1.ca8dab1b3f427p-1", "0x1.ab92a72605eb9p-4", "0x1.12349525f7261p-1"),
+    15: ("-0x1.22a09fd6abf03p+28", "0x1.d2c8037da1e97p-1", "0x1.69bfe412f0b18p-4", "0x1.1f34accab6308p-1"),
+    16: ("-0x1.58e1f499b63a4p+28", "0x1.d545d8eaf99e6p-1", "0x1.55d138a8330b8p-4", "0x1.23df8bc8ffb29p-1"),
+    17: ("-0x1.2dcbfea511b04p+28", "0x1.cf1e6becbbaf9p-1", "0x1.870ca09a2283ap-4", "0x1.19c3438aeb852p-1"),
+    18: ("-0x1.063bc4ce509ffp+28", "0x1.d727c2c117f7ep-1", "0x1.46c1e9f74040fp-4", "0x1.273f5c47c5e56p-1"),
+    19: ("-0x1.0fb72d0a4b686p+28", "0x1.d07b36d6b51e6p-1", "0x1.7c26494a570c9p-4", "0x1.1b878ed80097dp-1"),
+    20: ("-0x1.47c2be0d5be57p+28", "0x1.d5d093dc76746p-1", "0x1.517b611c4c59cp-4", "0x1.24eb037fe0a4dp-1"),
+    21: ("-0x1.56d30ac070108p+28", "0x1.d48818e9a70cdp-1", "0x1.5bbf38b2c7980p-4", "0x1.228eba5bf69d3p-1"),
+    22: ("-0x1.153bbd0475a7dp+28", "0x1.ca324327cd08ep-1", "0x1.ae6de6c197bdap-4", "0x1.11bd823e7c68ap-1"),
+    23: ("-0x1.458f246cb4b35p+28", "0x1.cf00414f1ac18p-1", "0x1.87fdf58729f5ap-4", "0x1.19051e728068cp-1"),
+    24: ("-0x1.6c9049b2b0454p+28", "0x1.d361a7fdcb380p-1", "0x1.64f2c011a63e0p-4", "0x1.2081f6699bf35p-1"),
+    25: ("-0x1.47a8dc55b3466p+28", "0x1.d384ef8211072p-1", "0x1.63d883ef77c6ep-4", "0x1.2112a4d82c1a7p-1"),
+    26: ("-0x1.0f8519b31f20ep+28", "0x1.d13abbf702002p-1", "0x1.762a2047effd9p-4", "0x1.1c88274049bc5p-1"),
+    27: ("-0x1.4c9622e8e5c74p+28", "0x1.cc024cbc75749p-1", "0x1.9fed9a1c545dep-4", "0x1.14ca19e3f57c9p-1"),
+    28: ("-0x1.1c9b42f2854cdp+28", "0x1.cd003c660ce69p-1", "0x1.97fe1ccf98cd0p-4", "0x1.166336e32810dp-1"),
+    29: ("-0x1.358f2fd622dc6p+28", "0x1.c7b2347a6818ap-1", "0x1.c26e5c2cbf3b2p-4", "0x1.0e63eec7b8af9p-1"),
+    30: ("-0x1.4fe2fd11ebeb0p+28", "0x1.d647f215a8696p-1", "0x1.4dc06f52bcb46p-4", "0x1.25975ac04670fp-1"),
+    31: ("-0x1.e9948e94a07aep+27", "0x1.d20461c1cd5abp-1", "0x1.6fdcf1f1952cbp-4", "0x1.1e41eba92a15dp-1"),
+    32: ("-0x1.4ed1f9c14e1ecp+28", "0x1.d30db32ed52a3p-1", "0x1.6792668956b1bp-4", "0x1.2024b4576d737p-1"),
+    33: ("-0x1.3a68da43e71a8p+28", "0x1.d68e26f75f328p-1", "0x1.4b8ec845066c0p-4", "0x1.26446e23a59c4p-1"),
+    34: ("-0x1.39867da977a84p+28", "0x1.cb55e4416eb69p-1", "0x1.a550ddf48a49cp-4", "0x1.137f6ca324319p-1"),
+    35: ("-0x1.216a589179572p+28", "0x1.c7ba84fa57948p-1", "0x1.c22bd82d435e1p-4", "0x1.0e7e6a94a12d9p-1"),
+    36: ("-0x1.0361980371b6ap+28", "0x1.cca96b41d6fdep-1", "0x1.9ab4a5f148108p-4", "0x1.159a096ab9795p-1"),
+    37: ("-0x1.4d61eca8863a9p+28", "0x1.d3288914530f2p-1", "0x1.66bbb75d67887p-4", "0x1.2097f451e6190p-1"),
+    38: ("-0x1.e17b291441140p+27", "0x1.c75b8bdf5e5d6p-1", "0x1.c523a1050d13bp-4", "0x1.0de92ef68a46ap-1"),
+    39: ("-0x1.324aac818cc77p+28", "0x1.d042b49bec433p-1", "0x1.7dea5b209de38p-4", "0x1.1b0f3dfa555c7p-1"),
+}
+
+
+def test_beam_splitter_points_are_pinned_to_the_bit():
+    for medium, bits in _POINT_BITS.items():
+        p = AtomicParams() if medium is None else _pool_medium(medium)
+        point = atomic.find_beam_splitter_point(p)
+        got = tuple(float(v).hex() for v in (point.delta, point.probe_gain, point.conj_gain, point.gemellity))
+        assert got == bits, medium
+
+
+def test_a_pinned_root_ends_the_polish(monkeypatch):
+    # the secant point of a root pinned to one float rounds onto the newest
+    # end; Brent's least step ends the polish there, where a bisection from
+    # the far end took up to 25 flux balances on these media
+    counts = []
+
+    def counting(f, *args, _original=atomic._illinois):
+        counts.append(0)
+
+        def counted(x):
+            counts[-1] += 1
+            return f(x)
+
+        return _original(counted, *args)
+
+    monkeypatch.setattr(atomic, "_illinois", counting)
+    for p in map(_pool_medium, range(40)):
+        atomic.find_beam_splitter_point(p)
+    assert len(counts) == 40
+    assert max(counts) <= 12
+
+
 def test_beam_splitter_point_requires_a_crossing():
     with pytest.raises(NoCrossingError):
         atomic.find_beam_splitter_point(
@@ -987,30 +1065,35 @@ def _triple(x):
     return (x - 1.0) ** 3
 
 
+# (f, lo, hi, evaluations): the evaluations of f, both ends included
 @pytest.mark.parametrize(
-    "f, lo, hi",
+    "f, lo, hi, evaluations",
     [
-        (lambda x: x**3 - 2.0, 0.0, 2.0),
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: math.exp(x) - 1e-10, -40.0, 5.0),  # 87 evaluations, 28 bisections
-        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 4.0),
-        (lambda x: 1.0 if x > 0.7 else -1.0, 0.0, 1.0),  # a jump
-        (lambda x: math.copysign(1e308, x - 0.3), -1.0, 1.0),  # the secant overflows to nan
-        (lambda x: x - 1.0, 1.0, 3.0),  # the root is the left end
-        (lambda x: x - 3.0, 1.0, 3.0),  # the root is the right end
-        (lambda x: (x - 1.0) * (x + 3.0), 3.0, -2.0),  # a reversed bracket
-        (lambda x: x**7 - 0.5, 0.1, 3.0),  # a steep side
+        (lambda x: x**3 - 2.0, 0.0, 2.0, 13),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 9),
+        # 57 secant steps and one least step, no bisection
+        (lambda x: math.exp(x) - 1e-10, -40.0, 5.0, 60),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 4.0, 15),
+        (lambda x: 1.0 if x > 0.7 else -1.0, 0.0, 1.0, 62),  # a jump
+        # the secant overflows to nan, or its slope to inf: bisections only
+        (lambda x: math.copysign(1e308, x - 0.3), -1.0, 1.0, 64),
+        (lambda x: x - 1.0, 1.0, 3.0, 2),  # the root is the left end
+        (lambda x: x - 3.0, 1.0, 3.0, 2),  # the root is the right end
+        (lambda x: (x - 1.0) * (x + 3.0), 3.0, -2.0, 12),  # a reversed bracket
+        (lambda x: x**7 - 0.5, 0.1, 3.0, 24),  # a steep side
         # infinite slope at the root
-        (lambda x: math.copysign(math.sqrt(abs(x - 0.3)), x - 0.3), -1.0, 1.0),
-        (_triple, 3.0, -2.0),  # 159 evaluations, 53 bisections
+        (lambda x: math.copysign(math.sqrt(abs(x - 0.3)), x - 0.3), -1.0, 1.0, 39),
+        (_triple, 3.0, -2.0, 108),  # 104 secant steps and two least steps, no bisection
     ],
     ids=[
         "cube", "cos", "exp", "tanh", "jump", "overflow", "left_end", "right_end",
         "reversed", "seventh_power", "sqrt_slope", "triple",
     ],
 )
-def test_illinois_root_is_a_sign_change_between_adjacent_floats(f, lo, hi):
-    root = atomic._illinois(f, lo, hi)
+def test_illinois_root_is_a_sign_change_between_adjacent_floats(f, lo, hi, evaluations):
+    points = []
+    root = atomic._illinois(lambda x: points.append(x) or f(x), lo, hi)
+    assert len(points) == evaluations
     assert min(lo, hi) <= root <= max(lo, hi)
     _assert_root_to_the_last_float(f, root)
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -530,7 +529,8 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     )
     code, _, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
     assert code == 3
-    assert "error:" in err
+    # every scan point is finite, so the message names no overflow
+    assert err == "error: no flux-neutral crossing in the window [-6.283185e+07, -3.141593e+07] rad/s\n"
     # a valid depth whose output noise leaves the float range at -10.8 MHz
     cfg = tmp_path / "deep.cfg"
     cfg.write_text("[atomic]\ndepth = 1e6\n")
@@ -539,11 +539,15 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     assert out == ""
     # the message names the quantity, the noise figures whose squares the
     # gemellity takes, not the C library's errno text
-    assert re.fullmatch(
-        r"error: output overflows the float range \(the squares of the noise figures "
-        r"3\.\d{6}e\+189 and 3\.\d{6}e\+189\) at two-photon detuning -10\.8 MHz\n",
-        err,
-    ), err
+    assert err == (
+        "error: output overflows the float range (the squares of the noise figures "
+        "3.479106e+189 and 3.493606e+189) at two-photon detuning -10.8 MHz\n"
+    )
+    # deeper, the transfer itself leaves the float range first
+    cfg.write_text("[atomic]\ndepth = 1e300\n")
+    code, out, err = run(capsys, ["sweep-delta", "--config", str(cfg)])
+    assert (code, out) == (3, "")
+    assert err == "error: output overflows the float range (the transfer e^(BL)) at two-photon detuning -34.8 MHz\n"
     # near the float maximum the noise rate's power-of-2 scale overflows first;
     # the message names that quantity, not the C library's errno text
     cfg.write_text("[atomic]\ndepth = 1.7e308\n")
@@ -551,15 +555,17 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: output overflows the float range (pair generator's noise rate")
     assert err.endswith("is out of range) at two-photon detuning -40.4 MHz\n")
-    # every scan point's gains leave the float range, so none has a sign; from
-    # depth 1e160 on the blocks' squares would too, before any exponent, and
-    # at 1.7e308 so would 4 k in the exponential's range test
-    for depth in ("1e12", "1e160", "1e300", "1.7e308"):
+    # 80 scan points' gains leave the float range, so they have no sign, and
+    # every other point has G_a + G_b = 0; the message counts the overflows.
+    # From depth 1e160 on the blocks' squares would overflow too, before any
+    # exponent, and at 1.7e308 so would 4 k in the exponential's range test
+    for depth in ("1e12", "1e160", "1e200", "1e300", "1.7e308"):
         cfg.write_text(f"[atomic]\ndepth = {depth}\n")
         code, out, err = run(capsys, ["beam-splitter", "--config", str(cfg)])
         assert (code, out) == (3, "")
         assert err == (
-            "error: no flux-neutral crossing in the window [-9.424778e+08, 3.141593e+08] rad/s\n"
+            "error: no flux-neutral crossing in the window [-9.424778e+08, 3.141593e+08] rad/s"
+            " (80 of 251 scan points overflow the float range)\n"
         )
 
 

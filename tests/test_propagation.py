@@ -449,6 +449,98 @@ def test_pair_maps_flag_what_leaves_the_float_range_and_warn_nothing():
         propagation.propagate_coupling(blocks[int(np.flatnonzero(fault)[0])])
 
 
+def _bits(*arrays) -> list:
+    return [np.asarray(x).tobytes() for x in arrays]
+
+
+def _one_point_bits(blocks, i):
+    """M, Q and fault of point i of a stack of generators, and its classical
+    gains, as bytes."""
+    return _bits(*(x[i] for x in propagation._pair_maps(blocks)[:3]), *(g[i] for g in atomic._classical_gains(blocks)))
+
+
+# Beside the default sweep's generators, which the stack-wide bound clears:
+# an eigenvalue of real part 175, where no guard fires but neither bound
+# clears its stack, and a generator whose transfer leaves the float range
+_COMPANIONS = [np.diag([175.0, -1.0]).astype(complex), 1e4 * np.array([[-0.7, -0.2j], [0.2, 0.04 - 0.4j]])]
+
+
+@pytest.mark.parametrize("companion", _COMPANIONS, ids=["unguarded_175", "overflowing"])
+def test_tame_points_keep_their_bits_beside_guarded_ones(companion):
+    tame = _default_sweep_blocks(slice(None, None, 25))
+    stack = np.concatenate([tame[:6], companion[None], tame[6:]])
+    assert not propagation._tame(stack)
+    maps = propagation._pair_maps(stack)
+    assert (maps[2][6] != 0) == (companion is _COMPANIONS[1])
+    rows = [i for i in range(len(stack)) if i != 6]
+    for i in rows:
+        assert propagation._tame(stack[i : i + 1])
+        assert _one_point_bits(stack, i) == _one_point_bits(stack[i : i + 1], 0)
+    if not maps[2].any():
+        out = propagation._pair_outputs(*maps)
+        for i in rows:
+            one = propagation._pair_outputs(*propagation._pair_maps(stack[i : i + 1]))
+            assert _bits(*(x[i] for x in out)) == _bits(*(x[0] for x in one))
+
+
+def test_every_point_the_bound_clears_passes_every_guard(monkeypatch):
+    # generators on both sides of the bound's edges, entries of size 2^20 and
+    # Gershgorin real parts of 128, and a tenth far past them, whose noise
+    # may leave the float range: forced to run, the guards flag no point the
+    # bound clears and give it the same bits
+    rng = np.random.default_rng(25)
+    n = 600
+    size = 2.0 ** rng.uniform(-4.0, 21.0, n)[:, None]
+    off = size * rng.uniform(0.0, 1.0, (n, 2)) * np.exp(2j * np.pi * rng.uniform(size=(n, 2)))
+    far = rng.uniform(size=(n, 1)) < 0.1
+    reach = np.where(far, rng.uniform(300.0, 400.0, (n, 2)), rng.uniform(-60.0, 160.0, (n, 2)))
+    blocks = np.empty((n, 2, 2), dtype=complex)
+    blocks[:, 0, 1], blocks[:, 1, 0] = off[:, 0], off[:, 1]
+    # column Gershgorin: Re b00 + |b10| and Re b11 + |b01| are the reaches
+    imag = size * rng.uniform(-1.0, 1.0, (n, 2))
+    blocks[:, 0, 0] = reach[:, 0] - np.abs(off[:, 1]) + 1j * imag[:, 0]
+    blocks[:, 1, 1] = reach[:, 1] - np.abs(off[:, 0]) + 1j * imag[:, 1]
+    cleared = np.array([propagation._tame(b[None]) for b in blocks])
+    assert 0.3 * n < cleared.sum() < 0.7 * n
+    fast = [_bits(*(x[0] for x in propagation._pair_maps(b[None])[:3])) for b in blocks]
+    monkeypatch.setattr(propagation, "_tame", lambda blocks: False)
+    transfer, noise, fault, _ = propagation._pair_maps(blocks)
+    assert fault.any() and not fault[cleared].any()
+    for i in np.flatnonzero(cleared):
+        assert _bits(transfer[i], noise[i], fault[i]) == fast[i]
+
+
+def test_outputs_the_bound_clears_pass_every_guard():
+    # CP maps whose parts lie on both sides of the readout's bound, 2^250 for
+    # M and 2^500 for Q: read alone, and in one stack beside a map (M = 0,
+    # Q = 2^505 I) that only the guarded readout takes, each keeps its bits
+    rng = np.random.default_rng(26)
+    n = 200
+    transfer = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    transfer *= 2.0 ** rng.uniform(236.0, 251.0, (n, 1, 1))
+    # Q = q I is CP once q >= 1 + |M|_F^2
+    q = 2.0 ** rng.uniform(0.0, 1.0, n) * 4.0 * np.abs(transfer).max(axis=(1, 2)) ** 2 + 2.0 ** rng.uniform(490, 502, n)
+    noise = q[:, None, None] * np.eye(2)
+    parts = [np.abs(x.view(float)).max(axis=(1, 2)) for x in (transfer, noise)]
+    cleared = (parts[0] <= 2.0**250) & (parts[1] <= 2.0**500)
+    assert 0.2 * n < cleared.sum() < 0.8 * n
+    guarded = (np.zeros((1, 2, 2), dtype=complex), 2.0**505 * np.eye(2, dtype=complex)[None])
+    beside = propagation._pair_outputs(*(np.concatenate([x, y]) for x, y in zip((transfer, noise), guarded)), 0, None)
+    for i in range(n):
+        alone = propagation._pair_outputs(transfer[i : i + 1], noise[i : i + 1], 0, None)
+        assert _bits(*(x[0] for x in alone)) == _bits(*(x[i] for x in beside))
+
+
+def test_fluxes_are_the_python_float_squares():
+    # numpy's re re + im im is the arithmetic of Python floats, to the bit,
+    # from subnormal amplitudes to overflowing ones, with no warning
+    rng = np.random.default_rng(27)
+    parts = 2.0 ** rng.uniform(-1074.0, 1024.0, (2, 500)) * rng.choice([-1.0, 1.0], (2, 500))
+    amplitudes = np.concatenate([parts[0] + 1j * parts[1], [np.inf, complex(0.0, -np.inf), np.nan, 0.0]])
+    want = [x * x + y * y for x, y in zip(amplitudes.real.tolist(), amplitudes.imag.tolist())]
+    assert propagation._fluxes(amplitudes).tobytes() == np.array(want).tobytes()
+
+
 def _matrices(pair):
     """(M, Q) arrays of a closed-form pair map of plain floats."""
     (a, b, c, d), (x, y, z) = pair
