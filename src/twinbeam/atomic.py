@@ -39,9 +39,8 @@ the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 generator into the exact quantum noise output through the pair map
 (M, Q), whose M is that exponential and whose Q is Van Loan's noise
 integral in closed form.
-Detuning scans solve their grid in stacked numpy calls, a fixed block of
-detunings at a time, with the same arithmetic per point as a
-single-point call.  The flux-neutral
+Detuning scans solve their whole grid in stacked numpy calls, with the
+same arithmetic per point as a single-point call.  The flux-neutral
 point is polished by `_illinois`, a bracketed regula falsi run until
 its ends are adjacent floats, so numpy is the only dependency.
 
@@ -254,12 +253,6 @@ def _at(deltas: np.ndarray, i: int) -> str:
     return f"at two-photon detuning {deltas[i]:.6e} rad/s"
 
 
-def _first(bad: np.ndarray) -> int:
-    """Index of the first True entry, or the length when there is none."""
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else bad.size
-
-
 # The generator conserves manifold parity: the pump couples only levels
 # 1 <-> 2 and 0 <-> 3, and every jump maps populations to populations.
 # So in the column-stacked basis (slot row + 4 col) it is block diagonal.
@@ -277,13 +270,6 @@ _BORDER = np.outer(_TRACE, _TRACE)
 _SECTOR_SLOTS = ((1, 0), (2, 0), (1, 3), (2, 3))
 _SECTOR_INDICES = [row + 4 * col for row, col in _SECTOR_SLOTS]
 _SECTOR = np.ix_(_SECTOR_INDICES, _SECTOR_INDICES)
-
-# Grids are solved this many detunings at a time: one block holds every
-# scan of the default 251 points and of the benchmark's 226-276, so a
-# scan is one stacked solve, while a chunk's largest arrays, its sector
-# stack and the solver's copies, stay at 512 x 4 x 4 complex entries
-# (128 KiB) however long the grid is.
-_GRID_BLOCK = 512
 
 
 def _detuning_grid(delta_grid) -> np.ndarray:
@@ -330,83 +316,78 @@ class _Response:
                 array.setflags(write=False)
         self._last_scan = (None, None)
 
-    def _shifted(self, chunk: np.ndarray) -> np.ndarray:
-        """The sector at every detuning of chunk, an (n, 4, 4) stack."""
-        system = np.repeat(self.sector[None], chunk.size, axis=0)
+    def _shifted(self, deltas: np.ndarray) -> np.ndarray:
+        """The sector at every detuning of deltas, an (n, 4, 4) stack."""
+        system = np.repeat(self.sector[None], deltas.size, axis=0)
         diagonal = np.arange(4)
-        system[:, diagonal, diagonal] -= 1j * (chunk / self.p.excited_decay_rate)[:, None]
+        system[:, diagonal, diagonal] -= 1j * (deltas / self.p.excited_decay_rate)[:, None]
         return system
 
-    def _cleared(self, chunk: np.ndarray) -> bool:
+    def _cleared(self, deltas: np.ndarray) -> bool:
         """Whether the bounds on the sector's singular values pass the
-        check at every detuning of chunk.
+        check at every detuning of deltas.
 
         Twice the check's tolerance absorbs the SVD's rounding, about eps
-        times the largest singular value, so a chunk cleared here is one
+        times the largest singular value, so a grid cleared here is one
         the SVD check passes too.  The bound on the largest singular value
-        grows with |delta|, so the chunk's widest detuning decides.
+        grows with |delta|, so the grid's widest detuning decides.
         """
         if self.rho is None or not self.residual <= 1e-10 * max(1.0, self.sing_even[0]):
             return False
-        reach = self.norm + float(np.max(np.abs(chunk))) / self.p.excited_decay_rate
+        reach = self.norm + float(np.max(np.abs(deltas))) / self.p.excited_decay_rate
         return min(self.sing_even[-2], self.mu) > 2e-10 * max(self.sing_even[0], reach)
 
-    def check(self, chunk: np.ndarray) -> None:
+    def check(self, deltas: np.ndarray) -> None:
         """Raise the DegenerateSteadyStateError of the first detuning of
-        chunk at which the generator has no unique, well-conditioned
+        deltas at which the generator has no unique, well-conditioned
         stationary state.
 
-        A chunk the singular-value bounds do not clear is checked by one
+        A grid the singular-value bounds do not clear is checked by one
         stacked SVD of its shifted sectors.
         """
-        if self._cleared(chunk):
+        if self._cleared(deltas):
             return
-        sing_odd = np.linalg.svd(self._shifted(chunk), compute_uv=False)
+        sing_odd = np.linalg.svd(self._shifted(deltas), compute_uv=False)
         # the generator's singular values are the even block's and twice
         # the sector's, so these are its largest and second-smallest
         top = np.maximum(self.sing_even[0], sing_odd[:, 0])
         second = np.minimum(self.sing_even[-2], sing_odd[:, -1])
         degenerate = second <= 1e-10 * top
         bad = degenerate | (self.residual > 1e-10 * np.maximum(1.0, top))
-        n = 0 if degenerate[0] or self.rho is None else _first(bad)
-        if n < chunk.size:
+        if self.rho is None or bad.any():
+            n = 0 if self.rho is None else int(np.argmax(bad))  # the first bad detuning
             if degenerate[n]:
                 raise DegenerateSteadyStateError(
-                    f"stationary space is degenerate {_at(chunk, n)} "
+                    f"stationary space is degenerate {_at(deltas, n)} "
                     f"(second singular value {second[n]:.2e} of {top[n]:.2e})"
                 )
             if self.rho is None:
                 raise DegenerateSteadyStateError(
-                    f"stationary vector is traceless {_at(chunk, 0)}"
+                    f"stationary vector is traceless {_at(deltas, 0)}"
                 )
             raise DegenerateSteadyStateError(
-                f"stationary residual {self.residual:.2e} exceeds tolerance {_at(chunk, n)}"
+                f"stationary residual {self.residual:.2e} exceeds tolerance {_at(deltas, n)}"
             )
 
     def pair_blocks(self, delta_grid) -> np.ndarray:
         """The pair block at every detuning of a grid, an (N, 2, 2) stack.
 
-        Each chunk of _GRID_BLOCK detunings is one `check` and one
-        stacked solve, with the same floating-point operations per entry
-        as a one-point grid, so a detuning's block does not depend on the
-        grid it is computed in.  A failing check raises the error the
-        detuning raises on its own, the first failing detuning of the
-        grid being the one named.
+        One `check` and one stacked solve cover the grid, with the same
+        floating-point operations per entry as a one-point grid, so a
+        detuning's block does not depend on the grid it is computed in.
+        A failing check raises the error the detuning raises on its own,
+        the first failing detuning of the grid being the one named.
         """
         deltas = _detuning_grid(delta_grid)
-        blocks = np.empty((deltas.size, 2, 2), dtype=complex)
+        self.check(deltas)
+        # once the check has passed, the sector's condition number is below 1e10
+        solution = np.linalg.solve(
+            self._shifted(deltas), np.broadcast_to(self.sources, (deltas.size, 4, 2))
+        )
         scale = self.p.depth / 2.0
-        for start in range(0, deltas.size, _GRID_BLOCK):
-            part = slice(start, start + _GRID_BLOCK)
-            chunk = deltas[part]
-            self.check(chunk)
-            # once the check has passed, the sector's condition number is
-            # below 1e10
-            solution = np.linalg.solve(
-                self._shifted(chunk), np.broadcast_to(self.sources, (chunk.size, 4, 2))
-            )
-            blocks[part, 0] = 1j * scale * solution[:, _SECTOR_SLOTS.index((2, 0))]
-            blocks[part, 1] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
+        blocks = np.empty((deltas.size, 2, 2), dtype=complex)
+        blocks[:, 0] = 1j * scale * solution[:, _SECTOR_SLOTS.index((2, 0))]
+        blocks[:, 1] = -1j * scale * solution[:, _SECTOR_SLOTS.index((1, 3))]
         return blocks
 
     def scan(self, window: tuple[float, float], n_scan: int) -> tuple[np.ndarray, ...]:
@@ -555,7 +536,7 @@ def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
 
 def pair_output(p: AtomicParams) -> propagation.PropagationResult:
     """Full quantum output of the medium at one operating point."""
-    return propagation.propagate_coupling(sideband_response(p).pair_block)
+    return propagation.propagate_coupling(sideband_blocks(p, [p.two_photon_detuning])[0])
 
 
 _DEFAULT_WINDOW = (-TWO_PI * 150e6, TWO_PI * 50e6)
@@ -587,9 +568,9 @@ def find_raman_dip(
 _ROOT_MAXITER = 400
 
 
-def _illinois(f, a: float, b: float, fa: float | None = None, fb: float | None = None) -> float:
+def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
     """Root of f in the sign-change bracket [a, b], to the last float;
-    fa and fb, when given, are f(a) and f(b).
+    fa and fb are f(a) and f(b).
 
     Regula falsi with the Illinois modification (M. Dowell and
     P. Jarratt, BIT 11, 168, 1971): when the new point falls on the
@@ -602,9 +583,7 @@ def _illinois(f, a: float, b: float, fa: float | None = None, fb: float | None =
     are adjacent floats, returning the end with the smaller |f|.  Raises
     RuntimeError when _ROOT_MAXITER steps do not get there.
     """
-    x0, x1 = float(a), float(b)
-    f0 = f(x0) if fa is None else float(fa)
-    f1 = f(x1) if fb is None else float(fb)
+    x0, x1, f0, f1 = float(a), float(b), float(fa), float(fb)
     if f0 == 0.0:
         return x0
     if f1 == 0.0:

@@ -11,7 +11,8 @@ version, config hash, seed) but deliberately no timestamps.
 Exit codes: 0 success, 2 validation error (bad flags, malformed config
 or trace data, a config frequency with no float in rad/s), 3 computation
 error (no flux-neutral crossing, degenerate steady state,
-non-convergence, a finite medium whose generator overflows).
+non-convergence, a finite medium whose generator overflows, an inferred
+correlation or gemellity with no float value).
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def cmd_sweep_delta(args) -> int:
     params = atomic.params_from_mapping(sections.get("atomic", {}))
     lo, hi, points = _window(sections, "sweep", "delta_min_MHz", "delta_max_MHz")
     deltas_mhz = np.linspace(lo, hi, points)
-    blocks = atomic.sideband_blocks(params, [angular_from_mhz(d) for d in deltas_mhz])
+    blocks = atomic.sideband_blocks(params, angular_from_mhz(deltas_mhz))
     out = propagation._pair_outputs(
         *propagation._pair_maps(blocks),
         place=lambda i: f" at two-photon detuning {deltas_mhz[i]:.6g} MHz",

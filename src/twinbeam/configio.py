@@ -119,8 +119,8 @@ def section_frequency(mapping: dict[str, str], section: str, key: str, default: 
     return value
 
 
-def angular_from_mhz(value_mhz: float) -> float:
-    """MHz -> rad/s."""
+def angular_from_mhz(value_mhz):
+    """MHz -> rad/s, of a float or elementwise of an array."""
     return 2.0 * math.pi * value_mhz * 1e6
 
 

@@ -145,7 +145,9 @@ def infer_from_measurement(
     p_a: float,
     p_b: float,
 ) -> InferenceResult:
-    """Reconstruct C_ab and the gemellity from measured spectra.
+    """Reconstruct C_ab and the gemellity from measured spectra; raise
+    ValueError for inputs not finite or not consistent, and RuntimeError
+    where C_ab or the gemellity in dB has no float value.
 
     Parameters
     ----------
@@ -164,17 +166,34 @@ def infer_from_measurement(
     # two to below 1, they keep every bit and no product overflows
     e = -math.frexp(max(p_a, p_b))[1]
     p_a, p_b = math.ldexp(p_a, e), math.ldexp(p_b, e)
-    s = linear_from_db(diff_db)
-    fa = linear_from_db(f_a_db)
-    fb = linear_from_db(f_b_db)
-    c = (p_a * fa + p_b * fb - s * (p_a + p_b)) / (
-        2.0 * np.sqrt(p_a * p_b * fa * fb)
-    )
-    if abs(c) > 1.0 + 1e-9:
+    measured = f"(difference {diff_db:g} dB, F_a {f_a_db:g} dB, F_b {f_b_db:g} dB)"
+    try:
+        s, fa, fb = (linear_from_db(x) for x in (diff_db, f_a_db, f_b_db))
+    except OverflowError:
+        s = fa = fb = math.inf
+    if not all(0.0 < x < math.inf for x in (s, fa, fb)):
+        raise ValueError(f"a measured figure has no positive finite linear value {measured}")
+    # c and the gemellity are homogeneous, of degree 0 and 1, in (s, F_a, F_b): a power
+    # of two, 2^1021 at most, puts the larger figure in [0.5, 1), where no product overflows
+    scale = 2.0 ** -max(math.frexp(max(fa, fb))[1], -1021)
+    a, b = p_a * (fa * scale), p_b * (fb * scale)
+    root_a, root_b = math.sqrt(a), math.sqrt(b)
+    if not root_a * root_b > 0.0:
+        raise RuntimeError(f"the beams' noise powers lie too far apart for a correlation {measured}")
+    # 1 - c = (s (p_a + p_b) - (sqrt a - sqrt b)^2) / (2 sqrt(ab)), a = p_a F_a, b = p_b F_b
+    gap = (a - b) / (root_a + root_b)
+    one_minus_c = (s * scale * (p_a + p_b) - gap * gap) / (2.0 * root_a * root_b)
+    if not -1e-9 <= one_minus_c <= 2.0 + 1e-9:
         raise ValueError(
-            f"inferred correlation {c:.6g} lies outside [-1, 1]; "
+            f"inferred correlation {1.0 - one_minus_c:.6g} lies outside [-1, 1]; "
             "measurement inputs are inconsistent"
         )
-    figures = NoiseFigures(fa, fb, float(np.clip(c, -1.0, 1.0)))
-    g = gemellity(figures)
-    return InferenceResult(figures, float(g), db_from_linear(g))
+    one_minus_c = min(max(one_minus_c, 0.0), 2.0)
+    c = 1.0 - one_minus_c
+    # `gemellity` as F_a F_b (1 - c^2) / d, whose d lies in [max(F_a, F_b), F_a + F_b]
+    high, low = max(fa, fb) * scale, min(fa, fb) * scale
+    d = (high + low) / 2.0 + math.hypot(c * math.sqrt(high) * math.sqrt(low), (high - low) / 2.0)
+    g = min(fa, fb) * (one_minus_c * (2.0 - one_minus_c)) * (high / d)
+    if not g > 0.0:
+        raise RuntimeError(f"the inferred gemellity at C_ab = {c:.17g} is 0, with no dB value {measured}")
+    return InferenceResult(NoiseFigures(fa, fb, c), g, db_from_linear(g))

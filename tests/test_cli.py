@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -521,6 +522,33 @@ def test_validation_failures_exit_with_2(tmp_path, capsys):
     )[0] == 2
 
 
+@pytest.mark.parametrize(
+    "command, config, err",
+    [
+        ("sweep-delta", "[ ]\n", "line 1: empty section name"),
+        ("sweep-delta", "foo\n", "line 1: expected 'key = value', got 'foo'"),
+        ("sweep-delta", "[sweep]\n= 5\n", "line 2: empty key"),
+        ("beam-splitter", "[atomic]\ndepth = inf\n", "section [atomic], key 'depth': value must be finite"),
+        ("sweep-delta", "[sweep]\npoints = 2.5\n", "section [sweep], key 'points': cannot parse '2.5' as an integer"),
+        (
+            "sweep-delta",
+            "[sweep]\ndelta_min_MHz = 50\ndelta_max_MHz = -150\n",
+            "[sweep] detuning window must be increasing, got [50.0, -150.0] MHz",
+        ),
+        (
+            "beam-splitter",
+            "[window]\nmin_MHz = 50\nmax_MHz = -150\n",
+            "[window] detuning window must be increasing, got [50.0, -150.0] MHz",
+        ),
+    ],
+    ids=["empty-section", "no-assignment", "empty-key", "infinite-value", "fractional-points", "sweep-reversed", "window-reversed"],
+)
+def test_a_malformed_config_exits_with_2_and_names_the_fault(tmp_path, capsys, command, config, err):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    assert run(capsys, [command, "--config", str(cfg)]) == (2, "", f"error: {err}\n")
+
+
 def test_computation_failures_exit_with_3(tmp_path, capsys):
     cfg = tmp_path / "no_crossing.cfg"
     cfg.write_text(
@@ -666,6 +694,8 @@ def test_render_csv_matches_the_per_cell_format():
 
 
 _GOLDEN = Path(__file__).parent / "golden"
+# a child interpreter imports the package under test, wherever pytest found it
+_CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
 def test_analyze_csv_matches_the_golden_file(capsys):
@@ -740,6 +770,39 @@ def test_analyze_names_an_out_of_range_correlation_in_six_digits(capsys):
         "measurement inputs are inconsistent\n"
     )
     assert run(capsys, argv + ["--conj-frac", "1e308"]) == (2, "", err)
+
+
+def _figure_traces(path, diff_db, f_a_db, f_b_db):
+    """Traces whose figures relative to an SQL at 0 dB are the given dB values."""
+    rows = [
+        f"{freq!r},{psd!r},{label},30000.0"
+        for label, psd in (("difference", diff_db), ("probe", f_a_db), ("conjugate", f_b_db), ("sql", 0.0))
+        for freq in (1e6, 2e6)
+    ]
+    path.write_text("\n".join(["freq_hz,psd_db,label,rbw_hz", *rows]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "figures, code, err",
+    [
+        # -2.99999094847 and exit 0; exit 2 naming a ratio 0 at 160 and 1540 dB;
+        # C_ab = 0 and an infinite gemellity at 3082.5 dB
+        *(((-3.0, f, f), 0, "") for f in (100.0, 160.0, 1540.0, 3082.5)),
+        # a RuntimeWarning, then exit 2 naming a correlation of -5.01187e+299
+        ((-3.0, -3000.0, -3000.0), 2, "inferred correlation -5.01187e+299 lies outside [-1, 1]; measurement inputs are inconsistent"),
+        ((-3.010299956639812, 6.020599913279624, 0.0), 3, "the inferred gemellity at C_ab = 1 is 0, with no dB value (difference -3.0103 dB, F_a 6.0206 dB, F_b 0 dB)"),
+        ((0.0, 3000.0, -3000.0), 3, "the beams' noise powers lie too far apart for a correlation (difference 0 dB, F_a 3000 dB, F_b -3000 dB)"),
+    ],
+    ids=["100dB", "160dB", "1540dB", "3082.5dB", "inconsistent", "C_ab_1", "far_apart"],
+)
+def test_analyze_infers_large_figures_and_names_what_it_cannot_represent(tmp_path, capsys, figures, code, err):
+    trace_path = tmp_path / "traces.csv"
+    _figure_traces(trace_path, *figures)
+    argv = ["analyze", str(trace_path), "--probe-frac", "0.5", "--conj-frac", "0.5"]
+    got, out, stderr = run(capsys, argv)
+    assert (got, stderr) == (code, f"error: {err}\n" if err else "")
+    if code == 0:
+        assert parse_csv(out)[0]["gemellity_dB"] == "-3"
 
 
 _NO_GROUND_DECOHERENCE = "[atomic]\ngamma_g_kHz = 0\n"
@@ -836,6 +899,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "twinbeam.cli", "lumped-optimize"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "gemellity_dB" in proc.stdout
@@ -843,7 +907,7 @@ def test_module_entry_point_runs():
 
 def _run_module(code: str, *argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120, env=_CHILD_ENV
     )
 
 

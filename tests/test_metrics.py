@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from twinbeam import gaussian, metrics
 
+from oracles import mpmath_inference
+
 
 def _amplified(gain: float) -> metrics.NoiseFigures:
     state = gaussian.apply(gaussian.amplifier_channel(gain), gaussian.coherent_input(1.0))
@@ -124,6 +126,79 @@ def test_inference_is_exact_under_power_of_two_scalings_of_the_powers():
         assert metrics.infer_from_measurement(-1.0, 3.0, 2.0, p_a, p_b) == want
     huge = metrics.infer_from_measurement(-1.0, 3.0, 2.0, 1.7e308, 1.7e308 * 0.35 / 0.65)
     assert huge.figures.c_ab == pytest.approx(want.figures.c_ab, rel=1e-15)
+
+
+# (difference, F_a, F_b) in dB and the powers; with equal figures and
+# powers the gemellity is the difference noise, 1 - C_ab about 10^(-F/10)
+_BALANCED = [(-3.0, f, f, 0.5, 0.5) for f in (0.0, 40.0, 100.0, 160.0, 1540.0, 3000.0, 3082.5)]
+
+
+@pytest.mark.parametrize(
+    "measured",
+    [
+        *_BALANCED,
+        # figures far below the SQL, the last of them the least subnormal
+        *((f - 3.0, f, f, 0.5, 0.5) for f in (-3000.0, -3070.0, -3233.0)),
+        (-9.2, 12.0, 12.0, 20 / 39, 19 / 39),  # the paper's -9.2 dB point
+        (-1.0, 3.0, 2.0, 0.65, 0.35),
+        (-2.99925577872, 3.87608261068, 3.75084408173, 1.62, 0.68),  # the golden traces
+    ],
+    ids=lambda measured: "_".join(f"{x:g}" for x in measured[:3]),
+)
+def test_inference_matches_an_mpmath_reference(measured):
+    # a + b - 2 sqrt(ab) cancelled to 1 - C_ab, and the gemellity cancelled
+    # once more: -2.99999094847 dB at 100 dB, 0 and exit 2 from 160 dB on,
+    # and C_ab = 0 with an infinite gemellity at 3082.5 dB.  The reference
+    # reads the same linear figures, so the rounding of the dB conversion,
+    # which grows with |dB|, is not counted.
+    res = metrics.infer_from_measurement(*measured)
+    linear = [metrics.linear_from_db(x) for x in measured[:3]]
+    c, g, g_db = mpmath_inference(*linear, *measured[3:])
+    assert abs(res.figures.c_ab - c) <= 2.5e-16
+    assert abs(res.gemellity - g) <= 2e-15 * g
+    # and the rounding of the dB value itself, half an ulp of it
+    assert abs(res.gemellity_db - g_db) <= 1e-14 + 1.2e-16 * abs(g_db)
+
+
+@pytest.mark.parametrize(
+    "measured, error, message",
+    [
+        # a difference noise whose linear value rounds to the bound
+        # (sqrt F_a - sqrt F_b)^2 leaves C_ab = 1 and a gemellity of 0
+        (
+            (-3.010299956639812, 6.020599913279624, 0.0),
+            RuntimeError,
+            "the inferred gemellity at C_ab = 1 is 0, with no dB value "
+            "(difference -3.0103 dB, F_a 6.0206 dB, F_b 0 dB)",
+        ),
+        (
+            (0.0, -3000.0, 3000.0),
+            RuntimeError,
+            "the beams' noise powers lie too far apart for a correlation "
+            "(difference 0 dB, F_a -3000 dB, F_b 3000 dB)",
+        ),
+        (
+            (0.0, 0.0, 3090.0),
+            ValueError,
+            "a measured figure has no positive finite linear value (difference 0 dB, F_a 0 dB, F_b 3090 dB)",
+        ),
+        (
+            (-3300.0, 0.0, 0.0),
+            ValueError,
+            "a measured figure has no positive finite linear value (difference -3300 dB, F_a 0 dB, F_b 0 dB)",
+        ),
+        (
+            (0.0, math.nan, 0.0),
+            ValueError,
+            "a measured figure has no positive finite linear value (difference 0 dB, F_a nan dB, F_b 0 dB)",
+        ),
+    ],
+    ids=["C_ab_1", "far_apart", "overflow", "underflow", "nan"],
+)
+def test_inference_names_what_it_cannot_represent(measured, error, message):
+    with pytest.raises(error) as exc:
+        metrics.infer_from_measurement(*measured, 0.5, 0.5)
+    assert str(exc.value) == message
 
 
 def test_inference_of_shot_noise_is_trivial():

@@ -21,7 +21,7 @@ from twinbeam.configio import angular_from_mhz
 from twinbeam.metrics import noise_figures
 from twinbeam.propagation import Slab, SlabProfile
 
-from oracles import exact_channel, exact_state, lift, output_state, slab_state
+from oracles import exact_channel, exact_state, lift, mpmath_pair_maps, output_state, slab_state
 
 
 def test_slab_validation():
@@ -398,7 +398,7 @@ def test_closed_form_noise_integral_matches_a_50_digit_van_loan_block(parts, log
     block = (10.0**log_scale * (re + 1j * im)).reshape(2, 2)
     transfer, noise, fault, _ = propagation._pair_maps(block[None])
     assume(fault[0] == 0)  # a map past the float range is flagged, not read
-    _, (exact_m, exact_q) = _mpmath_pair_maps([(block, 1.0)], 50)
+    _, (exact_m, exact_q) = mpmath_pair_maps([(block, 1.0)], 50)
     exact_q = _as_array(exact_q)
     # 1e-14 up to ||B||_1 = 10; beyond, the rounding of an exponent x alone
     # moves e^x by |x| eps, so the bound grows with the norm
@@ -678,43 +678,6 @@ def test_search_objective_matches_propagate_exact(rates):
     )
 
 
-def _mpmath_abs(h):
-    """|H| of a Hermitian mpmath matrix from its eigendecomposition."""
-    e, v = mpmath.eighe(h)
-    return v * mpmath.diag([abs(x) for x in e]) * v.H
-
-
-def _mpmath_pair_maps(segments, digits):
-    """Pair maps of complex generators at `digits` digits, and their product.
-
-    For each (B, L): M = e^{BL} and Q from the Van Loan block
-    [[-B, D], [0, B^dag]] with D = |B eta + eta B^dag|, eta = diag(1, -1),
-    taken over L / 2^k with ||B||_1 L / 2^k <= 1 and squared k times, so
-    no entry grows like e^{-BL}.
-    """
-    with mpmath.workdps(digits):
-        eta = mpmath.diag([1, -1])
-        maps = []
-        for block, length in segments:
-            block = np.asarray(block, dtype=complex)
-            b = mpmath.matrix(block.tolist())
-            k = max(0, math.ceil(math.log2(max(np.abs(block).sum(axis=0).max() * length, 1.0))))
-            van_loan = mpmath.zeros(4)
-            van_loan[0:2, 0:2] = -b
-            van_loan[0:2, 2:4] = _mpmath_abs(b * eta + eta * b.H)
-            van_loan[2:4, 2:4] = b.H
-            e = mpmath.expm(van_loan * (mpmath.mpf(length) / 2**k))
-            m = e[2:4, 2:4].H
-            q = m * e[0:2, 2:4]
-            for _ in range(k):
-                m, q = m * m, m * q * m.H + q
-            maps.append((m, (q + q.H) / 2))
-        m, q = maps[0]
-        for m2, q2 in maps[1:]:
-            m, q = m2 * m, m2 * q * m2.H + q2
-        return maps, (m, q)
-
-
 def _as_array(x):
     return np.array(x.tolist(), dtype=complex)
 
@@ -741,7 +704,7 @@ def test_pair_maps_match_a_60_digit_reference(rates):
     profile = SlabProfile(tuple(Slab(1.0 / len(rates), *r) for r in rates))
     blocks = [[[-s.alpha_a / 2.0, s.g], [s.g, -s.alpha_b / 2.0]] for s in profile.slabs]
     lengths = [s.dz for s in profile.slabs]
-    segments, (transfer, noise) = _mpmath_pair_maps(zip(blocks, lengths), 60)
+    segments, (transfer, noise) = mpmath_pair_maps(zip(blocks, lengths), 60)
     for slab, block, (m, q) in zip(profile.slabs, blocks, segments):
         m, q = _as_array(m), _as_array(q)
         scale = _cp_scale(m, q)
@@ -788,7 +751,7 @@ def test_atomic_maps_match_an_80_digit_reference():
     bs_block, point = _default_beam_splitter_block()
     assert point.gemellity_db == propagation.propagate_coupling(bs_block).gemellity_db
     for block in list(_default_sweep_blocks(slice(129, 144))) + [bs_block]:
-        _, pair = _mpmath_pair_maps([(block, 1.0)], 80)
+        _, pair = mpmath_pair_maps([(block, 1.0)], 80)
         transfer, noise = (gaussian.transfer_from_mode_matrix(_as_array(x)) for x in pair)
         got = exact_channel(block, 1.0)
         scale = _cp_scale(transfer, noise)
