@@ -71,7 +71,11 @@ def db_from_linear(x: float) -> float:
 
 
 def linear_from_db(x_db: float) -> float:
-    return float(10.0 ** (x_db / 10.0))
+    """10^(x_db/10), 0.0 below the float range; a ValueError names x_db above it."""
+    try:
+        return 10.0 ** (float(x_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x_db:g} dB has no finite linear value") from None
 
 
 def _rotation_to_mean(mean: complex) -> np.ndarray:
@@ -169,7 +173,7 @@ def infer_from_measurement(
     measured = f"(difference {diff_db:g} dB, F_a {f_a_db:g} dB, F_b {f_b_db:g} dB)"
     try:
         s, fa, fb = (linear_from_db(x) for x in (diff_db, f_a_db, f_b_db))
-    except OverflowError:
+    except ValueError:
         s = fa = fb = math.inf
     if not all(0.0 < x < math.inf for x in (s, fa, fb)):
         raise ValueError(f"a measured figure has no positive finite linear value {measured}")

@@ -205,7 +205,7 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
     tame = _tame(blocks)
     k = None if tame else np.maximum(np.maximum(np.abs(b01), np.abs(b10)), np.maximum(np.abs(h), 1.0))
     hr, b01r, b10r, big = h, b01, b10, None
-    if not tame and np.any(k > 2.0**500):  # k bounds |h| and sqrt(|b01 b10|)
+    if not tame and (k > 2.0**500).any():  # k bounds |h| and sqrt(|b01 b10|)
         size = np.maximum(np.abs(h), np.sqrt(np.abs(b01)) * np.sqrt(np.abs(b10)))
         big = size > 2.0**500
         r = np.where(big, np.ldexp(1.0, np.frexp(size)[1] - 1), 1.0)
@@ -218,7 +218,7 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
     d, e00, e11 = np.empty_like(s), np.empty_like(s), np.empty_like(s)
     over = None if tame else np.empty(s.shape, dtype=bool)
     far = np.abs(s) > 0.5
-    if np.any(far):
+    if far.any():
         f = _part(far)
         sf, hf = s[f], h[f]
         t = qr[f] / (sr[f] - hr[f])  # t = b01 b10 / (s - h), over r
@@ -228,11 +228,11 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
             k[f] = np.maximum(k[f], np.maximum(np.abs(t), np.abs(sf - hf)))
             over[f] = np.maximum(x_up.real, x_down.real) + np.log(k[f]) + np.log(4.0) > _LOG_MAX
             x_up, x_down = np.where(over[f], 0.0, x_up), np.where(over[f], 0.0, x_down)
-        up, down = np.exp(x_up), np.exp(x_down)
-        d[f] = (up - down) / (2.0 * sf)
-        e00[f] = (t * up + (sf - hf) * down) / (2.0 * sf)
-        e11[f] = ((sf - hf) * up + t * down) / (2.0 * sf)
-    if not np.all(far):
+        up, down, two_s, gap = np.exp(x_up), np.exp(x_down), 2.0 * sf, sf - hf
+        d[f] = (up - down) / two_s
+        e00[f] = (t * up + gap * down) / two_s
+        e11[f] = (gap * up + t * down) / two_s
+    if not far.all():
         n = _part(~far)
         sn, em = s[n], m[n]
         if not tame:
@@ -250,7 +250,7 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
     if not roots:
         return out
     t_all = np.zeros_like(s)
-    if np.any(far):
+    if far.any():
         t_all[f] = t
     return out, (m, h, s, t_all, k, far)
 
@@ -380,10 +380,10 @@ def _moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     small, wide = np.abs(r) <= 0.5, np.abs(r) > _MOMENTS
     shift = np.where(r > _MOMENTS, r, 0.0)
     rate = np.maximum(-r, 1.0)
-    if np.any(small):
+    if small.any():
         powers = r[small, None] ** np.arange(len(_SERIES_TABLE))
         sigma[small, : _MOMENTS // 2] = (powers[:, :, None] * _SERIES_TABLE).sum(axis=1)
-    if np.any(wide):
+    if wide.any():
         rw, log_rate = r[wide], np.log(rate[wide])
         moment = -np.expm1(-np.abs(rw)) / np.abs(rw)
         sigma[wide, 0] = moment
@@ -391,7 +391,7 @@ def _moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             moment = np.where(rw > 0.0, (1.0 - n * moment) / rw, n * moment - np.exp(rw + (n - 1) * log_rate))
             sigma[wide, n] = moment
     middle = ~small & ~wide
-    if np.any(middle):
+    if middle.any():
         rs = r[middle, None, None]
         n, j = np.arange(_MOMENTS)[:, None], np.arange(20 + math.ceil(2.5 * np.abs(rs).max()))
         ratio = np.where(rs >= 0.0, rs / np.maximum(j[1:], 1), -rs / (n + j[1:] + 1))
@@ -473,9 +473,9 @@ def _far_noise(blocks, s, h, t, k, d, e):
         log_p = 2.0 * (np.log(k) - np.log(np.abs(s))) + np.log(8.0)
         over = (rate.max(axis=(1, 2)) > 0.5 * _LOG_MAX) | (size.max(axis=(1, 2)) > 2.0**1022)
         over |= (log_p > _LOG_MAX) | (log_phi + e * math.log(2.0) + log_p > _LOG_MAX)
-    if np.any(over):
-        half, e = np.where(over[:, None, None], 0.0, half), np.where(over, 0, e)
-        proj = np.where(over[:, None, None, None], 0.0, proj)
+        if over.any():
+            half, e = np.where(over[:, None, None], 0.0, half), np.where(over, 0, e)
+            proj = np.where(over[:, None, None, None], 0.0, proj)
     psi = _phi(2.0 * half) * np.ldexp(1.0, e)[:, None, None]
     # the products P_i D P_j^dag, a (2, 2) stack of them per point
     terms = _mul(_mul(proj, d[:, None])[:, :, None], _dagger(proj)[:, None])
@@ -521,7 +521,7 @@ def _pair_maps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     """
     d, e, trace = _pair_diffusion(a)
     rate = e >= sys.float_info.max_exp
-    if np.any(rate):
+    if rate.any():
         # tr itself, below 2^1024 as long as e <= 1024; elsewhere tr bounds
         # the entries of H and so |Re tr(A)|, and no exponent overflows
         trace = np.where(e <= 1024, np.ldexp(trace, np.minimum(e, 1024)), np.inf)
@@ -532,7 +532,7 @@ def _pair_maps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     over = np.empty(far.shape, dtype=bool)
     near = ~far | (np.abs(s) <= -m.real / 3.0)
     for part, branch, args in ((near, _near_noise, (m, h, s, k)), (~near, _far_noise, (s, h, t, k))):
-        if np.any(part):
+        if part.any():
             p = _part(part)
             noise[p], over[p] = branch(a[p], *(x if x is None else x[p] for x in args), d[p], e[p])
     fault = np.where(rate, _RATE, np.where(np.isinf(transfer[:, 0, 0]), _TRANSFER, np.where(over, _NOISE, 0)))
@@ -586,7 +586,7 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     if not tame:
         huge = (parts[0] > 2.0**510) | (parts[1] > 2.0**1020)
         fault = np.where((fault == 0) & huge, _FIGURES, fault)
-        if np.any(fault):
+        if fault.any():
             fine = fault == 0
             transfer, noise = (np.where(fine[:, None, None], x, 0.0) for x in (transfer, noise))
             parts = [np.where(fine, x, 0.0) for x in parts]
@@ -598,14 +598,14 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     f_a, f_b = cov[:, 0, 0].real, cov[:, 1, 1].real
     if not tame:
         fault = np.where((fault == 0) & (np.maximum(f_a, f_b) > 2.0**511), _FIGURES, fault)
-    if np.any(fault):
+    if fault.any():
         i = int(np.flatnonzero(fault)[0])
         if fault[i] == _CP:
             gaussian._require_cp(float(defect[i]), float(scale[i]))
         figures = (np.inf, np.inf) if huge[i] else (f_a[i], f_b[i])
         _fail(fault, trace, place, "the squares of the noise figures %.6e and %.6e" % figures)
     phase = np.exp(-1j * (np.angle(transfer[:, 0, 0]) - np.angle(transfer[:, 1, 0])))
-    c_ab = np.clip((phase * cov[:, 0, 1]).real / np.sqrt(f_a * f_b), -1.0, 1.0)
+    c_ab = np.minimum(np.maximum((phase * cov[:, 0, 1]).real / np.sqrt(f_a * f_b), -1.0), 1.0)
     gem = _gemellity(f_a, f_b, c_ab)
     gem_db = 10.0 * np.log10(gem, out=np.full_like(gem, -np.inf), where=gem > 0.0)
     g_a, g_b = _fluxes(transfer[:, :, 0]).T

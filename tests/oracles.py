@@ -3,6 +3,7 @@ channels built from its quadrature objects, and high-precision mpmath
 evaluations of the atomic response, the pair maps and the measurement
 inversion."""
 
+import dataclasses
 import functools
 import math
 
@@ -62,6 +63,69 @@ def slab_state(profile, subdivisions):
     return output_state(
         _chain(propagation._segment_channel(s, subdivisions) for s in profile.slabs)
     )
+
+
+def kron_liouvillian(p: atomic.AtomicParams) -> np.ndarray:
+    """The generator written out per point with np.kron."""
+    g = p.excited_decay_rate
+    delta = p.two_photon_detuning / g
+    big_delta = p.one_photon_detuning / g
+    hf = p.hyperfine_splitting / g
+    rabi = p.rabi_frequency / g
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = -delta
+    h[2, 2] = -big_delta
+    h[3, 3] = -(big_delta + hf + delta)
+    h[2, 1] = h[1, 2] = -rabi / 2.0
+    h[3, 0] = h[0, 3] = -rabi / 2.0
+    eye = np.eye(4)
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    ops = []
+    for excited in (2, 3):
+        for ground in (0, 1):
+            op = np.zeros((4, 4))
+            op[ground, excited] = 1.0
+            ops.append(np.sqrt(0.5) * op)
+    exchange = np.sqrt(p.ground_decoherence / p.excited_decay_rate)
+    for i, j in ((0, 1), (1, 0)):
+        op = np.zeros((4, 4))
+        op[i, j] = 1.0
+        ops.append(exchange * op)
+    for op in ops:
+        opdop = op.conj().T @ op
+        gen += np.kron(op.conj(), op)
+        gen -= 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
+    return gen
+
+
+def kron_pair_block(p: atomic.AtomicParams) -> np.ndarray:
+    """sideband_response(p).pair_block computed one point at a time, as the
+    detuning-linear algorithm does: the even block and the sideband sector
+    of the np.kron generator at zero two-photon detuning, the state from
+    the even block bordered by the trace functional, and the response from
+    the sector with its diagonal shifted by -i delta/Gamma."""
+    gen = kron_liouvillian(dataclasses.replace(p, two_photon_detuning=0.0))
+    even = [0, 3, 5, 6, 9, 10, 12, 15]  # populations, (1,2), (2,1), (0,3), (3,0)
+    trace = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+    vec = np.zeros(16, dtype=complex)
+    vec[even] = np.linalg.solve(gen[np.ix_(even, even)] + np.outer(trace, trace), trace)
+    rho = vec.reshape((4, 4), order="F")
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    slots = ((1, 0), (2, 0), (1, 3), (2, 3))
+    indices = [row + 4 * col for row, col in slots]
+    system = gen[np.ix_(indices, indices)]
+    system[np.diag_indices(4)] += p.two_photon_detuning / p.excited_decay_rate * -1j
+    scale = p.depth / 2.0
+    block = np.zeros((2, 2), dtype=complex)
+    for col, slot in enumerate(((2, 0), (1, 3))):
+        drive = np.zeros((4, 4))
+        drive[slot] = -0.5
+        source = -1j * (drive @ rho - rho @ drive)
+        x = np.linalg.solve(system, -source.reshape(16, order="F")[indices])
+        block[0, col] = 1j * scale * x[slots.index((2, 0))]
+        block[1, col] = -1j * scale * x[slots.index((1, 3))]
+    return block
 
 
 def mpmath_pair_block(p: atomic.AtomicParams, delta: float, digits: int = 40) -> mpmath.matrix:

@@ -21,7 +21,14 @@ from twinbeam.atomic import (
 )
 from twinbeam.configio import ConfigError, angular_from_mhz
 
-from oracles import exact_channel, mpmath_flux_balance, mpmath_gains, output_state
+from oracles import (
+    exact_channel,
+    kron_liouvillian,
+    kron_pair_block,
+    mpmath_flux_balance,
+    mpmath_gains,
+    output_state,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -250,69 +257,6 @@ def test_gain_curves_are_nonnegative_and_physical():
         assert gaussian.uncertainty_defect(state) > -1e-9
 
 
-def _reference_liouvillian(p: AtomicParams) -> np.ndarray:
-    """The generator written out per point with np.kron."""
-    g = p.excited_decay_rate
-    delta = p.two_photon_detuning / g
-    big_delta = p.one_photon_detuning / g
-    hf = p.hyperfine_splitting / g
-    rabi = p.rabi_frequency / g
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = -delta
-    h[2, 2] = -big_delta
-    h[3, 3] = -(big_delta + hf + delta)
-    h[2, 1] = h[1, 2] = -rabi / 2.0
-    h[3, 0] = h[0, 3] = -rabi / 2.0
-    eye = np.eye(4)
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    ops = []
-    for excited in (2, 3):
-        for ground in (0, 1):
-            op = np.zeros((4, 4))
-            op[ground, excited] = 1.0
-            ops.append(np.sqrt(0.5) * op)
-    exchange = np.sqrt(p.ground_decoherence / p.excited_decay_rate)
-    for i, j in ((0, 1), (1, 0)):
-        op = np.zeros((4, 4))
-        op[i, j] = 1.0
-        ops.append(exchange * op)
-    for op in ops:
-        opdop = op.conj().T @ op
-        gen += np.kron(op.conj(), op)
-        gen -= 0.5 * (np.kron(eye, opdop) + np.kron(opdop.T, eye))
-    return gen
-
-
-def _reference_pair_block(p: AtomicParams) -> np.ndarray:
-    """sideband_response(p).pair_block computed one point at a time, as the
-    detuning-linear algorithm does: the even block and the sideband sector
-    of the np.kron generator at zero two-photon detuning, the state from
-    the even block bordered by the trace functional, and the response from
-    the sector with its diagonal shifted by -i delta/Gamma."""
-    gen = _reference_liouvillian(dataclasses.replace(p, two_photon_detuning=0.0))
-    even = [0, 3, 5, 6, 9, 10, 12, 15]  # populations, (1,2), (2,1), (0,3), (3,0)
-    trace = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
-    vec = np.zeros(16, dtype=complex)
-    vec[even] = np.linalg.solve(gen[np.ix_(even, even)] + np.outer(trace, trace), trace)
-    rho = vec.reshape((4, 4), order="F")
-    rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    slots = ((1, 0), (2, 0), (1, 3), (2, 3))
-    indices = [row + 4 * col for row, col in slots]
-    system = gen[np.ix_(indices, indices)]
-    system[np.diag_indices(4)] += p.two_photon_detuning / p.excited_decay_rate * -1j
-    scale = p.depth / 2.0
-    block = np.zeros((2, 2), dtype=complex)
-    for col, slot in enumerate(((2, 0), (1, 3))):
-        drive = np.zeros((4, 4))
-        drive[slot] = -0.5
-        source = -1j * (drive @ rho - rho @ drive)
-        x = np.linalg.solve(system, -source.reshape(16, order="F")[indices])
-        block[0, col] = 1j * scale * x[slots.index((2, 0))]
-        block[1, col] = -1j * scale * x[slots.index((1, 3))]
-    return block
-
-
 def _generators(p: AtomicParams, deltas: np.ndarray) -> np.ndarray:
     """The 16x16 generator at every detuning of a grid, one build each."""
     return np.array(
@@ -362,8 +306,8 @@ def test_batched_grid_matches_the_per_point_path_bit_for_bit(omega, big, depth, 
             assert gain == z.real * z.real + z.imag * z.imag
     for delta in grid[:: max(1, size // 3)]:
         point = dataclasses.replace(p, two_photon_detuning=float(delta))
-        _assert_bitwise(atomic.liouvillian(point), _reference_liouvillian(point))
-        _assert_bitwise(atomic.sideband_response(point).pair_block, _reference_pair_block(point))
+        _assert_bitwise(atomic.liouvillian(point), kron_liouvillian(point))
+        _assert_bitwise(atomic.sideband_response(point).pair_block, kron_pair_block(point))
 
 
 @pytest.mark.parametrize("medium", [None, *range(8)], ids=["default", *map(str, range(8))])
@@ -815,6 +759,40 @@ def test_a_pinned_root_ends_the_polish(monkeypatch):
         atomic.find_beam_splitter_point(p)
     assert len(counts) == 40
     assert max(counts) <= 12
+
+
+@pytest.mark.parametrize(
+    "medium",
+    [AtomicParams(), AtomicParams(ground_decoherence=0.0), *range(40)],
+    ids=["default", "gamma_g_0", *map(str, range(40))],
+)
+def test_generator_matches_the_kron_reference_bit_for_bit(medium):
+    # without ground decoherence the exchange operators and their products
+    # are zero, and each zero of the generator keeps the reference's sign
+    p = medium if isinstance(medium, AtomicParams) else _pool_medium(medium)
+    _assert_bitwise(atomic.liouvillian(p), kron_liouvillian(p))
+
+
+def test_the_polish_points_of_the_pool_media_match_their_grid_rows_bit_for_bit():
+    # the Illinois polish evaluates one-point stacks; at the pinned
+    # beam-splitter point and at the Raman dip, each point's block and gains
+    # are those of the row it takes in a 251-point grid
+    for medium in range(40):
+        p = _pool_medium(medium)
+        grid = np.linspace(*atomic._DEFAULT_WINDOW, 251)
+        dip = float(atomic.find_raman_dip(p)[0])
+        point = float.fromhex(_POINT_BITS[medium][0])
+        row = int(np.argmin(np.abs(grid - point)))
+        assert grid[row] != dip
+        grid[row] = point
+        blocks = atomic.sideband_blocks(p, grid)
+        gains = atomic._classical_gains(blocks)
+        for delta in (point, dip):
+            i = int(np.flatnonzero(grid == delta)[0])
+            one = atomic.sideband_blocks(p, [delta])
+            _assert_bitwise(one, blocks[i : i + 1])
+            for got, want in zip(atomic._classical_gains(one), gains):
+                _assert_bitwise(got, want[i : i + 1])
 
 
 def test_beam_splitter_point_requires_a_crossing():

@@ -23,6 +23,19 @@ def test_db_conversions_round_trip():
     assert metrics.db_from_linear(1.0) == 0.0
 
 
+def test_linear_from_db_names_a_figure_past_the_float_range():
+    # 10^400 overflowed with a bare OverflowError that named no figure
+    with pytest.raises(ValueError, match=r"^4000 dB has no finite linear value$"):
+        metrics.linear_from_db(4000.0)
+    assert metrics.linear_from_db(-4000.0) == 0.0
+    # the inference still names every measured figure of its input
+    with pytest.raises(ValueError) as exc:
+        metrics.infer_from_measurement(0.0, 4000.0, 0.0, 0.5, 0.5)
+    assert str(exc.value) == (
+        "a measured figure has no positive finite linear value (difference 0 dB, F_a 4000 dB, F_b 0 dB)"
+    )
+
+
 def test_noise_figures_validation():
     with pytest.raises(ValueError):
         metrics.NoiseFigures(0.0, 1.0, 0.0)
