@@ -30,9 +30,10 @@ and the largest exceeds the zero-detuning sector's norm by at most
 |delta|/Gamma.  Every point of a scan and of the root search then costs
 a diagonal shift of the sector and a 4x4 solve; only points whose
 degeneracy check these bounds cannot pass (no ground decoherence, or
-detunings of order 1e18 rad/s) pay a 4x4 SVD.  The medium's last window
-scan is kept with it, so `find_raman_dip` and `find_beam_splitter_point`
-on one window scan it once.
+detunings of order 1e18 rad/s) pay a 4x4 SVD.  The medium keeps its last
+grid's gains, whoever asked, and its last point's output; the finders'
+default window is the CLI's, so `gain_curves` on that grid, both finders
+and `pair_output` at the root cost one scan and one output.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling` turns the same
@@ -300,8 +301,9 @@ class _Response:
 
     A response is built once per medium per process and shared through
     the cache of `_response`, which keeps the last _RESPONSE_CACHE_SIZE
-    (8) media, so its arrays are read-only.  It keeps its last window
-    scan, the grid and both gains, for the next finder on that window.
+    (8) media, so its arrays are read-only.  It keeps the gains of the
+    last grid any caller asked for and the output at the last point asked
+    for; a call that raises keeps nothing.
     """
 
     def __init__(
@@ -314,7 +316,7 @@ class _Response:
         for array in (sector, sing_even, rho, sources):
             if array is not None:
                 array.setflags(write=False)
-        self._last_scan = (None, None)
+        self._last_gains = self._last_output = (None, None)
 
     def _shifted(self, deltas: np.ndarray) -> np.ndarray:
         """The sector at every detuning of deltas, an (n, 4, 4) stack."""
@@ -386,19 +388,26 @@ class _Response:
         # rows i and -i depth/2 times the solution in slots (2, 0) and (1, 3), _SECTOR_SLOTS[1:3]
         return np.array([[1j], [-1j]]) * (self.p.depth / 2.0) * solution[:, 1:3]
 
-    def scan(self, window: tuple[float, float], n_scan: int) -> tuple[np.ndarray, ...]:
-        """(grid, probe gains, conjugate gains) of an n_scan-point scan of
-        the window.  The last scan is kept, keyed on the window's exact
-        bits and n_scan, and handed out read-only."""
-        lo, hi = float(window[0]), float(window[1])
-        key = (lo.hex(), hi.hex(), n_scan)
-        if self._last_scan[0] != key:
-            grid = np.linspace(lo, hi, n_scan)
-            scan = (grid, *_classical_gains(self.pair_blocks(grid)))
-            for array in scan:
+    def gains(self, delta_grid) -> tuple[np.ndarray, np.ndarray]:
+        """(probe gains, conjugate gains) at every detuning of a grid.  The
+        last grid's are kept, keyed on its exact bits, and handed out
+        read-only."""
+        deltas = _detuning_grid(delta_grid)
+        key = deltas.tobytes()
+        if self._last_gains[0] != key:
+            gains = _classical_gains(self.pair_blocks(deltas))
+            for array in gains:
                 array.setflags(write=False)
-            self._last_scan = (key, scan)
-        return self._last_scan[1]
+            self._last_gains = (key, gains)
+        return self._last_gains[1]
+
+    def output(self, delta: float) -> propagation.PropagationResult:
+        """The quantum output at one detuning; the last point's is kept,
+        keyed on its exact bits (the frozen result is safe to share)."""
+        key = float(delta).hex()
+        if self._last_output[0] != key:
+            self._last_output = (key, propagation.propagate_coupling(self.pair_blocks([delta])[0]))
+        return self._last_output[1]
 
 
 # H depends on the two-photon detuning only through H00 = H33 = -delta/Gamma,
@@ -414,8 +423,8 @@ def _response(p: AtomicParams) -> _Response:
     return _medium_response(tuple(float(getattr(p, name)).hex() for name in _MEDIUM_FIELDS))
 
 
-# A few media analyzed in turn stay cached; one entry holds the 4x4 and 8x8
-# arrays of a response and its last scan, about 6 KiB at 251 points.
+# A few media analyzed in turn stay cached; one entry holds the 4x4 and 8x8 arrays
+# of a response, its last output and its last grid's gains, about 6 KiB at 251 points.
 _RESPONSE_CACHE_SIZE = 8
 _MEDIUM_FIELDS = tuple(f.name for f in fields(AtomicParams) if f.name != "two_photon_detuning")
 _RATE_FIELDS = ("one_photon_detuning", "rabi_frequency", "hyperfine_splitting", "ground_decoherence")
@@ -525,25 +534,28 @@ def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
     exact transfer of the mean fields over the medium, with no slab
     discretization.
     """
-    probe, conj = _classical_gains(_response(p).pair_blocks(delta_grid))
+    probe, conj = _response(p).gains(delta_grid)
     return GainCurve(delta_grid, probe, conj)
 
 
 def pair_output(p: AtomicParams) -> propagation.PropagationResult:
-    """Full quantum output of the medium at one operating point."""
-    return propagation.propagate_coupling(sideband_blocks(p, [p.two_photon_detuning])[0])
+    """Full quantum output of the medium at one operating point; the
+    medium keeps its last point's, such as the root just found."""
+    return _response(p).output(p.two_photon_detuning)
 
 
-_DEFAULT_WINDOW = (-TWO_PI * 150e6, TWO_PI * 50e6)
+# the ends the CLI's [window] defaults, -150 and 50 MHz, pass, to the bit
+_DEFAULT_WINDOW = (angular_from_mhz(-150.0), angular_from_mhz(50.0))
 
 
-def _check_scan(window: tuple[float, float], n_scan: int) -> None:
+def _scan_grid(window: tuple[float, float], n_scan: int) -> np.ndarray:
     if not window[0] < window[1]:
         raise ValueError(f"window must be increasing, got {window}")
     if not math.isfinite(float(window[1]) - float(window[0])):
         raise ValueError(f"window span must be finite, got {window}")
     if n_scan < 2:
         raise ValueError(f"a detuning scan needs at least 2 points, got {n_scan}")
+    return np.linspace(float(window[0]), float(window[1]), n_scan)
 
 
 def find_raman_dip(
@@ -552,8 +564,8 @@ def find_raman_dip(
     n_scan: int = 251,
 ) -> tuple[float, float]:
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
-    _check_scan(window, n_scan)
-    grid, gains, _ = _response(p).scan(window, n_scan)
+    grid = _scan_grid(window, n_scan)
+    gains = _response(p).gains(grid)[0]
     i = int(np.nanargmin(gains))
     return float(grid[i]), float(gains[i])
 
@@ -621,10 +633,10 @@ def find_beam_splitter_point(
     quantum metrics at the polished point.  Raises NoCrossingError
     when the window contains no sign change of the flux balance.
     """
-    _check_scan(window, n_scan)
+    grid = _scan_grid(window, n_scan)
     # the scan, every flux balance and the output share one response
     response = _response(p)
-    grid, probe, conj = response.scan(window, n_scan)
+    probe, conj = response.gains(grid)
     # signs of the flux balance; a point whose gains overflowed has none, and
     # each gain is capped at 2, which keeps the sign, so that no sum overflows
     total = np.minimum(probe, 2.0) + np.minimum(conj, 2.0)
@@ -650,8 +662,8 @@ def find_beam_splitter_point(
     # scan holds the flux balance at both ends bit for bit
     ends = slice(bracket, bracket + 2)
     delta_star = _illinois(flux_balance, *grid[ends], *(probe[ends] + conj[ends] - 1.0))
-    # pair_output at delta_star, on the response already built
-    out = propagation.propagate_coupling(response.pair_blocks([delta_star])[0])
+    # pair_output at delta_star, kept for a pair_output call there
+    out = response.output(delta_star)
     return BeamSplitterPoint(delta_star, out.g_a, out.g_b, out.gemellity, out.gemellity_db)
 
 

@@ -2,6 +2,7 @@
 flux-neutral operating point."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -12,14 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from twinbeam import atomic, gaussian, propagation
+from twinbeam import atomic, cli, gaussian, propagation
 from twinbeam.atomic import (
     AtomicParams,
     CouplingMatrix,
     DegenerateSteadyStateError,
     NoCrossingError,
 )
-from twinbeam.configio import ConfigError, angular_from_mhz
+from twinbeam.configio import ConfigError, angular_from_mhz, mhz_from_angular
 
 from oracles import (
     exact_channel,
@@ -336,11 +337,12 @@ def test_generator_parts_plus_the_detuning_shift_match_the_generator(medium):
 
 def _count_builds(monkeypatch) -> dict:
     """Count the response lookups, the gain evaluations, the bordered 8x8
-    state solves, the stacked (n, 4, 4) sector SVDs and solves, and the
-    sector solves of more than one detuning, of the atomic model."""
+    state solves, the stacked (n, 4, 4) sector SVDs and solves, the
+    sector solves of more than one detuning and the quantum outputs
+    (propagate_coupling calls) of the atomic model."""
     calls = {
         "_response": 0, "_classical_gains": 0, "state_solve": 0, "sector_svd": 0,
-        "sector_solve": 0, "scan_solve": 0,
+        "sector_solve": 0, "scan_solve": 0, "output": 0,
     }
     for name in ("_response", "_classical_gains"):
 
@@ -360,8 +362,13 @@ def _count_builds(monkeypatch) -> dict:
         calls["sector_svd"] += np.shape(a)[1:] == (4, 4)
         return _original(a, *args, **kwargs)
 
+    def output(block, _original=propagation.propagate_coupling):
+        calls["output"] += 1
+        return _original(block)
+
     monkeypatch.setattr(np.linalg, "solve", solve)
     monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(propagation, "propagate_coupling", output)
     return calls
 
 
@@ -451,7 +458,8 @@ def test_the_steady_state_handed_out_is_a_copy():
     for array in (response.sector, response.sing_even, response.rho, response.sources):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    for array in response.scan(atomic._DEFAULT_WINDOW, 11):
+    # ... and so are the kept gains of the last grid
+    for array in response.gains(np.linspace(*atomic._DEFAULT_WINDOW, 11)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -474,6 +482,44 @@ def test_the_finders_share_one_window_scan(monkeypatch):
     assert calls["scan_solve"] == 4
     atomic._medium_response.cache_clear()
     assert atomic.find_beam_splitter_point(p) == point
+    # the chain a medium's analysis runs: gain curves on the default grid,
+    # both finders on the default window, the output at the root
+    atomic._medium_response.cache_clear()
+    calls.update(scan_solve=0, output=0)
+    grid = np.linspace(*atomic._DEFAULT_WINDOW, 251)
+    atomic.gain_curves(p, grid)
+    atomic.find_raman_dip(p)
+    point = atomic.find_beam_splitter_point(p)
+    assert (calls["scan_solve"], calls["output"]) == (1, 1)
+    root = dataclasses.replace(p, two_photon_detuning=point.delta)
+    solves = calls["sector_solve"]
+    out = atomic.pair_output(root)
+    assert (calls["sector_solve"], calls["output"]) == (solves, 1)
+    assert (out.g_a, out.g_b, out.gemellity) == (point.probe_gain, point.conj_gain, point.gemellity)
+    # a grid one bit away is scanned anew, and a detuning one float away solved anew
+    moved = grid.copy()
+    moved[-1] = math.nextafter(moved[-1], math.inf)
+    atomic.gain_curves(p, moved)
+    assert calls["scan_solve"] == 2
+    atomic.pair_output(dataclasses.replace(root, two_photon_detuning=math.nextafter(point.delta, 0.0)))
+    assert calls["output"] == 2
+    # the output kept at the root is a cold one, bit for bit (a float's repr
+    # round-trips, -0.0 included)
+    atomic._medium_response.cache_clear()
+    assert repr(atomic.pair_output(root)) == repr(out)
+
+
+def test_a_failing_output_is_not_kept(monkeypatch):
+    # at this depth the noise of the pair map leaves the float range
+    calls = _count_builds(monkeypatch)
+    p = AtomicParams(depth=1e6)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(propagation.OutputOverflowError) as caught:
+            atomic.pair_output(p)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] == "output overflows the float range (the added noise of the pair map)"
+    assert calls["output"] == 2
 
 
 def test_the_root_search_takes_its_bracket_ends_from_the_scan(monkeypatch):
@@ -702,7 +748,7 @@ _POINT_BITS = {
     11: ("-0x1.3cef5a9bc1ba9p+28", "0x1.d027a2090f916p-1", "0x1.7ec2efb783738p-4", "0x1.1b78ff72d200dp-1"),
     12: ("-0x1.02ad2d8c21a2ap+28", "0x1.cd0ddf6e1fa4ap-1", "0x1.9791048f02d9ep-4", "0x1.15e250f1de194p-1"),
     13: ("-0x1.08c2fb6c224abp+28", "0x1.d49780a47e404p-1", "0x1.5b43fadc0dfe6p-4", "0x1.22737b0f01cb0p-1"),
-    14: ("-0x1.337f7d595dd5ap+28", "0x1.ca8dab1b3f427p-1", "0x1.ab92a72605eb9p-4", "0x1.12349525f7261p-1"),
+    14: ("-0x1.337f7d595dd5bp+28", "0x1.ca8dab1b3f428p-1", "0x1.ab92a72605ed4p-4", "0x1.12349525f7257p-1"),
     15: ("-0x1.22a09fd6abf03p+28", "0x1.d2c8037da1e97p-1", "0x1.69bfe412f0b18p-4", "0x1.1f34accab6308p-1"),
     16: ("-0x1.58e1f499b63a4p+28", "0x1.d545d8eaf99e6p-1", "0x1.55d138a8330b8p-4", "0x1.23df8bc8ffb29p-1"),
     17: ("-0x1.2dcbfea511b04p+28", "0x1.cf1e6becbbaf9p-1", "0x1.870ca09a2283ap-4", "0x1.19c3438aeb852p-1"),
@@ -737,6 +783,42 @@ def test_beam_splitter_points_are_pinned_to_the_bit():
         point = atomic.find_beam_splitter_point(p)
         got = tuple(float(v).hex() for v in (point.delta, point.probe_gain, point.conj_gain, point.gemellity))
         assert got == bits, medium
+
+
+def test_medium_14s_root_moved_toward_the_40_digit_balance():
+    # the default window's upper end was TWO_PI * 50e6, one ulp below the
+    # CLI's angular_from_mhz(50.0); on that grid this root lay one float up
+    p = _pool_medium(14)
+    old, new = float.fromhex("-0x1.337f7d595dd5ap+28"), float.fromhex(_POINT_BITS[14][0])
+    assert new == math.nextafter(old, -math.inf)
+    assert abs(mpmath_flux_balance(p, new)) < abs(mpmath_flux_balance(p, old))
+
+
+@pytest.mark.parametrize("medium", [None, 14], ids=["default", "14"])
+def test_the_default_window_is_the_cli_s(medium, tmp_path, capsys):
+    lo, hi, points = cli._window({}, "window", "min_MHz", "max_MHz")
+    assert tuple(x.hex() for x in atomic._DEFAULT_WINDOW) == (
+        angular_from_mhz(lo).hex(), angular_from_mhz(hi).hex()
+    )
+    for finder in (atomic.find_raman_dip, atomic.find_beam_splitter_point):
+        assert finder.__defaults__ == (atomic._DEFAULT_WINDOW, points)
+    # the library's default point is the one the command prints; JSON
+    # floats round-trip
+    p = AtomicParams() if medium is None else _pool_medium(medium)
+    argv = ["beam-splitter", "--format", "json"]
+    if medium is not None:
+        omega, big, depth = _pool_values(medium)
+        cfg = tmp_path / "medium.cfg"
+        cfg.write_text(f"[atomic]\nOmega_MHz = {omega!r}\nDelta_MHz = {big!r}\ndepth = {depth!r}\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    point = atomic.find_beam_splitter_point(p)
+    assert row == {
+        "delta_MHz": mhz_from_angular(point.delta), "G_a": point.probe_gain,
+        "G_b": point.conj_gain, "sum": point.probe_gain + point.conj_gain,
+        "gemellity": point.gemellity, "gemellity_dB": point.gemellity_db,
+    }
 
 
 def test_a_pinned_root_ends_the_polish(monkeypatch):
@@ -906,12 +988,18 @@ def _flux_balance_and_bracket(p: AtomicParams):
     return flux_balance, grid[i], grid[i + 1]
 
 
+def _pool_values(member: int) -> tuple[float, float, float]:
+    """(Omega_MHz, Delta_MHz, depth) of a member of the benchmark's fixed
+    media pool (perfbench/inputs.py)."""
+    rng = np.random.default_rng([0, 1, member])
+    return tuple(
+        float(rng.uniform(lo, hi)) for lo, hi in ((380.0, 460.0), (750.0, 850.0), (400.0, 600.0))
+    )
+
+
 def _pool_medium(member: int) -> AtomicParams:
     """A member of the benchmark's fixed media pool (perfbench/inputs.py)."""
-    rng = np.random.default_rng([0, 1, member])
-    omega, big, depth = (
-        rng.uniform(lo, hi) for lo, hi in ((380.0, 460.0), (750.0, 850.0), (400.0, 600.0))
-    )
+    omega, big, depth = _pool_values(member)
     return AtomicParams(rabi_frequency=mhz(omega), one_photon_detuning=mhz(big), depth=depth)
 
 
