@@ -6,22 +6,39 @@ beams.  A lumped amplifier-plus-loss model sets the benchmark at unit
 total transmission, exact segment maps handle distributed gain and
 loss, a dressed four-level atom supplies the microscopic gain curves,
 and the traces module turns measured spectra into the same metrics.
+
+Importing the package loads none of its modules: a module loads on its
+first import or access, and a re-exported name on its first access
+(PEP 562), so each CLI command pays only for the modules it runs.
 """
 
-from . import atomic, configio, gaussian, lumped, metrics, propagation, traces
-from .atomic import *  # noqa: F403
-from .configio import *  # noqa: F403
-from .gaussian import *  # noqa: F403
-from .lumped import *  # noqa: F403
-from .metrics import *  # noqa: F403
-from .propagation import *  # noqa: F403
-from .traces import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-# each public name is declared once, in its module's __all__
-__all__ = ["__version__"] + [
-    name
-    for module in (atomic, configio, gaussian, lumped, metrics, propagation, traces)
-    for name in module.__all__
-]
+_MODELS = ("atomic", "configio", "gaussian", "lumped", "metrics", "propagation", "traces")
+_exports: dict = {}
+
+
+def __getattr__(name: str):
+    # a submodule first: `from twinbeam import cli` asks for the attribute
+    # `cli`, and reading the export table would load every model module
+    if name in _MODELS or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if not _exports:
+        # each public name is declared once, in its module's __all__
+        for short in _MODELS:
+            module = importlib.import_module(f"{__name__}.{short}")
+            _exports.update(dict.fromkeys(module.__all__, module))
+    if name == "__all__":
+        value = ["__version__", *_exports]
+    elif name in _exports:
+        value = getattr(_exports[name], name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODELS, *__getattr__("__all__")})

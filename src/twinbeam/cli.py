@@ -12,21 +12,20 @@ Exit codes: 0 success, 2 validation error (bad flags, malformed config
 or trace data, a config frequency with no float in rad/s), 3 computation
 error (no flux-neutral crossing, degenerate steady state,
 non-convergence, a finite medium whose generator overflows, an inferred
-correlation or gemellity with no float value).
+correlation or gemellity with no float value, an output gemellity that
+cancels to within its rounding bound of 0).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, atomic, lumped, propagation, traces
+from . import __version__
 from .configio import (
     ConfigError,
     angular_from_mhz,
@@ -39,6 +38,10 @@ from .configio import (
 )
 
 __all__ = ["main"]
+
+# each command imports the model modules it runs in its handler, and hashlib
+# and json load only where a digest or a JSON document is made: a command
+# pays only for its own modules at start-up
 
 
 # one config file may serve several commands; each command reads its
@@ -60,6 +63,7 @@ def _load_config(path: str | None) -> tuple[dict[str, dict[str, str]], str | Non
                 f"unknown section [{name}] in {path}; "
                 f"expected one of {', '.join(sorted(_KNOWN_SECTIONS))}"
             )
+    import hashlib
     return sections, hashlib.sha256(raw).hexdigest()
 
 
@@ -107,6 +111,7 @@ def _emit(args, command: str, columns: dict[str, list], summary: dict, config_sh
         "seed": getattr(args, "seed", None),
     }
     if args.format == "json":
+        import json
         rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
         document = {"metadata": metadata, "summary": summary, "rows": rows}
         text = json.dumps(document, indent=2) + "\n"
@@ -119,6 +124,7 @@ def _emit(args, command: str, columns: dict[str, list], summary: dict, config_sh
 
 
 def cmd_lumped_optimize(args) -> int:
+    from . import lumped
     opt = lumped.optimize_unit_transmission()
     columns = {
         "gain": [opt.config.gain],
@@ -136,6 +142,7 @@ def cmd_lumped_optimize(args) -> int:
 
 
 def cmd_sweep_delta(args) -> int:
+    from . import atomic, propagation
     sections, digest = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
     lo, hi, points = _window(sections, "sweep", "delta_min_MHz", "delta_max_MHz")
@@ -157,6 +164,7 @@ def cmd_sweep_delta(args) -> int:
 
 
 def cmd_beam_splitter(args) -> int:
+    from . import atomic
     sections, digest = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
     lo, hi, points = _window(sections, "window", "min_MHz", "max_MHz")
@@ -178,6 +186,7 @@ def cmd_beam_splitter(args) -> int:
 
 
 def cmd_beat_limit(args) -> int:
+    from . import propagation
     sections, digest = _load_config(args.config)
     search = sections.get("search", {})
     check_keys(search, "search", {"segments", "restarts", "rate_bound", "feasibility_tol"})
@@ -215,6 +224,9 @@ def cmd_beat_limit(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    import hashlib
+
+    from . import traces
     raw = Path(args.traces).read_bytes()  # one read, hashed and parsed
     digest = hashlib.sha256(raw).hexdigest()
     text = raw.decode()

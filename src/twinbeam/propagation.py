@@ -20,8 +20,9 @@ projectors of B or, for near eigenvalues, through the Cayley-Hamilton
 form.  `_pair_outputs` reads the fluxes, the noise figures and the
 gemellity of each map in the pair basis, after one CP check per map in
 its complex 2x2 form; it names the first point whose output leaves the
-float range.  Both guard each point against that range only where a
-stack-wide bound, a few numpy calls, does not clear the whole stack.
+float range, or whose gemellity cancels to no correct digit.  Both guard
+each point against that range only where a stack-wide bound, a few numpy
+calls, does not clear the whole stack.
 Segments compose as (M2 M1, M2 Q1 M2^dag + Q2).  This engine gives every
 reported result (`propagate_exact`, `propagate_coupling`, and the
 `sweep-delta` grid), and no quadrature state or channel is built on its
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import gaussian, lumped
+from . import gaussian
 from .metrics import NoiseFigures, _flux_weighted_difference_noise, _gemellity
 
 __all__ = [
@@ -66,6 +67,7 @@ __all__ = [
     "PropagationResult",
     "SearchResult",
     "OutputOverflowError",
+    "GemellityRoundingError",
     "slab_channel",
     "coupling_slab_channel",
     "propagate",
@@ -80,6 +82,10 @@ _MAX_SQUEEZE_PER_SLAB = 0.5
 
 class OutputOverflowError(RuntimeError):
     """A propagated output leaves the float range."""
+
+
+class GemellityRoundingError(RuntimeError):
+    """An output's gemellity cancels below the rounding of its noise figures."""
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -575,7 +581,9 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
 
     The first point that fails, in the order a single point meets the
     checks, raises: OutputOverflowError naming the quantity that leaves the
-    float range, followed by place(i), or the CP check's ValueError.
+    float range, followed by place(i), or the CP check's ValueError.  Where
+    every point passes those, the first whose gemellity cancels to within
+    its rounding bound of 0 raises GemellityRoundingError, followed by place(i).
     """
     # the largest real or imaginary part of M and of Q.  Where M's passes
     # 2^510 or Q's 2^1020, K = M M^dag + Q might not be a float, and its
@@ -607,7 +615,20 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     phase = np.exp(-1j * (np.angle(transfer[:, 0, 0]) - np.angle(transfer[:, 1, 0])))
     c_ab = np.minimum(np.maximum((phase * cov[:, 0, 1]).real / np.sqrt(f_a * f_b), -1.0), 1.0)
     gem = _gemellity(f_a, f_b, c_ab)
-    gem_db = 10.0 * np.log10(gem, out=np.full_like(gem, -np.inf), where=gem > 0.0)
+    # each sum, product and the root of `_gemellity` rounds once, and its root
+    # is at most S = (F_a + F_b)/2, so they move the gemellity by at most 5u S,
+    # u = 2^-53; near a gemellity of 0, |c_ab| is near 1 and its own roundings,
+    # about 8u, move the root by about 8u S more.  A gemellity within
+    # 16u S = 4 eps (F_a + F_b) of 0 has no correct digit
+    bound = 4.0 * sys.float_info.epsilon * (f_a + f_b)
+    lost = ~(gem > bound)
+    if lost.any():
+        i = int(np.flatnonzero(lost)[0])
+        raise GemellityRoundingError(
+            f"gemellity {gem[i]:.6e} is within the rounding bound {bound[i]:.6e} of "
+            f"the noise figures {f_a[i]:.6e} and {f_b[i]:.6e}, with no correct digit{place(i)}"
+        )
+    gem_db = 10.0 * np.log10(gem)
     g_a, g_b = _fluxes(transfer[:, :, 0]).T
     return _PairOutputs(g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
 
@@ -926,6 +947,8 @@ def search_beyond_lumped_limit(
     rates = [0.0] * dim if best_feasible is None else best_feasible[1]
     profile = SlabProfile(tuple(Slab(dz, *rates[3 * k : 3 * k + 3]) for k in range(n_segments)))
     result = propagate_exact(profile)
+    from . import lumped  # the one use of lumped; the atomic commands load none
+
     found = (
         best_feasible is not None
         and result.gemellity < lumped.optimize_unit_transmission().gemellity

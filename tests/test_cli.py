@@ -597,6 +597,23 @@ def test_computation_failures_exit_with_3(tmp_path, capsys):
         )
 
 
+def test_a_gemellity_lost_to_rounding_exits_with_3(tmp_path, capsys):
+    # at depth 1e5 the noise figures reach 1e31 while the gemellity stays near
+    # -30 dB; from -11.6 MHz on (F_a = 3.0e15, -25.46 dB at 60 digits) the
+    # gemellity's cancellation leaves no correct digit, where the sweep
+    # printed -inf there and +153.5 dB at -1.2 MHz (-31.60 dB at 60 digits)
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[atomic]\ndepth = 1e5\n")
+    for fmt in ("csv", "json"):
+        assert run(capsys, ["sweep-delta", "--config", str(cfg), "--format", fmt]) == (
+            3,
+            "",
+            "error: gemellity 0.000000e+00 is within the rounding bound 5.326146e+00 of the "
+            "noise figures 2.989989e+15 and 3.006718e+15, with no correct digit "
+            "at two-photon detuning -11.6 MHz\n",
+        )
+
+
 def _overflowing(section, key, value):
     return f"section [{section}], key {key!r}: {value} MHz overflows the float range in rad/s"
 

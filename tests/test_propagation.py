@@ -8,6 +8,7 @@ beyond-the-lumped-limit search, and profile files."""
 import dataclasses
 import itertools
 import math
+import sys
 import types
 
 import mpmath
@@ -461,11 +462,17 @@ def _one_point_bits(blocks, i):
 
 # Beside the default sweep's generators, which the stack-wide bound clears:
 # an eigenvalue of real part 175, where no guard fires but neither bound
-# clears its stack, and a generator whose transfer leaves the float range
-_COMPANIONS = [np.diag([175.0, -1.0]).astype(complex), 1e4 * np.array([[-0.7, -0.2j], [0.2, 0.04 - 0.4j]])]
+# clears its stack, a generator whose transfer leaves the float range, and
+# eigenvalues of real part 175 in both beams.  With the probe's alone, the
+# gemellity of 1 cancels to 0 beside a noise figure of 2e152
+_COMPANIONS = [
+    np.diag([175.0, -1.0]).astype(complex),
+    1e4 * np.array([[-0.7, -0.2j], [0.2, 0.04 - 0.4j]]),
+    np.diag([175.0, 175.0]).astype(complex),
+]
 
 
-@pytest.mark.parametrize("companion", _COMPANIONS, ids=["unguarded_175", "overflowing"])
+@pytest.mark.parametrize("companion", _COMPANIONS, ids=["unguarded_175", "overflowing", "unguarded_175_both"])
 def test_tame_points_keep_their_bits_beside_guarded_ones(companion):
     tame = _default_sweep_blocks(slice(None, None, 25))
     stack = np.concatenate([tame[:6], companion[None], tame[6:]])
@@ -476,7 +483,10 @@ def test_tame_points_keep_their_bits_beside_guarded_ones(companion):
     for i in rows:
         assert propagation._tame(stack[i : i + 1])
         assert _one_point_bits(stack, i) == _one_point_bits(stack[i : i + 1], 0)
-    if not maps[2].any():
+    if companion is _COMPANIONS[0]:
+        with pytest.raises(propagation.GemellityRoundingError, match="no correct digit at point 6$"):
+            propagation._pair_outputs(*maps, place=lambda i: f" at point {i}")
+    elif not maps[2].any():
         out = propagation._pair_outputs(*maps)
         for i in rows:
             one = propagation._pair_outputs(*propagation._pair_maps(stack[i : i + 1]))
@@ -666,10 +676,18 @@ def test_pair_cp_check_scales_its_tolerance_with_the_map():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=3))
 @example([(2.2250738585e-313, 0.0, 2.2250738585e-313)])  # subnormal g and h
+@example([(9.0, 0.0, 0.0)])  # a squeezer, F = 3.3e7 and gemellity 1 / F
 def test_search_objective_matches_propagate_exact(rates):
     profile = SlabProfile(tuple(Slab(1.0 / len(rates), *r) for r in rates))
-    (gem, infeasibility), _ = propagation._pair_objective(_flat(rates), 1.0 / len(rates))
-    exact = propagation.propagate_exact(profile)
+    (gem, infeasibility), (_, folds) = propagation._pair_objective(_flat(rates), 1.0 / len(rates))
+    try:
+        exact = propagation.propagate_exact(profile)
+    except propagation.GemellityRoundingError:
+        # the exact gemellity cancels to within its rounding of 0, far inside
+        # the bound below; the objective's cancels as far
+        (a, b, c, d), (x, _, z) = folds[-1]
+        assert abs(gem) <= 1e-13 * max(1.0, a * a + b * b + x, c * c + d * d + z)
+        return
     # both cancel fluxes of the size of the noise figures
     size = max(1.0, exact.figures.f_a, exact.figures.f_b)
     assert gem == pytest.approx(exact.gemellity, rel=0.0, abs=1e-13 * size)
@@ -765,6 +783,38 @@ def test_atomic_maps_match_an_80_digit_reference():
         want = propagation._result(*(_as_array(x)[None] for x in pair))
         res = propagation.propagate_coupling(block)
         assert res.gemellity_db == pytest.approx(want.gemellity_db, rel=0.0, abs=1e-12)
+
+
+def _mpmath_gemellity(block):
+    """The gemellity of a generator's pair map at 60 digits, read in the pair
+    basis as `_pair_outputs` reads it."""
+    _, (m, q) = mpmath_pair_maps([(block, 1.0)], 60)
+    with mpmath.workdps(60):
+        k = m * m.H + q
+        f_a, f_b = mpmath.re(k[0, 0]), mpmath.re(k[1, 1])
+        c = mpmath.re(mpmath.exp(-1j * (mpmath.arg(m[0, 0]) - mpmath.arg(m[1, 0]))) * k[0, 1])
+        return float((f_a + f_b) / 2 - mpmath.sqrt(c * c + ((f_a - f_b) / 2) ** 2))
+
+
+def test_a_deep_sweep_prints_only_gemellities_above_their_rounding():
+    # the sweep-delta grid at depth 1e5, where the noise figures reach 1e31
+    blocks = atomic.sideband_blocks(
+        atomic.params_from_mapping({"depth": "1e5"}), angular_from_mhz(np.linspace(-150.0, 50.0, 251))
+    )
+    # -14, -12.4, 25.2, 26 and 27.6 MHz pass, with F_a of 3.6, 7e8, 3e11, 9e9
+    # and 9e5; each is within the check's rounding bound of its 60-digit
+    # value.  25.2 MHz passes at 1.2 times the bound, 1.7 % off
+    rows = [170, 172, 219, 220, 222]
+    out = propagation._pair_outputs(*propagation._pair_maps(blocks[rows]))
+    for i, block in enumerate(blocks[rows]):
+        bound = 4.0 * sys.float_info.epsilon * (out.f_a[i] + out.f_b[i])
+        assert abs(out.gemellity[i] - _mpmath_gemellity(block)) <= bound, rows[i]
+    # -1.2 MHz printed +153.5 dB, at F_a = 4.9e30, where its gemellity is
+    # -31.60 dB; 24.4 MHz, next to 25.2, printed -inf
+    assert 10.0 * math.log10(_mpmath_gemellity(blocks[186])) == pytest.approx(-31.60, abs=0.005)
+    for row in (186, 218):
+        with pytest.raises(propagation.GemellityRoundingError, match=r"with no correct digit at row 0$"):
+            propagation._pair_outputs(*propagation._pair_maps(blocks[[row]]), place=lambda i: f" at row {i}")
 
 
 def _count_channel_calls(monkeypatch):

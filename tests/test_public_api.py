@@ -14,10 +14,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twinbeam
 from twinbeam import cli
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _modules():
@@ -44,6 +47,12 @@ def test_benchmark_layers_name_exported_functions():
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, f"{module_name}.{attr}"
 
 
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on the source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(twinbeam.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+
+
 def test_the_package_declares_no_name_of_its_own():
     # each public name is declared once, in its module's __all__; the package
     # re-exports every model module's names and nothing of the CLI
@@ -51,10 +60,78 @@ def test_the_package_declares_no_name_of_its_own():
     names = ["__version__", *(name for module in models for name in module.__all__)]
     assert len(set(names)) == len(names)
     assert sorted(twinbeam.__all__) == sorted(names)
-    code = "import sys, twinbeam; print(' '.join(sorted(m for m in sys.modules if 'twinbeam' in m)))"
-    env = {**os.environ, "PYTHONPATH": str(Path(twinbeam.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == sorted(["twinbeam", *(module.__name__ for module in models)])
+    # importing the package loads none of its modules, and no numpy
+    code = "import sys, twinbeam; print(*sorted(m for m in sys.modules if m.startswith(('twinbeam', 'numpy'))))"
+    out = _fresh(code)
+    assert (out.returncode, out.stderr, out.stdout.split()) == (0, "", ["twinbeam"])
+
+
+# The launcher's own line: a fresh process imports the CLI and runs one command
+_LAUNCH = """
+import sys
+from twinbeam import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, 'hashlib' in sys.modules, *sorted(m[9:] for m in sys.modules if m.startswith('twinbeam.')))
+"""
+_BASE = ("cli", "configio")
+_ATOMIC = (*_BASE, "atomic", "propagation", "metrics", "gaussian")
+
+
+@pytest.mark.parametrize(
+    "argv, modules, digest",
+    [
+        (["lumped-optimize"], (*_BASE, "lumped", "metrics", "gaussian"), False),
+        (["analyze", "TRACES", "--probe-frac", "0.5", "--conj-frac", "0.5"],
+         (*_BASE, "traces", "metrics", "gaussian"), True),
+        (["beam-splitter"], _ATOMIC, False),
+        (["beam-splitter", "--config", "CONFIG"], _ATOMIC, True),
+        (["sweep-delta"], _ATOMIC, False),
+        (["sweep-delta", "--config", "CONFIG"], _ATOMIC, True),
+        # numpy's seeding loads hashlib, config or not
+        (["beat-limit", "--seed", "0"],
+         (*_BASE, "propagation", "metrics", "gaussian", "lumped"), True),
+        (["--help"], _BASE, False),
+        (["sweep-delta", "--no-such-flag"], _BASE, False),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_each_command_loads_only_its_modules(tmp_path, argv, modules, digest):
+    config = tmp_path / "medium.cfg"
+    config.write_text("[atomic]\ndepth = 500\n")
+    paths = {"CONFIG": str(config), "TRACES": str(GOLDEN / "analyze_traces.csv")}
+    out = _fresh(_LAUNCH, *(paths.get(arg, arg) for arg in argv))
+    code, hashed, *loaded = out.stdout.splitlines()[-1].split()
+    assert int(code) == (2 if "--no-such-flag" in argv else 0), out.stderr
+    assert sorted(loaded) == sorted(modules)
+    assert hashed == str(digest)
+
+
+def test_the_public_surface_survives_laziness():
+    # in one fresh process, the package's names resolve lazily to the
+    # objects of their modules
+    code = """
+import importlib, twinbeam
+assert twinbeam.atomic is importlib.import_module("twinbeam.atomic")
+for short in ("atomic", "configio", "gaussian", "lumped", "metrics", "propagation", "traces"):
+    module = importlib.import_module("twinbeam." + short)
+    for name in module.__all__:
+        assert getattr(twinbeam, name) is getattr(module, name), name
+names = {}
+exec("from twinbeam import *", names)
+assert sorted(set(names) - {"__builtins__"}) == sorted(twinbeam.__all__)
+assert set(twinbeam.__all__) <= set(dir(twinbeam))
+try:
+    twinbeam.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("twinbeam.no_such_name resolved")
+"""
+    out = _fresh(code)
+    assert (out.returncode, out.stderr) == (0, "")
 
 
 def test_every_exported_name_resolves():
