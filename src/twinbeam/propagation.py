@@ -664,16 +664,14 @@ def _pair_segment(length: float, g: float, alpha_a: float, alpha_b: float) -> tu
     m = -(alpha_a + alpha_b) / 4.0
     h = (alpha_b - alpha_a) / 4.0
     r = math.hypot(h, g)
-
-    def phi(rate):
-        return math.expm1(rate * length) / rate if rate != 0.0 else length
-
+    q = 2.0 * m
+    p0 = math.expm1(q * length) / q if q != 0.0 else length
     if r < 1e-300:
         # B = m I: a common loss, alpha_a == alpha_b.  Below 1e-300, h and g
         # may be subnormal, too coarse for the rotation, while r L is still
         # negligible beside 1
         em = math.exp(m * length)
-        return (em, 0.0, 0.0, em), (alpha_a * phi(2.0 * m), 0.0, alpha_b * phi(2.0 * m))
+        return (em, 0.0, 0.0, em), (alpha_a * p0, 0.0, alpha_b * p0)
     # squared cosine and sine of the rotation angle, each formed without
     # cancellation; both are >= 0 since g >= 0
     if h >= 0.0:
@@ -683,9 +681,10 @@ def _pair_segment(length: float, g: float, alpha_a: float, alpha_b: float) -> tu
     cs = g / (2.0 * r)
     e1, e2 = math.exp((m + r) * length), math.exp((m - r) * length)
     off = g * math.exp(m * length) * math.sinh(r * length) / r
-    f11 = (c2 * alpha_a + s2 * alpha_b) * phi(2.0 * (m + r))
-    f22 = (s2 * alpha_a + c2 * alpha_b) * phi(2.0 * (m - r))
-    f12 = cs * (alpha_b - alpha_a) * phi(2.0 * m)
+    q, p = 2.0 * (m + r), 2.0 * (m - r)  # p < 0: m <= 0 < r
+    f11 = (c2 * alpha_a + s2 * alpha_b) * (math.expm1(q * length) / q if q != 0.0 else length)
+    f22 = (s2 * alpha_a + c2 * alpha_b) * (math.expm1(p * length) / p)
+    f12 = cs * (alpha_b - alpha_a) * p0
     transfer = (c2 * e1 + s2 * e2, off, off, s2 * e1 + c2 * e2)
     noise = (
         c2 * f11 + s2 * f22 - 2.0 * cs * f12,
@@ -695,34 +694,17 @@ def _pair_segment(length: float, g: float, alpha_a: float, alpha_b: float) -> tu
     return transfer, noise
 
 
-def _pair_compose(second: tuple, first: tuple) -> tuple[tuple, tuple]:
-    """Pair map applying `first` then `second`: (M2 M1, M2 Q1 M2^t + Q2)."""
-    (a, b, c, d), (x2, y2, z2) = second
-    (a1, b1, c1, d1), (x, y, z) = first
-    u, v = a * x + b * y, a * y + b * z
-    w, t = c * x + d * y, c * y + d * z
-    transfer = (a * a1 + b * c1, a * b1 + b * d1, c * a1 + d * c1, c * b1 + d * d1)
-    noise = (u * a + v * b + x2, u * c + v * d + y2, w * c + t * d + z2)
-    return transfer, noise
-
-
-def _pair_cp_defect(pair: tuple) -> float:
-    """`gaussian.cp_defect` of the lifted channel, the least eigenvalue of
-    Q +- (eta - M eta M^t), eta = diag(1, -1)."""
+def _check_pair_cp(pair: tuple) -> None:
+    """The CP check of `gaussian.GaussianChannel` on a pair map, of the least
+    eigenvalue of Q +- (eta - M eta M^t), eta = diag(1, -1); its scale
+    max(1, max|T|^2, max|N|) is at least 1, so only a defect below -tol needs it."""
     (a, b, c, d), (x, y, z) = pair
     wx, wy, wz = 1.0 - a * a + b * b, b * d - a * c, d * d - c * c - 1.0
     # the least eigenvalue of [[u, v], [v, w]] is (u + w)/2 - hypot((u - w)/2, v)
     px, py, pz, mx, my, mz = x + wx, y + wy, z + wz, x - wx, y - wy, z - wz
-    return min(
-        0.5 * (px + pz) - math.hypot(0.5 * (px - pz), py),
-        0.5 * (mx + mz) - math.hypot(0.5 * (mx - mz), my),
-    )
-
-
-def _check_pair_cp(pair: tuple) -> None:
-    """The CP check of `gaussian.GaussianChannel`, on a pair map; its scale
-    max(1, max|T|^2, max|N|) is at least 1, so only a defect below -tol needs it."""
-    defect = _pair_cp_defect(pair)
+    defect = 0.5 * (px + pz) - math.hypot(0.5 * (px - pz), py)
+    other = 0.5 * (mx + mz) - math.hypot(0.5 * (mx - mz), my)
+    defect = other if other < defect else defect  # min's pick, NaN too
     if defect < -gaussian._CP_TOL:
         gaussian._require_cp(defect, max(1.0, max(map(abs, pair[0])) ** 2, max(map(abs, pair[1]))))
 
@@ -730,9 +712,10 @@ def _check_pair_cp(pair: tuple) -> None:
 def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
     """(Gemellity, |G_a + G_b - 1|) for a unit coherent probe seed, and the
     segment maps and their products folds[k] = S_k ... S_0, of segments with
-    rates (g, alpha_a, alpha_b) each.  The numbers `propagate_exact` reports;
-    every map passes the CP check.  Given an incumbent's (maps, folds) that
-    differ only in segment `moved`, that segment alone is mapped.
+    rates (g, alpha_a, alpha_b) each, scored in one pass of float arithmetic.
+    The numbers `propagate_exact` reports; every map passes the CP check.
+    Given an incumbent's (maps, folds) that differ only in segment `moved`,
+    that segment alone is mapped.
     """
     n = len(rates) // 3
     maps, folds = (incumbent[0].copy(), incumbent[1][:moved]) if incumbent else ([None] * n, [])
@@ -740,14 +723,23 @@ def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
         if incumbent is None or k == moved:
             maps[k] = _pair_segment(length, *rates[3 * k : 3 * k + 3])
             _check_pair_cp(maps[k])
-        folds.append(_pair_compose(maps[k], folds[-1]) if k else maps[0])
+        if not k:
+            folds.append(maps[0])
+            continue
+        # S_k after folds[k - 1]: M2 M1, M2 Q1 M2^t + Q2
+        (a, b, c, d), (x2, y2, z2) = maps[k]
+        (a1, b1, c1, d1), (x, y, z) = folds[-1]
+        u, v, w, t = a * x + b * y, a * y + b * z, c * x + d * y, c * y + d * z
+        transfer = (a * a1 + b * c1, a * b1 + b * d1, c * a1 + d * c1, c * b1 + d * d1)
+        folds.append((transfer, (u * a + v * b + x2, u * c + v * d + y2, w * c + t * d + z2)))
     if n > 1:
         _check_pair_cp(folds[-1])
     (a, b, c, d), (x, y, z) = folds[-1]
     # the seed's vacuum noise M M^t plus the added noise; both output
     # means are real and nonnegative, so X is the amplitude quadrature
     n_a, n_b, cov = a * a + b * b + x, c * c + d * d + z, a * c + b * d + y
-    corr = min(max(cov / math.sqrt(n_a * n_b), -1.0), 1.0)
+    r = cov / math.sqrt(n_a * n_b)
+    corr = -1.0 if r < -1.0 else 1.0 if r > 1.0 else r  # min(max(r, -1), 1), NaN too
     return (_gemellity(n_a, n_b, corr), abs(a * a + c * c - 1.0)), (maps, folds)
 
 
@@ -846,10 +838,10 @@ def search_beyond_lumped_limit(
     1961) over piecewise-constant profiles (n_segments equal segments,
     rates in [0, rate_bound]) with an escalating penalty on
     |G_a + G_b - 1|, evaluated on the closed-form pair maps of the rate
-    vector, with no per-evaluation dataclass (a candidate whose map
-    overflows the floating-point range scores as infeasible).  A candidate
-    remaps only the segment it moves, reusing the incumbent's other maps
-    and their running products.  evaluations counts the candidates scored:
+    vector; a candidate is scored in one pass of float arithmetic (one
+    whose map overflows the float range scores as infeasible).  It remaps
+    only the segment it moves, reusing the incumbent's other maps and
+    their running products.  evaluations counts the candidates scored:
     a point whose score is held at the current penalty (the incumbent, the
     point it replaced, a probe it rejected) is not scored again.  The
     reported result is `propagate_exact` of the best feasible profile.

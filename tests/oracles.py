@@ -1,7 +1,7 @@
 """Reference constructions the tests hold the package's fast paths against:
-channels built from its quadrature objects, and high-precision mpmath
-evaluations of the atomic response, the pair maps and the measurement
-inversion."""
+channels built from its quadrature objects, the search objective as
+separate helper calls, and high-precision mpmath evaluations of the atomic
+response, the pair maps and the measurement inversion."""
 
 import dataclasses
 import functools
@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 
 from twinbeam import atomic, gaussian, propagation
+from twinbeam.metrics import _gemellity
 
 
 def cascade_state(config):
@@ -63,6 +64,93 @@ def slab_state(profile, subdivisions):
     return output_state(
         _chain(propagation._segment_channel(s, subdivisions) for s in profile.slabs)
     )
+
+
+# The search objective as separate helper calls: a segment map whose phi
+# is a closure, a compose, a CP defect taken with min and a clamp taken with
+# min and max.  `propagation._pair_objective` does the same float operations
+# in the same order in one pass, so it must agree to the bit, exceptions and
+# NaNs included.
+
+
+def pair_segment(length, g, alpha_a, alpha_b):
+    """Closed-form (M, Q) of one segment, as `propagation._pair_segment`."""
+    m = -(alpha_a + alpha_b) / 4.0
+    h = (alpha_b - alpha_a) / 4.0
+    r = math.hypot(h, g)
+
+    def phi(rate):
+        return math.expm1(rate * length) / rate if rate != 0.0 else length
+
+    if r < 1e-300:
+        em = math.exp(m * length)
+        return (em, 0.0, 0.0, em), (alpha_a * phi(2.0 * m), 0.0, alpha_b * phi(2.0 * m))
+    if h >= 0.0:
+        c2, s2 = (r + h) / (2.0 * r), g / r * g / (2.0 * (r + h))
+    else:
+        c2, s2 = g / r * g / (2.0 * (r - h)), (r - h) / (2.0 * r)
+    cs = g / (2.0 * r)
+    e1, e2 = math.exp((m + r) * length), math.exp((m - r) * length)
+    off = g * math.exp(m * length) * math.sinh(r * length) / r
+    f11 = (c2 * alpha_a + s2 * alpha_b) * phi(2.0 * (m + r))
+    f22 = (s2 * alpha_a + c2 * alpha_b) * phi(2.0 * (m - r))
+    f12 = cs * (alpha_b - alpha_a) * phi(2.0 * m)
+    transfer = (c2 * e1 + s2 * e2, off, off, s2 * e1 + c2 * e2)
+    noise = (
+        c2 * f11 + s2 * f22 - 2.0 * cs * f12,
+        cs * (f11 - f22) + (h / r) * f12,
+        s2 * f11 + c2 * f22 + 2.0 * cs * f12,
+    )
+    return transfer, noise
+
+
+def pair_compose(second, first):
+    """Pair map applying `first` then `second`: (M2 M1, M2 Q1 M2^t + Q2)."""
+    (a, b, c, d), (x2, y2, z2) = second
+    (a1, b1, c1, d1), (x, y, z) = first
+    u, v = a * x + b * y, a * y + b * z
+    w, t = c * x + d * y, c * y + d * z
+    transfer = (a * a1 + b * c1, a * b1 + b * d1, c * a1 + d * c1, c * b1 + d * d1)
+    noise = (u * a + v * b + x2, u * c + v * d + y2, w * c + t * d + z2)
+    return transfer, noise
+
+
+def pair_cp_defect(pair):
+    """`gaussian.cp_defect` of the lifted channel, the least eigenvalue of
+    Q +- (eta - M eta M^t), eta = diag(1, -1)."""
+    (a, b, c, d), (x, y, z) = pair
+    wx, wy, wz = 1.0 - a * a + b * b, b * d - a * c, d * d - c * c - 1.0
+    # the least eigenvalue of [[u, v], [v, w]] is (u + w)/2 - hypot((u - w)/2, v)
+    px, py, pz, mx, my, mz = x + wx, y + wy, z + wz, x - wx, y - wy, z - wz
+    return min(
+        0.5 * (px + pz) - math.hypot(0.5 * (px - pz), py),
+        0.5 * (mx + mz) - math.hypot(0.5 * (mx - mz), my),
+    )
+
+
+def check_pair_cp(pair):
+    """`propagation._check_pair_cp` on `pair_cp_defect`."""
+    defect = pair_cp_defect(pair)
+    if defect < -gaussian._CP_TOL:
+        gaussian._require_cp(defect, max(1.0, max(map(abs, pair[0])) ** 2, max(map(abs, pair[1]))))
+
+
+def pair_objective(rates, length, incumbent=None, moved=0):
+    """`propagation._pair_objective`: (gemellity, |G_a + G_b - 1|) and the
+    (maps, folds), remapping only segment `moved` of an incumbent."""
+    n = len(rates) // 3
+    maps, folds = (incumbent[0].copy(), incumbent[1][:moved]) if incumbent else ([None] * n, [])
+    for k in range(moved, n):
+        if incumbent is None or k == moved:
+            maps[k] = pair_segment(length, *rates[3 * k : 3 * k + 3])
+            check_pair_cp(maps[k])
+        folds.append(pair_compose(maps[k], folds[-1]) if k else maps[0])
+    if n > 1:
+        check_pair_cp(folds[-1])
+    (a, b, c, d), (x, y, z) = folds[-1]
+    n_a, n_b, cov = a * a + b * b + x, c * c + d * d + z, a * c + b * d + y
+    corr = min(max(cov / math.sqrt(n_a * n_b), -1.0), 1.0)
+    return (_gemellity(n_a, n_b, corr), abs(a * a + c * c - 1.0)), (maps, folds)
 
 
 def kron_liouvillian(p: atomic.AtomicParams) -> np.ndarray:

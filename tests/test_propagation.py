@@ -1,6 +1,7 @@
 """Exact segment maps against closed forms and the slab oracle, the
 closed-form pair maps of the search against the pair engine and a
-60-digit reference, the pair engine on atomic generators against an
+60-digit reference, the search objective bit for bit against its
+helper-call form, the pair engine on atomic generators against an
 80-digit reference, slab propagation (exact on pure segments,
 second-order splitting), coupling-generator channels, the
 beyond-the-lumped-limit search, and profile files."""
@@ -22,7 +23,18 @@ from twinbeam.configio import angular_from_mhz
 from twinbeam.metrics import noise_figures
 from twinbeam.propagation import Slab, SlabProfile
 
-from oracles import exact_channel, exact_state, lift, mpmath_pair_maps, output_state, slab_state
+from oracles import (
+    check_pair_cp,
+    exact_channel,
+    exact_state,
+    lift,
+    mpmath_pair_maps,
+    output_state,
+    pair_compose,
+    pair_cp_defect,
+    pair_objective,
+    slab_state,
+)
 
 
 def test_slab_validation():
@@ -571,7 +583,7 @@ def _pair_chain(rates):
     pairs = [propagation._pair_segment(dz, *r) for r in rates]
     total = pairs[0]
     for pair in pairs[1:]:
-        total = propagation._pair_compose(pair, total)
+        total = pair_compose(pair, total)
     return pairs, total
 
 
@@ -624,7 +636,7 @@ def test_pair_cp_defect_equals_that_of_the_lifted_channel(rates):
     np.testing.assert_allclose(transfer, composed.transfer, rtol=0.0, atol=1e-13 * scale**0.5)
     np.testing.assert_allclose(noise, composed.added_noise, rtol=0.0, atol=1e-13 * scale)
     for pair, channel in zip(pairs + [total], lifted + [composed]):
-        got = propagation._pair_cp_defect(pair)
+        got = pair_cp_defect(pair)
         want = gaussian.cp_defect(channel)
         assert abs(got - want) <= 1e-13 * _cp_scale(channel.transfer, channel.added_noise)
 
@@ -639,13 +651,13 @@ def test_pair_cp_check_rejects_a_noise_pushed_below_cp(slab):
     transfer, (x, y, z) = pair
     # lowering both diagonal entries lowers every eigenvalue by as much
     below = 1e-6 * _cp_scale(*_matrices(pair))
-    push = propagation._pair_cp_defect(pair) + below
+    push = pair_cp_defect(pair) + below
     pushed = (transfer, (x - push, y, z - push))
     # the lifted channel cannot be built, so its defect is read off directly
     t, n = (gaussian.transfer_from_mode_matrix(a) for a in _matrices(pushed))
     want = gaussian.cp_defect(types.SimpleNamespace(transfer=t, added_noise=n))
     assert want == pytest.approx(-below, rel=1e-3)
-    assert abs(propagation._pair_cp_defect(pushed) - want) <= 1e-13 * _cp_scale(t, n)
+    assert abs(pair_cp_defect(pushed) - want) <= 1e-13 * _cp_scale(t, n)
     with pytest.raises(ValueError, match="not completely positive"):
         propagation._check_pair_cp(pushed)
     with pytest.raises(ValueError, match="not completely positive"):
@@ -661,16 +673,48 @@ def test_pair_cp_check_scales_its_tolerance_with_the_map():
 
     def pushed(defect):
         # lowering both diagonal entries lowers every eigenvalue by as much
-        push = propagation._pair_cp_defect(pair) - defect
+        push = pair_cp_defect(pair) - defect
         return transfer, (x - push, y, z - push)
 
     within = pushed(-100.0 * tol)
-    assert -tol * scale < propagation._pair_cp_defect(within) < -tol
+    assert -tol * scale < pair_cp_defect(within) < -tol
     propagation._check_pair_cp(within)
     below = pushed(-2.0 * tol * scale)
-    assert propagation._pair_cp_defect(below) < -tol * scale
+    assert pair_cp_defect(below) < -tol * scale
     with pytest.raises(ValueError, match="not completely positive"):
         propagation._check_pair_cp(below)
+
+
+def _lowered(pair, push):
+    """A pair map with both diagonal noise entries lowered by push, which
+    lowers every eigenvalue of its CP test by as much."""
+    transfer, (x, y, z) = pair
+    return transfer, (x - push, y, z - push)
+
+
+def _rejection(check, pair):
+    """The text of the ValueError a CP check raises on a pair map, or None."""
+    try:
+        check(pair)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=4))
+def test_pair_cp_check_draws_the_line_of_the_helper_calls(rates):
+    # each map pushed to the last float on either side of where the reference
+    # check starts to reject it: a defect off by a rounding moves that line
+    pairs, total = _pair_chain(rates)
+    for pair in pairs + [total]:
+        lo, hi = 0.0, abs(pair_cp_defect(pair)) + 4.0 * gaussian._CP_TOL * _cp_scale(*_matrices(pair))
+        assert _rejection(check_pair_cp, pair) is None
+        assert _rejection(check_pair_cp, _lowered(pair, hi))
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if _rejection(check_pair_cp, _lowered(pair, mid)) else (mid, hi)
+        for pushed in (_lowered(pair, lo), _lowered(pair, hi)):
+            assert _rejection(propagation._check_pair_cp, pushed) == _rejection(check_pair_cp, pushed)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1023,6 +1067,48 @@ def test_remapping_one_segment_equals_a_full_evaluation(rates, index, moved_rate
     rates[k] = moved_rates
     full = propagation._pair_objective(_flat(rates), dz)
     assert propagation._pair_objective(_flat(rates), dz, incumbent, k) == full
+
+
+def _hexed(value):
+    """float.hex of every float in a nest of tuples and lists."""
+    if isinstance(value, float):
+        return value.hex()
+    return type(value)(map(_hexed, value)) if isinstance(value, (tuple, list)) else value
+
+
+def _outcome(objective, *args):
+    """An objective's score and (maps, folds), or the type and text of what it raised."""
+    try:
+        return objective(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=4), st.tuples(_RATE, _RATE, _RATE))
+# rates near the float range: a segment's exponential overflows
+@example([(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)], (_FLOAT_MAX, 0.0, 0.0))
+# the product's defect candidates are NaN and -inf; min keeps the NaN, so
+# the check passes and the score is NaN, where the -inf would overflow its scale
+@example([(895.0, 1066.0, 0.0), (238.0, 2533.0, 0.0)], (895.0, 1066.0, 0.0))
+# alpha_a + alpha_b overflows: a zero map, CP defect -1
+@example([(1.0, 0.0, 0.0)], (0.0, _FLOAT_MAX, _FLOAT_MAX))
+def test_the_objective_scores_as_its_helper_calls_to_the_bit(rates, moved_rates):
+    dz = 1.0 / len(rates)
+    objectives = (propagation._pair_objective, pair_objective)
+    incumbents = [_outcome(f, _flat(rates), dz) for f in objectives]
+    assert _hexed(incumbents[0]) == _hexed(incumbents[1])
+    for k in range(len(rates)):
+        moved = _flat(rates[:k] + [moved_rates] + rates[k + 1 :])
+        full = [_outcome(f, moved, dz) for f in objectives]
+        assert _hexed(full[0]) == _hexed(full[1])
+        if isinstance(incumbents[0][0], type):
+            continue  # no incumbent to remap
+        remapped = [_outcome(f, moved, dz, out[1], k) for f, out in zip(objectives, incumbents)]
+        assert _hexed(remapped[0]) == _hexed(remapped[1])
 
 
 def test_search_beats_the_lumped_limit_from_the_seeded_start():
