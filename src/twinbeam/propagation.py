@@ -34,10 +34,10 @@ noise integral follow from its eigenvalues and one rotation angle; the
 map is a real 2x2 transfer and a symmetric 2x2 noise of plain floats,
 and a coherent seed's output reduces to three numbers, the two noise
 figures and their covariance.  Each map passes the same CP check as a
-channel, whose scale is formed only for a defect below -tol.  They run on
-the rate vector, with no per-evaluation dataclass; a candidate remaps only
-the segment it moves and reuses the incumbent's other maps and running
-products, in the order of a full evaluation.
+channel.  A candidate remaps only the segment it moves, reusing the
+incumbent's other maps and running products in the order of a full
+evaluation, and scores as infeasible when its map overflows, its CP
+defect is NaN or its gemellity has no correct digit.
 
 The slab discretizations stay as the independent oracles the exact
 maps are tested against: `propagate` factorizes each thin slab into
@@ -705,27 +705,31 @@ def _check_pair_cp(pair: tuple) -> None:
     defect = 0.5 * (px + pz) - math.hypot(0.5 * (px - pz), py)
     other = 0.5 * (mx + mz) - math.hypot(0.5 * (mx - mz), my)
     defect = other if other < defect else defect  # min's pick, NaN too
-    if defect < -gaussian._CP_TOL:
+    if not defect >= -gaussian._CP_TOL:
+        if defect != defect:  # name the largest of M's squares and Q's entries, inf or NaN first
+            entries = pair[0] + pair[1]
+            sizes = [min(math.inf, v * v if j < 4 else abs(v)) for j, v in enumerate(entries)]
+            i = sizes.index(max(sizes))
+            what = ("the square of M", "Q")[i > 3] + ("00", "01", "10", "11", "00", "01", "11")[i]
+            raise OverflowError(f"CP check of a pair map leaves the float range at {what} = {entries[i]:.6e}")
         gaussian._require_cp(defect, max(1.0, max(map(abs, pair[0])) ** 2, max(map(abs, pair[1]))))
 
 
 def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
-    """(Gemellity, |G_a + G_b - 1|) for a unit coherent probe seed, and the
-    segment maps and their products folds[k] = S_k ... S_0, of segments with
-    rates (g, alpha_a, alpha_b) each, scored in one pass of float arithmetic.
-    The numbers `propagate_exact` reports; every map passes the CP check.
-    Given an incumbent's (maps, folds) that differ only in segment `moved`,
-    that segment alone is mapped.
+    """(Gemellity, |G_a + G_b - 1|) of a unit coherent probe seed and the maps
+    and products folds[k] = S_k ... S_0 of segments with rates (g, alpha_a,
+    alpha_b), in one pass of float arithmetic: what `propagate_exact` reports,
+    or (inf, inf) for a gemellity within 2^-50 (F_a + F_b), the rounding bound
+    of `_pair_outputs`; a NaN CP check raises OverflowError.  Given an
+    incumbent's (maps, folds) differing in segment `moved`, it maps that alone.
     """
     n = len(rates) // 3
-    maps, folds = (incumbent[0].copy(), incumbent[1][:moved]) if incumbent else ([None] * n, [])
-    for k in range(moved, n):
-        if incumbent is None or k == moved:
-            maps[k] = _pair_segment(length, *rates[3 * k : 3 * k + 3])
-            _check_pair_cp(maps[k])
-        if not k:
-            folds.append(maps[0])
-            continue
+    maps = incumbent[0].copy() if incumbent else [None] * n
+    for k in (moved,) if incumbent else range(n):
+        maps[k] = pair = _pair_segment(length, rates[3 * k], rates[3 * k + 1], rates[3 * k + 2])
+        _check_pair_cp(pair)
+    folds = incumbent[1][:moved] if moved else [maps[0]]
+    for k in range(moved or 1, n):
         # S_k after folds[k - 1]: M2 M1, M2 Q1 M2^t + Q2
         (a, b, c, d), (x2, y2, z2) = maps[k]
         (a1, b1, c1, d1), (x, y, z) = folds[-1]
@@ -740,7 +744,9 @@ def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
     n_a, n_b, cov = a * a + b * b + x, c * c + d * d + z, a * c + b * d + y
     r = cov / math.sqrt(n_a * n_b)
     corr = -1.0 if r < -1.0 else 1.0 if r > 1.0 else r  # min(max(r, -1), 1), NaN too
-    return (_gemellity(n_a, n_b, corr), abs(a * a + c * c - 1.0)), (maps, folds)
+    gem = _gemellity(n_a, n_b, corr)
+    score = (gem, abs(a * a + c * c - 1.0)) if gem > 2.0**-50 * (n_a + n_b) else (math.inf, math.inf)
+    return score, (maps, folds)
 
 
 def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
@@ -835,25 +841,23 @@ def search_beyond_lumped_limit(
     """Look for a flux-neutral profile with gemellity below the lumped limit.
 
     Hooke-Jeeves pattern search (R. Hooke and T. A. Jeeves, J. ACM 8, 212,
-    1961) over piecewise-constant profiles (n_segments equal segments,
-    rates in [0, rate_bound]) with an escalating penalty on
-    |G_a + G_b - 1|, evaluated on the closed-form pair maps of the rate
-    vector; a candidate is scored in one pass of float arithmetic (one
-    whose map overflows the float range scores as infeasible).  It remaps
-    only the segment it moves, reusing the incumbent's other maps and
-    their running products.  evaluations counts the candidates scored:
-    a point whose score is held at the current penalty (the incumbent, the
-    point it replaced, a probe it rejected) is not scored again.  The
-    reported result is `propagate_exact` of the best feasible profile.
-    Placing loss upstream of gain costs no quantum correlation, so
-    distributed profiles can beat the lumped gain-then-loss bound,
-    `lumped.optimize_unit_transmission`, 5 - 2 sqrt(5) (-2.7748 dB);
-    found says whether the reported profile is strictly below it and
-    flux-neutral within feasibility_tol, and the search reports
-    found=False rather than raising when it is not.
-
-    The run is deterministic for a fixed seed; seed=None draws fresh
-    randomness.  Each restart draws its start when it begins.
+    1961) over piecewise-constant profiles (n_segments equal segments, rates
+    in [0, rate_bound]) with an escalating penalty on |G_a + G_b - 1|, scored
+    in one pass of float arithmetic on the closed-form pair maps of the rate
+    vector.  A candidate scores as infeasible when its map overflows the float
+    range, its CP defect is NaN or its gemellity has no correct digit.  It
+    remaps only the segment it moves, reusing the incumbent's other maps and
+    their running products.  evaluations counts the candidates scored: a
+    point whose score is held at the current penalty (the incumbent, the
+    point it replaced, a probe it rejected) is not scored again.  The result
+    is `propagate_exact` of the best feasible profile.  Placing loss upstream
+    of gain costs no quantum correlation, so distributed profiles can beat
+    the lumped gain-then-loss bound, `lumped.optimize_unit_transmission`,
+    5 - 2 sqrt(5) (-2.7748 dB); found says whether the reported profile is
+    strictly below it and flux-neutral within feasibility_tol, and the search
+    reports found=False rather than raising when it is not.  The run is
+    deterministic for a fixed seed; seed=None draws fresh randomness.  Each
+    restart draws its start when it begins.
     """
     if not 1 <= n_segments <= 8:
         raise ValueError(f"n_segments must lie in [1, 8], got {n_segments}")
@@ -870,16 +874,6 @@ def search_beyond_lumped_limit(
     rng = np.random.default_rng(seed)
     dim, dz = 3 * n_segments, 1.0 / n_segments
     evaluations = 0
-
-    def evaluate(x: list, incumbent=None, moved: int = 0):
-        nonlocal evaluations
-        evaluations += 1
-        try:
-            return _pair_objective(x, dz, incumbent, moved)
-        except OverflowError:
-            # a map beyond the floating-point range scores as infeasible
-            return (math.inf, math.inf), None
-
     best_feasible: tuple[float, list] | None = None
 
     for restart in range(restarts):
@@ -898,32 +892,38 @@ def search_beyond_lumped_limit(
         mu, held = 10.0, None
         for _escalation in range(4):
             step = rate_bound / 4.0
-            # past the first escalation, the incumbent keeps its score and maps
-            score, maps = held or evaluate(x)
-            fx = score[0] + mu * score[1]
-            while not math.isfinite(fx):
-                # a start whose map overflows sits on a plateau with no
-                # descent; halve it toward the all-zero profile, which never
-                # overflows.  A finite start draws and evaluates nothing more
-                x = [v / 2.0 for v in x]
-                score, maps = evaluate(x)
-                fx = score[0] + mu * score[1]
-            tried = set()  # probes (i, v) known to score no better than x at this mu
+            score, maps = held or (None, None)  # held: the incumbent's, past the first escalation
+            while score is None or not math.isfinite(fx := score[0] + mu * score[1]):
+                # an overflowing start has no descent: halve it toward 0, which never overflows
+                x = [v / 2.0 for v in x] if score else x
+                evaluations += 1
+                try:
+                    score, maps = _pair_objective(x, dz)
+                except OverflowError:
+                    score, maps = (math.inf, math.inf), None
+            tried = [set() for _ in x]  # per coordinate, probes no better than x at this mu
             while step > 1e-3:
                 improved = False
                 for i in range(dim):
-                    for sign in (1.0, -1.0):
-                        v = min(max(x[i] + sign * step, 0.0), rate_bound)
-                        if v == x[i] or (i, v) in tried:
+                    k, seen, xi = i // 3, tried[i], x[i]
+                    for signed in (step, -step):
+                        v = xi + signed
+                        v = 0.0 if v < 0.0 else rate_bound if rate_bound < v else v  # min(max(v, 0), bound)
+                        if v == xi or v in seen:
                             continue
-                        tried.add((i, v))
+                        seen.add(v)
                         cand = x.copy()
                         cand[i] = v
-                        cand_score, cand_maps = evaluate(cand, maps, i // 3)
+                        evaluations += 1
+                        try:
+                            cand_score, cand_maps = _pair_objective(cand, dz, maps, k)
+                        except OverflowError:  # a map beyond the float range scores as infeasible
+                            cand_score, cand_maps = (math.inf, math.inf), None
                         fc = cand_score[0] + mu * cand_score[1]
                         if fc < fx:
-                            tried = {(i, x[i])}  # the point x replaces scored worse
-                            x, fx, score, maps = cand, fc, cand_score, cand_maps
+                            tried = [set() for _ in x]
+                            seen = tried[i] = {xi}  # the point x replaces scored worse
+                            x, xi, fx, score, maps = cand, v, fc, cand_score, cand_maps
                             improved = True
                 if not improved:
                     step /= 2.0

@@ -1,16 +1,18 @@
 """Reference constructions the tests hold the package's fast paths against:
 channels built from its quadrature objects, the search objective as
-separate helper calls, and high-precision mpmath evaluations of the atomic
-response, the pair maps and the measurement inversion."""
+separate helper calls, the search with its former probe loop, and
+high-precision mpmath evaluations of the atomic response, the pair maps
+and the measurement inversion."""
 
 import dataclasses
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
 
-from twinbeam import atomic, gaussian, propagation
+from twinbeam import atomic, gaussian, lumped, propagation
 from twinbeam.metrics import _gemellity
 
 
@@ -129,15 +131,25 @@ def pair_cp_defect(pair):
 
 
 def check_pair_cp(pair):
-    """`propagation._check_pair_cp` on `pair_cp_defect`."""
+    """`propagation._check_pair_cp` on `pair_cp_defect`; a NaN defect raises
+    OverflowError naming the largest of M's squares and Q's entries, an inf
+    or NaN counting as the largest."""
     defect = pair_cp_defect(pair)
+    if math.isnan(defect):
+        names = [f"the square of M{j}" for j in ("00", "01", "10", "11")] + ["Q00", "Q01", "Q11"]
+        entries = list(pair[0]) + list(pair[1])
+        sizes = [v * v for v in pair[0]] + [abs(v) for v in pair[1]]
+        sizes = [s if math.isfinite(s) else math.inf for s in sizes]
+        i = sizes.index(max(sizes))
+        raise OverflowError(f"CP check of a pair map leaves the float range at {names[i]} = {entries[i]:.6e}")
     if defect < -gaussian._CP_TOL:
         gaussian._require_cp(defect, max(1.0, max(map(abs, pair[0])) ** 2, max(map(abs, pair[1]))))
 
 
 def pair_objective(rates, length, incumbent=None, moved=0):
     """`propagation._pair_objective`: (gemellity, |G_a + G_b - 1|) and the
-    (maps, folds), remapping only segment `moved` of an incumbent."""
+    (maps, folds), remapping only segment `moved` of an incumbent; a
+    gemellity within 4 eps (F_a + F_b) of 0 scores (inf, inf)."""
     n = len(rates) // 3
     maps, folds = (incumbent[0].copy(), incumbent[1][:moved]) if incumbent else ([None] * n, [])
     for k in range(moved, n):
@@ -150,7 +162,115 @@ def pair_objective(rates, length, incumbent=None, moved=0):
     (a, b, c, d), (x, y, z) = folds[-1]
     n_a, n_b, cov = a * a + b * b + x, c * c + d * d + z, a * c + b * d + y
     corr = min(max(cov / math.sqrt(n_a * n_b), -1.0), 1.0)
-    return (_gemellity(n_a, n_b, corr), abs(a * a + c * c - 1.0)), (maps, folds)
+    gem = _gemellity(n_a, n_b, corr)
+    if not gem > 4.0 * sys.float_info.epsilon * (n_a + n_b):
+        return (math.inf, math.inf), (maps, folds)  # no correct digit
+    return (gem, abs(a * a + c * c - 1.0)), (maps, folds)
+
+
+def search_beyond_lumped_limit(
+    n_segments: int = 2,
+    seed: int | None = 0,
+    rate_bound: float = 20.0,
+    feasibility_tol: float = 0.01,
+    restarts: int = 16,
+) -> propagation.SearchResult:
+    """`propagation.search_beyond_lumped_limit` with the probe loop it had
+    as an `evaluate` closure over the module's `_pair_objective`, one (i, v)
+    tuple per probe and a clip taken with min and max.  The search must walk
+    the same points, count the same evaluations and report the same result,
+    to the bit."""
+    if not 1 <= n_segments <= 8:
+        raise ValueError(f"n_segments must lie in [1, 8], got {n_segments}")
+    propagation._check_finite("rate_bound", rate_bound)
+    if not rate_bound > 0.0:
+        raise ValueError(f"rate bound must be positive, got {rate_bound}")
+    propagation._check_finite("feasibility_tol", feasibility_tol)
+    if not feasibility_tol > 0.0:
+        raise ValueError(f"feasibility tolerance must be positive, got {feasibility_tol}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    rng = np.random.default_rng(seed)
+    dim, dz = 3 * n_segments, 1.0 / n_segments
+    evaluations = 0
+
+    def evaluate(x: list, incumbent=None, moved: int = 0):
+        nonlocal evaluations
+        evaluations += 1
+        try:
+            return propagation._pair_objective(x, dz, incumbent, moved)
+        except OverflowError:
+            # a map beyond the floating-point range scores as infeasible
+            return (math.inf, math.inf), None
+
+    best_feasible: tuple[float, list] | None = None
+
+    for restart in range(restarts):
+        x = rng.uniform(0.0, rate_bound, size=dim)
+        if restart == 0 and n_segments >= 2:
+            # in place of the first draw, attenuate the probe first and
+            # amplify after.  Pure upstream loss on a coherent seed leaves
+            # the noise at vacuum, so the downstream squeezer reaches its
+            # ideal correlation while the loss balances the flux to one.
+            x = np.zeros(dim)
+            r = 0.75
+            x[3 * (n_segments - 1)] = r * n_segments
+            x[1] = np.log(np.cosh(2.0 * r)) * n_segments
+            x = np.clip(x, 0.0, rate_bound)
+        x = x.tolist()
+        mu, held = 10.0, None
+        for _escalation in range(4):
+            step = rate_bound / 4.0
+            # past the first escalation, the incumbent keeps its score and maps
+            score, maps = held or evaluate(x)
+            fx = score[0] + mu * score[1]
+            while not math.isfinite(fx):
+                # a start whose map overflows sits on a plateau with no
+                # descent; halve it toward the all-zero profile, which never
+                # overflows.  A finite start draws and evaluates nothing more
+                x = [v / 2.0 for v in x]
+                score, maps = evaluate(x)
+                fx = score[0] + mu * score[1]
+            tried = set()  # probes (i, v) known to score no better than x at this mu
+            while step > 1e-3:
+                improved = False
+                for i in range(dim):
+                    for sign in (1.0, -1.0):
+                        v = min(max(x[i] + sign * step, 0.0), rate_bound)
+                        if v == x[i] or (i, v) in tried:
+                            continue
+                        tried.add((i, v))
+                        cand = x.copy()
+                        cand[i] = v
+                        cand_score, cand_maps = evaluate(cand, maps, i // 3)
+                        fc = cand_score[0] + mu * cand_score[1]
+                        if fc < fx:
+                            tried = {(i, x[i])}  # the point x replaces scored worse
+                            x, fx, score, maps = cand, fc, cand_score, cand_maps
+                            improved = True
+                if not improved:
+                    step /= 2.0
+            held = score, maps
+            gem, infeas = score
+            if infeas <= feasibility_tol:
+                if best_feasible is None or gem < best_feasible[0]:
+                    best_feasible = (gem, x)
+                break
+            mu *= 10.0
+
+    # nothing feasible at all reports the flux-neutral trivial profile
+    rates = [0.0] * dim if best_feasible is None else best_feasible[1]
+    slabs = (propagation.Slab(dz, *rates[3 * k : 3 * k + 3]) for k in range(n_segments))
+    profile = propagation.SlabProfile(tuple(slabs))
+    result = propagation.propagate_exact(profile)
+    found = (
+        best_feasible is not None
+        and result.gemellity < lumped.optimize_unit_transmission().gemellity
+        and abs(result.sum_transmission - 1.0) <= feasibility_tol
+    )
+    return propagation.SearchResult(profile, result, found, evaluations)
 
 
 def kron_liouvillian(p: atomic.AtomicParams) -> np.ndarray:

@@ -232,6 +232,21 @@ def test_a_start_on_the_overflow_plateau_is_not_lost(tmp_path, capsys):
     assert float(rows[0]["g"]) > 0.0
 
 
+def test_beat_limit_ranks_no_gemellity_lost_to_rounding(tmp_path, capsys):
+    # the search's best was a gemellity of 4.9e-4 within the rounding bound
+    # 6.0e-3 of noise figures of 3.4e12, which the reported propagation
+    # refused with exit 3; such a candidate now scores as infeasible
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("[search]\nsegments = 3\nrestarts = 3\nrate_bound = 1000\n")
+    runs = [run(capsys, ["beat-limit", "--config", str(cfg), "--seed", "0"]) for _ in range(2)]
+    code, out, err = runs[0]
+    assert code == 0, err
+    summary, _, rows = parse_csv(out)
+    assert summary["found"] == "true"
+    assert len(rows) == 3
+    assert runs[1][1] == out
+
+
 def test_beat_limit_completes_where_the_slab_path_failed(tmp_path, capsys):
     # this search used to raise a CP error and exit 2
     cfg = tmp_path / "search.cfg"

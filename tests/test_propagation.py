@@ -33,6 +33,7 @@ from oracles import (
     pair_compose,
     pair_cp_defect,
     pair_objective,
+    search_beyond_lumped_limit,
     slab_state,
 )
 
@@ -720,20 +721,23 @@ def test_pair_cp_check_draws_the_line_of_the_helper_calls(rates):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=3))
 @example([(2.2250738585e-313, 0.0, 2.2250738585e-313)])  # subnormal g and h
-@example([(9.0, 0.0, 0.0)])  # a squeezer, F = 3.3e7 and gemellity 1 / F
+@example([(9.0, 0.0, 0.0)])  # a squeezer, F = 3.3e7: gemellity 1 / F computes as 1.5e-8, no digit
 def test_search_objective_matches_propagate_exact(rates):
     profile = SlabProfile(tuple(Slab(1.0 / len(rates), *r) for r in rates))
-    (gem, infeasibility), (_, folds) = propagation._pair_objective(_flat(rates), 1.0 / len(rates))
+    (gem, infeasibility), _ = propagation._pair_objective(_flat(rates), 1.0 / len(rates))
     try:
         exact = propagation.propagate_exact(profile)
     except propagation.GemellityRoundingError:
-        # the exact gemellity cancels to within its rounding of 0, far inside
-        # the bound below; the objective's cancels as far
-        (a, b, c, d), (x, _, z) = folds[-1]
-        assert abs(gem) <= 1e-13 * max(1.0, a * a + b * b + x, c * c + d * d + z)
+        # the exact gemellity cancels to within its rounding of 0; the
+        # objective refuses such a candidate too
+        assert (gem, infeasibility) == (math.inf, math.inf)
         return
     # both cancel fluxes of the size of the noise figures
     size = max(1.0, exact.figures.f_a, exact.figures.f_b)
+    if gem == math.inf:
+        # the objective refuses only a gemellity within its rounding of 0
+        assert infeasibility == math.inf and exact.gemellity <= 1e-13 * size
+        return
     assert gem == pytest.approx(exact.gemellity, rel=0.0, abs=1e-13 * size)
     assert infeasibility == pytest.approx(
         abs(exact.sum_transmission - 1.0), rel=0.0, abs=1e-13 * size
@@ -1091,8 +1095,8 @@ _FLOAT_MAX = sys.float_info.max
 @given(st.lists(st.tuples(_RATE, _RATE, _RATE), min_size=1, max_size=4), st.tuples(_RATE, _RATE, _RATE))
 # rates near the float range: a segment's exponential overflows
 @example([(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)], (_FLOAT_MAX, 0.0, 0.0))
-# the product's defect candidates are NaN and -inf; min keeps the NaN, so
-# the check passes and the score is NaN, where the -inf would overflow its scale
+# the product's defect candidates are NaN and -inf; min keeps the NaN, and
+# the check raises OverflowError at the square of M11 = 1.4e154
 @example([(895.0, 1066.0, 0.0), (238.0, 2533.0, 0.0)], (895.0, 1066.0, 0.0))
 # alpha_a + alpha_b overflows: a zero map, CP defect -1
 @example([(1.0, 0.0, 0.0)], (0.0, _FLOAT_MAX, _FLOAT_MAX))
@@ -1109,6 +1113,37 @@ def test_the_objective_scores_as_its_helper_calls_to_the_bit(rates, moved_rates)
             continue  # no incumbent to remap
         remapped = [_outcome(f, moved, dz, out[1], k) for f, out in zip(objectives, incumbents)]
         assert _hexed(remapped[0]) == _hexed(remapped[1])
+
+
+def _searched(search, *args):
+    """A search's evaluations, found, rates and gemellity in float.hex, or
+    the type and text of what it raised."""
+    try:
+        out = search(*args)
+    except (OverflowError, ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    rates = [v.hex() for s in out.profile.slabs for v in (s.g, s.alpha_a, s.alpha_b)]
+    return out.evaluations, out.found, rates, out.result.gemellity.hex()
+
+
+# a fixed draw: a search at the largest rate bound may score 10^5 candidates,
+# so the examples are chosen once, to keep the test within about a second
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([5e-324, 1.0, 5.0, 20.0, 1000.0, _FLOAT_MAX]),
+    st.sampled_from([0.01, 1e-6]),
+    st.integers(min_value=1, max_value=3),
+)
+@example(2, 0, _FLOAT_MAX, 1e-6, 1)
+@example(3, 0, 1000.0, 0.01, 3)  # its former best had a gemellity with no digit
+def test_the_search_walks_the_points_of_its_former_probe_loop(
+    segments, seed, rate_bound, tol, restarts
+):
+    args = segments, seed, rate_bound, tol, restarts
+    searches = (propagation.search_beyond_lumped_limit, search_beyond_lumped_limit)
+    assert _searched(searches[0], *args) == _searched(searches[1], *args)
 
 
 def test_search_beats_the_lumped_limit_from_the_seeded_start():
