@@ -21,19 +21,20 @@ that at zero detuning shifted by -i delta/Gamma; this yields a complex
 2x2 generator per unit medium length for the co-propagating pair
 (probe annihilation, conjugate creation).  The 16x16 generator at zero
 detuning is built, and the state and the sector's two source columns
-solved, once per medium per process: the result is kept in a
-least-recently-used cache of the last 8 media (_RESPONSE_CACHE_SIZE),
-keyed on the exact bits of every field but the two-photon detuning.  The
+solved, once per medium in turn: the process holds the last medium
+analysed, keyed on the exact bits of every field but the two-photon
+detuning, and the next medium replaces it.  The
 shifted sector's singular values are bounded once per medium too: at
 every detuning the smallest is at least the slowest sideband decay rate,
 and the largest exceeds the zero-detuning sector's norm by at most
 |delta|/Gamma.  Every point of a scan and of the root search then costs
 a diagonal shift of the sector and a 4x4 solve; only points whose
 degeneracy check these bounds cannot pass (no ground decoherence, or
-detunings of order 1e18 rad/s) pay a 4x4 SVD.  The medium keeps its last
-grid's gains, whoever asked, and its last point's output; the finders'
-default window is the CLI's, so `gain_curves` on that grid, both finders
-and `pair_output` at the root cost one scan and one output.
+detunings of order 1e18 rad/s) pay a 4x4 SVD.  The held medium keeps its
+last grid's gains, whoever asked, and its last point's output, and
+nothing else is kept; the finders' default window is the CLI's, so
+`gain_curves` on that grid, both finders and `pair_output` at the root
+cost one scan and one output.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling` turns the same
@@ -299,11 +300,10 @@ class _Response:
     rate gamma_g/Gamma, and its largest at most norm + |delta|/Gamma,
     norm being the zero-detuning sector's Frobenius norm.
 
-    A response is built once per medium per process and shared through
-    the cache of `_response`, which keeps the last _RESPONSE_CACHE_SIZE
-    (8) media, so its arrays are read-only.  It keeps the gains of the
+    The process holds one response, the last medium's, shared through
+    `_response`, so its arrays are read-only.  It keeps the gains of the
     last grid any caller asked for and the output at the last point asked
-    for; a call that raises keeps nothing.
+    for, and nothing else; a call that raises keeps nothing.
     """
 
     def __init__(
@@ -423,9 +423,6 @@ def _response(p: AtomicParams) -> _Response:
     return _medium_response(tuple(float(getattr(p, name)).hex() for name in _MEDIUM_FIELDS))
 
 
-# A few media analyzed in turn stay cached; one entry holds the 4x4 and 8x8 arrays
-# of a response, its last output and its last grid's gains, about 6 KiB at 251 points.
-_RESPONSE_CACHE_SIZE = 8
 _MEDIUM_FIELDS = tuple(f.name for f in fields(AtomicParams) if f.name != "two_photon_detuning")
 _RATE_FIELDS = ("one_photon_detuning", "rabi_frequency", "hyperfine_splitting", "ground_decoherence")
 
@@ -443,7 +440,7 @@ def _require_finite(p: AtomicParams, quantity: str, finite: bool) -> None:
     )
 
 
-@functools.lru_cache(maxsize=_RESPONSE_CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def _medium_response(key: tuple[str, ...]) -> _Response:
     """The _Response of the medium at zero two-photon detuning whose other
     fields have the float.hex() forms key, from one generator build and

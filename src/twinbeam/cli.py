@@ -13,7 +13,7 @@ or trace data, a config frequency with no float in rad/s), 3 computation
 error (no flux-neutral crossing, degenerate steady state,
 non-convergence, a finite medium whose generator overflows, an inferred
 correlation or gemellity with no float value, an output gemellity that
-cancels to within its rounding bound of 0).
+cancels to within its rounding bound of 0, a grid too large to allocate).
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:  # numpy's MemoryError names the array
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

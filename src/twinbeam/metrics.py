@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovarianceState
-
 __all__ = [
     "NoiseFigures",
     "InferenceResult",
@@ -85,8 +83,9 @@ def _rotation_to_mean(mean: complex) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def noise_figures(state: CovarianceState) -> NoiseFigures:
-    """Extract amplitude noise figures from a Gaussian state.
+def noise_figures(state) -> NoiseFigures:
+    """Extract amplitude noise figures from a Gaussian state, a
+    `gaussian.CovarianceState`.
 
     The amplitude quadrature of each mode is taken along its mean field
     when the mean is nonzero (intensity detection measures fluctuations

@@ -164,6 +164,11 @@ class SearchResult:
 
 
 _LOG_MAX = math.log(sys.float_info.max)  # e^x leaves the float range beyond this x
+# each sum, product and the root of `_gemellity` rounds once, and its root is at
+# most S = (F_a + F_b)/2, so they move the gemellity by at most 5u S, u = 2^-53;
+# near a gemellity of 0, |c_ab| is near 1 and its own roundings, about 8u, move
+# the root by about 8u S more.  Within 16u S of 0 a gemellity has no correct digit
+_ROUNDING = 4.0 * sys.float_info.epsilon  # 16u S = _ROUNDING (F_a + F_b); 4 eps = 2^-50
 
 
 def _part(mask: np.ndarray):
@@ -615,12 +620,7 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     phase = np.exp(-1j * (np.angle(transfer[:, 0, 0]) - np.angle(transfer[:, 1, 0])))
     c_ab = np.minimum(np.maximum((phase * cov[:, 0, 1]).real / np.sqrt(f_a * f_b), -1.0), 1.0)
     gem = _gemellity(f_a, f_b, c_ab)
-    # each sum, product and the root of `_gemellity` rounds once, and its root
-    # is at most S = (F_a + F_b)/2, so they move the gemellity by at most 5u S,
-    # u = 2^-53; near a gemellity of 0, |c_ab| is near 1 and its own roundings,
-    # about 8u, move the root by about 8u S more.  A gemellity within
-    # 16u S = 4 eps (F_a + F_b) of 0 has no correct digit
-    bound = 4.0 * sys.float_info.epsilon * (f_a + f_b)
+    bound = _ROUNDING * (f_a + f_b)
     lost = ~(gem > bound)
     if lost.any():
         i = int(np.flatnonzero(lost)[0])
@@ -719,8 +719,8 @@ def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
     """(Gemellity, |G_a + G_b - 1|) of a unit coherent probe seed and the maps
     and products folds[k] = S_k ... S_0 of segments with rates (g, alpha_a,
     alpha_b), in one pass of float arithmetic: what `propagate_exact` reports,
-    or (inf, inf) for a gemellity within 2^-50 (F_a + F_b), the rounding bound
-    of `_pair_outputs`; a NaN CP check raises OverflowError.  Given an
+    or (inf, inf) for a gemellity within _ROUNDING (F_a + F_b), the rounding
+    bound of `_pair_outputs`; a NaN CP check raises OverflowError.  Given an
     incumbent's (maps, folds) differing in segment `moved`, it maps that alone.
     """
     n = len(rates) // 3
@@ -745,7 +745,7 @@ def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
     r = cov / math.sqrt(n_a * n_b)
     corr = -1.0 if r < -1.0 else 1.0 if r > 1.0 else r  # min(max(r, -1), 1), NaN too
     gem = _gemellity(n_a, n_b, corr)
-    score = (gem, abs(a * a + c * c - 1.0)) if gem > 2.0**-50 * (n_a + n_b) else (math.inf, math.inf)
+    score = (gem, abs(a * a + c * c - 1.0)) if gem > _ROUNDING * (n_a + n_b) else (math.inf, math.inf)
     return score, (maps, folds)
 
 

@@ -2,9 +2,11 @@
 flux-neutral operating point."""
 
 import dataclasses
+import gc
 import json
 import math
 import re
+import weakref
 
 import mpmath
 import numpy as np
@@ -424,11 +426,29 @@ def test_a_medium_is_solved_once_per_process(monkeypatch):
     # an int field is the float of the same value
     atomic.steady_state(dataclasses.replace(p, depth=500))
     assert calls["state_solve"] == 1
-    # the cache keeps the last few media, so one that fell out is solved again
-    for depth in range(1, atomic._RESPONSE_CACHE_SIZE + 1):
-        atomic.steady_state(dataclasses.replace(p, depth=float(depth)))
+    # the process holds one medium: a second replaces the first, so
+    # returning to the first solves it again
+    other = dataclasses.replace(p, depth=1.0)
+    atomic.steady_state(other)
+    atomic.steady_state(other)
+    assert calls["state_solve"] == 2
     atomic.steady_state(p)
-    assert calls["state_solve"] == atomic._RESPONSE_CACHE_SIZE + 2
+    assert calls["state_solve"] == 3
+
+
+def test_the_process_holds_only_the_last_medium():
+    # medium a's response, its kept gains and its kept output go once
+    # medium b is analysed
+    a, b = AtomicParams(), AtomicParams(depth=1.0)
+    atomic.find_beam_splitter_point(a)
+    atomic.pair_output(a)
+    held = atomic._response(a)
+    refs = [weakref.ref(x) for x in (held, held._last_gains[1][0], held._last_output[1])]
+    del held
+    atomic.find_beam_splitter_point(b)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert atomic._medium_response.cache_info().maxsize == 1
 
 
 @pytest.mark.parametrize(

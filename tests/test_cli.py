@@ -629,6 +629,24 @@ def test_a_gemellity_lost_to_rounding_exits_with_3(tmp_path, capsys):
         )
 
 
+_UNABLE = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+
+@pytest.mark.parametrize("command, section", [("sweep-delta", "sweep"), ("beam-splitter", "window")])
+def test_a_grid_too_large_to_allocate_exits_with_3(tmp_path, capsys, monkeypatch, command, section):
+    # both exited 1 with numpy's traceback.  The grid builder refuses the
+    # 1e11 points with numpy's text, so nothing that large is allocated here
+    def linspace(start, stop, num, _original=np.linspace):
+        if num == 10**11:
+            raise MemoryError(_UNABLE)
+        return _original(start, stop, num)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"[{section}]\npoints = 100000000000\n")
+    assert run(capsys, [command, "--config", str(cfg)]) == (3, "", f"error: {_UNABLE}\n")
+
+
 def _overflowing(section, key, value):
     return f"section [{section}], key {key!r}: {value} MHz overflows the float range in rad/s"
 

@@ -83,9 +83,9 @@ _ATOMIC = (*_BASE, "atomic", "propagation", "metrics", "gaussian")
 @pytest.mark.parametrize(
     "argv, modules, digest",
     [
-        (["lumped-optimize"], (*_BASE, "lumped", "metrics", "gaussian"), False),
+        (["lumped-optimize"], (*_BASE, "lumped", "metrics"), False),
         (["analyze", "TRACES", "--probe-frac", "0.5", "--conj-frac", "0.5"],
-         (*_BASE, "traces", "metrics", "gaussian"), True),
+         (*_BASE, "traces", "metrics"), True),
         (["beam-splitter"], _ATOMIC, False),
         (["beam-splitter", "--config", "CONFIG"], _ATOMIC, True),
         (["sweep-delta"], _ATOMIC, False),
