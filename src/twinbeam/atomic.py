@@ -44,7 +44,7 @@ integral in closed form.
 A point and a whole scan grid share one solve, a strided diagonal shift
 and a stacked 4x4 solve, with the same operations per point.  The
 flux-neutral point is polished by `_illinois`, a bracketed regula falsi
-run until its ends are adjacent floats, so numpy is the only dependency.
+on the capped flux balance to adjacent floats: numpy is the only dependency.
 
 The probe gain curve shows a deep Raman absorption dip at negative
 two-photon detuning; the pump light shift moves the dip by roughly
@@ -520,8 +520,7 @@ def sideband_response(p: AtomicParams) -> CouplingMatrix:
 def _classical_gains(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # transfer of the mean fields over the full medium length, as the
     # flux |z|^2 that `propagate_coupling` reports
-    probe, conj = propagation._fluxes(propagation._expm2x2(blocks)[:, :, 0]).T
-    return probe, conj
+    return tuple(propagation._fluxes(propagation._expm2x2(blocks)[:, :, 0]).T)
 
 
 def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
@@ -568,8 +567,8 @@ def find_raman_dip(
 
 
 # Far above the evaluations a bracket of doubles has needed: 108 on the analytic test
-# functions (a triple root), and on a flux balance at most 10 over the benchmark's 40
-# pool media, which test_a_pinned_root_ends_the_polish bounds at 12.
+# functions (a triple root); on the flux balance, 10 on the 40 pool media, which
+# test_a_pinned_root_ends_the_polish bounds at 12, and 22 on dense media of depth 2e6.
 _ROOT_MAXITER = 400
 
 
@@ -617,6 +616,10 @@ def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
     )
 
 
+def _flux_balance(probe: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    return np.minimum(probe, 2.0) + np.minimum(conj, 2.0) - 1.0
+
+
 def find_beam_splitter_point(
     p: AtomicParams,
     window: tuple[float, float] = _DEFAULT_WINDOW,
@@ -627,18 +630,19 @@ def find_beam_splitter_point(
     Scans the window, takes the flux-balance crossing adjacent to the
     Raman dip (below it when one exists there, else the nearest one
     above), polishes it with a bracketed root solve, and evaluates the
-    quantum metrics at the polished point.  Raises NoCrossingError
-    when the window contains no sign change of the flux balance.
+    quantum metrics at the polished point.  Scan and polish read one
+    balance, min(G_a, 2) + min(G_b, 2) - 1, whose cap keeps the sign and
+    keeps every value, a bracket end's too, within [-1, 3].  Near a root
+    both gains are below 1, where it changes nothing.  Raises
+    NoCrossingError when the window contains no sign change of the balance.
     """
     grid = _scan_grid(window, n_scan)
     # the scan, every flux balance and the output share one response
     response = _response(p)
     probe, conj = response.gains(grid)
-    # signs of the flux balance; a point whose gains overflowed has none, and
-    # each gain is capped at 2, which keeps the sign, so that no sum overflows
-    total = np.minimum(probe, 2.0) + np.minimum(conj, 2.0)
+    # a point whose gains overflowed has no sign
     finite = np.isfinite(probe) & np.isfinite(conj)
-    balance = np.where(finite, np.sign(total - 1.0), 0.0)
+    balance = np.where(finite, np.sign(_flux_balance(probe, conj)), 0.0)
     crossings = np.nonzero(balance[:-1] * balance[1:] < 0.0)[0]
     if crossings.size == 0:
         over = finite.size - np.count_nonzero(finite)
@@ -652,13 +656,12 @@ def find_beam_splitter_point(
     bracket = int(below[-1]) if below.size else int(crossings[0])
 
     def flux_balance(delta: float) -> float:
-        ga, gb = _classical_gains(response.pair_blocks([delta]))
-        return float(ga[0] + gb[0] - 1.0)
+        return float(_flux_balance(*_classical_gains(response.pair_blocks([delta])))[0])
 
     # a point's block and exponential do not depend on the stack, so the
     # scan holds the flux balance at both ends bit for bit
     ends = slice(bracket, bracket + 2)
-    delta_star = _illinois(flux_balance, *grid[ends], *(probe[ends] + conj[ends] - 1.0))
+    delta_star = _illinois(flux_balance, *grid[ends], *_flux_balance(probe[ends], conj[ends]))
     # pair_output at delta_star, kept for a pair_output call there
     out = response.output(delta_star)
     return BeamSplitterPoint(delta_star, out.g_a, out.g_b, out.gemellity, out.gemellity_db)

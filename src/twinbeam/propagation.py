@@ -20,9 +20,9 @@ projectors of B or, for near eigenvalues, through the Cayley-Hamilton
 form.  `_pair_outputs` reads the fluxes, the noise figures and the
 gemellity of each map in the pair basis, after one CP check per map in
 its complex 2x2 form; it names the first point whose output leaves the
-float range, or whose gemellity cancels to no correct digit.  Both guard
-each point against that range only where a stack-wide bound, a few numpy
-calls, does not clear the whole stack.
+float range, or whose gemellity cancels to no correct digit.  `_pair_maps`
+guards each point against that range only where a stack-wide bound, a
+few numpy calls, does not clear the whole stack.
 Segments compose as (M2 M1, M2 Q1 M2^dag + Q2).  This engine gives every
 reported result (`propagate_exact`, `propagate_coupling`, and the
 `sweep-delta` grid), and no quadrature state or channel is built on its
@@ -591,26 +591,23 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     its rounding bound of 0 raises GemellityRoundingError, followed by place(i).
     """
     # the largest real or imaginary part of M and of Q.  Where M's passes
-    # 2^510 or Q's 2^1020, K = M M^dag + Q might not be a float, and its
-    # noise figures pass 2^511, whose squares the gemellity may not take.  With
-    # no fault given, M's below 2^250 and Q's below 2^500, no figure passes 2^503
+    # 2^510 or Q's 2^1020, K = M M^dag + Q might not be a float, and its noise
+    # figures pass 2^511, whose squares the gemellity may not take.  Every
+    # stack runs these checks, which change no bit of a point inside the range
     parts = [np.abs(v.view(float)).max(axis=(1, 2)) for v in (transfer, noise)]
-    tame = not np.any(fault) and parts[0].max() <= 2.0**250 and parts[1].max() <= 2.0**500
-    if not tame:
-        huge = (parts[0] > 2.0**510) | (parts[1] > 2.0**1020)
-        fault = np.where((fault == 0) & huge, _FIGURES, fault)
-        if fault.any():
-            fine = fault == 0
-            transfer, noise = (np.where(fine[:, None, None], x, 0.0) for x in (transfer, noise))
-            parts = [np.where(fine, x, 0.0) for x in parts]
+    huge = (parts[0] > 2.0**510) | (parts[1] > 2.0**1020)
+    fault = np.where((fault == 0) & huge, _FIGURES, fault)
+    if fault.any():
+        fine = fault == 0
+        transfer, noise = (np.where(fine[:, None, None], x, 0.0) for x in (transfer, noise))
+        parts = [np.where(fine, x, 0.0) for x in parts]
     # the CP check's scale, max(1, max|T|^2, max|N|) of the lifted channel
     scale = np.maximum(np.maximum(parts[0] ** 2, parts[1]), 1.0)
     defect = _pair_cp_defects(transfer, noise)
     fault = np.where((fault == 0) & (defect < -gaussian._CP_TOL * scale), _CP, fault)
     cov = _mul(transfer, _dagger(transfer)) + noise
     f_a, f_b = cov[:, 0, 0].real, cov[:, 1, 1].real
-    if not tame:
-        fault = np.where((fault == 0) & (np.maximum(f_a, f_b) > 2.0**511), _FIGURES, fault)
+    fault = np.where((fault == 0) & (np.maximum(f_a, f_b) > 2.0**511), _FIGURES, fault)
     if fault.any():
         i = int(np.flatnonzero(fault)[0])
         if fault[i] == _CP:

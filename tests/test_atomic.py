@@ -544,18 +544,24 @@ def test_a_failing_output_is_not_kept(monkeypatch):
 
 def test_the_root_search_takes_its_bracket_ends_from_the_scan(monkeypatch):
     # a point's block and exponential do not depend on the stack, so the
-    # scan's flux balance at each end is a one-point evaluation's, bit for bit
+    # scan's flux balance at each end is a one-point evaluation's, bit for bit.
+    # Only on the dense medium does the cap move an end's value
     ends = []
 
     def recording(f, a, b, fa, fb, _original=atomic._illinois):
-        ends.append(((fa, fb), (f(a), f(b))))
+        ends.append(((a, b), (fa, fb), (f(a), f(b))))
         return _original(f, a, b, fa, fb)
 
     monkeypatch.setattr(atomic, "_illinois", recording)
-    for p in [AtomicParams(), *map(_pool_medium, range(40))]:
+    capped = []
+    for p in [AtomicParams(), *map(_pool_medium, range(40)), _dense_medium(_DENSE_DEPTHS[0])]:
         atomic.find_beam_splitter_point(p)
-    assert len(ends) == 41
-    for scanned, single in ends:
+        bracket, scanned, _ = ends[-1]
+        curve = atomic.gain_curves(p, np.array(bracket))
+        capped.append(scanned != tuple(curve.probe_gain + curve.conj_gain - 1.0))
+    assert len(ends) == 42
+    assert capped == [False] * 41 + [True]
+    for _, scanned, single in ends:
         assert scanned == single
 
 
@@ -863,6 +869,42 @@ def test_a_pinned_root_ends_the_polish(monkeypatch):
     assert max(counts) <= 12
 
 
+# A medium a fuzz of 150 random media found: with no ground decoherence and
+# at these depths, the uncapped flux balance reaches 1.9e196 at the far end of
+# the bracket, and a polish on it moved one float per step for 400 steps
+_DENSE_DEPTHS = [1470802.8610587858, 1.7e6, 2.0e6, 2.3e6]
+
+
+def _dense_medium(depth: float) -> AtomicParams:
+    return AtomicParams(
+        rabi_frequency=angular_from_mhz(73.84019364530539),
+        one_photon_detuning=angular_from_mhz(2.150146200022963),
+        ground_decoherence=0.0,
+        depth=depth,
+    )
+
+
+@pytest.mark.parametrize("depth", _DENSE_DEPTHS)
+def test_a_dense_medium_s_polish_reads_the_capped_balance(monkeypatch, depth):
+    # the capped balance keeps each bracket end's value in [-1, 3], so
+    # the polish ends in at most 22 flux balances, the worst of these depths
+    counts = []
+
+    def counting(f, *args, _original=atomic._illinois):
+        counts.append(0)
+
+        def counted(x):
+            counts[-1] += 1
+            return f(x)
+
+        return _original(counted, *args)
+
+    monkeypatch.setattr(atomic, "_illinois", counting)
+    point = atomic.find_beam_splitter_point(_dense_medium(depth))
+    assert abs(point.probe_gain + point.conj_gain - 1.0) <= 1e-13
+    assert len(counts) == 1 and counts[0] <= 22
+
+
 @pytest.mark.parametrize(
     "medium",
     [AtomicParams(), AtomicParams(ground_decoherence=0.0), *range(40)],
@@ -992,7 +1034,8 @@ def test_closed_form_gains_stay_as_accurate_as_scipy_over_the_media_box(omega, b
 
 
 def _flux_balance_and_bracket(p: AtomicParams):
-    """The function and bracket `find_beam_splitter_point` hands its root finder."""
+    """The uncapped flux balance and the bracket `find_beam_splitter_point`
+    hands its root finder; near a root the finder's cap changes nothing."""
     grid = np.linspace(*atomic._DEFAULT_WINDOW, 251)
     response = atomic._response(p)
     probe, conj = atomic._classical_gains(response.pair_blocks(grid))

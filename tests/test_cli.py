@@ -704,8 +704,14 @@ _DEEP_1E6_ROW = "-16.7484200006,0.223714179705,0.776285820295,1,0.440879338387,-
             "[atomic]\ndepth = 1e6\n[window]\nmin_MHz = -300\nmax_MHz = 100\npoints = 401\n",
             _DEEP_1E6_ROW,
         ),
+        # a bracket whose uncapped flux balance reaches 1.9e196 at its far end
+        (
+            "[atomic]\nOmega_MHz = 73.84019364530539\nDelta_MHz = 2.150146200022963\n"
+            "gamma_g_kHz = 0\ndepth = 1470802.8610587858\n",
+            "-0.601200780538,0.220844252443,0.779155747557,1,0.411577518792,-3.85548355316",
+        ),
     ],
-    ids=["1e6", "1e7", "1e9", "1e6-wide"],
+    ids=["1e6", "1e7", "1e9", "1e6-wide", "dense-gamma_g_0"],
 )
 def test_deep_medium_beam_splitter_runs_without_warnings(tmp_path, capsys, config, row):
     # scan points far from the crossing have gains, or exponentials, beyond

@@ -534,9 +534,9 @@ def test_every_point_the_bound_clears_passes_every_guard(monkeypatch):
 
 
 def test_outputs_the_bound_clears_pass_every_guard():
-    # CP maps whose parts lie on both sides of the readout's bound, 2^250 for
-    # M and 2^500 for Q: read alone, and in one stack beside a map (M = 0,
-    # Q = 2^505 I) that only the guarded readout takes, each keeps its bits
+    # CP maps whose parts lie on both sides of 2^250 for M and 2^500 for Q,
+    # read alone and in one stack beside a map of far larger noise (M = 0,
+    # Q = 2^505 I): a point's output bits do not depend on its stack
     rng = np.random.default_rng(26)
     n = 200
     transfer = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
