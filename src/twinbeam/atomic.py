@@ -23,18 +23,19 @@ that at zero detuning shifted by -i delta/Gamma; this yields a complex
 detuning is built, and the state and the sector's two source columns
 solved, once per medium in turn: the process holds the last medium
 analysed, keyed on the exact bits of every field but the two-photon
-detuning, and the next medium replaces it.  The
-shifted sector's singular values are bounded once per medium too: at
-every detuning the smallest is at least the slowest sideband decay rate,
-and the largest exceeds the zero-detuning sector's norm by at most
-|delta|/Gamma.  Every point of a scan and of the root search then costs
-a diagonal shift of the sector and a 4x4 solve; only points whose
-degeneracy check these bounds cannot pass (no ground decoherence, or
-detunings of order 1e18 rad/s) pay a 4x4 SVD.  The held medium keeps its
-last grid's gains, whoever asked, and its last point's output, and
-nothing else is kept; the finders' default window is the CLI's, so
-`gain_curves` on that grid, both finders and `pair_output` at the root
-cost one scan and one output.
+detuning, and the next medium replaces it.  The shifted sector's singular
+values are bounded once per medium too: at every detuning the smallest
+is at least the slowest sideband decay rate, and the largest exceeds the
+zero-detuning sector's norm by at most |delta|/Gamma.  Every point of a
+scan and of the root search then costs a diagonal shift of the sector, a
+4x4 solve and, for its gains, e^B's first column alone, and a one-point
+read pays no reduction, mask or copy for branches it fills whole; only
+points whose degeneracy check these bounds cannot pass (no ground
+decoherence, or detunings of order 1e18 rad/s) pay a 4x4 SVD.  The held
+medium keeps its last grid's gains, whoever asked, and its last point's
+output, and nothing else is kept; the finders' default window is the
+CLI's, so `gain_curves` on that grid, both finders and `pair_output` at
+the root cost one scan and one output.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling` turns the same
@@ -272,6 +273,7 @@ _BORDER = np.outer(_TRACE, _TRACE)
 _SECTOR_SLOTS = ((1, 0), (2, 0), (1, 3), (2, 3))
 _SECTOR_INDICES = [row + 4 * col for row, col in _SECTOR_SLOTS]
 _SECTOR = np.ix_(_SECTOR_INDICES, _SECTOR_INDICES)
+_PAIR_ROWS = np.array([[1j], [-1j]])  # the factors of the pair block's rows, over depth/2
 
 
 def _detuning_grid(delta_grid) -> np.ndarray:
@@ -336,7 +338,7 @@ class _Response:
         """
         if self.rho is None or not self.residual <= 1e-10 * max(1.0, self.sing_even[0]):
             return False
-        reach = self.norm + float(np.abs(deltas).max()) / self.p.excited_decay_rate
+        reach = self.norm + float(np.maximum.reduce(np.abs(deltas))) / self.p.excited_decay_rate
         return min(self.sing_even[-2], self.mu) > 2e-10 * max(self.sing_even[0], reach)
 
     def check(self, deltas: np.ndarray) -> None:
@@ -371,8 +373,8 @@ class _Response:
                 f"stationary residual {self.residual:.2e} exceeds tolerance {_at(deltas, n)}"
             )
 
-    def pair_blocks(self, delta_grid) -> np.ndarray:
-        """The pair block at every detuning of a grid, an (N, 2, 2) stack.
+    def pair_blocks(self, deltas: np.ndarray) -> np.ndarray:
+        """The pair block at every detuning of a valid grid (`_detuning_grid`), an (N, 2, 2) stack.
 
         One `check` and one stacked solve cover the grid, with the same
         floating-point operations per entry as a one-point grid, so a
@@ -380,13 +382,12 @@ class _Response:
         A failing check raises the error the detuning raises on its own,
         the first failing detuning of the grid being the one named.
         """
-        deltas = _detuning_grid(delta_grid)
         self.check(deltas)
         # once the check has passed, the sector's condition number is below 1e10
         # sources[None], not the bare (4, 2): numpy < 2 reads that as vectors
         solution = np.linalg.solve(self._shifted(deltas), self.sources[None])
         # rows i and -i depth/2 times the solution in slots (2, 0) and (1, 3), _SECTOR_SLOTS[1:3]
-        return np.array([[1j], [-1j]]) * (self.p.depth / 2.0) * solution[:, 1:3]
+        return _PAIR_ROWS * (self.p.depth / 2.0) * solution[:, 1:3]
 
     def gains(self, delta_grid) -> tuple[np.ndarray, np.ndarray]:
         """(probe gains, conjugate gains) at every detuning of a grid.  The
@@ -406,7 +407,8 @@ class _Response:
         keyed on its exact bits (the frozen result is safe to share)."""
         key = float(delta).hex()
         if self._last_output[0] != key:
-            self._last_output = (key, propagation.propagate_coupling(self.pair_blocks([delta])[0]))
+            block = self.pair_blocks(np.array([delta], dtype=float))[0]
+            self._last_output = (key, propagation.propagate_coupling(block))
         return self._last_output[1]
 
 
@@ -504,7 +506,7 @@ def sideband_blocks(p: AtomicParams, delta_grid: np.ndarray) -> np.ndarray:
     bit for bit.  A failing check raises for the first failing detuning
     and names it.
     """
-    return _response(p).pair_blocks(delta_grid)
+    return _response(p).pair_blocks(_detuning_grid(delta_grid))
 
 
 def sideband_response(p: AtomicParams) -> CouplingMatrix:
@@ -519,8 +521,8 @@ def sideband_response(p: AtomicParams) -> CouplingMatrix:
 
 def _classical_gains(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # transfer of the mean fields over the full medium length, as the
-    # flux |z|^2 that `propagate_coupling` reports
-    return tuple(propagation._fluxes(propagation._expm2x2(blocks)[:, :, 0]).T)
+    # flux |z|^2 that `propagate_coupling` reports: e^B's first column only
+    return tuple(propagation._fluxes(propagation._expm2x2(blocks, first=True)).T)
 
 
 def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
@@ -656,7 +658,7 @@ def find_beam_splitter_point(
     bracket = int(below[-1]) if below.size else int(crossings[0])
 
     def flux_balance(delta: float) -> float:
-        return float(_flux_balance(*_classical_gains(response.pair_blocks([delta])))[0])
+        return float(_flux_balance(*_classical_gains(response.pair_blocks(np.array([delta]))))[0])
 
     # a point's block and exponential do not depend on the stack, so the
     # scan holds the flux balance at both ends bit for bit

@@ -23,8 +23,6 @@ import sys
 from itertools import chain, repeat
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .configio import (
     ConfigError,
@@ -39,9 +37,9 @@ from .configio import (
 
 __all__ = ["main"]
 
-# each command imports the model modules it runs in its handler, and hashlib
-# and json load only where a digest or a JSON document is made: a command
-# pays only for its own modules at start-up
+# each command imports numpy and the model modules it runs in its handler, and
+# hashlib and json load only where a digest or a JSON document is made: a command
+# pays only for its own modules at start-up, and --help loads no numpy
 
 
 # one config file may serve several commands; each command reads its
@@ -142,6 +140,8 @@ def cmd_lumped_optimize(args) -> int:
 
 
 def cmd_sweep_delta(args) -> int:
+    import numpy as np
+
     from . import atomic, propagation
     sections, digest = _load_config(args.config)
     params = atomic.params_from_mapping(sections.get("atomic", {}))
@@ -186,6 +186,8 @@ def cmd_beam_splitter(args) -> int:
 
 
 def cmd_beat_limit(args) -> int:
+    import numpy as np  # np.log10, whose last bit math.log10 need not share
+
     from . import propagation
     sections, digest = _load_config(args.config)
     search = sections.get("search", {})

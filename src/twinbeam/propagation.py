@@ -171,10 +171,26 @@ _LOG_MAX = math.log(sys.float_info.max)  # e^x leaves the float range beyond thi
 _ROUNDING = 4.0 * sys.float_info.epsilon  # 16u S = _ROUNDING (F_a + F_b); 4 eps = 2^-50
 
 
-def _part(mask: np.ndarray):
-    """An index of a mask's points; all points as a slice, which indexes
-    without copying."""
-    return slice(None) if mask.all() else mask
+def _split(mask: np.ndarray):
+    """Indexes of a mask's points and of the others, None for none and a
+    slice, which indexes without copying, for all; one count decides."""
+    count = np.count_nonzero(mask)
+    if count == mask.size:
+        return slice(None), None
+    return (None, slice(None)) if count == 0 else (mask, ~mask)
+
+
+def _joined(parts: list, n: int) -> tuple:
+    """The 1-d arrays of n points from (index, arrays) parts that cover them,
+    a part's own where it covers them all; None joins to None."""
+    if len(parts) == 1:
+        return parts[0][1]
+    joined = [None if x is None else np.empty(n, dtype=x.dtype) for x in parts[0][1]]
+    for index, arrays in parts:
+        for out, x in zip(joined, arrays):
+            if out is not None:
+                out[index] = x
+    return tuple(joined)
 
 
 def _tame(blocks: np.ndarray) -> bool:
@@ -185,11 +201,14 @@ def _tame(blocks: np.ndarray) -> bool:
     e^257 2^78, far inside the float range."""
     size = np.abs(blocks)
     reach = blocks.real.diagonal(0, 1, 2) + size[:, ::-1].diagonal(0, 1, 2)
-    return size.max(initial=0.0) <= 2.0**20 and reach.max(initial=0.0) <= 128.0
+    # counted, not reduced by max: every entry within its bound, and NaN not
+    return np.count_nonzero(size <= 2.0**20) == size.size and np.count_nonzero(reach <= 128.0) == reach.size
 
 
-def _expm2x2(blocks: np.ndarray, roots: bool = False):
-    """e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in closed form.
+def _expm2x2(blocks: np.ndarray, roots: bool = False, first: bool = False):
+    """e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in closed form;
+    with first, only e^B's first column, an (N, 2) stack, and nothing of the
+    second column is computed.
 
     By Cayley-Hamilton e^B = e^m (cosh s I + sinh(s)/s (B - m I)), with
     m = tr(B)/2, h = (b00 - b11)/2 and s^2 = h^2 + b01 b10 (D. S. Bernstein
@@ -212,7 +231,7 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
     and scales them back.
     """
     b00, b01, b10, b11 = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
-    m, h = 0.5 * (b00 + b11), 0.5 * (b00 - b11)
+    h = 0.5 * (b00 - b11)
     tame = _tame(blocks)
     k = None if tame else np.maximum(np.maximum(np.abs(b01), np.abs(b10)), np.maximum(np.abs(h), 1.0))
     hr, b01r, b10r, big = h, b01, b10, None
@@ -223,14 +242,15 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
         hr, b01r, b10r = (np.where(big, x / r, x) for x in (h, b01, b10))
     qr = b01r * b10r
     sr = np.sqrt(hr * hr + qr)
-    sr = np.where((sr * hr.conj()).real > 0.0, -sr, sr)  # so that |s - h| >= |s + h|
+    np.negative(sr, out=sr, where=(sr * hr.conj()).real > 0.0)  # so that |s - h| >= |s + h|
     s = sr if big is None else np.where(big, sr * r, sr)
-    # d = (e^{m+s} - e^{m-s}) / (2 s), the off-diagonal factor
-    d, e00, e11 = np.empty_like(s), np.empty_like(s), np.empty_like(s)
     over = None if tame else np.empty(s.shape, dtype=bool)
     far = np.abs(s) > 0.5
-    if far.any():
-        f = _part(far)
+    f, n = _split(far)
+    m = 0.5 * (b00 + b11) if roots or n is not None else None  # far points' e^B never reads m
+    # per part: d = (e^{m+s} - e^{m-s}) / (2 s), the off-diagonal factor, e00, e11 and t
+    parts = []
+    if f is not None:
         sf, hf = s[f], h[f]
         t = qr[f] / (sr[f] - hr[f])  # t = b01 b10 / (s - h), over r
         t = t if big is None else np.where(big[f], t * r[f], t)
@@ -240,11 +260,9 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
             over[f] = np.maximum(x_up.real, x_down.real) + np.log(k[f]) + np.log(4.0) > _LOG_MAX
             x_up, x_down = np.where(over[f], 0.0, x_up), np.where(over[f], 0.0, x_down)
         up, down, two_s, gap = np.exp(x_up), np.exp(x_down), 2.0 * sf, sf - hf
-        d[f] = (up - down) / two_s
-        e00[f] = (t * up + gap * down) / two_s
-        e11[f] = (gap * up + t * down) / two_s
-    if not far.all():
-        n = _part(~far)
+        e11 = None if first else (gap * up + t * down) / two_s
+        parts.append((f, ((up - down) / two_s, (t * up + gap * down) / two_s, e11, t)))
+    if n is not None:
         sn, em = s[n], m[n]
         if not tame:
             over[n] = m[n].real + np.log(k[n]) + np.log(4.0) > _LOG_MAX
@@ -252,18 +270,19 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False):
         em = np.exp(em)
         tiny = np.abs(sn) < 1e-4
         sinhc = np.where(tiny, 1.0 + sn * sn / 6.0, np.sinh(sn) / np.where(tiny, 1.0, sn))
-        d[n], c = em * sinhc, em * np.cosh(sn)
-        e00[n], e11[n] = c + h[n] * d[n], c - h[n] * d[n]
-    out = np.empty_like(blocks)
-    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
+        d, c = em * sinhc, em * np.cosh(sn)
+        hd = h[n] * d
+        parts.append((n, (d, c + hd, None if first else c - hd, np.zeros_like(sn))))
+    d, e00, e11, t = _joined(parts, s.size)
+    if first:
+        out = np.empty((s.size, 2), dtype=blocks.dtype)
+        out[:, 0], out[:, 1] = e00, b10 * d
+    else:
+        out = np.empty_like(blocks)
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
     if not tame:
         out[over] = np.inf
-    if not roots:
-        return out
-    t_all = np.zeros_like(s)
-    if far.any():
-        t_all[f] = t
-    return out, (m, h, s, t_all, k, far)
+    return (out, (m, h, s, t, k, far)) if roots else out
 
 
 def _fluxes(amplitudes: np.ndarray) -> np.ndarray:
@@ -490,7 +509,7 @@ def _far_noise(blocks, s, h, t, k, d, e):
     psi = _phi(2.0 * half) * np.ldexp(1.0, e)[:, None, None]
     # the products P_i D P_j^dag, a (2, 2) stack of them per point
     terms = _mul(_mul(proj, d[:, None])[:, :, None], _dagger(proj)[:, None])
-    return (psi[..., None, None] * terms).sum(axis=(1, 2)), over
+    return np.add.reduce(psi[..., None, None] * terms, axis=(1, 2)), over
 
 
 # Faults of a point's pair map and output, in the order the point meets them
@@ -500,7 +519,7 @@ _OVERFLOWS = {_TRANSFER: "the transfer e^(BL)", _NOISE: "the added noise of the 
 
 def _fail(fault: np.ndarray, trace: np.ndarray, place=lambda i: "", figures: str = "") -> None:
     """Raise the OutputOverflowError of the first faulty point, if any."""
-    if not np.any(fault):
+    if not np.count_nonzero(fault):
         return
     i = int(np.flatnonzero(fault)[0])
     if fault[i] == _RATE:
@@ -532,33 +551,35 @@ def _pair_maps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     """
     d, e, trace = _pair_diffusion(a)
     rate = e >= sys.float_info.max_exp
-    if rate.any():
+    if np.count_nonzero(rate):
         # tr itself, below 2^1024 as long as e <= 1024; elsewhere tr bounds
         # the entries of H and so |Re tr(A)|, and no exponent overflows
         trace = np.where(e <= 1024, np.ldexp(trace, np.minimum(e, 1024)), np.inf)
         d[rate], e[rate] = 0.0, 0
         a = np.where(rate[:, None, None], 0.0, a)
     transfer, (m, h, s, t, k, far) = _expm2x2(a, roots=True)
-    noise = np.empty_like(a)
-    over = np.empty(far.shape, dtype=bool)
+    # noise takes a's memory layout, which the products of its readers follow
+    noise, over = np.empty_like(a), np.empty(far.shape, dtype=bool)
     near = ~far | (np.abs(s) <= -m.real / 3.0)
-    for part, branch, args in ((near, _near_noise, (m, h, s, k)), (~near, _far_noise, (s, h, t, k))):
-        if part.any():
-            p = _part(part)
+    for p, branch, args in zip(_split(near), (_near_noise, _far_noise), ((m, h, s, k), (s, h, t, k))):
+        if p is not None:
             noise[p], over[p] = branch(a[p], *(x if x is None else x[p] for x in args), d[p], e[p])
     fault = np.where(rate, _RATE, np.where(np.isinf(transfer[:, 0, 0]), _TRANSFER, np.where(over, _NOISE, 0)))
     return transfer, 0.5 * noise + 0.5 * _dagger(noise), fault, trace
 
 
+_ETA = np.array([1.0, -1.0])  # the diagonal of eta = diag(1, -1)
+
+
 def _pair_cp_defects(transfer: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """`gaussian.cp_defect` of each lifted pair map: the least eigenvalue of
     Q +- (eta - M eta M^dag), eta = diag(1, -1)."""
-    w = _mul(transfer * [1.0, -1.0], _dagger(transfer))
-    signs = np.array([1.0, -1.0])[:, None]
+    w = _mul(transfer * _ETA, _dagger(transfer))
+    signs = _ETA[:, None]  # the two signs of +-, one per row
     x = noise[:, 0, 0].real + signs * (1.0 - w[:, 0, 0].real)
     z = noise[:, 1, 1].real + signs * (-1.0 - w[:, 1, 1].real)
     y = noise[:, 0, 1] - signs * w[:, 0, 1]
-    return (0.5 * (x + z) - np.hypot(0.5 * (x - z), np.abs(y))).min(axis=0)
+    return np.minimum.reduce(0.5 * (x + z) - np.hypot(0.5 * (x - z), np.abs(y)))
 
 
 class _PairOutputs(NamedTuple):
@@ -594,10 +615,10 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     # 2^510 or Q's 2^1020, K = M M^dag + Q might not be a float, and its noise
     # figures pass 2^511, whose squares the gemellity may not take.  Every
     # stack runs these checks, which change no bit of a point inside the range
-    parts = [np.abs(v.view(float)).max(axis=(1, 2)) for v in (transfer, noise)]
+    parts = [np.maximum.reduce(np.abs(v.view(float)), axis=(1, 2)) for v in (transfer, noise)]
     huge = (parts[0] > 2.0**510) | (parts[1] > 2.0**1020)
     fault = np.where((fault == 0) & huge, _FIGURES, fault)
-    if fault.any():
+    if np.count_nonzero(fault):
         fine = fault == 0
         transfer, noise = (np.where(fine[:, None, None], x, 0.0) for x in (transfer, noise))
         parts = [np.where(fine, x, 0.0) for x in parts]
@@ -608,7 +629,7 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     cov = _mul(transfer, _dagger(transfer)) + noise
     f_a, f_b = cov[:, 0, 0].real, cov[:, 1, 1].real
     fault = np.where((fault == 0) & (np.maximum(f_a, f_b) > 2.0**511), _FIGURES, fault)
-    if fault.any():
+    if np.count_nonzero(fault):
         i = int(np.flatnonzero(fault)[0])
         if fault[i] == _CP:
             gaussian._require_cp(float(defect[i]), float(scale[i]))
@@ -619,7 +640,7 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
     gem = _gemellity(f_a, f_b, c_ab)
     bound = _ROUNDING * (f_a + f_b)
     lost = ~(gem > bound)
-    if lost.any():
+    if np.count_nonzero(lost):
         i = int(np.flatnonzero(lost)[0])
         raise GemellityRoundingError(
             f"gemellity {gem[i]:.6e} is within the rounding bound {bound[i]:.6e} of "

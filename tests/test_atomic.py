@@ -867,6 +867,12 @@ def test_a_pinned_root_ends_the_polish(monkeypatch):
         atomic.find_beam_splitter_point(p)
     assert len(counts) == 40
     assert max(counts) <= 12
+    # each medium's count, pinned: the Illinois trajectory itself is unchanged
+    assert counts == _POLISH_COUNTS
+
+
+# The flux balances of each pool medium's polish on the default window
+_POLISH_COUNTS = [9, 9, 6, 9, 8, 9, 8, 8, 9, 8, 8, 8, 9, 9, 8, 9, 8, 7, 8, 9, 9, 6, 9, 9, 10, 8, 8, 9, 8, 9, 8, 9, 9, 7, 8, 8, 8, 8, 8, 8]
 
 
 # A medium a fuzz of 150 random media found: with no ground decoherence and
@@ -903,6 +909,36 @@ def test_a_dense_medium_s_polish_reads_the_capped_balance(monkeypatch, depth):
     point = atomic.find_beam_splitter_point(_dense_medium(depth))
     assert abs(point.probe_gain + point.conj_gain - 1.0) <= 1e-13
     assert len(counts) == 1 and counts[0] <= 22
+
+
+@pytest.mark.parametrize(
+    "medium",
+    [AtomicParams(), AtomicParams(ground_decoherence=0.0), *range(40), *map(_dense_medium, _DENSE_DEPTHS)],
+    ids=["default", "gamma_g_0", *map(str, range(40)), *(f"dense_{depth:g}" for depth in _DENSE_DEPTHS)],
+)
+def test_each_polish_evaluation_equals_its_grid_row_bit_for_bit(monkeypatch, medium):
+    # the polish reads one point at a time; each of its flux balances is the
+    # row of one stacked read of all the points it evaluated, and the root's
+    # output the row of a stacked output read of those points and the root
+    p = medium if isinstance(medium, AtomicParams) else _pool_medium(medium)
+    evaluations = []
+
+    def recording(f, *args, _original=atomic._illinois):
+        def recorded(delta):
+            evaluations.append((delta, f(delta)))
+            return evaluations[-1][1]
+
+        return _original(recorded, *args)
+
+    monkeypatch.setattr(atomic, "_illinois", recording)
+    point = atomic.find_beam_splitter_point(p)
+    deltas = np.array([delta for delta, _ in evaluations])
+    balance = atomic._flux_balance(*atomic._classical_gains(atomic.sideband_blocks(p, deltas)))
+    assert [value.hex() for _, value in evaluations] == [float(x).hex() for x in balance]
+    stack = atomic.sideband_blocks(p, np.append(deltas, point.delta))
+    out = propagation._pair_outputs(*propagation._pair_maps(stack))
+    got = (point.probe_gain, point.conj_gain, point.gemellity)
+    assert [x.hex() for x in got] == [float(x[-1]).hex() for x in (out.g_a, out.g_b, out.gemellity)]
 
 
 @pytest.mark.parametrize(

@@ -506,6 +506,55 @@ def test_tame_points_keep_their_bits_beside_guarded_ones(companion):
             assert _bits(*(x[i] for x in out)) == _bits(*(x[0] for x in one))
 
 
+# Beside _COMPANIONS, guarded generators of both noise branches, and one whose
+# entries pass 2^500, so that s and t are formed over a power of two
+_ONE_ROW_COMPANIONS = {
+    **dict(zip(["unguarded_175", "overflowing", "unguarded_175_both"], _COMPANIONS)),
+    "near": 1e7 * np.array([[-1.17, -0.0203], [-0.0203, -0.603]], dtype=complex),
+    "far": 1e7 * np.array([[-1.0, 0.3 + 0.2j], [0.1j, -2.5]]),
+    "scaled_2_500": 2.0**500 * np.array([[-1.0, 0.3 + 0.2j], [0.1j, -2.5]]),
+}
+
+
+def _output_bits(out, i) -> list:
+    return [float(x[i]).hex() for x in out]
+
+
+@pytest.mark.parametrize("companion", list(_ONE_ROW_COMPANIONS.values()), ids=list(_ONE_ROW_COMPANIONS))
+def test_a_one_row_read_guards_where_the_stack_guards(companion):
+    # the polish reads a flux balance, and the root its output, one row at a
+    # time: each row of a guarded stack reads to its stacked row's bits, or
+    # raises the exception the stack raises for it, with the same text
+    tame = _default_sweep_blocks(slice(None, None, 25))
+    stack = np.concatenate([tame[:6], companion[None], tame[6:]])
+    assert not propagation._tame(stack)
+    gains = atomic._classical_gains(stack)
+    balance = atomic._flux_balance(*gains)
+    maps = propagation._pair_maps(stack)
+    rows = list(range(len(stack)))
+    try:
+        outs = propagation._pair_outputs(*maps, place=lambda i: f" at point {i}")
+    except (propagation.OutputOverflowError, propagation.GemellityRoundingError) as exc:
+        assert str(exc).endswith(" at point 6")
+        with pytest.raises(type(exc)) as alone:
+            propagation.propagate_coupling(companion)
+        assert f"{alone.value} at point 6" == str(exc)
+        rows.remove(6)
+        outs = propagation._pair_outputs(*(x[rows] for x in maps))
+    for i, block in enumerate(stack):
+        one = atomic._classical_gains(block[None])
+        assert _bits(*one, atomic._flux_balance(*one)) == _bits(*(x[i : i + 1] for x in (*gains, balance)))
+        transfer, noise, fault, _ = propagation._pair_maps(block[None])
+        assert fault[0] == maps[2][i]
+        if not fault[0]:
+            assert _bits(transfer[0], noise[0]) == _bits(maps[0][i], maps[1][i])
+    for row, i in enumerate(rows):
+        got = propagation.propagate_coupling(stack[i])
+        figures = got.figures
+        values = (got.g_a, got.g_b, figures.f_a, figures.f_b, figures.c_ab, got.gemellity, got.gemellity_db)
+        assert [x.hex() for x in values] == _output_bits(outs, row)
+
+
 def test_every_point_the_bound_clears_passes_every_guard(monkeypatch):
     # generators on both sides of the bound's edges, entries of size 2^20 and
     # Gershgorin real parts of 128, and a tenth far past them, whose noise

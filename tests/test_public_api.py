@@ -74,7 +74,7 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, 'hashlib' in sys.modules, *sorted(m[9:] for m in sys.modules if m.startswith('twinbeam.')))
+print(code, 'hashlib' in sys.modules, 'numpy' in sys.modules, *sorted(m[9:] for m in sys.modules if m.startswith('twinbeam.')))
 """
 _BASE = ("cli", "configio")
 _ATOMIC = (*_BASE, "atomic", "propagation", "metrics", "gaussian")
@@ -103,10 +103,12 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, modules, digest):
     config.write_text("[atomic]\ndepth = 500\n")
     paths = {"CONFIG": str(config), "TRACES": str(GOLDEN / "analyze_traces.csv")}
     out = _fresh(_LAUNCH, *(paths.get(arg, arg) for arg in argv))
-    code, hashed, *loaded = out.stdout.splitlines()[-1].split()
+    code, hashed, numpy, *loaded = out.stdout.splitlines()[-1].split()
     assert int(code) == (2 if "--no-such-flag" in argv else 0), out.stderr
     assert sorted(loaded) == sorted(modules)
     assert hashed == str(digest)
+    # each model command loads numpy; --help and a usage error load none
+    assert numpy == str(modules != _BASE)
 
 
 def test_the_public_surface_survives_laziness():
