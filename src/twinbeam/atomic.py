@@ -28,14 +28,19 @@ values are bounded once per medium too: at every detuning the smallest
 is at least the slowest sideband decay rate, and the largest exceeds the
 zero-detuning sector's norm by at most |delta|/Gamma.  Every point of a
 scan and of the root search then costs a diagonal shift of the sector, a
-4x4 solve and, for its gains, e^B's first column alone, and a one-point
-read pays no reduction, mask or copy for branches it fills whole; only
-points whose degeneracy check these bounds cannot pass (no ground
-decoherence, or detunings of order 1e18 rad/s) pay a 4x4 SVD.  The held
-medium keeps its last grid's gains, whoever asked, and its last point's
-output, and nothing else is kept; the finders' default window is the
-CLI's, so `gain_curves` on that grid, both finders and `pair_output` at
-the root cost one scan and one output.
+4x4 solve and, for its gains, e^B's first column alone, squared outside
+any error state where `propagation._tame` clears the stack, and a
+one-point read pays no reduction, mask or copy for branches it fills
+whole; only points whose degeneracy check these bounds cannot pass (no
+ground decoherence, or detunings of order 1e18 rad/s) pay a 4x4 SVD.
+The bounds that clear a root's bracket clear every point between its
+ends, so where they do the polish runs no check at all.  The held
+medium keeps its last grid's gains with the index of their least probe
+gain, the dip both finders read, whoever asked, and its last point's
+output, and nothing else is kept; the root's output reads the block the
+polish solved there.  The finders' default window is the CLI's, so
+`gain_curves` on that grid, both finders and `pair_output` at the root
+cost one scan, the polish's solves and one output.
 The classical gains are the exact mean-field transfer e^generator, from
 the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
 `propagation._expm2x2`; `propagation.propagate_coupling` turns the same
@@ -62,6 +67,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -243,11 +250,13 @@ def liouvillian(p: AtomicParams) -> np.ndarray:
         # X^T (x) I for X = h and each op^dag op, then op^* (x) op for each op alone
         left = (_EYE[:, None, :, None] * xs[:, None, :, None, :]).reshape(-1, 16, 16)
         right = (xs.transpose(0, 2, 1)[:, :, None, :, None] * _EYE[:, None, :]).reshape(-1, 16, 16)
-        jumps = (ops.conj()[:, :, None, :, None] * ops[:, None, :, None, :]).reshape(-1, 16, 16)
-        gen = -1j * (left[0] - right[0])
-        for jump, opdop_left, opdop_right in zip(jumps, left[1:], right[1:]):
-            gen += jump
-            gen -= 0.5 * (opdop_left + opdop_right)
+        # the terms in the order of a per-operator loop, gen += jump then
+        # gen -= 0.5 (left + right), summed in that order; x - y = x + (-y) exactly
+        terms = np.empty((1 + 2 * len(ops), 16, 16), dtype=complex)
+        terms[0] = -1j * (left[0] - right[0])
+        terms[1::2] = (ops.conj()[:, :, None, :, None] * ops[:, None, :, None, :]).reshape(-1, 16, 16)
+        np.negative(0.5 * (left[1:] + right[1:]), out=terms[2::2])
+        gen = np.add.reduce(terms, axis=0)
     _require_finite(p, "generator", np.isfinite(gen).all())
     return gen
 
@@ -304,8 +313,10 @@ class _Response:
 
     The process holds one response, the last medium's, shared through
     `_response`, so its arrays are read-only.  It keeps the gains of the
-    last grid any caller asked for and the output at the last point asked
-    for, and nothing else; a call that raises keeps nothing.
+    last grid any caller asked for, with their dip, and the output at the
+    last point asked for, and nothing else; a call that raises keeps
+    nothing.  A caller that holds a point's block, as the polish does at
+    its root, hands it to `output`, which then solves nothing.
     """
 
     def __init__(
@@ -373,41 +384,47 @@ class _Response:
                 f"stationary residual {self.residual:.2e} exceeds tolerance {_at(deltas, n)}"
             )
 
-    def pair_blocks(self, deltas: np.ndarray) -> np.ndarray:
+    def pair_blocks(self, deltas: np.ndarray, cleared: bool = False) -> np.ndarray:
         """The pair block at every detuning of a valid grid (`_detuning_grid`), an (N, 2, 2) stack.
 
         One `check` and one stacked solve cover the grid, with the same
         floating-point operations per entry as a one-point grid, so a
         detuning's block does not depend on the grid it is computed in.
         A failing check raises the error the detuning raises on its own,
-        the first failing detuning of the grid being the one named.
+        the first failing detuning of the grid being the one named.  With
+        cleared, the caller has found `_cleared` true for detunings at
+        least as wide as these, and no check runs.
         """
-        self.check(deltas)
+        if not cleared:
+            self.check(deltas)
         # once the check has passed, the sector's condition number is below 1e10
         # sources[None], not the bare (4, 2): numpy < 2 reads that as vectors
         solution = np.linalg.solve(self._shifted(deltas), self.sources[None])
         # rows i and -i depth/2 times the solution in slots (2, 0) and (1, 3), _SECTOR_SLOTS[1:3]
         return _PAIR_ROWS * (self.p.depth / 2.0) * solution[:, 1:3]
 
-    def gains(self, delta_grid) -> tuple[np.ndarray, np.ndarray]:
-        """(probe gains, conjugate gains) at every detuning of a grid.  The
-        last grid's are kept, keyed on its exact bits, and handed out
-        read-only."""
+    def gains(self, delta_grid) -> tuple[np.ndarray, np.ndarray, int]:
+        """(probe gains, conjugate gains, dip) at every detuning of a grid,
+        dip being the nanargmin of the probe gains, which both finders
+        read.  The last grid's are kept, keyed on its exact bits, and
+        handed out read-only."""
         deltas = _detuning_grid(delta_grid)
         key = deltas.tobytes()
         if self._last_gains[0] != key:
-            gains = _classical_gains(self.pair_blocks(deltas))
-            for array in gains:
+            probe, conj = _classical_gains(self.pair_blocks(deltas))
+            for array in (probe, conj):
                 array.setflags(write=False)
-            self._last_gains = (key, gains)
+            self._last_gains = (key, (probe, conj, int(np.nanargmin(probe))))
         return self._last_gains[1]
 
-    def output(self, delta: float) -> propagation.PropagationResult:
-        """The quantum output at one detuning; the last point's is kept,
-        keyed on its exact bits (the frozen result is safe to share)."""
+    def output(self, delta: float, block: np.ndarray | None = None) -> propagation.PropagationResult:
+        """The quantum output at one detuning, from its pair block where the
+        caller has solved it; the last point's is kept, keyed on its exact
+        bits (the frozen result is safe to share)."""
         key = float(delta).hex()
         if self._last_output[0] != key:
-            block = self.pair_blocks(np.array([delta], dtype=float))[0]
+            if block is None:
+                block = self.pair_blocks(np.array([delta], dtype=float))[0]
             self._last_output = (key, propagation.propagate_coupling(block))
         return self._last_output[1]
 
@@ -422,10 +439,11 @@ class _Response:
 def _response(p: AtomicParams) -> _Response:
     """The detuning-independent part of p's sideband response, built once
     per medium and then taken from the cache."""
-    return _medium_response(tuple(float(getattr(p, name)).hex() for name in _MEDIUM_FIELDS))
+    return _medium_response(struct.pack("6d", *_medium_fields(p)))
 
 
 _MEDIUM_FIELDS = tuple(f.name for f in fields(AtomicParams) if f.name != "two_photon_detuning")
+_medium_fields = operator.attrgetter(*_MEDIUM_FIELDS)
 _RATE_FIELDS = ("one_photon_detuning", "rabi_frequency", "hyperfine_splitting", "ground_decoherence")
 
 
@@ -443,11 +461,11 @@ def _require_finite(p: AtomicParams, quantity: str, finite: bool) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _medium_response(key: tuple[str, ...]) -> _Response:
+def _medium_response(key: bytes) -> _Response:
     """The _Response of the medium at zero two-photon detuning whose other
-    fields have the float.hex() forms key, from one generator build and
-    one solve for the state."""
-    p = AtomicParams(**dict(zip(_MEDIUM_FIELDS, map(float.fromhex, key))))
+    fields, as doubles, pack to key, every bit and the sign of a zero kept;
+    from one generator build and one solve for the state."""
+    p = AtomicParams(**dict(zip(_MEDIUM_FIELDS, struct.unpack("6d", key))))
     gen = liouvillian(p)
     even, sector = gen[_EVEN], gen[_SECTOR]
     # rates of order 1e150 Gamma overflow the sector's norm; the even block's
@@ -521,8 +539,10 @@ def sideband_response(p: AtomicParams) -> CouplingMatrix:
 
 def _classical_gains(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # transfer of the mean fields over the full medium length, as the
-    # flux |z|^2 that `propagate_coupling` reports: e^B's first column only
-    return tuple(propagation._fluxes(propagation._expm2x2(blocks, first=True)).T)
+    # flux |z|^2 that `propagate_coupling` reports: e^B's first column only,
+    # whose squares cannot overflow where `_tame` cleared the stack
+    column, tame = propagation._expm2x2(blocks, first=True)
+    return tuple(propagation._fluxes(column, bounded=tame).T)
 
 
 def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
@@ -532,7 +552,7 @@ def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
     exact transfer of the mean fields over the medium, with no slab
     discretization.
     """
-    probe, conj = _response(p).gains(delta_grid)
+    probe, conj, _ = _response(p).gains(delta_grid)
     return GainCurve(delta_grid, probe, conj)
 
 
@@ -563,8 +583,7 @@ def find_raman_dip(
 ) -> tuple[float, float]:
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
     grid = _scan_grid(window, n_scan)
-    gains = _response(p).gains(grid)[0]
-    i = int(np.nanargmin(gains))
+    gains, _, i = _response(p).gains(grid)
     return float(grid[i]), float(gains[i])
 
 
@@ -641,7 +660,7 @@ def find_beam_splitter_point(
     grid = _scan_grid(window, n_scan)
     # the scan, every flux balance and the output share one response
     response = _response(p)
-    probe, conj = response.gains(grid)
+    probe, conj, dip = response.gains(grid)
     # a point whose gains overflowed has no sign
     finite = np.isfinite(probe) & np.isfinite(conj)
     balance = np.where(finite, np.sign(_flux_balance(probe, conj)), 0.0)
@@ -653,19 +672,25 @@ def find_beam_splitter_point(
             f"[{grid[0]:.6e}, {grid[-1]:.6e}] rad/s"
             + (f" ({over} of {finite.size} scan points overflow the float range)" if over else "")
         )
-    dip = int(np.nanargmin(probe))
     below = crossings[crossings < dip]
     bracket = int(below[-1]) if below.size else int(crossings[0])
+    ends = slice(bracket, bracket + 2)
+    # every point the polish evaluates lies between the bracket's ends, so
+    # the bound that clears them clears it; elsewhere each point is checked
+    cleared = response._cleared(grid[ends])
+    blocks = {}  # each polished point's block, by its bits, for the output at the root
 
     def flux_balance(delta: float) -> float:
-        return float(_flux_balance(*_classical_gains(response.pair_blocks(np.array([delta]))))[0])
+        block = response.pair_blocks(np.array([delta]), cleared)
+        blocks[delta.hex()] = block[0]
+        return float(_flux_balance(*_classical_gains(block))[0])
 
     # a point's block and exponential do not depend on the stack, so the
     # scan holds the flux balance at both ends bit for bit
-    ends = slice(bracket, bracket + 2)
     delta_star = _illinois(flux_balance, *grid[ends], *_flux_balance(probe[ends], conj[ends]))
-    # pair_output at delta_star, kept for a pair_output call there
-    out = response.output(delta_star)
+    # pair_output at delta_star, kept for a pair_output call there; a root at
+    # a scan end, whose block the scan did not keep, is solved anew
+    out = response.output(delta_star, blocks.get(delta_star.hex()))
     return BeamSplitterPoint(delta_star, out.g_a, out.g_b, out.gemellity, out.gemellity_db)
 
 

@@ -208,7 +208,7 @@ def _tame(blocks: np.ndarray) -> bool:
 def _expm2x2(blocks: np.ndarray, roots: bool = False, first: bool = False):
     """e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in closed form;
     with first, only e^B's first column, an (N, 2) stack, and nothing of the
-    second column is computed.
+    second column is computed, returned with whether `_tame` cleared the stack.
 
     By Cayley-Hamilton e^B = e^m (cosh s I + sinh(s)/s (B - m I)), with
     m = tr(B)/2, h = (b00 - b11)/2 and s^2 = h^2 + b01 b10 (D. S. Bernstein
@@ -282,14 +282,20 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False, first: bool = False):
         out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
     if not tame:
         out[over] = np.inf
+    if first:
+        return out, tame
     return (out, (m, h, s, t, k, far)) if roots else out
 
 
-def _fluxes(amplitudes: np.ndarray) -> np.ndarray:
+def _fluxes(amplitudes: np.ndarray, bounded: bool = False) -> np.ndarray:
     """|z|^2 = Re(z)^2 + Im(z)^2 of every complex transfer amplitude z, the
-    IEEE operations of Python floats; amplitudes past the float range give
-    infinite fluxes quietly, so no stack needs a bound here.
+    IEEE operations of Python floats.  Amplitudes past the float range give
+    infinite fluxes quietly; bounded says the caller has held every part of
+    z below 2^510, as `_tame` and the range checks of `_pair_outputs` do, so
+    no square can overflow and no error state is entered.
     """
+    if bounded:
+        return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
     with np.errstate(over="ignore"):
         return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
 
@@ -647,7 +653,7 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
             f"the noise figures {f_a[i]:.6e} and {f_b[i]:.6e}, with no correct digit{place(i)}"
         )
     gem_db = 10.0 * np.log10(gem)
-    g_a, g_b = _fluxes(transfer[:, :, 0]).T
+    g_a, g_b = _fluxes(transfer[:, :, 0], bounded=True).T
     return _PairOutputs(g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
 
 

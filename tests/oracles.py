@@ -306,6 +306,34 @@ def kron_liouvillian(p: atomic.AtomicParams) -> np.ndarray:
     return gen
 
 
+def loop_liouvillian(p: atomic.AtomicParams) -> np.ndarray:
+    """The generator of `atomic.liouvillian` with its former per-operator
+    loop: the same broadcast outer products, added one operator at a time."""
+    eye = np.eye(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = p.excited_decay_rate
+        delta = p.two_photon_detuning / g
+        big_delta = p.one_photon_detuning / g
+        hf = p.hyperfine_splitting / g
+        rabi = p.rabi_frequency / g
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 0] = -delta
+        h[2, 2] = -big_delta
+        h[3, 3] = -(big_delta + hf + delta)
+        h[2, 1] = h[1, 2] = -rabi / 2.0
+        h[3, 0] = h[0, 3] = -rabi / 2.0
+        ops = np.array(atomic._collapse_operators(p))
+        xs = np.concatenate([h[None], ops.conj().transpose(0, 2, 1) @ ops])
+        left = (eye[:, None, :, None] * xs[:, None, :, None, :]).reshape(-1, 16, 16)
+        right = (xs.transpose(0, 2, 1)[:, :, None, :, None] * eye[:, None, :]).reshape(-1, 16, 16)
+        jumps = (ops.conj()[:, :, None, :, None] * ops[:, None, :, None, :]).reshape(-1, 16, 16)
+        gen = -1j * (left[0] - right[0])
+        for jump, opdop_left, opdop_right in zip(jumps, left[1:], right[1:]):
+            gen += jump
+            gen -= 0.5 * (opdop_left + opdop_right)
+    return gen
+
+
 def kron_pair_block(p: atomic.AtomicParams) -> np.ndarray:
     """sideband_response(p).pair_block computed one point at a time, as the
     detuning-linear algorithm does: the even block and the sideband sector

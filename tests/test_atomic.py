@@ -28,6 +28,7 @@ from oracles import (
     exact_channel,
     kron_liouvillian,
     kron_pair_block,
+    loop_liouvillian,
     mpmath_flux_balance,
     mpmath_gains,
     output_state,
@@ -452,7 +453,7 @@ def test_the_process_holds_only_the_last_medium():
 
 
 @pytest.mark.parametrize(
-    "field", ["one_photon_detuning", "rabi_frequency", "ground_decoherence", "hyperfine_splitting"]
+    "field", ["one_photon_detuning", "rabi_frequency", "ground_decoherence", "hyperfine_splitting", "depth"]
 )
 def test_signed_zero_fields_do_not_share_a_response(monkeypatch, field):
     calls = _count_builds(monkeypatch)
@@ -467,6 +468,20 @@ def test_signed_zero_fields_do_not_share_a_response(monkeypatch, field):
             _assert_bitwise(getattr(response, name), getattr(cold, name))
 
 
+@pytest.mark.parametrize("field", atomic._MEDIUM_FIELDS)
+def test_media_one_ulp_apart_do_not_share_a_response(monkeypatch, field):
+    # the key keeps every bit of each field but the two-photon detuning:
+    # a medium one float away builds its own response, and the response
+    # built holds the field's bits
+    calls = _count_builds(monkeypatch)
+    p = AtomicParams()
+    for step in (math.inf, -math.inf):
+        moved = dataclasses.replace(p, **{field: math.nextafter(getattr(p, field), step)})
+        for q in (p, moved):
+            assert getattr(atomic._response(q).p, field).hex() == float(getattr(q, field)).hex()
+    assert calls["state_solve"] == 4
+
+
 def test_the_steady_state_handed_out_is_a_copy():
     p = AtomicParams()
     rho = atomic.steady_state(p)
@@ -479,7 +494,7 @@ def test_the_steady_state_handed_out_is_a_copy():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     # ... and so are the kept gains of the last grid
-    for array in response.gains(np.linspace(*atomic._DEFAULT_WINDOW, 11)):
+    for array in response.gains(np.linspace(*atomic._DEFAULT_WINDOW, 11))[:2]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -491,8 +506,9 @@ def test_the_finders_share_one_window_scan(monkeypatch):
     assert (calls["scan_solve"], calls["sector_solve"]) == (1, 1)
     point = atomic.find_beam_splitter_point(p)
     assert calls["scan_solve"] == 1
-    # every other solve is one flux balance or the output at the root
-    assert calls["sector_solve"] == calls["_classical_gains"] + 1
+    # every other solve is one flux balance; the output at the root reads
+    # the block the polish solved there
+    assert calls["sector_solve"] == calls["_classical_gains"]
     # another window or scan size is scanned anew; the last scan is kept
     atomic.find_raman_dip(p, n_scan=250)
     atomic.find_raman_dip(p, window=(atomic._DEFAULT_WINDOW[0], 0.0))
@@ -671,10 +687,43 @@ def test_the_bound_and_the_svd_check_give_the_same_blocks_and_errors(monkeypatch
 
 def test_a_default_scan_and_root_search_make_no_sector_svd(monkeypatch):
     calls = _count_builds(monkeypatch)
+    counts = _count_polish(monkeypatch)
     atomic.gain_curves(AtomicParams(), _DEFAULT_GRID)
     assert (calls["sector_svd"], calls["sector_solve"]) == (0, 1)
     atomic.find_beam_splitter_point(AtomicParams())
-    assert calls["sector_svd"] == 0 and calls["sector_solve"] >= 10
+    # the scan's solve and one per flux balance; the root's output solves none
+    assert calls["sector_svd"] == 0 and calls["sector_solve"] == 1 + counts[0]
+
+
+def _count_checks(monkeypatch) -> list:
+    """The size of each detuning grid `_Response.check` is called on."""
+    sizes = []
+
+    def counted(self, deltas, _original=atomic._Response.check):
+        sizes.append(deltas.size)
+        return _original(self, deltas)
+
+    monkeypatch.setattr(atomic._Response, "check", counted)
+    return sizes
+
+
+def test_the_polish_is_checked_only_where_the_bound_does_not_clear_its_bracket(monkeypatch):
+    # a polish point lies between its bracket's ends, so the bound that clears
+    # them clears it: the scan's is the only check and no SVD runs
+    calls = _count_builds(monkeypatch)
+    checks = _count_checks(monkeypatch)
+    for p in [AtomicParams(), *map(_pool_medium, range(40))]:
+        calls["sector_svd"], checks[:] = 0, []
+        atomic.find_beam_splitter_point(p)
+        assert (calls["sector_svd"], checks) == (0, [251])
+    # without ground decoherence the bound clears nothing: each polish point
+    # is checked by its own SVD, and the root's output by none
+    counts = _count_polish(monkeypatch)
+    calls["sector_svd"], checks[:] = 0, []
+    atomic.find_beam_splitter_point(AtomicParams(ground_decoherence=0.0))
+    assert counts[0] > 0
+    assert calls["sector_svd"] == 1 + counts[0]
+    assert checks == [251] + [1] * counts[0]
 
 
 def test_a_scan_without_ground_decoherence_still_checks_by_svd(monkeypatch):
@@ -847,10 +896,8 @@ def test_the_default_window_is_the_cli_s(medium, tmp_path, capsys):
     }
 
 
-def test_a_pinned_root_ends_the_polish(monkeypatch):
-    # the secant point of a root pinned to one float rounds onto the newest
-    # end; Brent's least step ends the polish there, where a bisection from
-    # the far end took up to 25 flux balances on these media
+def _count_polish(monkeypatch) -> list:
+    """The flux balances each polish (`_illinois` call) evaluates, in order."""
     counts = []
 
     def counting(f, *args, _original=atomic._illinois):
@@ -863,6 +910,14 @@ def test_a_pinned_root_ends_the_polish(monkeypatch):
         return _original(counted, *args)
 
     monkeypatch.setattr(atomic, "_illinois", counting)
+    return counts
+
+
+def test_a_pinned_root_ends_the_polish(monkeypatch):
+    # the secant point of a root pinned to one float rounds onto the newest
+    # end; Brent's least step ends the polish there, where a bisection from
+    # the far end took up to 25 flux balances on these media
+    counts = _count_polish(monkeypatch)
     for p in map(_pool_medium, range(40)):
         atomic.find_beam_splitter_point(p)
     assert len(counts) == 40
@@ -894,18 +949,7 @@ def _dense_medium(depth: float) -> AtomicParams:
 def test_a_dense_medium_s_polish_reads_the_capped_balance(monkeypatch, depth):
     # the capped balance keeps each bracket end's value in [-1, 3], so
     # the polish ends in at most 22 flux balances, the worst of these depths
-    counts = []
-
-    def counting(f, *args, _original=atomic._illinois):
-        counts.append(0)
-
-        def counted(x):
-            counts[-1] += 1
-            return f(x)
-
-        return _original(counted, *args)
-
-    monkeypatch.setattr(atomic, "_illinois", counting)
+    counts = _count_polish(monkeypatch)
     point = atomic.find_beam_splitter_point(_dense_medium(depth))
     assert abs(point.probe_gain + point.conj_gain - 1.0) <= 1e-13
     assert len(counts) == 1 and counts[0] <= 22
@@ -951,6 +995,46 @@ def test_generator_matches_the_kron_reference_bit_for_bit(medium):
     # are zero, and each zero of the generator keeps the reference's sign
     p = medium if isinstance(medium, AtomicParams) else _pool_medium(medium)
     _assert_bitwise(atomic.liouvillian(p), kron_liouvillian(p))
+
+
+def _assert_the_loop_s_generator(p: AtomicParams):
+    """liouvillian(p) has the bits of the former per-operator loop, or raises
+    where that loop's generator leaves the float range."""
+    want = loop_liouvillian(p)
+    try:
+        got = atomic.liouvillian(p)
+    except atomic.MediumOverflowError:
+        assert not np.isfinite(want).all()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+_RATE = st.floats(0.0, 1e12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    big=st.floats(-1e12, 1e12),
+    delta=st.floats(-1e12, 1e12),
+    rabi=_RATE,
+    gamma=st.floats(1e-3, 1e12, exclude_min=True),
+    gamma_g=st.one_of(st.sampled_from([0.0, -0.0]), _RATE, st.floats(0.0, 1e300)),
+    depth=st.floats(0.0, 1e6),
+    hf=_RATE,
+)
+@example(big=1e9, delta=0.0, rabi=1e9, gamma=1e7, gamma_g=-0.0, depth=500.0, hf=1e10)
+@example(big=-0.0, delta=-0.0, rabi=0.0, gamma=1e7, gamma_g=0.0, depth=0.0, hf=0.0)
+def test_liouvillian_sums_its_terms_as_its_former_loop_did(big, delta, rabi, gamma, gamma_g, depth, hf):
+    _assert_the_loop_s_generator(AtomicParams(
+        one_photon_detuning=big, two_photon_detuning=delta, rabi_frequency=rabi,
+        excited_decay_rate=gamma, ground_decoherence=gamma_g, depth=depth, hyperfine_splitting=hf,
+    ))
+
+
+def test_the_pool_media_s_generators_are_their_former_loop_s():
+    for p in [AtomicParams(), *map(_pool_medium, range(40))]:
+        for delta in (0.0, *atomic._DEFAULT_WINDOW):
+            _assert_the_loop_s_generator(dataclasses.replace(p, two_photon_detuning=delta))
 
 
 def test_the_polish_points_of_the_pool_media_match_their_grid_rows_bit_for_bit():

@@ -609,8 +609,23 @@ def test_fluxes_are_the_python_float_squares():
     rng = np.random.default_rng(27)
     parts = 2.0 ** rng.uniform(-1074.0, 1024.0, (2, 500)) * rng.choice([-1.0, 1.0], (2, 500))
     amplitudes = np.concatenate([parts[0] + 1j * parts[1], [np.inf, complex(0.0, -np.inf), np.nan, 0.0]])
-    want = [x * x + y * y for x, y in zip(amplitudes.real.tolist(), amplitudes.imag.tolist())]
-    assert propagation._fluxes(amplitudes).tobytes() == np.array(want).tobytes()
+    want = np.array([x * x + y * y for x, y in zip(amplitudes.real.tolist(), amplitudes.imag.tolist())])
+    assert propagation._fluxes(amplitudes).tobytes() == want.tobytes()
+    # the bounded path, outside any error state, on the amplitudes whose
+    # parts stay below 2^510, the bound its callers hold
+    inside = np.maximum(np.abs(amplitudes.real), np.abs(amplitudes.imag)) < 2.0**510
+    assert 200 < np.count_nonzero(inside) < 400
+    assert propagation._fluxes(amplitudes[inside], bounded=True).tobytes() == want[inside].tobytes()
+
+
+def test_the_first_column_read_says_whether_the_stack_is_tame():
+    # e^B's first column alone, to the bits of the whole exponential, with
+    # _tame's verdict, which lets `atomic._classical_gains` square it quietly
+    tame = _default_sweep_blocks(slice(None, None, 25))
+    for stack in (tame, np.concatenate([tame, _COMPANIONS[1][None]])):
+        column, cleared = propagation._expm2x2(stack, first=True)
+        assert cleared == propagation._tame(stack) == (stack is tame)
+        assert column.tobytes() == np.ascontiguousarray(propagation._expm2x2(stack)[:, :, 0]).tobytes()
 
 
 def _matrices(pair):
