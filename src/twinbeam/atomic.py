@@ -49,8 +49,12 @@ generator into the exact quantum noise output through the pair map
 integral in closed form.
 A point and a whole scan grid share one solve, a strided diagonal shift
 and a stacked 4x4 solve, with the same operations per point.  The
-flux-neutral point is polished by `_illinois`, a bracketed regula falsi
-on the capped flux balance to adjacent floats: numpy is the only dependency.
+flux-neutral point is polished by `_regula_falsi`, a bracketed regula
+falsi on the capped flux balance to adjacent floats: its Anderson-Bjorck
+weight, floored at the Illinois halving, takes about 6.5 flux balances a
+root on the benchmark's media, runs of least steps end in a bisection,
+and a tie of adjacent floats ends on the positive balance, whatever the
+path.  numpy is the only dependency.
 
 The probe gain curve shows a deep Raman absorption dip at negative
 two-photon detuning; the pump light shift moves the dip by roughly
@@ -587,25 +591,32 @@ def find_raman_dip(
     return float(grid[i]), float(gains[i])
 
 
-# Far above the evaluations a bracket of doubles has needed: 108 on the analytic test
-# functions (a triple root); on the flux balance, 10 on the 40 pool media, which
-# test_a_pinned_root_ends_the_polish bounds at 12, and 22 on dense media of depth 2e6.
+# Far above the evaluations a bracket of doubles has needed: 131 on the analytic test
+# functions (a triple root); on the flux balance, 9 on the 40 pool media, which
+# test_a_pinned_root_ends_the_polish bounds at 9, and 19 on dense media of depth 1.5e6-2.3e6.
 _ROOT_MAXITER = 400
 
 
-def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
+def _regula_falsi(f, a: float, b: float, fa: float, fb: float) -> float:
     """Root of f in the sign-change bracket [a, b], to the last float;
     fa and fb are f(a) and f(b).
 
-    Regula falsi with the Illinois modification (M. Dowell and
-    P. Jarratt, BIT 11, 168, 1971): when the new point falls on the
-    side of the previous one, the secant weight of the end kept on the
-    other side is halved; a secant point outside the bracket is replaced
-    by the midpoint, and one that rounds onto the newest end, while the
-    secant's denominator is finite, by the next float inside, Brent's
-    least step (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4).  Stops at an exact zero or when the ends
-    are adjacent floats, returning the end with the smaller |f|.  Raises
+    Regula falsi with the Anderson-Bjorck modification (N. Anderson and
+    A. Bjorck, BIT 13, 253, 1973): when the new point falls on the side
+    of the previous one, the secant weight of the end kept on the other
+    side is scaled by m = 1 - f(new)/f(previous), floored at 1/2, the
+    Illinois halving (M. Dowell and P. Jarratt, BIT 11, 168, 1971): on a
+    flat side f(new)/f(previous) nears 1, and m alone would shrink the
+    weight towards 0 and stall the polish there.  A secant point
+    outside the bracket is replaced by the midpoint, and one that rounds
+    onto the newest end, while the secant's denominator is finite, by the
+    next float inside, Brent's least step (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4); after three least
+    steps in a row, by the midpoint until a secant point lands strictly
+    inside the bracket, so ends whose values differ by hundreds of orders
+    do not cost a step per float.  Stops at an exact zero or when the ends
+    are adjacent floats, returning the end with the smaller |f|, or on a
+    tie the end where f is positive, whatever path led there.  Raises
     RuntimeError when _ROOT_MAXITER steps do not get there.
     """
     x0, x1, f0, f1 = float(a), float(b), float(fa), float(fb)
@@ -616,19 +627,25 @@ def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
     if math.copysign(1.0, f0) == math.copysign(1.0, f1):
         raise ValueError("f(a) and f(b) must have different signs")
     w0 = f0  # the secant weight of the kept end x0; x1 is the newest point
+    least = 0  # the least steps in a row
     for _ in range(_ROOT_MAXITER):
         if math.nextafter(x0, x1) == x1:
-            return x0 if abs(f0) <= abs(f1) else x1
+            if abs(f0) == abs(f1):  # a tie: the end where f is positive
+                return x0 if f0 > 0.0 else x1
+            return x0 if abs(f0) < abs(f1) else x1
         x2 = x1 - f1 * (x1 - x0) / (f1 - w0)
-        if x2 == x1 and math.isfinite(f1 - w0):
-            x2 = math.nextafter(x1, x0)
-        if not min(x0, x1) < x2 < max(x0, x1):
+        if x2 == x1 and math.isfinite(f1 - w0) and least < 3:
+            x2, least = math.nextafter(x1, x0), least + 1
+        elif min(x0, x1) < x2 < max(x0, x1):
+            least = 0
+        else:
             x2 = x0 + (x1 - x0) / 2.0
         f2 = f(x2)
         if f2 == 0.0:
             return x2
         if math.copysign(1.0, f2) == math.copysign(1.0, f1):
-            w0 /= 2.0
+            m = 1.0 - f2 / f1
+            w0 *= m if m > 0.5 else 0.5  # a NaN m takes 1/2 too
         else:
             x0, f0, w0 = x1, f1, f1
         x1, f1 = x2, f2
@@ -687,7 +704,7 @@ def find_beam_splitter_point(
 
     # a point's block and exponential do not depend on the stack, so the
     # scan holds the flux balance at both ends bit for bit
-    delta_star = _illinois(flux_balance, *grid[ends], *_flux_balance(probe[ends], conj[ends]))
+    delta_star = _regula_falsi(flux_balance, *grid[ends], *_flux_balance(probe[ends], conj[ends]))
     # pair_output at delta_star, kept for a pair_output call there; a root at
     # a scan end, whose block the scan did not keep, is solved anew
     out = response.output(delta_star, blocks.get(delta_star.hex()))

@@ -1,8 +1,9 @@
 """Reference constructions the tests hold the package's fast paths against:
 channels built from its quadrature objects, the search objective as
-separate helper calls, the search with its former probe loop, and
-high-precision mpmath evaluations of the atomic response, the pair maps
-and the measurement inversion."""
+separate helper calls, the search with its former probe loop, the
+beam-splitter point's former Illinois polish, and high-precision mpmath
+evaluations of the atomic response, the pair maps and the measurement
+inversion."""
 
 import dataclasses
 import functools
@@ -271,6 +272,51 @@ def search_beyond_lumped_limit(
         and abs(result.sum_transmission - 1.0) <= feasibility_tol
     )
     return propagation.SearchResult(profile, result, found, evaluations)
+
+
+def illinois(f, a: float, b: float, fa: float, fb: float) -> float:
+    """The former polish of `atomic.find_beam_splitter_point`, which
+    `atomic._regula_falsi` replaced: root of f in the sign-change bracket
+    [a, b], to the last float; fa and fb are f(a) and f(b).
+
+    Regula falsi with the Illinois modification (M. Dowell and
+    P. Jarratt, BIT 11, 168, 1971): when the new point falls on the
+    side of the previous one, the secant weight of the end kept on the
+    other side is halved; a secant point outside the bracket is replaced
+    by the midpoint, and one that rounds onto the newest end, while the
+    secant's denominator is finite, by the next float inside, Brent's
+    least step (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4).  Stops at an exact zero or when the ends
+    are adjacent floats, returning the end with the smaller |f|.  Raises
+    RuntimeError when atomic._ROOT_MAXITER steps do not get there.
+    """
+    x0, x1, f0, f1 = float(a), float(b), float(fa), float(fb)
+    if f0 == 0.0:
+        return x0
+    if f1 == 0.0:
+        return x1
+    if math.copysign(1.0, f0) == math.copysign(1.0, f1):
+        raise ValueError("f(a) and f(b) must have different signs")
+    w0 = f0  # the secant weight of the kept end x0; x1 is the newest point
+    for _ in range(atomic._ROOT_MAXITER):
+        if math.nextafter(x0, x1) == x1:
+            return x0 if abs(f0) <= abs(f1) else x1
+        x2 = x1 - f1 * (x1 - x0) / (f1 - w0)
+        if x2 == x1 and math.isfinite(f1 - w0):
+            x2 = math.nextafter(x1, x0)
+        if not min(x0, x1) < x2 < max(x0, x1):
+            x2 = x0 + (x1 - x0) / 2.0
+        f2 = f(x2)
+        if f2 == 0.0:
+            return x2
+        if math.copysign(1.0, f2) == math.copysign(1.0, f1):
+            w0 /= 2.0
+        else:
+            x0, f0, w0 = x1, f1, f1
+        x1, f1 = x2, f2
+    raise RuntimeError(
+        f"root search did not converge in {atomic._ROOT_MAXITER} steps, bracket [{x0}, {x1}]"
+    )
 
 
 def kron_liouvillian(p: atomic.AtomicParams) -> np.ndarray:
