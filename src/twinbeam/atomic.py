@@ -19,42 +19,32 @@ bordered by the trace functional.  Weak sidebands are then treated in
 linear response, a 4x4 solve in the sideband sector, whose diagonal is
 that at zero detuning shifted by -i delta/Gamma; this yields a complex
 2x2 generator per unit medium length for the co-propagating pair
-(probe annihilation, conjugate creation).  The 16x16 generator at zero
-detuning is built, and the state and the sector's two source columns
-solved, once per medium in turn: the process holds the last medium
-analysed, keyed on the exact bits of every field but the two-photon
-detuning, and the next medium replaces it.  The shifted sector's singular
-values are bounded once per medium too: at every detuning the smallest
-is at least the slowest sideband decay rate, and the largest exceeds the
-zero-detuning sector's norm by at most |delta|/Gamma.  Every point of a
-scan and of the root search then costs a diagonal shift of the sector, a
-4x4 solve and, for its gains, e^B's first column alone, squared outside
-any error state where `propagation._tame` clears the stack, and a
-one-point read pays no reduction, mask or copy for branches it fills
-whole; only points whose degeneracy check these bounds cannot pass (no
-ground decoherence, or detunings of order 1e18 rad/s) pay a 4x4 SVD.
-The bounds that clear a root's bracket clear every point between its
-ends, so where they do the polish runs no check at all.  The held
-medium keeps its last grid's gains with the index of their least probe
-gain, the dip both finders read, whoever asked, and its last point's
-output, and nothing else is kept; the root's output reads the block the
-polish solved there.  The finders' default window is the CLI's, so
-`gain_curves` on that grid, both finders and `pair_output` at the root
-cost one scan, the polish's solves and one output.
-The classical gains are the exact mean-field transfer e^generator, from
-the closed-form (Cayley-Hamilton) exponential of each 2x2 generator,
-`propagation._expm2x2`; `propagation.propagate_coupling` turns the same
-generator into the exact quantum noise output through the pair map
-(M, Q), whose M is that exponential and whose Q is Van Loan's noise
-integral in closed form.
+(probe annihilation, conjugate creation).
+
+The process holds one medium, the last analysed, keyed on the exact bits
+of every field but the two-photon detuning, and the next medium replaces
+it: its generator at zero detuning, its state, the sector's two source
+columns and bounds on the shifted sector's singular values.  At every
+detuning the smallest is at least the slowest sideband decay rate, and
+the largest exceeds the zero-detuning sector's norm by at most
+|delta|/Gamma; only points whose degeneracy check these bounds cannot
+pass (no ground decoherence, or detunings of order 1e18 rad/s) pay a
+4x4 SVD.  The bounds that clear a root's bracket clear every point
+between its ends, so where they do the polish runs no check.  The held
+medium keeps its last grid's gains with the dip both finders read, and
+its last point's output; the root's output reads the block the polish
+solved there.
+
 A point and a whole scan grid share one solve, a strided diagonal shift
 and a stacked 4x4 solve, with the same operations per point.  The
-flux-neutral point is polished by `_regula_falsi`, a bracketed regula
-falsi on the capped flux balance to adjacent floats: its Anderson-Bjorck
-weight, floored at the Illinois halving, takes about 6.5 flux balances a
-root on the benchmark's media, runs of least steps end in a bisection,
-and a tie of adjacent floats ends on the positive balance, whatever the
-path.  numpy is the only dependency.
+classical gains are the exact mean-field transfer e^generator, read by
+`propagation._pair_gains` off the first column of the closed-form
+(Cayley-Hamilton) exponential; `propagation.propagate_coupling` turns the
+same generator into the exact quantum noise output through the pair map
+(M, Q), whose M is that exponential and whose Q is Van Loan's noise
+integral in closed form.  The flux-neutral point is polished by
+`_regula_falsi`, a bracketed regula falsi on the capped flux balance, to
+adjacent floats.  numpy is the only dependency.
 
 The probe gain curve shows a deep Raman absorption dip at negative
 two-photon detuning; the pump light shift moves the dip by roughly
@@ -415,7 +405,7 @@ class _Response:
         deltas = _detuning_grid(delta_grid)
         key = deltas.tobytes()
         if self._last_gains[0] != key:
-            probe, conj = _classical_gains(self.pair_blocks(deltas))
+            probe, conj = propagation._pair_gains(self.pair_blocks(deltas))
             for array in (probe, conj):
                 array.setflags(write=False)
             self._last_gains = (key, (probe, conj, int(np.nanargmin(probe))))
@@ -541,14 +531,6 @@ def sideband_response(p: AtomicParams) -> CouplingMatrix:
     return CouplingMatrix(sideband_blocks(p, np.array([p.two_photon_detuning]))[0])
 
 
-def _classical_gains(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # transfer of the mean fields over the full medium length, as the
-    # flux |z|^2 that `propagate_coupling` reports: e^B's first column only,
-    # whose squares cannot overflow where `_tame` cleared the stack
-    column, tame = propagation._expm2x2(blocks, first=True)
-    return tuple(propagation._fluxes(column, bounded=tame).T)
-
-
 def gain_curves(p: AtomicParams, delta_grid: np.ndarray) -> GainCurve:
     """Probe and conjugate gains per unit probe seed across a detuning grid.
 
@@ -566,8 +548,10 @@ def pair_output(p: AtomicParams) -> propagation.PropagationResult:
     return _response(p).output(p.two_photon_detuning)
 
 
-# the ends the CLI's [window] defaults, -150 and 50 MHz, pass, to the bit
-_DEFAULT_WINDOW = (angular_from_mhz(-150.0), angular_from_mhz(50.0))
+# the default detuning window of both finders and of the CLI, and its scan size
+_WINDOW_MHZ = (-150.0, 50.0)
+_SCAN_POINTS = 251
+_DEFAULT_WINDOW = tuple(map(angular_from_mhz, _WINDOW_MHZ))
 
 
 def _scan_grid(window: tuple[float, float], n_scan: int) -> np.ndarray:
@@ -583,7 +567,7 @@ def _scan_grid(window: tuple[float, float], n_scan: int) -> np.ndarray:
 def find_raman_dip(
     p: AtomicParams,
     window: tuple[float, float] = _DEFAULT_WINDOW,
-    n_scan: int = 251,
+    n_scan: int = _SCAN_POINTS,
 ) -> tuple[float, float]:
     """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
     grid = _scan_grid(window, n_scan)
@@ -661,7 +645,7 @@ def _flux_balance(probe: np.ndarray, conj: np.ndarray) -> np.ndarray:
 def find_beam_splitter_point(
     p: AtomicParams,
     window: tuple[float, float] = _DEFAULT_WINDOW,
-    n_scan: int = 251,
+    n_scan: int = _SCAN_POINTS,
 ) -> BeamSplitterPoint:
     """Root-find the detuning where output flux equals the probe input.
 
@@ -700,7 +684,7 @@ def find_beam_splitter_point(
     def flux_balance(delta: float) -> float:
         block = response.pair_blocks(np.array([delta]), cleared)
         blocks[delta.hex()] = block[0]
-        return float(_flux_balance(*_classical_gains(block))[0])
+        return float(_flux_balance(*propagation._pair_gains(block))[0])
 
     # a point's block and exponential do not depend on the stack, so the
     # scan holds the flux balance at both ends bit for bit

@@ -67,12 +67,14 @@ def _load_config(path: str | None) -> tuple[dict[str, dict[str, str]], str | Non
 
 def _window(sections: dict, section: str, low: str, high: str) -> tuple[float, float, int]:
     """The (lo, hi) ends in MHz and the point count of a detuning window,
-    a section with keys low, high and points."""
+    a section with keys low, high and points; absent keys take the finders'
+    defaults."""
+    from . import atomic  # loaded already by both callers
     mapping = sections.get(section, {})
     check_keys(mapping, section, {low, high, "points"})
-    lo = section_frequency(mapping, section, low, default=-150.0)
-    hi = section_frequency(mapping, section, high, default=50.0)
-    points = section_int(mapping, section, "points", default=251)
+    lo = section_frequency(mapping, section, low, default=atomic._WINDOW_MHZ[0])
+    hi = section_frequency(mapping, section, high, default=atomic._WINDOW_MHZ[1])
+    points = section_int(mapping, section, "points", default=atomic._SCAN_POINTS)
     if not lo < hi:
         raise ConfigError(f"[{section}] detuning window must be increasing, got [{lo}, {hi}] MHz")
     if points < 2:
@@ -186,9 +188,7 @@ def cmd_beam_splitter(args) -> int:
 
 
 def cmd_beat_limit(args) -> int:
-    import numpy as np  # np.log10, whose last bit math.log10 need not share
-
-    from . import propagation
+    from . import metrics, propagation
     sections, digest = _load_config(args.config)
     search = sections.get("search", {})
     check_keys(search, "search", {"segments", "restarts", "rate_bound", "feasibility_tol"})
@@ -218,7 +218,7 @@ def cmd_beat_limit(args) -> int:
         "G_a": found.result.g_a,
         "G_b": found.result.g_b,
         "sum": found.result.sum_transmission,
-        "diff_noise_dB": 10.0 * np.log10(found.result.diff_noise),
+        "diff_noise_dB": metrics.db_from_linear(found.result.diff_noise),
         "evaluations": found.evaluations,
     }
     _emit(args, "beat-limit", columns, summary, digest)
@@ -286,10 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, MemoryError) as exc:  # numpy's MemoryError names the array

@@ -13,7 +13,7 @@ gain.
 
 `_pair_maps` solves the flow of a whole stack of generators without
 discretization or a per-point loop: M = e^{BL} is the closed-form 2x2
-exponential `_expm2x2`, which the atomic gain curves share, and
+exponential `_expm2x2`, which the atomic gains share (`_pair_gains`), and
 Q = int_0^L e^{Bs} D e^{B^dag s} ds is Van Loan's noise integral
 (C. F. Van Loan, IEEE TAC 23, 395, 1978) in closed form, on the spectral
 projectors of B or, for near eigenvalues, through the Cayley-Hamilton
@@ -205,20 +205,22 @@ def _tame(blocks: np.ndarray) -> bool:
     return np.count_nonzero(size <= 2.0**20) == size.size and np.count_nonzero(reach <= 128.0) == reach.size
 
 
-def _expm2x2(blocks: np.ndarray, roots: bool = False, first: bool = False):
-    """e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in closed form;
-    with first, only e^B's first column, an (N, 2) stack, and nothing of the
-    second column is computed, returned with whether `_tame` cleared the stack.
+def _expm2x2(blocks: np.ndarray, first: bool = False):
+    """(e, roots): e^B of every complex 2x2 matrix in an (N, 2, 2) stack, in
+    closed form, and roots = (m, h, s, t, k, far), the quantities the noise
+    integral of `_pair_maps` reuses.  With first, e is only e^B's first
+    column, an (N, 2) stack, and nothing of the second column is computed.
 
     By Cayley-Hamilton e^B = e^m (cosh s I + sinh(s)/s (B - m I)), with
     m = tr(B)/2, h = (b00 - b11)/2 and s^2 = h^2 + b01 b10 (D. S. Bernstein
-    and W. So, IEEE TAC 38, 1228, 1993).  For |s| > 1/2 the same form is
-    evaluated at the eigenvalues b11 + t and b00 - t, t = b01 b10 / (s - h),
+    and W. So, IEEE TAC 38, 1228, 1993).  For |s| > 1/2 (far) the same form
+    is evaluated at the eigenvalues b11 + t and b00 - t, t = b01 b10 / (s - h),
     with the sign of s that keeps s - h free of cancellation, so a small
     eigenvalue next to a large one keeps its digits; near s = 0, sinh(s)/s
-    is a series.  Each entry's arithmetic is independent of the stack.
-    With roots, also returns (m, h, s, t, k, far): t is 0 where |s| <= 1/2,
-    and k is None where `_tame` clears the stack and no point is guarded.
+    is a series.  Each entry's arithmetic is independent of the stack.  t is
+    0 where |s| <= 1/2; m is None where first and no point is near, as no
+    far point reads it; k is None where `_tame` clears the stack, so that no
+    point is guarded.
 
     Every intermediate of a point is at most e^x 4 k, with x the largest
     real part of its exponents and k the largest of 1, |b01|, |b10|, |h|
@@ -247,7 +249,7 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False, first: bool = False):
     over = None if tame else np.empty(s.shape, dtype=bool)
     far = np.abs(s) > 0.5
     f, n = _split(far)
-    m = 0.5 * (b00 + b11) if roots or n is not None else None  # far points' e^B never reads m
+    m = 0.5 * (b00 + b11) if not first or n is not None else None  # far points' e^B never reads m
     # per part: d = (e^{m+s} - e^{m-s}) / (2 s), the off-diagonal factor, e00, e11 and t
     parts = []
     if f is not None:
@@ -282,22 +284,27 @@ def _expm2x2(blocks: np.ndarray, roots: bool = False, first: bool = False):
         out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = e00, b01 * d, b10 * d, e11
     if not tame:
         out[over] = np.inf
-    if first:
-        return out, tame
-    return (out, (m, h, s, t, k, far)) if roots else out
+    return out, (m, h, s, t, k, far)
 
 
-def _fluxes(amplitudes: np.ndarray, bounded: bool = False) -> np.ndarray:
+def _fluxes(amplitudes: np.ndarray) -> np.ndarray:
     """|z|^2 = Re(z)^2 + Im(z)^2 of every complex transfer amplitude z, the
-    IEEE operations of Python floats.  Amplitudes past the float range give
-    infinite fluxes quietly; bounded says the caller has held every part of
-    z below 2^510, as `_tame` and the range checks of `_pair_outputs` do, so
-    no square can overflow and no error state is entered.
-    """
-    if bounded:
-        return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
+    IEEE operations of Python floats.  A square past the float range
+    overflows; a caller whose amplitudes may pass 2^511 enters the error
+    state that makes that quiet."""
+    return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
+
+
+def _pair_gains(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G_a, G_b) of every pair generator of an (N, 2, 2) stack: the fluxes of
+    e^B's first column, the mean-field transfer `propagate_coupling` reports.
+    A stack that `_tame` clears keeps that column's parts far below 2^511 and
+    is squared outside any error state; elsewhere inf gains come quietly."""
+    column, (*_, k, _far) = _expm2x2(blocks, first=True)
+    if k is None:
+        return tuple(_fluxes(column).T)
     with np.errstate(over="ignore"):
-        return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
+        return tuple(_fluxes(column).T)
 
 
 def slab_channel(slab: Slab) -> gaussian.GaussianChannel:
@@ -325,7 +332,7 @@ def slab_channel(slab: Slab) -> gaussian.GaussianChannel:
 
 def coupling_slab_channel(block: np.ndarray, dz: float) -> gaussian.GaussianChannel:
     """First-order CP slab for a complex generator, see module docstring."""
-    e = _expm2x2(_generator(block) * dz)[0]
+    e = _expm2x2(_generator(block) * dz)[0][0]
     return gaussian.minimal_noise_channel(gaussian.transfer_from_mode_matrix(e))
 
 
@@ -563,7 +570,7 @@ def _pair_maps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         trace = np.where(e <= 1024, np.ldexp(trace, np.minimum(e, 1024)), np.inf)
         d[rate], e[rate] = 0.0, 0
         a = np.where(rate[:, None, None], 0.0, a)
-    transfer, (m, h, s, t, k, far) = _expm2x2(a, roots=True)
+    transfer, (m, h, s, t, k, far) = _expm2x2(a)
     # noise takes a's memory layout, which the products of its readers follow
     noise, over = np.empty_like(a), np.empty(far.shape, dtype=bool)
     near = ~far | (np.abs(s) <= -m.real / 3.0)
@@ -653,7 +660,7 @@ def _pair_outputs(transfer, noise, fault, trace, place=lambda i: "") -> _PairOut
             f"the noise figures {f_a[i]:.6e} and {f_b[i]:.6e}, with no correct digit{place(i)}"
         )
     gem_db = 10.0 * np.log10(gem)
-    g_a, g_b = _fluxes(transfer[:, :, 0], bounded=True).T
+    g_a, g_b = _fluxes(transfer[:, :, 0]).T  # M's parts are below 2^510 here
     return _PairOutputs(g_a, g_b, f_a, f_b, c_ab, gem, gem_db)
 
 
@@ -826,32 +833,28 @@ def propagate_coupling(block: np.ndarray) -> PropagationResult:
     return _result(*_pair_maps(_generator(block)))
 
 
-def refine_until_converged(
-    profile: SlabProfile,
-    tol: float = 1e-8,
-    max_doublings: int = 20,
-) -> tuple[PropagationResult, int]:
-    """Halve slab widths, from 8 slabs per segment, until the gemellity
-    stops moving.
+_REFINE_TOL = 1e-8
+_REFINE_DOUBLINGS = 20
 
-    Returns the converged result for a unit coherent probe seed and the
-    number of doublings used.
-    The factorization error is second order in the slab width, so the
-    change per doubling shrinks by about a quarter.
+
+def refine_until_converged(profile: SlabProfile) -> tuple[PropagationResult, int]:
+    """Halve slab widths, from 8 slabs per segment, until a doubling moves
+    the gemellity by less than _REFINE_TOL: the factorization error is
+    second order in the slab width, so the change per doubling shrinks by
+    about a quarter.  Returns the converged result for a unit coherent probe
+    seed and the number of doublings used; raises RuntimeError after
+    _REFINE_DOUBLINGS doublings.
     """
-    _check_finite("tol", tol)
-    if not tol > 0.0:
-        raise ValueError(f"convergence tolerance must be positive, got {tol}")
     n = 8
     prev = propagate(profile, n)
-    for doubling in range(1, max_doublings + 1):
+    for doubling in range(1, _REFINE_DOUBLINGS + 1):
         n *= 2
         cur = propagate(profile, n)
-        if abs(cur.gemellity - prev.gemellity) < tol:
+        if abs(cur.gemellity - prev.gemellity) < _REFINE_TOL:
             return cur, doubling
         prev = cur
     raise RuntimeError(
-        f"slab refinement did not converge to {tol} after {max_doublings} doublings"
+        f"slab refinement did not converge to {_REFINE_TOL} after {_REFINE_DOUBLINGS} doublings"
     )
 
 

@@ -307,7 +307,7 @@ def test_batched_grid_matches_the_per_point_path_bit_for_bit(omega, big, depth, 
         point = dataclasses.replace(p, two_photon_detuning=float(delta))
         single = atomic.sideband_response(point).pair_block
         _assert_bitwise(blocks[i], single)
-        e = propagation._expm2x2(single[None])[0]
+        e = propagation._expm2x2(single[None])[0][0]
         for gain, z in ((curve.probe_gain[i], e[0, 0]), (curve.conj_gain[i], e[1, 0])):
             assert gain == z.real * z.real + z.imag * z.imag
     for delta in grid[:: max(1, size // 3)]:
@@ -346,16 +346,16 @@ def _count_builds(monkeypatch) -> dict:
     sector solves of more than one detuning and the quantum outputs
     (propagate_coupling calls) of the atomic model."""
     calls = {
-        "_response": 0, "_classical_gains": 0, "state_solve": 0, "sector_svd": 0,
+        "_response": 0, "_pair_gains": 0, "state_solve": 0, "sector_svd": 0,
         "sector_solve": 0, "scan_solve": 0, "output": 0,
     }
-    for name in ("_response", "_classical_gains"):
+    for module, name in ((atomic, "_response"), (propagation, "_pair_gains")):
 
-        def counted(*args, _name=name, _original=getattr(atomic, name)):
+        def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(atomic, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def solve(a, b, _original=np.linalg.solve):
         calls["state_solve"] += np.shape(a) == (8, 8)
@@ -406,7 +406,7 @@ def test_the_flux_balances_reuse_the_scan_generator(monkeypatch):
     calls = _count_builds(monkeypatch)
     atomic.find_beam_splitter_point(AtomicParams())
     # the scan and 6 flux balances; the bracket's ends come from the scan
-    assert calls["_classical_gains"] == 7
+    assert calls["_pair_gains"] == 7
     assert calls["_response"] == 1
     assert calls["state_solve"] == 1
 
@@ -510,7 +510,7 @@ def test_the_finders_share_one_window_scan(monkeypatch):
     assert calls["scan_solve"] == 1
     # every other solve is one flux balance; the output at the root reads
     # the block the polish solved there
-    assert calls["sector_solve"] == calls["_classical_gains"]
+    assert calls["sector_solve"] == calls["_pair_gains"]
     # another window or scan size is scanned anew; the last scan is kept
     atomic.find_raman_dip(p, n_scan=250)
     atomic.find_raman_dip(p, window=(atomic._DEFAULT_WINDOW[0], 0.0))
@@ -1077,7 +1077,7 @@ def test_each_polish_evaluation_equals_its_grid_row_bit_for_bit(monkeypatch, med
     monkeypatch.setattr(atomic, "_regula_falsi", recording)
     point = atomic.find_beam_splitter_point(p)
     deltas = np.array([delta for delta, _ in evaluations])
-    balance = atomic._flux_balance(*atomic._classical_gains(atomic.sideband_blocks(p, deltas)))
+    balance = atomic._flux_balance(*propagation._pair_gains(atomic.sideband_blocks(p, deltas)))
     assert [value.hex() for _, value in evaluations] == [float(x).hex() for x in balance]
     stack = atomic.sideband_blocks(p, np.append(deltas, point.delta))
     out = propagation._pair_outputs(*propagation._pair_maps(stack))
@@ -1150,12 +1150,12 @@ def test_the_polish_points_of_the_pool_media_match_their_grid_rows_bit_for_bit()
         assert grid[row] != dip
         grid[row] = point
         blocks = atomic.sideband_blocks(p, grid)
-        gains = atomic._classical_gains(blocks)
+        gains = propagation._pair_gains(blocks)
         for delta in (point, dip):
             i = int(np.flatnonzero(grid == delta)[0])
             one = atomic.sideband_blocks(p, [delta])
             _assert_bitwise(one, blocks[i : i + 1])
-            for got, want in zip(atomic._classical_gains(one), gains):
+            for got, want in zip(propagation._pair_gains(one), gains):
                 _assert_bitwise(got, want[i : i + 1])
 
 
@@ -1258,14 +1258,14 @@ def _flux_balance_and_bracket(p: AtomicParams):
     hands its root finder; near a root the finder's cap changes nothing."""
     grid = np.linspace(*atomic._DEFAULT_WINDOW, 251)
     response = atomic._response(p)
-    probe, conj = atomic._classical_gains(response.pair_blocks(grid))
+    probe, conj = propagation._pair_gains(response.pair_blocks(grid))
     balance = probe + conj - 1.0
     crossings = np.nonzero(balance[:-1] * balance[1:] < 0.0)[0]
     below = crossings[crossings < int(np.argmin(probe))]
     i = int(below[-1]) if below.size else int(crossings[0])
 
     def flux_balance(delta):
-        ga, gb = atomic._classical_gains(response.pair_blocks(np.array([delta])))
+        ga, gb = propagation._pair_gains(response.pair_blocks(np.array([delta])))
         return float(ga[0] + gb[0] - 1.0)
 
     return flux_balance, grid[i], grid[i + 1]
@@ -1312,7 +1312,7 @@ def test_beam_splitter_point_balances_the_40_digit_flux():
     assert abs(mpmath_flux_balance(p, point.delta)) <= 1e-12
     # the reference agrees with the float balance to its rounding
     delta = mhz(-45.0)
-    ga, gb = atomic._classical_gains(atomic.sideband_blocks(p, np.array([delta])))
+    ga, gb = propagation._pair_gains(atomic.sideband_blocks(p, np.array([delta])))
     assert float(mpmath_flux_balance(p, delta)) == pytest.approx(ga[0] + gb[0] - 1.0, abs=1e-13)
 
 

@@ -929,6 +929,17 @@ def test_a_window_that_overflows_in_rad_per_s_is_rejected(tmp_path, capsys, comm
     assert run(capsys, [command, "--config", str(cfg)]) == (2, "", f"error: {err}\n")
 
 
+def test_a_window_without_its_section_takes_the_finders_defaults(monkeypatch, capsys):
+    # atomic owns the default window and scan size; the CLI reads them when it runs
+    monkeypatch.setattr(atomic, "_WINDOW_MHZ", (-40.0, 10.0))
+    monkeypatch.setattr(atomic, "_SCAN_POINTS", 11)
+    code, out, err = run(capsys, ["sweep-delta"])
+    assert (code, err) == (0, "")
+    _, _, rows = parse_csv(out)
+    assert [float(rows[i]["delta_MHz"]) for i in (0, -1)] == [-40.0, 10.0]
+    assert len(rows) == 11
+
+
 def test_repeated_in_process_beam_splitter_runs_print_the_golden_bytes(capsys):
     # the second run takes the medium's response and its scan from the cache
     want = (_GOLDEN / "beam_splitter.csv").read_text()

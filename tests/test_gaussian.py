@@ -226,7 +226,7 @@ def test_minimal_noise_keeps_the_digits_of_a_thin_atomic_slab():
     # of eigh's eigenvalues lose what the closed form keeps
     delta = np.linspace(-150.0, 50.0, 251)[137]
     block = atomic.sideband_blocks(atomic.params_from_mapping({}), [angular_from_mhz(delta)])[0]
-    transfer = gaussian.transfer_from_mode_matrix(propagation._expm2x2((block / 64)[None])[0])
+    transfer = gaussian.transfer_from_mode_matrix(propagation._expm2x2((block / 64)[None])[0][0])
     closed, eigh = _abs_i_errors(transfer)
     assert closed <= 1e-14
     assert eigh > 1e-11

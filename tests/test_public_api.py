@@ -3,6 +3,7 @@ benchmark traces by name is still exported where its tracer looks, and
 the README's library quick start runs and prints what it promises, and its
 example config is read by every command that takes one."""
 
+import argparse
 import importlib
 import inspect
 import json
@@ -168,3 +169,54 @@ def test_readme_example_config_is_read_by_every_command(tmp_path, capsys):
     for argv in (["sweep-delta"], ["beam-splitter"], ["beat-limit", "--seed", "0"]):
         assert cli.main([*argv, "--config", str(path)]) == 0, argv
     assert capsys.readouterr().err == ""
+
+
+# Every value a caller can set: the optional parameters of the public
+# functions and methods, and the flags of each subcommand.  A value the code
+# can work out, or a knob with one value in use, is no option; a new one
+# appears here as a reviewed edit.
+_SETTABLE = {
+    "twinbeam.atomic.find_beam_splitter_point": ("window", "n_scan"),
+    "twinbeam.atomic.find_raman_dip": ("window", "n_scan"),
+    "twinbeam.gaussian.coherent_input": ("beta",),
+    "twinbeam.propagation.propagate": ("subdivisions",),
+    "twinbeam.propagation.search_beyond_lumped_limit": (
+        "n_segments", "seed", "rate_bound", "feasibility_tol", "restarts",
+    ),
+    "twinbeam.traces.analyze_traces": ("analysis_freq",),
+    "twinbeam.traces.normalize_to_sql": ("electronic",),
+    "twinbeam lumped-optimize": ("--format", "--out"),
+    "twinbeam sweep-delta": ("--config", "--format", "--out"),
+    "twinbeam beam-splitter": ("--config", "--format", "--out"),
+    "twinbeam beat-limit": ("--config", "--format", "--out", "--seed"),
+    "twinbeam analyze": ("--conj-frac", "--format", "--freq", "--out", "--probe-frac"),
+}
+
+
+def _optional_parameters(routine) -> tuple:
+    parameters = inspect.signature(routine).parameters.values()
+    return tuple(p.name for p in parameters if p.default is not inspect.Parameter.empty)
+
+
+def test_every_settable_value_is_listed():
+    found = {}
+    for name in twinbeam.__all__:
+        obj = getattr(twinbeam, name)
+        if inspect.isfunction(obj):
+            routines = [(name, obj)]
+        elif inspect.isclass(obj):
+            routines = [
+                (f"{name}.{attr}", member)
+                for attr, member in inspect.getmembers(obj, inspect.isroutine)
+                if not attr.startswith("_") and getattr(member, "__module__", None) == obj.__module__
+            ]
+        else:
+            continue
+        for qualname, routine in routines:
+            if optional := _optional_parameters(routine):
+                found[f"{obj.__module__}.{qualname}"] = optional
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in commands.choices.items():
+        flags = [max(a.option_strings, key=len) for a in parser._actions if a.option_strings and a.dest != "help"]
+        found[f"twinbeam {command}"] = tuple(sorted(flags))
+    assert found == _SETTABLE
