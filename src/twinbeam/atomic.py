@@ -295,7 +295,7 @@ class _Response:
     sing_even the even block's singular values.  rho is the stationary
     state, residual the even block's residual on it, and sources the
     sector's source columns of the probe and the conjugate field; rho is
-    None when the even block is degenerate or the state traceless.
+    None when the even block is degenerate.
 
     The detuning shifts the sector by -i delta/Gamma, which leaves its
     Hermitian part, in floating point too, at that of the zero-detuning
@@ -341,7 +341,7 @@ class _Response:
         the SVD check passes too.  The bound on the largest singular value
         grows with |delta|, so the grid's widest detuning decides.
         """
-        if self.rho is None or not self.residual <= 1e-10 * max(1.0, self.sing_even[0]):
+        if not self.residual <= 1e-10 * max(1.0, self.sing_even[0]):  # NaN without a state
             return False
         reach = self.norm + float(np.maximum.reduce(np.abs(deltas))) / self.p.excited_decay_rate
         return min(self.sing_even[-2], self.mu) > 2e-10 * max(self.sing_even[0], reach)
@@ -363,16 +363,12 @@ class _Response:
         second = np.minimum(self.sing_even[-2], sing_odd[:, -1])
         degenerate = second <= 1e-10 * top
         bad = degenerate | (self.residual > 1e-10 * np.maximum(1.0, top))
-        if self.rho is None or bad.any():
-            n = 0 if self.rho is None else int(np.argmax(bad))  # the first bad detuning
+        if bad.any():
+            n = int(np.argmax(bad))  # the first bad detuning
             if degenerate[n]:
                 raise DegenerateSteadyStateError(
                     f"stationary space is degenerate {_at(deltas, n)} "
                     f"(second singular value {second[n]:.2e} of {top[n]:.2e})"
-                )
-            if self.rho is None:
-                raise DegenerateSteadyStateError(
-                    f"stationary vector is traceless {_at(deltas, 0)}"
                 )
             raise DegenerateSteadyStateError(
                 f"stationary residual {self.residual:.2e} exceeds tolerance {_at(deltas, n)}"
@@ -473,15 +469,13 @@ def _medium_response(key: bytes) -> _Response:
     if sing_even[-2] <= 1e-10 * sing_even[0]:  # degenerate at every detuning
         return _Response(*parts)
     # Trace preservation makes w^T E = 0 for the trace functional w, so
-    # (E + w w^T) v = w holds exactly when E v = 0 and w^T v = 1.
+    # (E + w w^T) v = w holds exactly when E v = 0 and w^T v = 1; in floats w^T v
+    # is 1 up to eps times E's condition number, below about 1e10 past the check above.
     vec = np.zeros(16, dtype=complex)
     vec[_EVEN_INDICES] = np.linalg.solve(even + _BORDER, _TRACE)
     # column-stacked vector: row-major reshape, then transpose
     rho = vec.reshape(4, 4).T
-    trace = np.trace(rho)
-    if abs(trace) < 1e-8:
-        return _Response(*parts)
-    rho = rho / trace
+    rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
     # the state has no odd slots, so the generator's residual is the even block's
     residual = np.linalg.norm(even @ rho.T.reshape(16)[_EVEN_INDICES])

@@ -187,23 +187,29 @@ def cmd_beam_splitter(args) -> int:
     return 0
 
 
+# each [search] key's argument of the search and its reader; absent keys keep the search's defaults
+_SEARCH_KEYS = {
+    "segments": ("n_segments", section_int),
+    "rate_bound": ("rate_bound", section_float),
+    "feasibility_tol": ("feasibility_tol", section_float),
+    "restarts": ("restarts", section_int),
+}
+
+
 def cmd_beat_limit(args) -> int:
     from . import metrics, propagation
     sections, digest = _load_config(args.config)
     search = sections.get("search", {})
-    check_keys(search, "search", {"segments", "restarts", "rate_bound", "feasibility_tol"})
+    check_keys(search, "search", _SEARCH_KEYS)
     if args.seed is None:
         print(
             "warning: no --seed given; beat-limit run is nondeterministic",
             file=sys.stderr,
         )
-    found = propagation.search_beyond_lumped_limit(
-        n_segments=section_int(search, "search", "segments", default=2),
-        seed=args.seed,
-        rate_bound=section_float(search, "search", "rate_bound", default=20.0),
-        feasibility_tol=section_float(search, "search", "feasibility_tol", default=0.01),
-        restarts=section_int(search, "search", "restarts", default=16),
-    )
+    settings = {
+        arg: read(search, "search", key, None) for key, (arg, read) in _SEARCH_KEYS.items() if key in search
+    }
+    found = propagation.search_beyond_lumped_limit(seed=args.seed, **settings)
     slabs = found.profile.slabs
     columns = {
         "segment": list(range(len(slabs))),

@@ -194,14 +194,13 @@ def apply(channel: GaussianChannel, state: CovarianceState) -> CovarianceState:
     vec = np.array([m[0].real, m[0].imag, m[1].real, m[1].imag])
     out = t @ vec
     mean = np.array([out[0] + 1j * out[1], out[2] + 1j * out[3]])
-    return CovarianceState(0.5 * (cov + cov.T), mean)
+    return CovarianceState(cov, mean)
 
 
 def compose(second: GaussianChannel, first: GaussianChannel) -> GaussianChannel:
     """Channel applying `first` then `second`."""
     t2, t1 = second.transfer, first.transfer
-    n = t2 @ first.added_noise @ t2.T + second.added_noise
-    return GaussianChannel(t2 @ t1, 0.5 * (n + n.T))
+    return GaussianChannel(t2 @ t1, t2 @ first.added_noise @ t2.T + second.added_noise)
 
 
 def compose_power(channel: GaussianChannel, n: int) -> GaussianChannel:

@@ -737,12 +737,8 @@ def _check_pair_cp(pair: tuple) -> None:
     other = 0.5 * (mx + mz) - math.hypot(0.5 * (mx - mz), my)
     defect = other if other < defect else defect  # min's pick, NaN too
     if not defect >= -gaussian._CP_TOL:
-        if defect != defect:  # name the largest of M's squares and Q's entries, inf or NaN first
-            entries = pair[0] + pair[1]
-            sizes = [min(math.inf, v * v if j < 4 else abs(v)) for j, v in enumerate(entries)]
-            i = sizes.index(max(sizes))
-            what = ("the square of M", "Q")[i > 3] + ("00", "01", "10", "11", "00", "01", "11")[i]
-            raise OverflowError(f"CP check of a pair map leaves the float range at {what} = {entries[i]:.6e}")
+        if defect != defect:  # a map past the float range, which the objective scores
+            raise OverflowError
         gaussian._require_cp(defect, max(1.0, max(map(abs, pair[0])) ** 2, max(map(abs, pair[1]))))
 
 
@@ -751,33 +747,38 @@ def _pair_objective(rates: list, length: float, incumbent=None, moved: int = 0):
     and products folds[k] = S_k ... S_0 of segments with rates (g, alpha_a,
     alpha_b), in one pass of float arithmetic: what `propagate_exact` reports,
     or (inf, inf) for a gemellity within _ROUNDING (F_a + F_b), the rounding
-    bound of `_pair_outputs`; a NaN CP check raises OverflowError.  Given an
-    incumbent's (maps, folds) differing in segment `moved`, it maps that alone.
+    bound of `_pair_outputs`; it scores (inf, inf) with maps None when a map
+    or a square leaves the float range (the OverflowError of an exponential,
+    a square or a NaN CP check).  Given an incumbent's (maps, folds)
+    differing in segment `moved`, it maps that alone.
     """
-    n = len(rates) // 3
-    maps = incumbent[0].copy() if incumbent else [None] * n
-    for k in (moved,) if incumbent else range(n):
-        maps[k] = pair = _pair_segment(length, rates[3 * k], rates[3 * k + 1], rates[3 * k + 2])
-        _check_pair_cp(pair)
-    folds = incumbent[1][:moved] if moved else [maps[0]]
-    for k in range(moved or 1, n):
-        # S_k after folds[k - 1]: M2 M1, M2 Q1 M2^t + Q2
-        (a, b, c, d), (x2, y2, z2) = maps[k]
-        (a1, b1, c1, d1), (x, y, z) = folds[-1]
-        u, v, w, t = a * x + b * y, a * y + b * z, c * x + d * y, c * y + d * z
-        transfer = (a * a1 + b * c1, a * b1 + b * d1, c * a1 + d * c1, c * b1 + d * d1)
-        folds.append((transfer, (u * a + v * b + x2, u * c + v * d + y2, w * c + t * d + z2)))
-    if n > 1:
-        _check_pair_cp(folds[-1])
-    (a, b, c, d), (x, y, z) = folds[-1]
-    # the seed's vacuum noise M M^t plus the added noise; both output
-    # means are real and nonnegative, so X is the amplitude quadrature
-    n_a, n_b, cov = a * a + b * b + x, c * c + d * d + z, a * c + b * d + y
-    r = cov / math.sqrt(n_a * n_b)
-    corr = -1.0 if r < -1.0 else 1.0 if r > 1.0 else r  # min(max(r, -1), 1), NaN too
-    gem = _gemellity(n_a, n_b, corr)
-    score = (gem, abs(a * a + c * c - 1.0)) if gem > _ROUNDING * (n_a + n_b) else (math.inf, math.inf)
-    return score, (maps, folds)
+    try:
+        n = len(rates) // 3
+        maps = incumbent[0].copy() if incumbent else [None] * n
+        for k in (moved,) if incumbent else range(n):
+            maps[k] = pair = _pair_segment(length, rates[3 * k], rates[3 * k + 1], rates[3 * k + 2])
+            _check_pair_cp(pair)
+        folds = incumbent[1][:moved] if moved else [maps[0]]
+        for k in range(moved or 1, n):
+            # S_k after folds[k - 1]: M2 M1, M2 Q1 M2^t + Q2
+            (a, b, c, d), (x2, y2, z2) = maps[k]
+            (a1, b1, c1, d1), (x, y, z) = folds[-1]
+            u, v, w, t = a * x + b * y, a * y + b * z, c * x + d * y, c * y + d * z
+            transfer = (a * a1 + b * c1, a * b1 + b * d1, c * a1 + d * c1, c * b1 + d * d1)
+            folds.append((transfer, (u * a + v * b + x2, u * c + v * d + y2, w * c + t * d + z2)))
+        if n > 1:
+            _check_pair_cp(folds[-1])
+        (a, b, c, d), (x, y, z) = folds[-1]
+        # the seed's vacuum noise M M^t plus the added noise; both output
+        # means are real and nonnegative, so X is the amplitude quadrature
+        n_a, n_b, cov = a * a + b * b + x, c * c + d * d + z, a * c + b * d + y
+        r = cov / math.sqrt(n_a * n_b)
+        corr = -1.0 if r < -1.0 else 1.0 if r > 1.0 else r  # min(max(r, -1), 1), NaN too
+        gem = _gemellity(n_a, n_b, corr)
+        score = (gem, abs(a * a + c * c - 1.0)) if gem > _ROUNDING * (n_a + n_b) else (math.inf, math.inf)
+        return score, (maps, folds)
+    except OverflowError:
+        return (math.inf, math.inf), None
 
 
 def _segment_channel(slab: Slab, subdivisions: int) -> gaussian.GaussianChannel:
@@ -871,9 +872,9 @@ def search_beyond_lumped_limit(
     1961) over piecewise-constant profiles (n_segments equal segments, rates
     in [0, rate_bound]) with an escalating penalty on |G_a + G_b - 1|, scored
     in one pass of float arithmetic on the closed-form pair maps of the rate
-    vector.  A candidate scores as infeasible when its map overflows the float
-    range, its CP defect is NaN or its gemellity has no correct digit.  It
-    remaps only the segment it moves, reusing the incumbent's other maps and
+    vector.  The objective scores a candidate as infeasible when its map
+    overflows the float range, its CP defect is NaN or its gemellity has no
+    correct digit.  It remaps only the segment it moves, reusing the incumbent's other maps and
     their running products.  evaluations counts the candidates scored: a
     point whose score is held at the current penalty (the incumbent, the
     point it replaced, a probe it rejected) is not scored again.  The result
@@ -924,10 +925,7 @@ def search_beyond_lumped_limit(
                 # an overflowing start has no descent: halve it toward 0, which never overflows
                 x = [v / 2.0 for v in x] if score else x
                 evaluations += 1
-                try:
-                    score, maps = _pair_objective(x, dz)
-                except OverflowError:
-                    score, maps = (math.inf, math.inf), None
+                score, maps = _pair_objective(x, dz)
             tried = [set() for _ in x]  # per coordinate, probes no better than x at this mu
             while step > 1e-3:
                 improved = False
@@ -942,10 +940,7 @@ def search_beyond_lumped_limit(
                         cand = x.copy()
                         cand[i] = v
                         evaluations += 1
-                        try:
-                            cand_score, cand_maps = _pair_objective(cand, dz, maps, k)
-                        except OverflowError:  # a map beyond the float range scores as infeasible
-                            cand_score, cand_maps = (math.inf, math.inf), None
+                        cand_score, cand_maps = _pair_objective(cand, dz, maps, k)
                         fc = cand_score[0] + mu * cand_score[1]
                         if fc < fx:
                             tried = [set() for _ in x]

@@ -73,7 +73,7 @@ def slab_state(profile, subdivisions):
 # is a closure, a compose, a CP defect taken with min and a clamp taken with
 # min and max.  `propagation._pair_objective` does the same float operations
 # in the same order in one pass, so it must agree to the bit, exceptions and
-# NaNs included.
+# NaNs included; where these raise OverflowError it scores ((inf, inf), None).
 
 
 def pair_segment(length, g, alpha_a, alpha_b):
@@ -133,16 +133,10 @@ def pair_cp_defect(pair):
 
 def check_pair_cp(pair):
     """`propagation._check_pair_cp` on `pair_cp_defect`; a NaN defect raises
-    OverflowError naming the largest of M's squares and Q's entries, an inf
-    or NaN counting as the largest."""
+    OverflowError."""
     defect = pair_cp_defect(pair)
     if math.isnan(defect):
-        names = [f"the square of M{j}" for j in ("00", "01", "10", "11")] + ["Q00", "Q01", "Q11"]
-        entries = list(pair[0]) + list(pair[1])
-        sizes = [v * v for v in pair[0]] + [abs(v) for v in pair[1]]
-        sizes = [s if math.isfinite(s) else math.inf for s in sizes]
-        i = sizes.index(max(sizes))
-        raise OverflowError(f"CP check of a pair map leaves the float range at {names[i]} = {entries[i]:.6e}")
+        raise OverflowError
     if defect < -gaussian._CP_TOL:
         gaussian._require_cp(defect, max(1.0, max(map(abs, pair[0])) ** 2, max(map(abs, pair[1]))))
 
@@ -150,7 +144,8 @@ def check_pair_cp(pair):
 def pair_objective(rates, length, incumbent=None, moved=0):
     """`propagation._pair_objective`: (gemellity, |G_a + G_b - 1|) and the
     (maps, folds), remapping only segment `moved` of an incumbent; a
-    gemellity within 4 eps (F_a + F_b) of 0 scores (inf, inf)."""
+    gemellity within 4 eps (F_a + F_b) of 0 scores (inf, inf), and an
+    overflow raises."""
     n = len(rates) // 3
     maps, folds = (incumbent[0].copy(), incumbent[1][:moved]) if incumbent else ([None] * n, [])
     for k in range(moved, n):

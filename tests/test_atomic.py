@@ -145,6 +145,49 @@ def test_steady_state_degenerate_without_pump_and_exchange():
         )
 
 
+def _box_medium(rng) -> AtomicParams:
+    """A seeded draw from the dense-media box, log-uniform in Omega
+    (10-316 MHz), |Delta| (0.3-32 MHz) and depth (1e4-1e7), with and
+    without ground decoherence."""
+    omega, big, depth = (10.0 ** rng.uniform(lo, hi) for lo, hi in ((1.0, 2.5), (-0.5, 1.5), (4.0, 7.0)))
+    return AtomicParams(
+        rabi_frequency=mhz(omega),
+        one_photon_detuning=float(mhz(big) * rng.choice([-1.0, 1.0])),
+        ground_decoherence=float(rng.choice([0.0, AtomicParams().ground_decoherence])),
+        depth=depth,
+    )
+
+
+def test_the_bordered_state_has_unit_trace_wherever_the_even_block_is_not_degenerate():
+    # (E + w w^T) v = w with w^T E = 0 gives w^T v = 1 - w^T E v / w^T w:
+    # 1 up to eps times a condition number the degeneracy check bounds near
+    # 1e10, so a non-degenerate medium's state is never traceless
+    rng = np.random.default_rng(20261021)
+    media = [
+        AtomicParams(),
+        AtomicParams(ground_decoherence=0.0),
+        *map(_pool_medium, range(40)),
+        # media A and B of the scan-size study
+        AtomicParams(
+            rabi_frequency=mhz(40.155), one_photon_detuning=mhz(27.263), ground_decoherence=0.0, depth=1.036e6
+        ),
+        AtomicParams(
+            rabi_frequency=2.599e8, one_photon_detuning=1.207e8, ground_decoherence=7.28e3, depth=2.28e5
+        ),
+        *(_box_medium(rng) for _ in range(200)),
+    ]
+    worst, solved = 0.0, 0
+    for p in media:
+        even = atomic.liouvillian(p)[atomic._EVEN]
+        sing = np.linalg.svd(even, compute_uv=False)
+        if sing[-2] <= 1e-10 * sing[0]:
+            continue
+        trace = atomic._TRACE @ np.linalg.solve(even + atomic._BORDER, atomic._TRACE)
+        worst, solved = max(worst, abs(trace - 1.0)), solved + 1
+    assert solved > 200
+    assert worst <= 1e-9
+
+
 def test_resonant_pump_populates_the_shared_excited_state():
     p = AtomicParams(
         one_photon_detuning=0.0,

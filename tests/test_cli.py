@@ -197,6 +197,16 @@ def test_beat_limit_seeded_run_is_reproducible(tmp_path, capsys):
     assert sorted(doc["rows"][0]) == ["alpha_a", "alpha_b", "dz", "g", "segment"]
 
 
+def test_beat_limit_takes_the_search_s_own_defaults(monkeypatch, capsys):
+    # with no config, every argument but the seed is the search's default
+    search = propagation.search_beyond_lumped_limit
+    monkeypatch.setattr(search, "__defaults__", (1, 0, 20.0, 0.01, 1))
+    code, out, err = run(capsys, ["beat-limit", "--seed", "0"])
+    assert code == 0, err
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 1
+
+
 def test_beat_limit_warns_without_a_seed(tmp_path, capsys):
     cfg = tmp_path / "search.cfg"
     cfg.write_text("[search]\nsegments = 1\nrestarts = 1\n")

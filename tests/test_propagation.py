@@ -1163,14 +1163,30 @@ def _hexed(value):
 
 
 def _outcome(objective, *args):
-    """An objective's score and (maps, folds), or the type and text of what it raised."""
+    """An objective's score and (maps, folds); ((inf, inf), None) where it
+    overflowed, as the search's objective scores that; or the type and text
+    of the ValueError it raised."""
     try:
         return objective(*args)
-    except (OverflowError, ValueError) as exc:
+    except OverflowError:
+        return (math.inf, math.inf), None
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
 _FLOAT_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        [(_FLOAT_MAX, 0.0, 0.0)],  # the segment's exponential overflows
+        [(895.0, 1066.0, 0.0), (238.0, 2533.0, 0.0)],  # the product's CP defect is NaN
+    ],
+    ids=["exponential", "nan_defect"],
+)
+def test_the_objective_scores_an_overflow_as_infeasible(rates):
+    assert propagation._pair_objective(_flat(rates), 1.0 / len(rates)) == ((math.inf, math.inf), None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1178,7 +1194,7 @@ _FLOAT_MAX = sys.float_info.max
 # rates near the float range: a segment's exponential overflows
 @example([(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)], (_FLOAT_MAX, 0.0, 0.0))
 # the product's defect candidates are NaN and -inf; min keeps the NaN, and
-# the check raises OverflowError at the square of M11 = 1.4e154
+# the check raises OverflowError
 @example([(895.0, 1066.0, 0.0), (238.0, 2533.0, 0.0)], (895.0, 1066.0, 0.0))
 # alpha_a + alpha_b overflows: a zero map, CP defect -1
 @example([(1.0, 0.0, 0.0)], (0.0, _FLOAT_MAX, _FLOAT_MAX))
@@ -1191,7 +1207,7 @@ def test_the_objective_scores_as_its_helper_calls_to_the_bit(rates, moved_rates)
         moved = _flat(rates[:k] + [moved_rates] + rates[k + 1 :])
         full = [_outcome(f, moved, dz) for f in objectives]
         assert _hexed(full[0]) == _hexed(full[1])
-        if isinstance(incumbents[0][0], type):
+        if isinstance(incumbents[0][0], type) or incumbents[0][1] is None:
             continue  # no incumbent to remap
         remapped = [_outcome(f, moved, dz, out[1], k) for f, out in zip(objectives, incumbents)]
         assert _hexed(remapped[0]) == _hexed(remapped[1])
