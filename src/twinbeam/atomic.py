@@ -289,13 +289,15 @@ def _detuning_grid(delta_grid) -> np.ndarray:
 
 
 class _Response:
-    """The detuning-independent part of the sideband response of p.
+    """The detuning-independent part of the sideband response of p, the
+    medium at zero two-photon detuning whose other fields, as doubles,
+    pack to the key, every bit and the sign of a zero kept.
 
     sector is the sideband sector at zero two-photon detuning and
     sing_even the even block's singular values.  rho is the stationary
     state, residual the even block's residual on it, and sources the
-    sector's source columns of the probe and the conjugate field; rho is
-    None when the even block is degenerate.
+    sector's source columns of the probe and the conjugate field; a
+    degenerate even block leaves rho and sources None and residual NaN.
 
     The detuning shifts the sector by -i delta/Gamma, which leaves its
     Hermitian part, in floating point too, at that of the zero-detuning
@@ -305,25 +307,52 @@ class _Response:
     rate gamma_g/Gamma, and its largest at most norm + |delta|/Gamma,
     norm being the zero-detuning sector's Frobenius norm.
 
-    The process holds one response, the last medium's, shared through
-    `_response`, so its arrays are read-only.  It keeps the gains of the
-    last grid any caller asked for, with their dip, and the output at the
-    last point asked for, and nothing else; a call that raises keeps
-    nothing.  A caller that holds a point's block, as the polish does at
-    its root, hands it to `output`, which then solves nothing.
+    Callers share the object, so its arrays are read-only.  It keeps the
+    gains of the last grid asked for, with their dip, and the output at
+    the last point asked for, and nothing else; a call that raises keeps
+    nothing.  A caller holding a point's block, as the polish does at its
+    root, hands it to `output`, which then solves nothing.
     """
 
-    def __init__(
-        self, p: AtomicParams, sector: np.ndarray, sing_even: np.ndarray, mu: float,
-        norm: float, rho: np.ndarray | None = None, residual: float = math.nan,
-        sources: np.ndarray | None = None,
-    ):
-        self.p, self.sector, self.sing_even, self.mu, self.norm = p, sector, sing_even, mu, norm
-        self.rho, self.residual, self.sources = rho, residual, sources
-        for array in (sector, sing_even, rho, sources):
+    def __init__(self, key: bytes):
+        self.p = p = AtomicParams(**dict(zip(_MEDIUM_FIELDS, struct.unpack("6d", key))))
+        gen = liouvillian(p)
+        even, sector = gen[_EVEN], gen[_SECTOR]
+        # rates of order 1e150 Gamma overflow the sector's norm; the even block's
+        # entries are of the sector's order, so past this check its SVD and the
+        # state solve stay finite
+        with np.errstate(over="ignore"):
+            self.norm = norm = np.linalg.norm(sector)
+        _require_finite(p, "sideband sector's norm", math.isfinite(norm))
+        self.sing_even = sing_even = np.linalg.svd(even, compute_uv=False)
+        self.sector, self.mu = sector, -np.linalg.eigvalsh(0.5 * (sector + sector.conj().T))[-1]
+        self.rho, self.residual, self.sources = None, math.nan, None
+        self._last_gains = self._last_output = (None, None)
+        if not sing_even[-2] <= 1e-10 * sing_even[0]:  # else degenerate at every detuning
+            # Trace preservation makes w^T E = 0 for the trace functional w, so
+            # (E + w w^T) v = w holds exactly when E v = 0 and w^T v = 1; in floats w^T v
+            # is 1 up to eps times E's condition number, below about 1e10 past the check above.
+            vec = np.zeros(16, dtype=complex)
+            vec[_EVEN_INDICES] = np.linalg.solve(even + _BORDER, _TRACE)
+            # column-stacked vector: row-major reshape, then transpose
+            rho = vec.reshape(4, 4).T
+            rho = rho / np.trace(rho)
+            self.rho = rho = 0.5 * (rho + rho.conj().T)
+            # the state has no odd slots, so the generator's residual is the even block's
+            self.residual = np.linalg.norm(even @ rho.T.reshape(16)[_EVEN_INDICES])
+
+            probe_drive = np.zeros((4, 4))
+            probe_drive[2, 0] = -0.5  # lowers probe photon into the upper-ground coherence
+            conj_drive = np.zeros((4, 4))
+            conj_drive[1, 3] = -0.5
+            # one source column per field, shared by the sector at every detuning
+            self.sources = np.empty((4, 2), dtype=complex)
+            for col, drive in enumerate((probe_drive, conj_drive)):
+                source = -1j * (drive @ rho - rho @ drive)
+                self.sources[:, col] = -source.T.reshape(16)[_SECTOR_INDICES]
+        for array in (sector, sing_even, self.rho, self.sources):
             if array is not None:
                 array.setflags(write=False)
-        self._last_gains = self._last_output = (None, None)
 
     def _shifted(self, deltas: np.ndarray) -> np.ndarray:
         """The sector at every detuning of deltas, an (n, 4, 4) stack."""
@@ -341,7 +370,8 @@ class _Response:
         the SVD check passes too.  The bound on the largest singular value
         grows with |delta|, so the grid's widest detuning decides.
         """
-        if not self.residual <= 1e-10 * max(1.0, self.sing_even[0]):  # NaN without a state
+        # a state whose residual fails; the degeneracy bound below refuses a stateless medium
+        if not self.residual <= 1e-10 * max(1.0, self.sing_even[0]):
             return False
         reach = self.norm + float(np.maximum.reduce(np.abs(deltas))) / self.p.excited_decay_rate
         return min(self.sing_even[-2], self.mu) > 2e-10 * max(self.sing_even[0], reach)
@@ -427,8 +457,7 @@ class _Response:
 # it the stationary state, does not depend on delta.  Each sector slot pairs
 # one level of each set, so c = -i on the whole sector diagonal.
 def _response(p: AtomicParams) -> _Response:
-    """The detuning-independent part of p's sideband response, built once
-    per medium and then taken from the cache."""
+    """The `_Response` of p, whose two-photon detuning it ignores."""
     return _medium_response(struct.pack("6d", *_medium_fields(p)))
 
 
@@ -450,46 +479,7 @@ def _require_finite(p: AtomicParams, quantity: str, finite: bool) -> None:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _medium_response(key: bytes) -> _Response:
-    """The _Response of the medium at zero two-photon detuning whose other
-    fields, as doubles, pack to key, every bit and the sign of a zero kept;
-    from one generator build and one solve for the state."""
-    p = AtomicParams(**dict(zip(_MEDIUM_FIELDS, struct.unpack("6d", key))))
-    gen = liouvillian(p)
-    even, sector = gen[_EVEN], gen[_SECTOR]
-    # rates of order 1e150 Gamma overflow the sector's norm; the even block's
-    # entries are of the sector's order, so past this check its SVD and the
-    # state solve stay finite
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(sector)
-    _require_finite(p, "sideband sector's norm", math.isfinite(norm))
-    sing_even = np.linalg.svd(even, compute_uv=False)
-    parts = (p, sector, sing_even, -np.linalg.eigvalsh(0.5 * (sector + sector.conj().T))[-1], norm)
-    if sing_even[-2] <= 1e-10 * sing_even[0]:  # degenerate at every detuning
-        return _Response(*parts)
-    # Trace preservation makes w^T E = 0 for the trace functional w, so
-    # (E + w w^T) v = w holds exactly when E v = 0 and w^T v = 1; in floats w^T v
-    # is 1 up to eps times E's condition number, below about 1e10 past the check above.
-    vec = np.zeros(16, dtype=complex)
-    vec[_EVEN_INDICES] = np.linalg.solve(even + _BORDER, _TRACE)
-    # column-stacked vector: row-major reshape, then transpose
-    rho = vec.reshape(4, 4).T
-    rho = rho / np.trace(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    # the state has no odd slots, so the generator's residual is the even block's
-    residual = np.linalg.norm(even @ rho.T.reshape(16)[_EVEN_INDICES])
-
-    probe_drive = np.zeros((4, 4))
-    probe_drive[2, 0] = -0.5  # lowers probe photon into the upper-ground coherence
-    conj_drive = np.zeros((4, 4))
-    conj_drive[1, 3] = -0.5
-    # one source column per field, shared by the sector at every detuning
-    sources = np.empty((4, 2), dtype=complex)
-    for col, drive in enumerate((probe_drive, conj_drive)):
-        source = -1j * (drive @ rho - rho @ drive)
-        sources[:, col] = -source.T.reshape(16)[_SECTOR_INDICES]
-    return _Response(*parts, rho, residual, sources)
+_medium_response = functools.lru_cache(maxsize=1)(_Response)
 
 
 def steady_state(p: AtomicParams) -> np.ndarray:

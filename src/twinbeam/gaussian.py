@@ -49,7 +49,15 @@ def _as_square(a, name: str) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.shape != (4, 4):
         raise ValueError(f"{name} must be a 4x4 real matrix, got shape {arr.shape}")
+    _require_finite_entries(arr, name)
     return arr
+
+
+def _require_finite_entries(arr: np.ndarray, name: str) -> None:
+    """Raise a ValueError naming the first non-finite entry of a matrix."""
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"{name} entry [{i}, {j}] must be finite, got {arr[i, j]}")
 
 
 def _symmetrize(arr: np.ndarray, name: str) -> np.ndarray:

@@ -332,6 +332,9 @@ def slab_channel(slab: Slab) -> gaussian.GaussianChannel:
 
 def coupling_slab_channel(block: np.ndarray, dz: float) -> gaussian.GaussianChannel:
     """First-order CP slab for a complex generator, see module docstring."""
+    _check_finite("dz", dz)
+    if not dz > 0.0:
+        raise ValueError(f"slab length must be positive, got {dz}")
     e = _expm2x2(_generator(block) * dz)[0][0]
     return gaussian.minimal_noise_channel(gaussian.transfer_from_mode_matrix(e))
 
@@ -341,6 +344,7 @@ def _generator(block: np.ndarray) -> np.ndarray:
     block = np.asarray(block, dtype=complex)
     if block.shape != (2, 2):
         raise ValueError(f"pair-basis generator must be 2x2, got {block.shape}")
+    gaussian._require_finite_entries(block, "pair-basis generator")
     return block[None]
 
 

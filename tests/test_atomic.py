@@ -145,6 +145,19 @@ def test_steady_state_degenerate_without_pump_and_exchange():
         )
 
 
+def test_a_state_whose_residual_fails_the_check_is_refused():
+    # no medium is known to reach this refusal, so the held response's
+    # residual is raised above tolerance; the bounds then clear nothing
+    p = AtomicParams()
+    atomic._response(p).residual = 1e-3
+    for call in (atomic.steady_state, atomic.sideband_response):
+        with pytest.raises(DegenerateSteadyStateError) as caught:
+            call(p)
+        assert str(caught.value) == (
+            "stationary residual 1.00e-03 exceeds tolerance at two-photon detuning 0.000000e+00 rad/s"
+        )
+
+
 def _box_medium(rng) -> AtomicParams:
     """A seeded draw from the dense-media box, log-uniform in Omega
     (10-316 MHz), |Delta| (0.3-32 MHz) and depth (1e4-1e7), with and
@@ -276,6 +289,8 @@ def test_gain_curves_validate_the_grid():
         atomic.gain_curves(p, np.array([]))
     with pytest.raises(ValueError):
         atomic.gain_curves(p, np.array([np.inf]))
+    with pytest.raises(ValueError, match=r"^gain curve arrays must be 1-d and congruent$"):
+        atomic.GainCurve(np.zeros(3), np.ones(3), np.zeros(2))
 
 
 # |block| reaches about 210 at -40.69 MHz here; a 256-slab propagator

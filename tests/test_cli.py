@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -980,6 +981,23 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "gemellity_dB" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["lumped-optimize"], 0), (["sweep-delta", "--config", "no-such-config.ini"], 2)],
+    ids=["success", "invalid_input"],
+)
+def test_the_main_guard_exits_with_the_code_of_main(monkeypatch, capsys, argv, code):
+    # the script path in this process; runpy warns if the module is already loaded
+    expected = run(capsys, argv)
+    assert expected[0] == code
+    monkeypatch.setattr(sys, "argv", ["twinbeam", *argv])
+    monkeypatch.delitem(sys.modules, "twinbeam.cli", raising=False)
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("twinbeam.cli", run_name="__main__")
+    captured = capsys.readouterr()
+    assert (exited.value.code, captured.out, captured.err) == expected
 
 
 def _run_module(code: str, *argv: str) -> subprocess.CompletedProcess:

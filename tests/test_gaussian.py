@@ -135,6 +135,59 @@ def test_minimal_noise_vanishes_for_symplectic_transfer():
     assert np.max(np.abs(ch.added_noise)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gaussian.minimal_noise_channel(np.eye(4)),
+        lambda: propagation.coupling_slab_channel(np.zeros((2, 2)), 0.1),
+    ],
+    ids=["identity", "zero_generator_slab"],
+)
+def test_an_identity_transfer_adds_exactly_no_noise(build):
+    # Omega - T Omega T^t is 0, whose |i a| is returned without a division by 0
+    ch = build()
+    assert np.array_equal(ch.transfer, np.eye(4))
+    assert np.array_equal(ch.added_noise, np.zeros((4, 4)))
+
+
+def _with_entry(i: int, j: int, value: float) -> np.ndarray:
+    a = np.eye(4)
+    a[i, j] = a[j, i] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (_with_entry(2, 3, np.nan), "{} entry [2, 3] must be finite, got nan"),
+        (_with_entry(2, 3, np.inf), "{} entry [2, 3] must be finite, got inf"),
+        (_with_entry(0, 0, -np.inf), "{} entry [0, 0] must be finite, got -inf"),
+        (np.eye(3), "{} must be a 4x4 real matrix, got shape (3, 3)"),
+    ],
+    ids=["nan", "inf", "minus_inf", "3x3"],
+)
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda bad: gaussian.CovarianceState(bad, np.zeros(2, dtype=complex)), "cov"),
+        (lambda bad: gaussian.GaussianChannel(bad, np.eye(4)), "transfer"),
+        (lambda bad: gaussian.GaussianChannel(np.eye(4), bad), "added_noise"),
+        (gaussian.minimal_noise_channel, "transfer"),
+    ],
+    ids=["state_cov", "channel_transfer", "channel_noise", "minimal_noise_transfer"],
+)
+def test_a_malformed_4x4_argument_is_named(build, name, bad, message):
+    # named before numpy's eigensolver or a state's noise figures see it
+    with pytest.raises(ValueError) as caught:
+        build(bad)
+    assert str(caught.value) == message.format(name)
+
+
+def test_a_mode_matrix_must_be_2x2():
+    with pytest.raises(ValueError, match=r"^mode matrix must be 2x2, got shape \(3, 3\)$"):
+        gaussian.transfer_from_mode_matrix(np.eye(3))
+
+
 def test_compose_order_and_noise_law():
     amp = gaussian.amplifier_channel(1.5)
     loss = gaussian.loss_channel(0.6, 0.9)

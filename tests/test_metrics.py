@@ -21,6 +21,8 @@ def test_db_conversions_round_trip():
     for x in (0.1, 1.0, 3.7):
         assert np.isclose(metrics.linear_from_db(metrics.db_from_linear(x)), x)
     assert metrics.db_from_linear(1.0) == 0.0
+    with pytest.raises(ValueError, match=r"^cannot express nonpositive ratio 0.0 in dB$"):
+        metrics.db_from_linear(0.0)
 
 
 def test_linear_from_db_names_a_figure_past_the_float_range():
@@ -41,6 +43,9 @@ def test_noise_figures_validation():
         metrics.NoiseFigures(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         metrics.NoiseFigures(1.0, 1.0, 1.5)
+    no_amplitude_noise = gaussian.CovarianceState(np.diag([0.0, 1.0, 1.0, 1.0]), np.zeros(2, dtype=complex))
+    with pytest.raises(ValueError, match=r"^degenerate covariance, amplitude variance is not positive$"):
+        metrics.noise_figures(no_amplitude_noise)
 
 
 def test_amplifier_noise_figures_closed_form():
@@ -226,6 +231,8 @@ def test_inference_rejects_inconsistent_inputs():
         metrics.infer_from_measurement(-30.0, 0.0, 0.0, 0.9, 0.1)
     with pytest.raises(ValueError):
         metrics.infer_from_measurement(-1.0, 3.0, 2.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^correlation is undefined when one beam power vanishes$"):
+        metrics.infer_from_measurement(0.0, 0.0, 0.0, 0.5, 0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -186,6 +186,40 @@ def test_coupling_propagation_validates_arguments():
         propagation.coupling_slab_channel(np.zeros((3, 3)), 0.1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: propagation.propagate_coupling(np.full((2, 2), np.nan)),
+            "pair-basis generator entry [0, 0] must be finite, got (nan+0j)",
+        ),
+        (
+            lambda: propagation.propagate_coupling(np.array([[np.inf, 0.0], [0.0, 0.0]])),
+            "pair-basis generator entry [0, 0] must be finite, got (inf+0j)",
+        ),
+        (
+            lambda: propagation.propagate_coupling(np.array([[0.0, 0.6], [complex(0.6, -np.inf), 0.0]])),
+            "pair-basis generator entry [1, 0] must be finite, got (0.6-infj)",
+        ),
+        (
+            lambda: propagation.coupling_slab_channel(np.array([[0.0, 0.6], [0.6, np.nan]]), 0.1),
+            "pair-basis generator entry [1, 1] must be finite, got (nan+0j)",
+        ),
+        (lambda: propagation.coupling_slab_channel(np.eye(2), np.inf), "dz must be finite, got inf"),
+        (lambda: propagation.coupling_slab_channel(np.eye(2), np.nan), "dz must be finite, got nan"),
+        (lambda: propagation.coupling_slab_channel(np.eye(2), 0.0), "slab length must be positive, got 0.0"),
+        (lambda: propagation.coupling_slab_channel(np.eye(2), -0.1), "slab length must be positive, got -0.1"),
+    ],
+    ids=["nan_block", "inf_entry", "imaginary_inf", "slab_nan_entry", "inf_dz", "nan_dz", "zero_dz", "negative_dz"],
+)
+def test_a_non_finite_generator_or_slab_length_is_invalid_input(call, message):
+    # invalid input, named before any arithmetic: no warning, and no
+    # OutputOverflowError, which reports a failed computation
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_exact_pure_gain_segment_matches_the_amplifier():
     # the second segment has g dz = 7.85, far beyond what one slab may carry
     for slab in (Slab(0.25, 1.2, 0.0, 0.0), Slab(0.5, 15.704219186527428, 0.0, 0.0)):

@@ -141,6 +141,7 @@ def test_every_exported_name_resolves():
     for module in [twinbeam, *_modules()]:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}: {missing}"
+    assert set(twinbeam.__all__) <= set(dir(twinbeam))
 
 
 README = BENCHMARK.parent / "README.md"

@@ -456,6 +456,22 @@ def test_row_errors_name_the_file_line(blanks):
         traces.parse_traces(make_text(["1e5,-1,probe,nope"]))
 
 
+def test_a_reader_error_that_names_no_row_is_reported_whole(monkeypatch):
+    # numpy's reader names no row when the file is too large for one array
+    message = (
+        "array is too big. Cannot read file as a single array; "
+        "providing a maximum number of rows to read may help."
+    )
+
+    def too_big(*args, **kwargs):
+        raise ValueError(message)
+
+    monkeypatch.setattr(np, "loadtxt", too_big)
+    with pytest.raises(TraceFormatError) as info:
+        traces.parse_traces(make_text(_THREE))
+    assert str(info.value) == f"unreadable trace data: {message}"
+
+
 @pytest.mark.parametrize(
     "label, shown",
     [
