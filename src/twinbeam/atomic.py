@@ -548,13 +548,10 @@ def _scan_grid(window: tuple[float, float], n_scan: int) -> np.ndarray:
     return np.linspace(float(window[0]), float(window[1]), n_scan)
 
 
-def find_raman_dip(
-    p: AtomicParams,
-    window: tuple[float, float] = _DEFAULT_WINDOW,
-    n_scan: int = _SCAN_POINTS,
-) -> tuple[float, float]:
-    """Locate the probe-absorption dip: (detuning, probe gain) at the minimum."""
-    grid = _scan_grid(window, n_scan)
+def find_raman_dip(p: AtomicParams, n_scan: int = _SCAN_POINTS) -> tuple[float, float]:
+    """Locate the probe-absorption dip on the default window: (detuning,
+    probe gain) at the minimum."""
+    grid = _scan_grid(_DEFAULT_WINDOW, n_scan)
     gains, _, i = _response(p).gains(grid)
     return float(grid[i]), float(gains[i])
 
@@ -566,8 +563,9 @@ _ROOT_MAXITER = 400
 
 
 def _regula_falsi(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of f in the sign-change bracket [a, b], to the last float;
-    fa and fb are f(a) and f(b).
+    """Root of f in [a, b], to the last float; fa = f(a) and fb = f(b) are
+    nonzero with opposite signs, unchecked: find_beam_splitter_point passes
+    the scan's balances at a cell where their signs multiply to below 0.
 
     Regula falsi with the Anderson-Bjorck modification (N. Anderson and
     A. Bjorck, BIT 13, 253, 1973): when the new point falls on the side
@@ -588,12 +586,6 @@ def _regula_falsi(f, a: float, b: float, fa: float, fb: float) -> float:
     RuntimeError when _ROOT_MAXITER steps do not get there.
     """
     x0, x1, f0, f1 = float(a), float(b), float(fa), float(fb)
-    if f0 == 0.0:
-        return x0
-    if f1 == 0.0:
-        return x1
-    if math.copysign(1.0, f0) == math.copysign(1.0, f1):
-        raise ValueError("f(a) and f(b) must have different signs")
     w0 = f0  # the secant weight of the kept end x0; x1 is the newest point
     least = 0  # the least steps in a row
     for _ in range(_ROOT_MAXITER):

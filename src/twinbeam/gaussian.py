@@ -54,10 +54,10 @@ def _as_square(a, name: str) -> np.ndarray:
 
 
 def _require_finite_entries(arr: np.ndarray, name: str) -> None:
-    """Raise a ValueError naming the first non-finite entry of a matrix."""
+    """Raise a ValueError naming the first non-finite entry of an array."""
     if not np.isfinite(arr).all():
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"{name} entry [{i}, {j}] must be finite, got {arr[i, j]}")
+        index = tuple(np.argwhere(~np.isfinite(arr))[0])
+        raise ValueError(f"{name} entry [{', '.join(map(str, index))}] must be finite, got {arr[index]}")
 
 
 def _symmetrize(arr: np.ndarray, name: str) -> np.ndarray:
@@ -90,6 +90,7 @@ class CovarianceState:
         mean = np.array(self.mean, dtype=complex)
         if mean.shape != (2,):
             raise ValueError(f"mean must have two complex entries, got shape {mean.shape}")
+        _require_finite_entries(mean, "mean")
         mean.setflags(write=False)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
@@ -152,6 +153,8 @@ def amplifier_channel(gain: float) -> GaussianChannel:
     The transfer is the two-mode squeezer with cosh r = sqrt(G); it is
     symplectic, so no added noise is required.
     """
+    if not math.isfinite(gain):
+        raise ValueError(f"amplifier gain must be finite, got {gain}")
     if gain < 1.0:
         raise ValueError(f"amplifier gain must be >= 1, got {gain}")
     return _two_mode_squeezer(np.sqrt(gain), np.sqrt(gain - 1.0))
@@ -183,6 +186,9 @@ def loss_channel(probe_transmission: float, conj_transmission: float) -> Gaussia
 
 def rotation_channel(theta_a: float, theta_b: float) -> GaussianChannel:
     """Phase rotation of each mode, a -> e^{-i theta} a in quadrature form."""
+    for name, theta in (("theta_a", theta_a), ("theta_b", theta_b)):
+        if not math.isfinite(theta):
+            raise ValueError(f"{name} must be finite, got {theta}")
 
     def rot(th):
         c, s = np.cos(th), np.sin(th)

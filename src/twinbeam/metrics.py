@@ -45,6 +45,9 @@ class NoiseFigures:
     c_ab: float
 
     def __post_init__(self):
+        for name, value in (("f_a", self.f_a), ("f_b", self.f_b), ("c_ab", self.c_ab)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.f_a <= 0.0 or self.f_b <= 0.0:
             raise ValueError(
                 f"noise figures must be positive, got ({self.f_a}, {self.f_b})"
@@ -63,6 +66,8 @@ class InferenceResult:
 
 
 def db_from_linear(x: float) -> float:
+    if math.isnan(x):
+        raise ValueError("cannot express ratio nan in dB")
     if x <= 0.0:
         raise ValueError(f"cannot express nonpositive ratio {x} in dB")
     return 10.0 * np.log10(x)

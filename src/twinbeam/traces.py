@@ -73,10 +73,10 @@ class SpectrumTrace:
         psd = np.array(self.psd, dtype=float)
         if freq.ndim != 1 or freq.shape != psd.shape or freq.size == 0:
             raise ValueError("trace arrays must be nonempty 1-d and congruent")
-        if freq.size > 1 and not np.all(np.diff(freq) > 0.0):
-            raise ValueError(f"{self.label}: frequencies must be strictly increasing")
         if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(psd))):
             raise ValueError(f"{self.label}: trace values must be finite")
+        if freq.size > 1 and not np.all(np.diff(freq) > 0.0):
+            raise ValueError(f"{self.label}: frequencies must be strictly increasing")
         if not (math.isfinite(self.rbw) and self.rbw > 0.0):
             raise ValueError(
                 f"{self.label}: resolution bandwidth must be finite and positive, got {self.rbw}"
@@ -180,7 +180,8 @@ def parse_traces(text: str) -> dict[str, SpectrumTrace]:
             raise TraceFormatError(
                 f"trace {label!r} mixes resolution bandwidths {sorted(set(rbws.tolist()))}"
             )
-        if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
+        # a non-finite frequency is left for SpectrumTrace to reject by name
+        if np.isfinite(freqs).all() and not np.all(np.diff(freqs) > 0.0):
             raise TraceFormatError(f"trace {label!r} has duplicate frequency points")
         # the first non-finite RBW, if any, for SpectrumTrace to reject by name
         rbw = float(rbws[np.argmin(finite)])

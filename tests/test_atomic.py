@@ -171,6 +171,16 @@ def _box_medium(rng) -> AtomicParams:
     )
 
 
+# Media A and B of the scan-size study: dense, with little or no ground
+# decoherence, their flux-neutral point depends on the scan size
+_MEDIUM_A = AtomicParams(
+    rabi_frequency=mhz(40.155), one_photon_detuning=mhz(27.263), ground_decoherence=0.0, depth=1.036e6
+)
+_MEDIUM_B = AtomicParams(
+    rabi_frequency=2.599e8, one_photon_detuning=1.207e8, ground_decoherence=7.28e3, depth=2.28e5
+)
+
+
 def test_the_bordered_state_has_unit_trace_wherever_the_even_block_is_not_degenerate():
     # (E + w w^T) v = w with w^T E = 0 gives w^T v = 1 - w^T E v / w^T w:
     # 1 up to eps times a condition number the degeneracy check bounds near
@@ -180,13 +190,8 @@ def test_the_bordered_state_has_unit_trace_wherever_the_even_block_is_not_degene
         AtomicParams(),
         AtomicParams(ground_decoherence=0.0),
         *map(_pool_medium, range(40)),
-        # media A and B of the scan-size study
-        AtomicParams(
-            rabi_frequency=mhz(40.155), one_photon_detuning=mhz(27.263), ground_decoherence=0.0, depth=1.036e6
-        ),
-        AtomicParams(
-            rabi_frequency=2.599e8, one_photon_detuning=1.207e8, ground_decoherence=7.28e3, depth=2.28e5
-        ),
+        _MEDIUM_A,
+        _MEDIUM_B,
         *(_box_medium(rng) for _ in range(200)),
     ]
     worst, solved = 0.0, 0
@@ -571,7 +576,7 @@ def test_the_finders_share_one_window_scan(monkeypatch):
     assert calls["sector_solve"] == calls["_pair_gains"]
     # another window or scan size is scanned anew; the last scan is kept
     atomic.find_raman_dip(p, n_scan=250)
-    atomic.find_raman_dip(p, window=(atomic._DEFAULT_WINDOW[0], 0.0))
+    atomic.gain_curves(p, np.linspace(atomic._DEFAULT_WINDOW[0], 0.0, 251))
     assert calls["scan_solve"] == 3
     # ... and the default one again, with the results of a cold scan
     assert atomic.find_raman_dip(p) == dip
@@ -618,10 +623,9 @@ def test_a_failing_output_is_not_kept(monkeypatch):
     assert calls["output"] == 2
 
 
-def test_the_root_search_takes_its_bracket_ends_from_the_scan(monkeypatch):
-    # a point's block and exponential do not depend on the stack, so the
-    # scan's flux balance at each end is a one-point evaluation's, bit for bit.
-    # Only on the dense medium does the cap move an end's value
+def _record_polish_ends(monkeypatch) -> list:
+    """The bracket ((a, b), (fa, fb), (f(a), f(b))) each polish
+    (`_regula_falsi` call) is handed, in order."""
     ends = []
 
     def recording(f, a, b, fa, fb, _original=atomic._regula_falsi):
@@ -629,6 +633,14 @@ def test_the_root_search_takes_its_bracket_ends_from_the_scan(monkeypatch):
         return _original(f, a, b, fa, fb)
 
     monkeypatch.setattr(atomic, "_regula_falsi", recording)
+    return ends
+
+
+def test_the_root_search_takes_its_bracket_ends_from_the_scan(monkeypatch):
+    # a point's block and exponential do not depend on the stack, so the
+    # scan's flux balance at each end is a one-point evaluation's, bit for bit.
+    # Only on the dense medium does the cap move an end's value
+    ends = _record_polish_ends(monkeypatch)
     capped = []
     for p in [AtomicParams(), *map(_pool_medium, range(40)), _dense_medium(_DENSE_DEPTHS[0])]:
         atomic.find_beam_splitter_point(p)
@@ -639,6 +651,33 @@ def test_the_root_search_takes_its_bracket_ends_from_the_scan(monkeypatch):
     assert capped == [False] * 41 + [True]
     for _, scanned, single in ends:
         assert scanned == single
+
+
+def test_every_polish_gets_nonzero_ends_of_opposite_signs_from_the_scan(monkeypatch):
+    # _regula_falsi checks neither end: its bracket is a scan cell where the
+    # signs of the capped balance multiply to below 0, and its end values are
+    # those same balances
+    ends = _record_polish_ends(monkeypatch)
+    media = [
+        AtomicParams(), AtomicParams(ground_decoherence=0.0), *map(_pool_medium, range(40)),
+        *map(_dense_medium, _DENSE_DEPTHS),
+    ]
+    # media A and B at every scan size of the study that has a crossing
+    runs = [(p, atomic._SCAN_POINTS) for p in media] + [
+        (p, n_scan) for p in (_MEDIUM_A, _MEDIUM_B) for n_scan in (251, 501, 1001, 4001)
+    ]
+    for p, n_scan in runs:
+        atomic.find_beam_splitter_point(p, n_scan=n_scan)
+        (a, b), (fa, fb), _ = ends[-1]
+        grid = np.linspace(*atomic._DEFAULT_WINDOW, n_scan)
+        curve = atomic.gain_curves(p, grid)
+        balance = atomic._flux_balance(curve.probe_gain, curve.conj_gain)
+        (i,) = np.flatnonzero(grid == a)
+        assert b == grid[i + 1]
+        assert [float(fa).hex(), float(fb).hex()] == [float(x).hex() for x in balance[i : i + 2]]
+        assert fa != 0.0 and fb != 0.0
+        assert math.copysign(1.0, fa) != math.copysign(1.0, fb)
+    assert len(ends) == len(runs) == 54
 
 
 def test_pair_output_gains_equal_the_gain_curves_bit_for_bit():
@@ -1009,8 +1048,8 @@ def test_the_default_window_is_the_cli_s(medium, tmp_path, capsys):
     assert tuple(x.hex() for x in atomic._DEFAULT_WINDOW) == (
         angular_from_mhz(lo).hex(), angular_from_mhz(hi).hex()
     )
-    for finder in (atomic.find_raman_dip, atomic.find_beam_splitter_point):
-        assert finder.__defaults__ == (atomic._DEFAULT_WINDOW, points)
+    assert atomic.find_raman_dip.__defaults__ == (points,)
+    assert atomic.find_beam_splitter_point.__defaults__ == (atomic._DEFAULT_WINDOW, points)
     # the library's default point is the one the command prints; JSON
     # floats round-trip
     p = AtomicParams() if medium is None else _pool_medium(medium)
@@ -1230,16 +1269,24 @@ def test_beam_splitter_point_requires_a_crossing():
         atomic.find_beam_splitter_point(AtomicParams(), window=(0.0, 0.0))
 
 
-@pytest.mark.parametrize("finder", [atomic.find_beam_splitter_point, atomic.find_raman_dip])
 @pytest.mark.parametrize(
-    "scan, match",
+    "finder, scan, match",
     [
-        pytest.param({"n_scan": 0}, "at least 2 points", id="0"),
-        pytest.param({"n_scan": 1}, "at least 2 points", id="1"),
-        pytest.param({"window": (mhz(50.0), mhz(-150.0))}, "window must be increasing", id="decreasing"),
-        pytest.param({"window": (0.0, 0.0)}, "window must be increasing", id="empty"),
-        # each end is finite, but linspace over the window would overflow
-        pytest.param({"window": (-9e307, 9e307)}, "window span must be finite", id="overflowing"),
+        *(
+            pytest.param(finder, {"n_scan": n_scan}, "at least 2 points", id=f"{n_scan}-{finder.__name__}")
+            for n_scan in (0, 1)
+            for finder in (atomic.find_beam_splitter_point, atomic.find_raman_dip)
+        ),
+        # find_raman_dip scans the default window only
+        *(
+            pytest.param(atomic.find_beam_splitter_point, {"window": window}, match, id=f"{name}-find_beam_splitter_point")
+            for name, window, match in [
+                ("decreasing", (mhz(50.0), mhz(-150.0)), "window must be increasing"),
+                ("empty", (0.0, 0.0), "window must be increasing"),
+                # each end is finite, but linspace over the window would overflow
+                ("overflowing", (-9e307, 9e307), "window span must be finite"),
+            ]
+        ),
     ],
 )
 def test_scans_need_two_points(finder, scan, match, monkeypatch):
@@ -1414,8 +1461,6 @@ def _triple(x):
         (lambda x: 1.0 if x > 0.7 else -1.0, 0.0, 1.0, 62),  # a jump
         # the secant overflows to nan, or its slope to inf: bisections only
         (lambda x: math.copysign(1e308, x - 0.3), -1.0, 1.0, 64),
-        (lambda x: x - 1.0, 1.0, 3.0, 2),  # the root is the left end
-        (lambda x: x - 3.0, 1.0, 3.0, 2),  # the root is the right end
         (lambda x: (x - 1.0) * (x + 3.0), 3.0, -2.0, 10),  # a reversed bracket
         (lambda x: x**7 - 0.5, 0.1, 3.0, 22),  # a steep side
         # infinite slope at the root
@@ -1427,8 +1472,8 @@ def _triple(x):
         (_triple, 3.0, -2.0, 131),
     ],
     ids=[
-        "cube", "cos", "exp", "tanh", "jump", "overflow", "left_end", "right_end",
-        "reversed", "seventh_power", "sqrt_slope", "triple",
+        "cube", "cos", "exp", "tanh", "jump", "overflow", "reversed", "seventh_power",
+        "sqrt_slope", "triple",
     ],
 )
 def test_regula_falsi_root_is_a_sign_change_between_adjacent_floats(f, lo, hi, evaluations):
@@ -1491,9 +1536,7 @@ def test_regula_falsi_ends_a_simple_root_on_adjacent_floats(family, root, width,
     _assert_root_to_the_last_float(f, found)
 
 
-def test_regula_falsi_raises_without_a_sign_change_or_in_too_few_steps(monkeypatch):
-    with pytest.raises(ValueError, match="different signs"):
-        atomic._regula_falsi(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0)
+def test_regula_falsi_raises_in_too_few_steps(monkeypatch):
     monkeypatch.setattr(atomic, "_ROOT_MAXITER", 100)
     with pytest.raises(RuntimeError, match="did not converge in 100 steps"):
         atomic._regula_falsi(_triple, 3.0, -2.0, _triple(3.0), _triple(-2.0))

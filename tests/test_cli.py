@@ -829,6 +829,20 @@ def test_analyze_names_a_db_value_outside_the_float_range(tmp_path, capsys, row,
     assert run(capsys, argv) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("freqs", [("nan",), ("inf", "inf"), ("-inf", "-inf")], ids=["nan", "inf", "minus_inf"])
+def test_analyze_names_a_non_finite_trace_frequency(tmp_path, capsys, freqs):
+    # these were blamed on duplicate frequency points, two infinite ones after
+    # numpy's warning of an invalid subtraction
+    lines = (_GOLDEN / "analyze_traces.csv").read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if line.split(",")[2] == "difference"]
+    for i, freq in zip(rows, freqs):
+        lines[i] = ",".join([freq, *lines[i].split(",")[1:]])
+    trace_path = tmp_path / "traces.csv"
+    trace_path.write_text("\n".join(lines) + "\n")
+    argv = ["analyze", str(trace_path), "--probe-frac", "1.62", "--conj-frac", "0.68"]
+    assert run(capsys, argv) == (2, "", "error: difference: trace values must be finite\n")
+
+
 def test_analyze_names_an_out_of_range_correlation_in_six_digits(capsys):
     # the correlation was printed with %.6f, all 154 digits of it
     argv = ["analyze", str(_GOLDEN / "analyze_traces.csv"), "--probe-frac", "0.65"]

@@ -1,7 +1,8 @@
 """The public API: every exported name resolves, every function the
 benchmark traces by name is still exported where its tracer looks, and
-the README's library quick start runs and prints what it promises, and its
-example config is read by every command that takes one."""
+the README's library quick start runs and prints what it promises, its
+example config is read by every command that takes one, and the public value
+types name a NaN or infinite argument."""
 
 import argparse
 import importlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import twinbeam
-from twinbeam import cli
+from twinbeam import cli, gaussian, metrics
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -178,7 +179,7 @@ def test_readme_example_config_is_read_by_every_command(tmp_path, capsys):
 # appears here as a reviewed edit.
 _SETTABLE = {
     "twinbeam.atomic.find_beam_splitter_point": ("window", "n_scan"),
-    "twinbeam.atomic.find_raman_dip": ("window", "n_scan"),
+    "twinbeam.atomic.find_raman_dip": ("n_scan",),
     "twinbeam.gaussian.coherent_input": ("beta",),
     "twinbeam.propagation.propagate": ("subdivisions",),
     "twinbeam.propagation.search_beyond_lumped_limit": (
@@ -221,3 +222,33 @@ def test_every_settable_value_is_listed():
         flags = [max(a.option_strings, key=len) for a in parser._actions if a.option_strings and a.dest != "help"]
         found[f"twinbeam {command}"] = tuple(sorted(flags))
     assert found == _SETTABLE
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # the state kept the NaN or infinite mean
+        (lambda: gaussian.coherent_input(math.nan), "mean entry [0] must be finite, got (nan+0j)"),
+        (lambda: gaussian.coherent_input(1.0, complex(0.0, math.inf)), "mean entry [1] must be finite, got infj"),
+        # these constructed, and the gemellity read nan
+        (lambda: metrics.NoiseFigures(math.nan, 1.0, 0.0), "f_a must be finite, got nan"),
+        (lambda: metrics.NoiseFigures(math.inf, 1.0, 0.0), "f_a must be finite, got inf"),
+        (lambda: metrics.NoiseFigures(1.0, math.inf, 0.0), "f_b must be finite, got inf"),
+        (lambda: metrics.NoiseFigures(1.0, 1.0, math.nan), "c_ab must be finite, got nan"),
+        # returned nan
+        (lambda: metrics.db_from_linear(math.nan), "cannot express ratio nan in dB"),
+        # blamed "transfer entry [0, 0]"
+        (lambda: gaussian.amplifier_channel(math.nan), "amplifier gain must be finite, got nan"),
+        (lambda: gaussian.amplifier_channel(math.inf), "amplifier gain must be finite, got inf"),
+        # numpy warned of an invalid cos, or the transfer entry was blamed
+        (lambda: gaussian.rotation_channel(math.inf, 0.0), "theta_a must be finite, got inf"),
+        (lambda: gaussian.rotation_channel(0.0, math.nan), "theta_b must be finite, got nan"),
+    ],
+    ids=[
+        "coherent_nan", "coherent_inf", "figures_f_a_nan", "figures_f_a_inf", "figures_f_b_inf",
+        "figures_c_ab_nan", "db_nan", "amplifier_nan", "amplifier_inf", "rotation_inf", "rotation_nan",
+    ],
+)
+def test_value_types_name_a_non_finite_argument(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

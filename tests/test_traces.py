@@ -37,6 +37,10 @@ def test_trace_validation():
         SpectrumTrace(np.array([]), np.array([]), 1.0, "probe")
     with pytest.raises(ValueError):
         SpectrumTrace(f, np.array([0.0, np.nan, 0.0]), 1.0, "probe")
+    # a non-finite frequency is named as one, before the order is tested
+    for freqs in ([1.0, np.nan, 3.0], [1.0, np.inf, np.inf]):
+        with pytest.raises(ValueError, match="^probe: trace values must be finite$"):
+            SpectrumTrace(np.array(freqs), np.zeros(3), 1.0, "probe")
     for rbw in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match=f"probe: .* must be finite and positive, got {rbw}"):
             SpectrumTrace(f, np.zeros(3), rbw, "probe")
