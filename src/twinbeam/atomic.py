@@ -202,20 +202,9 @@ class BeamSplitterPoint:
 # basis: 0 = upper ground (probe leg), 1 = lower ground (pump leg),
 #        2 = excited shared by pump and probe, 3 = excited shared by
 #        pump and conjugate.  All entries in decay-rate units.
-def _collapse_operators(p: AtomicParams) -> list[np.ndarray]:
-    ops = []
-    for excited in (2, 3):
-        for ground in (0, 1):
-            op = np.zeros((4, 4))
-            op[ground, excited] = 1.0
-            ops.append(np.sqrt(0.5) * op)  # Gamma/2 branching per ground state
-    exchange = np.sqrt(p.ground_decoherence / p.excited_decay_rate)
-    for i, j in ((0, 1), (1, 0)):
-        op = np.zeros((4, 4))
-        op[i, j] = 1.0
-        ops.append(exchange * op)
-    return ops
-
+# The jumps' unit patterns: |ground><excited| for excited 2, 3 and ground 0, 1,
+# each at Gamma/2 (branching per ground state), then the exchange |0><1|, |1><0| at gamma_g
+_JUMPS = np.eye(4)[[0, 1, 0, 1, 0, 1], :, None] * np.eye(4)[[2, 2, 3, 3, 1, 0], None, :]
 
 _EYE = np.eye(4)
 
@@ -238,7 +227,7 @@ def liouvillian(p: AtomicParams) -> np.ndarray:
         h[3, 3] = -(big_delta + hf + delta)
         h[2, 1] = h[1, 2] = -rabi / 2.0
         h[3, 0] = h[0, 3] = -rabi / 2.0
-        ops = np.array(_collapse_operators(p))
+        ops = _JUMPS * np.sqrt([0.5] * 4 + [p.ground_decoherence / g] * 2)[:, None, None]
         xs = np.concatenate([h[None], ops.conj().transpose(0, 2, 1) @ ops])
         # np.kron's products as broadcast outer products, one per entry: I (x) X and
         # X^T (x) I for X = h and each op^dag op, then op^* (x) op for each op alone
@@ -689,7 +678,7 @@ def params_from_mapping(mapping: dict) -> AtomicParams:
     for key, (field, convert) in _PARAM_KEYS.items():
         if key in mapping:
             read = section_float if key == "depth" else section_frequency
-            kwargs[field] = convert(read(mapping, "atomic", key, None))
+            kwargs[field] = convert(read(mapping, "atomic", key))
     try:
         return AtomicParams(**kwargs)
     except ValueError as exc:

@@ -72,9 +72,9 @@ def _window(sections: dict, section: str, low: str, high: str) -> tuple[float, f
     from . import atomic  # loaded already by both callers
     mapping = sections.get(section, {})
     check_keys(mapping, section, {low, high, "points"})
-    lo = section_frequency(mapping, section, low, default=atomic._WINDOW_MHZ[0])
-    hi = section_frequency(mapping, section, high, default=atomic._WINDOW_MHZ[1])
-    points = section_int(mapping, section, "points", default=atomic._SCAN_POINTS)
+    lo = section_frequency(mapping, section, low) if low in mapping else atomic._WINDOW_MHZ[0]
+    hi = section_frequency(mapping, section, high) if high in mapping else atomic._WINDOW_MHZ[1]
+    points = section_int(mapping, section, "points") if "points" in mapping else atomic._SCAN_POINTS
     if not lo < hi:
         raise ConfigError(f"[{section}] detuning window must be increasing, got [{lo}, {hi}] MHz")
     if points < 2:
@@ -207,7 +207,7 @@ def cmd_beat_limit(args) -> int:
             file=sys.stderr,
         )
     settings = {
-        arg: read(search, "search", key, None) for key, (arg, read) in _SEARCH_KEYS.items() if key in search
+        arg: read(search, "search", key) for key, (arg, read) in _SEARCH_KEYS.items() if key in search
     }
     found = propagation.search_beyond_lumped_limit(seed=args.seed, **settings)
     slabs = found.profile.slabs

@@ -76,11 +76,8 @@ def check_keys(mapping: dict[str, str], section: str, allowed) -> None:
         raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
 
 
-def section_float(mapping: dict[str, str], section: str, key: str, default: float | None) -> float:
-    """A key's finite float value, or default where the key is absent, with
-    errors that name the offending key."""
-    if key not in mapping:
-        return default
+def section_float(mapping: dict[str, str], section: str, key: str) -> float:
+    """A key's finite float value, with errors that name the offending key."""
     raw = mapping[key]
     try:
         value = float(raw)
@@ -93,10 +90,8 @@ def section_float(mapping: dict[str, str], section: str, key: str, default: floa
     return value
 
 
-def section_int(mapping: dict[str, str], section: str, key: str, default: int) -> int:
-    """A key's integer value, or default where the key is absent."""
-    if key not in mapping:
-        return default
+def section_int(mapping: dict[str, str], section: str, key: str) -> int:
+    """A key's integer value, with errors that name the offending key."""
     raw = mapping[key]
     try:
         return int(raw)
@@ -106,13 +101,12 @@ def section_int(mapping: dict[str, str], section: str, key: str, default: int) -
         ) from None
 
 
-def section_frequency(mapping: dict[str, str], section: str, key: str, default: float | None) -> float:
-    """A frequency key's value in MHz (kHz where the key ends in _kHz), or
-    default where the key is absent; the value must stay finite in rad/s."""
-    value = section_float(mapping, section, key, default)
+def section_frequency(mapping: dict[str, str], section: str, key: str) -> float:
+    """A frequency key's value in MHz (kHz where the key ends in _kHz), finite in rad/s."""
+    value = section_float(mapping, section, key)
     unit = "kHz" if key.endswith("_kHz") else "MHz"
     angular = angular_from_khz if unit == "kHz" else angular_from_mhz
-    if key in mapping and not math.isfinite(angular(value)):
+    if not math.isfinite(angular(value)):
         raise ConfigError(
             f"section [{section}], key {key!r}: {value} {unit} overflows the float range in rad/s"
         )

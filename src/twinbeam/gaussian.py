@@ -219,6 +219,8 @@ def compose(second: GaussianChannel, first: GaussianChannel) -> GaussianChannel:
 
 def compose_power(channel: GaussianChannel, n: int) -> GaussianChannel:
     """Compose a channel with itself n times, by repeated squaring."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"repetition count must be an integer, got {n}")
     if n < 1:
         raise ValueError(f"repetition count must be >= 1, got {n}")
     result = None

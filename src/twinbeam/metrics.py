@@ -74,11 +74,14 @@ def db_from_linear(x: float) -> float:
 
 
 def linear_from_db(x_db: float) -> float:
-    """10^(x_db/10), 0.0 below the float range; a ValueError names x_db above it."""
+    """10^(x_db/10), 0.0 below the float range; a ValueError names x_db above it or NaN."""
     try:
-        return 10.0 ** (float(x_db) / 10.0)
+        value = 10.0 ** (float(x_db) / 10.0)
     except OverflowError:
-        raise ValueError(f"{x_db:g} dB has no finite linear value") from None
+        value = math.inf
+    if not value < math.inf:
+        raise ValueError(f"{x_db:g} dB has no finite linear value")
+    return value
 
 
 def _rotation_to_mean(mean: complex) -> np.ndarray:

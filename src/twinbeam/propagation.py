@@ -320,14 +320,12 @@ def slab_channel(slab: Slab) -> gaussian.GaussianChannel:
         raise ValueError(
             f"slab squeeze parameter g*dz = {r:.3f} too large; subdivide the segment"
         )
-    channel = gaussian._two_mode_squeezer(float(np.cosh(r)), float(np.sinh(r)))
-    if slab.alpha_a > 0.0 or slab.alpha_b > 0.0:
-        half = gaussian.loss_channel(
-            float(np.exp(-slab.alpha_a * slab.dz / 2.0)),
-            float(np.exp(-slab.alpha_b * slab.dz / 2.0)),
-        )
-        channel = gaussian.compose(half, gaussian.compose(channel, half))
-    return channel
+    squeezer = gaussian._two_mode_squeezer(float(np.cosh(r)), float(np.sinh(r)))
+    half = gaussian.loss_channel(
+        float(np.exp(-slab.alpha_a * slab.dz / 2.0)),
+        float(np.exp(-slab.alpha_b * slab.dz / 2.0)),
+    )
+    return gaussian.compose(half, gaussian.compose(squeezer, half))
 
 
 def coupling_slab_channel(block: np.ndarray, dz: float) -> gaussian.GaussianChannel:

@@ -363,7 +363,7 @@ def loop_liouvillian(p: atomic.AtomicParams) -> np.ndarray:
         h[3, 3] = -(big_delta + hf + delta)
         h[2, 1] = h[1, 2] = -rabi / 2.0
         h[3, 0] = h[0, 3] = -rabi / 2.0
-        ops = np.array(atomic._collapse_operators(p))
+        ops = atomic._JUMPS * np.sqrt([0.5] * 4 + [p.ground_decoherence / g] * 2)[:, None, None]
         xs = np.concatenate([h[None], ops.conj().transpose(0, 2, 1) @ ops])
         left = (eye[:, None, :, None] * xs[:, None, :, None, :]).reshape(-1, 16, 16)
         right = (xs.transpose(0, 2, 1)[:, :, None, :, None] * eye[:, None, :]).reshape(-1, 16, 16)
@@ -482,6 +482,8 @@ def mpmath_abs(h):
 def mpmath_pair_maps(segments, digits):
     """Pair maps of complex generators at `digits` digits, and their product.
 
+    Each B is a complex 2x2 array, or an mpmath matrix whose entries are
+    used as they are, unrounded.
     For each (B, L): M = e^{BL} and Q from the Van Loan block
     [[-B, D], [0, B^dag]] with D = |B eta + eta B^dag|, eta = diag(1, -1),
     taken over L / 2^k with ||B||_1 L / 2^k <= 1 and squared k times, so
@@ -490,9 +492,10 @@ def mpmath_pair_maps(segments, digits):
     with mpmath.workdps(digits):
         eta = mpmath.diag([1, -1])
         maps = []
-        for block, length in segments:
-            block = np.asarray(block, dtype=complex)
-            b = mpmath.matrix(block.tolist())
+        for b, length in segments:
+            if not isinstance(b, mpmath.matrix):
+                b = mpmath.matrix(np.asarray(b, dtype=complex).tolist())
+            block = np.array(b.tolist(), dtype=complex)
             k = max(0, math.ceil(math.log2(max(np.abs(block).sum(axis=0).max() * length, 1.0))))
             van_loan = mpmath.zeros(4)
             van_loan[0:2, 0:2] = -b
@@ -508,6 +511,15 @@ def mpmath_pair_maps(segments, digits):
         for m2, q2 in maps[1:]:
             m, q = m2 * m, m2 * q * m2.H + q2
         return maps, (m, q)
+
+
+def mpmath_gemellity(m, q):
+    """The gemellity of a pair map (M, Q) at the working precision, read in
+    the pair basis as `propagation._pair_outputs` reads it."""
+    k = m * m.H + q
+    f_a, f_b = mpmath.re(k[0, 0]), mpmath.re(k[1, 1])
+    c = mpmath.re(mpmath.exp(-1j * (mpmath.arg(m[0, 0]) - mpmath.arg(m[1, 0]))) * k[0, 1])
+    return (f_a + f_b) / 2 - mpmath.sqrt(c * c + ((f_a - f_b) / 2) ** 2)
 
 
 def mpmath_inference(s, f_a, f_b, p_a, p_b):

@@ -1184,12 +1184,20 @@ def test_each_polish_evaluation_equals_its_grid_row_bit_for_bit(monkeypatch, med
 
 @pytest.mark.parametrize(
     "medium",
-    [AtomicParams(), AtomicParams(ground_decoherence=0.0), *range(40)],
-    ids=["default", "gamma_g_0", *map(str, range(40))],
+    [
+        AtomicParams(),
+        AtomicParams(ground_decoherence=0.0),
+        AtomicParams(ground_decoherence=-0.0),
+        AtomicParams(ground_decoherence=1e300),
+        *range(40),
+    ],
+    ids=["default", "gamma_g_0", "gamma_g_negative_0", "gamma_g_1e300", *map(str, range(40))],
 )
 def test_generator_matches_the_kron_reference_bit_for_bit(medium):
     # without ground decoherence the exchange operators and their products
-    # are zero, and each zero of the generator keeps the reference's sign
+    # are zero, and each zero of the generator keeps the reference's sign,
+    # -0.0 for gamma_g = -0.0; at gamma_g = 1e300 the exchange rate is
+    # 2.8e292 Gamma and its products stay finite
     p = medium if isinstance(medium, AtomicParams) else _pool_medium(medium)
     _assert_bitwise(atomic.liouvillian(p), kron_liouvillian(p))
 

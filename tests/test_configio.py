@@ -32,14 +32,13 @@ def test_parse_sections_names_the_line_of_an_error(text, err):
 
 def test_section_frequency_reads_in_the_unit_of_the_key():
     mapping = {"min_MHz": "-60", "gamma_g_kHz": "1e305"}
-    assert section_frequency(mapping, "window", "min_MHz", -150.0) == -60.0
-    assert section_frequency(mapping, "window", "max_MHz", 50.0) == 50.0
+    assert section_frequency(mapping, "window", "min_MHz") == -60.0
     # 1e305 kHz is 6.3e308 rad/s; 1e304 kHz is finite, though 1e304 MHz is not
     with pytest.raises(ConfigError) as exc:
-        section_frequency(mapping, "atomic", "gamma_g_kHz", None)
+        section_frequency(mapping, "atomic", "gamma_g_kHz")
     assert str(exc.value) == (
         "section [atomic], key 'gamma_g_kHz': 1e+305 kHz overflows the float range in rad/s"
     )
-    assert section_frequency({"gamma_g_kHz": "1e304"}, "atomic", "gamma_g_kHz", None) == 1e304
+    assert section_frequency({"gamma_g_kHz": "1e304"}, "atomic", "gamma_g_kHz") == 1e304
     with pytest.raises(ConfigError, match="1e\\+304 MHz overflows"):
-        section_frequency({"Omega_MHz": "1e304"}, "atomic", "Omega_MHz", None)
+        section_frequency({"Omega_MHz": "1e304"}, "atomic", "Omega_MHz")

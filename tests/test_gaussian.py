@@ -217,8 +217,21 @@ def test_compose_power_matches_sequential(n):
 
 
 def test_compose_power_requires_positive_count():
+    channel = gaussian.amplifier_channel(1.1)
     with pytest.raises(ValueError):
-        gaussian.compose_power(gaussian.amplifier_channel(1.1), 0)
+        gaussian.compose_power(channel, 0)
+    # a numpy integer counts as the int it holds
+    want = gaussian.compose_power(channel, 3)
+    got = gaussian.compose_power(channel, np.int64(3))
+    assert got.transfer.tobytes() == want.transfer.tobytes()
+    assert got.added_noise.tobytes() == want.added_noise.tobytes()
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, np.nan], ids=["fraction", "integral_float", "nan"])
+def test_compose_power_names_a_count_that_is_not_an_integer(n):
+    # the squaring loop raised TypeError from `k & 1`
+    with pytest.raises(ValueError, match=f"^repetition count must be an integer, got {n}$"):
+        gaussian.compose_power(gaussian.amplifier_channel(1.1), n)
 
 
 _gain = st.floats(min_value=1.0, max_value=4.0)

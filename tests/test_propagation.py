@@ -28,6 +28,7 @@ from oracles import (
     exact_channel,
     exact_state,
     lift,
+    mpmath_gemellity,
     mpmath_pair_maps,
     output_state,
     pair_compose,
@@ -954,10 +955,7 @@ def _mpmath_gemellity(block):
     basis as `_pair_outputs` reads it."""
     _, (m, q) = mpmath_pair_maps([(block, 1.0)], 60)
     with mpmath.workdps(60):
-        k = m * m.H + q
-        f_a, f_b = mpmath.re(k[0, 0]), mpmath.re(k[1, 1])
-        c = mpmath.re(mpmath.exp(-1j * (mpmath.arg(m[0, 0]) - mpmath.arg(m[1, 0]))) * k[0, 1])
-        return float((f_a + f_b) / 2 - mpmath.sqrt(c * c + ((f_a - f_b) / 2) ** 2))
+        return float(mpmath_gemellity(m, q))
 
 
 def test_a_deep_sweep_prints_only_gemellities_above_their_rounding():

@@ -237,6 +237,9 @@ def test_every_settable_value_is_listed():
         (lambda: metrics.NoiseFigures(1.0, 1.0, math.nan), "c_ab must be finite, got nan"),
         # returned nan
         (lambda: metrics.db_from_linear(math.nan), "cannot express ratio nan in dB"),
+        # returned nan and inf
+        (lambda: metrics.linear_from_db(math.nan), "nan dB has no finite linear value"),
+        (lambda: metrics.linear_from_db(math.inf), "inf dB has no finite linear value"),
         # blamed "transfer entry [0, 0]"
         (lambda: gaussian.amplifier_channel(math.nan), "amplifier gain must be finite, got nan"),
         (lambda: gaussian.amplifier_channel(math.inf), "amplifier gain must be finite, got inf"),
@@ -246,7 +249,8 @@ def test_every_settable_value_is_listed():
     ],
     ids=[
         "coherent_nan", "coherent_inf", "figures_f_a_nan", "figures_f_a_inf", "figures_f_b_inf",
-        "figures_c_ab_nan", "db_nan", "amplifier_nan", "amplifier_inf", "rotation_inf", "rotation_nan",
+        "figures_c_ab_nan", "db_nan", "linear_nan", "linear_inf", "amplifier_nan", "amplifier_inf",
+        "rotation_inf", "rotation_nan",
     ],
 )
 def test_value_types_name_a_non_finite_argument(build, message):
